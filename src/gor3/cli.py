@@ -81,7 +81,7 @@ def _ideal_from_arg(text, names, field) -> GradedIdeal:
     return GradedIdeal(len(names), gens, field)
 
 
-def _ideal_report(I: GradedIdeal, include_socle=True):
+def _ideal_report(I: GradedIdeal):
     report = {
         "generators": [str(g) for g in I.generators],
         "minimal_profile": {str(k): v
@@ -92,18 +92,20 @@ def _ideal_report(I: GradedIdeal, include_socle=True):
         report["complete"] = False
         return report
     report["complete"] = True
-    if include_socle:
-        try:
-            socle = I.socle_report()
-        except NotArtinianError as exc:
-            report["socle"] = {"error": str(exc)}
-            return report
-        report["hilbert_function"] = I.hilbert_series_table(socle.artinian_bound)
-        report["socle"] = socle.as_dict()
-        try:
-            report["datum"] = I.virtual_datum().as_dict()
-        except (NotEquigeneratedError, DatumViolationError) as exc:
-            report["datum"] = {"error": str(exc)}
+    if I.hilbert_function(0) == 0:
+        # the unit ideal: R/I = 0 has no socle and no datum
+        return report
+    try:
+        socle = I.socle_report()
+    except NotArtinianError as exc:
+        report["socle"] = {"error": str(exc)}
+        return report
+    report["hilbert_function"] = I.hilbert_series_table(socle.artinian_bound)
+    report["socle"] = socle.as_dict()
+    try:
+        report["datum"] = I.virtual_datum().as_dict()
+    except (NotEquigeneratedError, DatumViolationError) as exc:
+        report["datum"] = {"error": str(exc)}
     return report
 
 

@@ -379,8 +379,30 @@ class GradedIdeal:
         kernel = matrix.kernel_basis()
         return span_of_vectors(n, t, [v[:dim_t] for v in kernel], field)
 
+    def _pure_power_exponents(self):
+        """(m_1, ..., m_n) when the generators are c_i * x_i^{m_i}, exactly
+        one pure power per variable in any order; otherwise None."""
+        if len(self._gen_data) != self.n:
+            return None
+        m = [0] * self.n
+        for _, terms in self._gen_data:
+            if len(terms) != 1:
+                return None
+            (exps, _), = terms
+            support = [i for i, x in enumerate(exps) if x]
+            if len(support) != 1 or m[support[0]]:
+                return None
+            m[support[0]] = exps[support[0]]
+        return m
+
     def colon(self, f: MultiPoly, t_max=None) -> "GradedIdeal":
         """The ideal (I : f), complete when I is Artinian.
+
+        Pure powers (x_1^{m_1}, ..., x_n^{m_n}) with no t_max are Ann(X^[m-1])
+        in Macaulay duality, so their colon is Ann(f o X^[m-1]), read off
+        catalecticant kernels.  Every other base, and any explicit t_max, goes
+        through the kernel of multiplication by f into R/I, degree by degree.
+        Both give the canonical RREF of each piece and so the same generators.
 
         For non-Artinian I an explicit t_max is required and the result is
         marked as truncated at that degree.
@@ -389,6 +411,19 @@ class GradedIdeal:
             raise ValueError("colon by the zero form")
         if not f.is_homogeneous():
             raise ValueError("colon by a non-homogeneous form")
+        if t_max is None:
+            m = self._pure_power_exponents()
+            if m is not None:
+                from .apolarity import InverseForm, annihilator, contract
+
+                dual = InverseForm(self.n, {tuple(x - 1 for x in m): self.field.one},
+                                   self.field)
+                F = contract(f, dual)
+                if F.is_zero():
+                    # f lies in the pure powers
+                    unit = vector_to_poly(self.n, 0, [self.field.one], self.field)
+                    return GradedIdeal(self.n, [unit], self.field)
+                return annihilator(F)
         e = f.homogeneous_degree()
         truncated = None
         if t_max is None:

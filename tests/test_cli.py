@@ -24,6 +24,16 @@ def test_colon_subcommand(capsys):
     assert len(report["generators"]) == 7
 
 
+def test_colon_into_the_unit_ideal(capsys):
+    code, report, err = run_json(
+        capsys, "colon", "--ci", "x^3,y^3,z^3", "--f", "x^3")
+    assert code == 0
+    assert err == ""
+    assert report["generators"] == ["1"]
+    assert report["complete"] is True
+    assert "socle" not in report and "datum" not in report
+
+
 def test_colon_reports_are_deterministic(capsys):
     args = ("colon", "--ci", "x^3,y^3,z^3", "--f", "x^2*y^2+x^2*z^2+y^2*z^2")
     _, first, _ = run(capsys, *args)
