@@ -16,9 +16,13 @@ from fractions import Fraction
 from math import gcd
 
 from .fields import QQ, RationalField
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, rref_mod
 from .monomials import mono_mul, monomial_count, monomial_index, monomials_of_degree
 from .poly import MultiPoly
+
+
+# The word-size (31-bit) prime of the fullness certificate for QQ pieces.
+CERTIFICATE_PRIME = 2147483647
 
 
 class NotArtinianError(ValueError):
@@ -212,12 +216,11 @@ def degree_one_multiples(piece: GradedPiece, field):
     return out
 
 
-def _shifted_vectors(n, t, gens_with_vecs, field):
+def _shifted_vectors(n, t, gens_with_vecs, zero):
     """Coefficient vectors of x^alpha * g for all generators g of degree
     <= t and all monomials alpha of complementary degree."""
     idx = monomial_index(n, t)
     dim = monomial_count(n, t)
-    zero = field.zero
     out = []
     for deg_g, terms in gens_with_vecs:
         if deg_g > t:
@@ -271,10 +274,42 @@ class GradedIdeal:
             raise ValueError("degree must be non-negative")
         piece = self._pieces.get(t)
         if piece is None:
-            vecs = _shifted_vectors(self.n, t, self._gen_data, self.field)
-            piece = span_of_vectors(self.n, t, vecs, self.field)
+            below = self._pieces.get(t - 1)
+            if (below is not None and below.is_full) or self._proved_full(t):
+                # R_1 * R_{t-1} = R_t above a full piece
+                piece = full_piece(self.n, t, self.field)
+            else:
+                vecs = _shifted_vectors(self.n, t, self._gen_data, self.field.zero)
+                piece = span_of_vectors(self.n, t, vecs, self.field)
             self._pieces[t] = piece
         return piece
+
+    def _proved_full(self, t) -> bool:
+        """Over QQ, True when I_t = R_t is proved modulo CERTIFICATE_PRIME.
+
+        Each generator is scaled to an integer form, so the shifted rows are
+        integer vectors with the same span over QQ.  The rank of an integer
+        matrix modulo p is at most its rank over QQ, so full rank mod p proves
+        the piece full.  False proves nothing; the piece is then eliminated
+        exactly.  Fewer rows than dim R_t can never be full, so no rows are
+        reduced then."""
+        if not isinstance(self.field, RationalField):
+            return False
+        n = self.n
+        dim = monomial_count(n, t)
+        rows = sum(monomial_count(n, t - d) for d, _ in self._gen_data if d <= t)
+        if rows < dim:
+            return False
+        p = CERTIFICATE_PRIME
+        gens = []
+        for d, terms in self._gen_data:
+            lcm = 1
+            for _, c in terms:
+                lcm = lcm // gcd(lcm, c.denominator) * c.denominator
+            gens.append((d, [(e, c.numerator * (lcm // c.denominator) % p)
+                             for e, c in terms]))
+        pivots, _ = rref_mod(_shifted_vectors(n, t, gens, 0), p)
+        return len(pivots) == dim
 
     def hilbert_function(self, t) -> int:
         if t < 0:
@@ -285,12 +320,23 @@ class GradedIdeal:
         return 4 * max(self.max_generator_degree, 1) * self.n
 
     def artinian_bound(self, cap=None) -> int:
-        """Least t with (R/I)_t = 0, searched up to the cap."""
+        """Least t with (R/I)_t = 0.
+
+        Without a cap the answer is exact.  An m-primary ideal generated in
+        degrees <= D contains a regular sequence of n forms of degree D, hence
+        all of R_{n(D-1)+1} (Eisenbud, Commutative Algebra, ch. 21; Hilbert
+        functions do not change under field extension).  A nonzero Hilbert
+        value at n(D-1)+1 therefore proves I is not Artinian, and the error
+        names default_cap(), up to which no value vanishes either.  An
+        explicit cap searches up to that degree only.
+        """
         if self._artinian_bound is not None:
             return self._artinian_bound
+        last = cap
         if cap is None:
+            last = self.n * (max(self.max_generator_degree, 1) - 1) + 1
             cap = self.default_cap()
-        for t in range(cap + 1):
+        for t in range(last + 1):
             if self.hilbert_function(t) == 0:
                 self._artinian_bound = t
                 return t
@@ -534,7 +580,7 @@ class GradedIdeal:
             if prod.homogeneous_degree() <= t:
                 products.append((prod.homogeneous_degree(),
                                  tuple(prod.terms.items())))
-        vecs = _shifted_vectors(self.n, t, products, self.field)
+        vecs = _shifted_vectors(self.n, t, products, self.field.zero)
         return span_of_vectors(self.n, t, vecs, self.field)
 
     # ------------------------------------------------------------------
@@ -768,5 +814,5 @@ def _product_span(j_gens, factors, I, t):
             p = j * g
             if not p.is_zero() and p.homogeneous_degree() == t:
                 data.append((t, tuple(p.terms.items())))
-    vecs = _shifted_vectors(I.n, t, data, I.field)
+    vecs = _shifted_vectors(I.n, t, data, I.field.zero)
     return span_of_vectors(I.n, t, vecs, I.field)
