@@ -5,7 +5,6 @@ duality, socle and Betti data, and rank-based certificates, all in exact
 arithmetic over the rationals or a prime field.
 """
 
-from ._accel import BACKEND
 from .apolarity import (
     InverseForm,
     NotGorensteinError,

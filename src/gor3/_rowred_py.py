@@ -1,9 +1,9 @@
-"""Row-reduction kernels, pure-Python implementation.
+"""Row-reduction kernels.
 
-The compiled extension ``gor3._rowred`` provides the same two functions.
-Both must return identical output: the reduced forms below are canonical
-(unique for a given row space), which is what makes the backends
-interchangeable and bit-for-bit deterministic.
+The reduced forms below are canonical (unique for a given row space), which
+makes every result bit-for-bit deterministic.  They live in a module of
+their own, apart from ``linalg``, so that the perfbench tracer times them as
+the kernel layer and not as ``linalg`` functions.
 """
 
 from math import gcd

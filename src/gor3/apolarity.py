@@ -13,8 +13,6 @@ from .fields import QQ
 from .ideals import (
     GradedIdeal,
     GradedPiece,
-    _Span,
-    degree_one_multiples,
     full_piece,
     span_of_vectors,
     vector_to_poly,
@@ -155,34 +153,20 @@ def _catalecticant_kernel(F: InverseForm, t) -> GradedPiece:
 
 
 def annihilator(F: InverseForm, t_max=None) -> GradedIdeal:
-    """The ideal of forms contracting F to zero, generated through t_max.
+    """The ideal of forms contracting F to zero.
 
-    The default t_max = deg(F) + 1 already captures every minimal
-    generator: beyond that degree the annihilator is all of R.
+    Its pieces are catalecticant kernels through deg(F) and all of R from
+    deg(F) + 1 on, so every minimal generator has degree at most deg(F) + 1.
+    A t_max below that is rejected; a larger one changes nothing.
     """
     if F.is_zero():
         raise ValueError("annihilator of the zero dual form")
     n, field = F.n, F.field
     s = F.degree()
-    if t_max is None:
-        t_max = s + 1
-    if t_max < s + 1:
+    if t_max is not None and t_max < s + 1:
         raise ValueError(f"t_max must be at least deg(F) + 1 = {s + 1}")
-    gens = []
-    prev = None
-    for t in range(t_max + 1):
-        piece = (_catalecticant_kernel(F, t) if t <= s
-                 else full_piece(n, t, field))
-        if piece.dim:
-            span = _Span(field, piece.ambient_dim)
-            if prev is not None and prev.dim:
-                for vec in degree_one_multiples(prev, field):
-                    span.add(vec)
-            for row in piece.rows:
-                if span.add(row):
-                    gens.append(vector_to_poly(n, t, row, field))
-        prev = piece
-    return GradedIdeal(n, gens, field)
+    pieces = [_catalecticant_kernel(F, t) for t in range(s + 1)]
+    return GradedIdeal.from_pieces(n, pieces + [full_piece(n, s + 1, field)], field)
 
 
 def macaulay_inverse(I: GradedIdeal) -> InverseForm:

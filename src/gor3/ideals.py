@@ -104,13 +104,6 @@ class GradedPiece:
         row = self.rows[k]
         return [field.neg(row[c]) for c in std]
 
-    def polynomials(self):
-        """Basis vectors as polynomials, integer-primitive over QQ."""
-        out = []
-        for row in self.rows:
-            out.append(vector_to_poly(self.n, self.t, row, self.field))
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, GradedPiece) and self.n == other.n
                 and self.t == other.t and self.field == other.field
@@ -216,6 +209,21 @@ def degree_one_multiples(piece: GradedPiece, field):
     return out
 
 
+def _fresh_generators(piece: GradedPiece, below):
+    """The rows of piece outside R_1 * below, as forms: the degree-one
+    multiples of below enter a greedy span first, then the rows of piece in
+    order, and a row is kept when it enlarges the span."""
+    if not piece.dim:
+        return []
+    field = piece.field
+    span = _Span(field, piece.ambient_dim)
+    if below is not None:
+        for vec in degree_one_multiples(below, field):
+            span.add(vec)
+    return [vector_to_poly(piece.n, piece.t, row, field)
+            for row in piece.rows if span.add(row)]
+
+
 def _shifted_vectors(n, t, gens_with_vecs, zero):
     """Coefficient vectors of x^alpha * g for all generators g of degree
     <= t and all monomials alpha of complementary degree."""
@@ -256,6 +264,30 @@ class GradedIdeal:
         self._artinian_bound = None
         self._gen_data = [(g.homogeneous_degree(), tuple(g.terms.items()))
                           for g in gens]
+
+    @classmethod
+    def from_pieces(cls, n, pieces, field, truncated_at=None):
+        """The ideal whose degree-t piece is the t-th of pieces, t = 0, 1, ...
+
+        Pieces are read lazily up to and including the first full one; every
+        piece read seeds the cache, and a full piece also fixes the Artinian
+        bound.  The minimal generators are the rows of each piece outside
+        R_1 times the piece below.
+        """
+        gens, seeded = [], {}
+        bound = below = None
+        for t, piece in enumerate(pieces):
+            gens.extend(_fresh_generators(piece, below))
+            seeded[t] = piece
+            if piece.is_full:
+                # R_1 * R_{t-1} = R_t: nothing new can appear from here on
+                bound = t
+                break
+            below = piece
+        ideal = cls(n, gens, field, truncated_at=truncated_at)
+        ideal._pieces = seeded
+        ideal._artinian_bound = bound
+        return ideal
 
     @classmethod
     def from_strings(cls, texts, var_names=("x", "y", "z"), field=QQ):
@@ -355,9 +387,6 @@ class GradedIdeal:
             t_max = self.artinian_bound() - 1
         return [self.hilbert_function(t) for t in range(t_max + 1)]
 
-    def _degree_one_multiples(self, piece: GradedPiece):
-        return degree_one_multiples(piece, self.field)
-
     def minimal_generator_profile(self, t_max=None) -> dict:
         """degree -> number of minimal generators in that degree."""
         if t_max is None:
@@ -365,7 +394,7 @@ class GradedIdeal:
         profile = {}
         for t in range(1, t_max + 1):
             below = span_of_vectors(
-                self.n, t, self._degree_one_multiples(self.graded_piece(t - 1)),
+                self.n, t, degree_one_multiples(self.graded_piece(t - 1), self.field),
                 self.field)
             fresh = self.graded_piece(t).dim - below.dim
             if fresh:
@@ -379,14 +408,8 @@ class GradedIdeal:
         gens = []
         for t in range(1, t_max + 1):
             piece = self.graded_piece(t)
-            if piece.dim == 0:
-                continue
-            span = _Span(self.field, piece.ambient_dim)
-            for vec in self._degree_one_multiples(self.graded_piece(t - 1)):
-                span.add(vec)
-            for row in piece.rows:
-                if span.add(row):
-                    gens.append(vector_to_poly(self.n, t, row, self.field))
+            if piece.dim:
+                gens.extend(_fresh_generators(piece, self.graded_piece(t - 1)))
         return gens
 
     def is_equigenerated(self):
@@ -467,8 +490,8 @@ class GradedIdeal:
                 F = contract(f, dual)
                 if F.is_zero():
                     # f lies in the pure powers
-                    unit = vector_to_poly(self.n, 0, [self.field.one], self.field)
-                    return GradedIdeal(self.n, [unit], self.field)
+                    return GradedIdeal.from_pieces(
+                        self.n, [full_piece(self.n, 0, self.field)], self.field)
                 return annihilator(F)
         e = f.homogeneous_degree()
         truncated = None
@@ -476,28 +499,9 @@ class GradedIdeal:
             t_max = self.artinian_bound()
         elif not self.is_artinian() or t_max < self.artinian_bound():
             truncated = t_max
-        gens = []
-        prev = None
-        for t in range(t_max + 1):
-            piece = self._colon_piece(t, f, e)
-            if prev is not None and prev.is_full:
-                # R_1 * R_{t-1} = R_t: nothing new can appear from here on
-                break
-            if piece.dim:
-                span = _Span(self.field, piece.ambient_dim)
-                if prev is not None and prev.dim:
-                    for vec in self._degree_one_multiples_from(prev, t):
-                        span.add(vec)
-                for row in piece.rows:
-                    if span.add(row):
-                        gens.append(vector_to_poly(self.n, t, row, self.field))
-            prev = piece
-        return GradedIdeal(self.n, gens, self.field, truncated_at=truncated)
-
-    def _degree_one_multiples_from(self, piece: GradedPiece, t):
-        if piece.t + 1 != t:
-            raise ValueError("degree mismatch")
-        return self._degree_one_multiples(piece)
+        return GradedIdeal.from_pieces(
+            self.n, (self._colon_piece(t, f, e) for t in range(t_max + 1)),
+            self.field, truncated_at=truncated)
 
     # ------------------------------------------------------------------
     # socle

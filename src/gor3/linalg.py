@@ -2,8 +2,8 @@
 
 Everything here is exact; there is no floating point and no tolerance
 anywhere.  Matrices hold raw field scalars (Fraction over QQ, int over
-GF(p)) and the elimination work is delegated to the selected row-reduction
-backend.
+GF(p)) and the elimination work is delegated to the row-reduction kernels
+of ``_rowred_py``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._accel import rref_int, rref_mod
+from ._rowred_py import rref_int, rref_mod
 from .fields import PrimeField, RationalField
 
 
@@ -73,7 +73,7 @@ class ExactMatrix:
 
         Returns (pivots, rows) where rows are leading-1 field vectors with
         zeros above and below every pivot.  Zero rows are dropped.  The
-        result is unique for the row space, hence backend-independent.
+        result is unique for the row space.
         """
         if self._rref is not None:
             return self._rref

@@ -27,10 +27,6 @@ def test_monomial_aliases():
     assert len(gor3.monomials_of_degree(3, 4)) == gor3.monomial_count(3, 4) == 15
 
 
-def test_backend_flag_exposed():
-    assert gor3.BACKEND in ("cython", "python")
-
-
 def test_gap_with_general_lines():
     lines = [gor3.parse_poly(s, ["x", "y", "z"]) for s in ("x+y", "y", "z")]
     I = gor3.GradedIdeal.from_strings(

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
-from gor3 import _rowred_py
+from gor3._rowred_py import rref_int, rref_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import ExactMatrix, rank_kernel
 
@@ -138,13 +140,51 @@ def test_det_mod_p():
     assert singular.det() == 0
 
 
-def test_backends_agree():
-    from gor3._accel import rref_int, rref_mod
+def fraction_rref(rows):
+    """Independent Gauss-Jordan over Fraction: (pivots, leading-1 rows)."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        sel = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                k = m[i][c]
+                m[i] = [a - k * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return pivots, m[:r]
 
+
+def test_kernel_contract():
+    """rref_int gives primitive rows with a positive pivot and zeros in the
+    other pivot columns, equal to the rational RREF once divided through;
+    rref_mod gives that RREF mod p for a prime dividing no Bareiss pivot."""
+    primes = [101, 103, 107, 109, 113, 127, 131]
     rng = random.Random(3)
-    for _ in range(30):
+    for _ in range(40):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        assert rref_int(rows) == _rowred_py.rref_int(rows)
-        mrows = [[v % 97 for v in r] for r in rows]
-        assert rref_mod(mrows, 97) == _rowred_py.rref_mod(mrows, 97)
+        pivots, reduced = fraction_rref(rows)
+        int_pivots, out = rref_int(rows)
+        assert int_pivots == pivots
+        assert len(out) == len(reduced)
+        for col, row, expected in zip(pivots, out, reduced):
+            assert row[col] > 0
+            assert reduce(gcd, row) == 1
+            assert all(row[c] == 0 for c in pivots if c != col)
+            assert [Fraction(v, row[col]) for v in row] == expected
+        _, bareiss_pivots = bareiss_rank_and_pivots(rows)
+        p = next(p for p in primes if all(v % p for v in bareiss_pivots))
+        assert rref_mod([[v % p for v in r] for r in rows], p) == (
+            pivots,
+            [[v.numerator * pow(v.denominator, -1, p) % p for v in r]
+             for r in reduced])
