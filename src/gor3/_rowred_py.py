@@ -9,6 +9,51 @@ the kernel layer and not as ``linalg`` functions.
 from math import gcd
 
 
+def _bareiss(work):
+    """Fraction-free forward elimination (Bareiss 1968) on the list work,
+    whose rows are replaced, never mutated.
+
+    Each row update divides exactly by the previous pivot, so every entry
+    stays a minor of the input and no gcd is taken.  Rows 0..rank-1 of work
+    end in echelon form and the rows below them zero.  Returns (pivots,
+    sign): the pivot columns and the parity of the row swaps.
+    """
+    nr = len(work)
+    nc = len(work[0]) if nr else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    piv = 0
+    for col in range(nc):
+        sel = -1
+        for i in range(piv, nr):
+            if work[i][col]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != piv:
+            work[piv], work[sel] = work[sel], work[piv]
+            sign = -sign
+        prow = work[piv]
+        a = prow[col]
+        for i in range(piv + 1, nr):
+            row = work[i]
+            b = row[col]
+            if b:
+                work[i] = [(a * x - b * y) // prev for x, y in zip(row, prow)]
+            elif a != prev:
+                # rows with a zero in the pivot column are rescaled too, or
+                # the next exact division fails
+                work[i] = [a * x // prev for x in row]
+        prev = a
+        pivots.append(col)
+        piv += 1
+        if piv == nr:
+            break
+    return pivots, sign
+
+
 def rref_int(rows):
     """Integer reduced row echelon form.
 
@@ -19,57 +64,37 @@ def rref_int(rows):
     (content 1, positive pivot) with its first nonzero entry in column
     pivots[k] and zeros in every other pivot column.  Dividing row k by
     out[k][pivots[k]] gives the canonical rational RREF.
+
+    Bareiss forward elimination, then fraction-free back-substitution of the
+    free columns against d = |last pivot| (Nakos, Turner and Williams 1997):
+    row k becomes d times the RREF row, which is integral by Cramer's rule.
     """
-    work = [list(r) for r in rows]
-    nr = len(work)
-    nc = len(work[0]) if nr else 0
-    pivots = []
-    piv = 0
-    for col in range(nc):
-        sel = -1
-        for i in range(piv, nr):
-            if work[i][col] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != piv:
-            work[piv], work[sel] = work[sel], work[piv]
-        prow = work[piv]
-        a = prow[col]
-        for r in range(nr):
-            if r == piv:
-                continue
-            row = work[r]
-            b = row[col]
-            if b == 0:
-                continue
-            g = gcd(a, b)
-            ma = a // g
-            mb = b // g
-            cg = 0
-            for c in range(nc):
-                v = ma * row[c] - mb * prow[c]
-                row[c] = v
-                if v:
-                    cg = gcd(cg, v)
-            if cg > 1:
-                for c in range(nc):
-                    row[c] //= cg
-        pivots.append(col)
-        piv += 1
-        if piv == nr:
-            break
-    out = []
-    for k, col in enumerate(pivots):
+    work = list(rows)
+    pivots, _ = _bareiss(work)
+    rank = len(pivots)
+    if not rank:
+        return [], []
+    nc = len(work[0])
+    free = [c for c in range(nc) if c not in pivots]
+    d = abs(work[rank - 1][pivots[-1]])
+    solved = [None] * rank     # solved[k]: d * RREF row k on the free columns
+    for k in range(rank - 1, -1, -1):
         row = work[k]
-        cg = 0
-        for v in row:
-            if v:
-                cg = gcd(cg, v)
-        if row[col] < 0:
-            cg = -cg
-        out.append([v // cg for v in row])
+        acc = [d * row[f] for f in free]
+        for j in range(k + 1, rank):
+            u = row[pivots[j]]
+            if u:
+                acc = [s - u * x for s, x in zip(acc, solved[j])]
+        pk = row[pivots[k]]
+        solved[k] = [s // pk for s in acc]
+    out = []
+    for col, vals in zip(pivots, solved):
+        g = gcd(d, *vals)
+        line = [0] * nc
+        line[col] = d // g
+        for f, v in zip(free, vals):
+            line[f] = v // g
+        out.append(line)
     return pivots, out
 
 

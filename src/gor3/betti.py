@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .ideals import GradedIdeal
 from .linalg import ExactMatrix
-from .monomials import monomial_index, monomials_of_degree
 
 
 @dataclass
@@ -77,26 +76,8 @@ class BettiTable:
 def _quotient_data(I: GradedIdeal, t_max):
     """Per-degree standard-monomial dimensions and the multiplication maps
     x_k : (R/I)_t -> (R/I)_{t+1} as column lists."""
-    n, field = I.n, I.field
-    pieces = [I.graded_piece(t) for t in range(t_max + 2)]
-    dims = [p.ambient_dim - p.dim for p in pieces]
-    mult = []
-    for t in range(t_max + 1):
-        piece = pieces[t]
-        above = pieces[t + 1]
-        std_src = piece.standard_columns
-        src_monos = monomials_of_degree(n, t)
-        idx_above = monomial_index(n, t + 1)
-        maps_t = []
-        for k in range(n):
-            cols = []
-            for c in std_src:
-                e = list(src_monos[c])
-                e[k] += 1
-                cols.append(above.reduce_monomial_std(idx_above[tuple(e)]))
-            maps_t.append(cols)
-        mult.append(maps_t)
-    return dims, mult
+    dims = [I.hilbert_function(t) for t in range(t_max + 2)]
+    return dims, [I.multiplication_maps(t) for t in range(t_max + 1)]
 
 
 def betti_table(I: GradedIdeal, j_max=None) -> BettiTable:

@@ -392,11 +392,12 @@ class GradedIdeal:
         if t_max is None:
             t_max = self.max_generator_degree
         profile = {}
-        for t in range(1, t_max + 1):
-            below = span_of_vectors(
-                self.n, t, degree_one_multiples(self.graded_piece(t - 1), self.field),
-                self.field)
-            fresh = self.graded_piece(t).dim - below.dim
+        for t in range(t_max + 1):
+            fresh = self.graded_piece(t).dim
+            if t:
+                fresh -= span_of_vectors(
+                    self.n, t, degree_one_multiples(self.graded_piece(t - 1), self.field),
+                    self.field).dim
             if fresh:
                 profile[t] = fresh
         return profile
@@ -406,10 +407,11 @@ class GradedIdeal:
         if t_max is None:
             t_max = self.max_generator_degree
         gens = []
-        for t in range(1, t_max + 1):
+        for t in range(t_max + 1):
             piece = self.graded_piece(t)
             if piece.dim:
-                gens.extend(_fresh_generators(piece, self.graded_piece(t - 1)))
+                gens.extend(_fresh_generators(
+                    piece, self.graded_piece(t - 1) if t else None))
         return gens
 
     def is_equigenerated(self):
@@ -506,35 +508,38 @@ class GradedIdeal:
     # ------------------------------------------------------------------
     # socle
 
-    def _socle_piece(self, t) -> GradedPiece:
-        """{g in R_t : x_i g in I_{t+1} for all i}."""
-        n, field = self.n, self.field
+    def multiplication_maps(self, t):
+        """x_k : (R/I)_t -> (R/I)_{t+1} for k = 1..n, each as the list of
+        images of the standard monomials of degree t, written over the
+        standard monomials of degree t + 1."""
+        std = self.graded_piece(t).standard_columns
         above = self.graded_piece(t + 1)
-        if above.is_full:
-            return full_piece(n, t, field)
-        dim_t = monomial_count(n, t)
-        std = above.standard_columns
-        idx = monomial_index(n, t + 1)
-        columns = []
-        for gamma in monomials_of_degree(n, t):
-            col = []
-            for i in range(n):
-                e = list(gamma)
-                e[i] += 1
-                col.extend(above.reduce_monomial_std(idx[tuple(e)]))
-            columns.append(col)
-        height = n * len(std)
-        rows = [[columns[j][i] for j in range(dim_t)] for i in range(height)]
-        matrix = ExactMatrix(field, rows, cols=dim_t)
-        return span_of_vectors(n, t, matrix.kernel_basis(), field)
+        src = monomials_of_degree(self.n, t)
+        idx = monomial_index(self.n, t + 1)
+        maps = []
+        for k in range(self.n):
+            images = []
+            for c in std:
+                e = list(src[c])
+                e[k] += 1
+                images.append(above.reduce_monomial_std(idx[tuple(e)]))
+            maps.append(images)
+        return maps
 
     def socle_report(self, cap=None) -> "SocleReport":
+        """Socle dimensions of R/I: in degree t, H(t) minus the rank of
+        x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n."""
         bound = self.artinian_bound(cap)
         if bound == 0:
             raise ValueError("the unit ideal has no socle (R/I = 0)")
         dims = {}
         for t in range(bound):
-            sdim = self._socle_piece(t).dim - self.graded_piece(t).dim
+            sdim = self.hilbert_function(t)
+            if not self.graded_piece(t + 1).is_full:
+                # the matrices of x_1..x_n stacked, one column per standard
+                # monomial: an injective map has an RREF with no free column
+                stacked = [row for m in self.multiplication_maps(t) for row in zip(*m)]
+                sdim -= ExactMatrix(self.field, stacked).rank()
             if sdim:
                 dims[t] = sdim
         total = sum(dims.values())

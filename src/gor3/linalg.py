@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._rowred_py import rref_int, rref_mod
+from ._rowred_py import _bareiss, rref_int, rref_mod
 from .fields import PrimeField, RationalField
 
 
@@ -58,15 +58,20 @@ class ExactMatrix:
 
     def _integer_rows(self):
         """Clear denominators row by row (QQ only); row scaling preserves
-        the row space, so RREF and kernels are unaffected."""
+        the row space, so RREF and kernels are unaffected.  Returns (rows,
+        scale), scale being the product of the row multipliers."""
         out = []
+        scale = 1
         for row in self.entries:
             lcm = 1
             for v in row:
                 d = v.denominator
-                lcm = lcm // gcd(lcm, d) * d
-            out.append([int(v * lcm) for v in row])
-        return out
+                if d != 1:
+                    lcm = lcm // gcd(lcm, d) * d
+            scale *= lcm
+            out.append([v.numerator * (lcm // v.denominator) if v else 0
+                        for v in row])
+        return out, scale
 
     def rref(self):
         """Canonical reduced row echelon form.
@@ -78,8 +83,9 @@ class ExactMatrix:
         if self._rref is not None:
             return self._rref
         if isinstance(self.field, RationalField):
-            pivots, rows = rref_int(self._integer_rows())
-            out = [[Fraction(v, row[p]) for v in row]
+            pivots, rows = rref_int(self._integer_rows()[0])
+            zero = self.field.zero
+            out = [[Fraction(v, row[p]) if v else zero for v in row]
                    for p, row in zip(pivots, rows)]
         elif isinstance(self.field, PrimeField):
             pivots, out = rref_mod(self.entries, self.field.p)
@@ -131,16 +137,10 @@ class ExactMatrix:
         if n == 0:
             return self.field.one
         if isinstance(self.field, RationalField):
-            scaled = []
-            scale = 1
-            for row in self.entries:
-                lcm = 1
-                for v in row:
-                    d = v.denominator
-                    lcm = lcm // gcd(lcm, d) * d
-                scale *= lcm
-                scaled.append([int(v * lcm) for v in row])
-            return Fraction(_det_bareiss(scaled, n), scale)
+            rows, scale = self._integer_rows()
+            _, sign = _bareiss(rows)
+            # a singular matrix leaves its last row zero
+            return Fraction(sign * rows[n - 1][n - 1], scale)
         p = self.field.p
         work = [list(r) for r in self.entries]
         det = 1
@@ -189,29 +189,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field!r})"
-
-
-def _det_bareiss(m, n):
-    """Fraction-free determinant of an integer matrix (destructive)."""
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            sel = -1
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    sel = i
-                    break
-            if sel < 0:
-                return 0
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def rank_kernel(matrix: ExactMatrix):

@@ -5,6 +5,7 @@ recursions so that the checks stay dual-route.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from gor3 import MultiPoly
 from gor3.pfaffians import SkewPolyMatrix
@@ -52,3 +53,84 @@ def random_alternating(rng, size, as_poly=True):
     wrapped = [[MultiPoly.constant(1, Fraction(v)) for v in row]
                for row in entries]
     return SkewPolyMatrix(wrapped)
+
+
+def fraction_rref(rows):
+    """Independent Gauss-Jordan over Fraction: (pivots, leading-1 rows)."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        sel = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                k = m[i][c]
+                m[i] = [a - k * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return pivots, m[:r]
+
+
+def gcd_rref_int(rows):
+    """Integer Gauss-Jordan that divides every updated row by its content:
+    the kernel gor3 used before its Bareiss elimination, kept as an oracle
+    with the same output contract as gor3._rowred_py.rref_int."""
+    work = [list(r) for r in rows]
+    nr = len(work)
+    nc = len(work[0]) if nr else 0
+    pivots = []
+    piv = 0
+    for col in range(nc):
+        sel = -1
+        for i in range(piv, nr):
+            if work[i][col] != 0:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != piv:
+            work[piv], work[sel] = work[sel], work[piv]
+        prow = work[piv]
+        a = prow[col]
+        for r in range(nr):
+            if r == piv:
+                continue
+            row = work[r]
+            b = row[col]
+            if b == 0:
+                continue
+            g = gcd(a, b)
+            ma = a // g
+            mb = b // g
+            cg = 0
+            for c in range(nc):
+                v = ma * row[c] - mb * prow[c]
+                row[c] = v
+                if v:
+                    cg = gcd(cg, v)
+            if cg > 1:
+                for c in range(nc):
+                    row[c] //= cg
+        pivots.append(col)
+        piv += 1
+        if piv == nr:
+            break
+    out = []
+    for k, col in enumerate(pivots):
+        row = work[k]
+        cg = 0
+        for v in row:
+            if v:
+                cg = gcd(cg, v)
+        if row[col] < 0:
+            cg = -cg
+        out.append([v // cg for v in row])
+    return pivots, out

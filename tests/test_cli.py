@@ -31,6 +31,7 @@ def test_colon_into_the_unit_ideal(capsys):
     assert err == ""
     assert report["generators"] == ["1"]
     assert report["complete"] is True
+    assert report["minimal_profile"] == {"0": 1}
     assert "socle" not in report and "datum" not in report
 
 

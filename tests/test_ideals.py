@@ -108,6 +108,16 @@ def test_colon_by_member_gives_unit_ideal(cubes):
         C.socle_report()
 
 
+def test_unit_ideal_has_one_minimal_generator(cubes):
+    """The unit ideal is minimally generated by 1, in degree 0, whether it
+    comes from a colon or from generators that include a constant."""
+    colon = cubes.colon(P("x^3"))
+    given = GradedIdeal(3, [P("x*y"), MultiPoly.constant(3, 5), P("z")])
+    for unit in (colon, given):
+        assert [str(g) for g in unit.minimal_generators()] == ["1"]
+        assert unit.minimal_generator_profile() == {0: 1}
+
+
 def test_truncated_colon_is_labeled():
     I = GradedIdeal.from_strings(["x^2"])  # not Artinian
     C = I.colon(P("x"), t_max=4)

@@ -6,6 +6,7 @@ from math import gcd
 from gor3._rowred_py import rref_int, rref_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import ExactMatrix, rank_kernel
+from oracles import det_by_minors, fraction_rref, gcd_rref_int
 
 
 def frac_matrix(entries):
@@ -140,30 +141,6 @@ def test_det_mod_p():
     assert singular.det() == 0
 
 
-def fraction_rref(rows):
-    """Independent Gauss-Jordan over Fraction: (pivots, leading-1 rows)."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        sel = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        m[r] = [v / m[r][c] for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                k = m[i][c]
-                m[i] = [a - k * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return pivots, m[:r]
-
-
 def test_kernel_contract():
     """rref_int gives primitive rows with a positive pivot and zeros in the
     other pivot columns, equal to the rational RREF once divided through;
@@ -188,3 +165,97 @@ def test_kernel_contract():
             pivots,
             [[v.numerator * pow(v.denominator, -1, p) % p for v in r]
              for r in reduced])
+
+
+def _product(rng, nr, nc, rank, bits):
+    """An nr x nc integer matrix of rank at most rank, as a product of
+    random factors with entries of up to bits bits."""
+    left = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(rank)]
+            for _ in range(nr)]
+    right = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(nc)]
+             for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+def _kernel_inputs():
+    rng = random.Random(2024)
+    fixed = [
+        [],
+        [[0, 0, 0], [0, 0, 0]],                  # the zero matrix
+        [[0, 0, 3, -6, 9]],                      # 1 x n, zero columns first
+        [[0], [-4], [6]],                        # n x 1
+        [[0, 0, 1, 2], [0, 0, 3, 4]],            # zero columns before a pivot
+        [[1, 1, 0], [1, 1, 1], [0, 1, 0]],       # step 2 needs a row swap
+        [[1, 2], [3, 4]],                        # last Bareiss pivot -2
+        [[2, 1, 5], [4, 1, 7], [6, 1, 9]],       # rank 2, last pivot -2
+    ]
+    random_inputs = []
+    for k in range(1000):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        kind = k % 5
+        if kind == 0:
+            rows = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                     for _ in range(nc)] for _ in range(nr)]
+        elif kind == 1:
+            rows = _product(rng, nr, nc, rng.randint(1, 3), 4)
+        elif kind == 2:
+            lead = rng.randint(1, 3)
+            rows = [[0] * lead + r for r in _product(rng, nr, nc, rng.randint(1, 4), 3)]
+        elif kind == 3:
+            # repeated and scaled rows: pivots often sit below the next row
+            base = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(3)]
+            rows = [[rng.choice([1, -1, 2, 3]) * v for v in rng.choice(base)]
+                    for _ in range(nr)]
+            for r in rows:
+                r[rng.randrange(nc)] += rng.randint(-1, 1)
+        else:
+            rows = _product(rng, nr, nc, rng.randint(1, min(nr, nc)), 60)
+        random_inputs.append(rows)
+    # the shape and input size of the socle-degree pieces (50 x 36, rank 35,
+    # about 52-bit entries), its transpose shape, and entries of 600 bits
+    big = [_product(rng, 50, 36, 35, 25), _product(rng, 36, 50, 12, 10),
+           _product(rng, 8, 10, 6, 300),
+           [[rng.randint(-2 ** 600, 2 ** 600) for _ in range(6)] for _ in range(10)]]
+    return fixed, random_inputs, big
+
+
+def test_kernel_against_both_oracles():
+    """rref_int equals the gcd Gauss-Jordan kernel it replaced and, divided
+    through by its pivots, the Fraction Gauss-Jordan."""
+    fixed, random_inputs, big = _kernel_inputs()
+    shapes = set()
+    negative_last = 0
+    for rows in fixed + random_inputs + big:
+        result = rref_int(rows)
+        assert result == gcd_rref_int(rows)
+        pivots, out = result
+        expected_pivots, expected = fraction_rref(rows)
+        assert pivots == expected_pivots
+        assert [[Fraction(v, row[c]) for v in row]
+                for c, row in zip(pivots, out)] == expected
+        if rows:
+            nr, nc = len(rows), len(rows[0])
+            shapes.add((nr > nc) - (nr < nc))
+            rank, bareiss_pivots = bareiss_rank_and_pivots(rows)
+            negative_last += bool(rank) and bareiss_pivots[-1] < 0
+    assert shapes == {-1, 0, 1}
+    assert negative_last > 100
+    assert len(rref_int(big[0])[0]) == 35
+    assert max(abs(v).bit_length() for v in big[-1][0]) >= 590
+
+
+def test_det_shares_the_bareiss_pass():
+    """det over QQ clears denominators row by row and reads the last
+    Bareiss pivot; the row swaps fix its sign."""
+    from oracles import det_by_minors
+
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+                 if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+                for _ in range(n)]
+        assert ExactMatrix(QQ, rows).det() == det_by_minors(rows)
+    assert ExactMatrix(QQ, [[0, 1], [1, 0]]).det() == -1
+    assert ExactMatrix(QQ, [[1, 2], [2, 4]]).det() == 0
