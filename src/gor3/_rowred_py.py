@@ -101,8 +101,8 @@ def rref_int(rows):
 def rref_mod(rows, p):
     """Reduced row echelon form over GF(p), rows with leading 1s.
 
-    rows: list of lists of int with entries in [0, p).  Returns
-    (pivots, out) with out fully reduced (zeros above and below pivots).
+    rows: sequences of int, reduced mod p on entry.  Returns (pivots, out)
+    with out fully reduced (zeros above and below pivots).
     """
     work = [[v % p for v in r] for r in rows]
     nr = len(work)

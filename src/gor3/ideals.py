@@ -16,13 +16,10 @@ from fractions import Fraction
 from math import gcd
 
 from .fields import QQ, RationalField
-from .linalg import ExactMatrix, rref_mod
+from .linalg import CERTIFICATE_PRIME  # noqa: F401  (re-exported)
+from .linalg import ExactMatrix, _integer_vector
 from .monomials import mono_mul, monomial_count, monomial_index, monomials_of_degree
 from .poly import MultiPoly
-
-
-# The word-size (31-bit) prime of the fullness certificate for QQ pieces.
-CERTIFICATE_PRIME = 2147483647
 
 
 class NotArtinianError(ValueError):
@@ -116,11 +113,7 @@ class GradedPiece:
 def vector_to_poly(n, t, vec, field):
     """Coefficient vector -> polynomial, scaled primitive over QQ."""
     if isinstance(field, RationalField):
-        lcm = 1
-        for v in vec:
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        ints = [int(v * lcm) for v in vec]
+        ints, _ = _integer_vector(vec)
         g = 0
         for v in ints:
             if v:
@@ -129,7 +122,7 @@ def vector_to_poly(n, t, vec, field):
             lead = next(v for v in ints if v)
             if lead < 0:
                 g = -g
-            vec = [Fraction(v // g) for v in ints]
+            vec = [Fraction(v // g) if v else field.zero for v in ints]
     return MultiPoly.from_vector(n, t, vec, field)
 
 
@@ -149,44 +142,6 @@ def full_piece(n, t, field) -> GradedPiece:
 
 def zero_piece(n, t, field) -> GradedPiece:
     return GradedPiece(n, t, field, [], [])
-
-
-class _Span:
-    """Incremental echelon span used for minimal-generator extraction."""
-
-    def __init__(self, field, length):
-        self.field = field
-        self.length = length
-        self.rows = {}
-
-    def residual(self, vec):
-        field = self.field
-        v = list(vec)
-        i = 0
-        while i < self.length:
-            c = v[i]
-            if field.is_zero(c):
-                i += 1
-                continue
-            row = self.rows.get(i)
-            if row is None:
-                return v, i
-            for j in range(i, self.length):
-                w = row[j]
-                if not field.is_zero(w):
-                    v[j] = field.sub(v[j], field.mul(c, w))
-            i += 1
-        return v, None
-
-    def add(self, vec) -> bool:
-        """Insert vec; returns True if it enlarged the span."""
-        v, lead = self.residual(vec)
-        if lead is None:
-            return False
-        field = self.field
-        inv = field.inv(v[lead])
-        self.rows[lead] = [field.mul(inv, x) for x in v]
-        return True
 
 
 def degree_one_multiples(piece: GradedPiece, field):
@@ -209,19 +164,30 @@ def degree_one_multiples(piece: GradedPiece, field):
     return out
 
 
+def _fresh_rows(piece: GradedPiece, below):
+    """Indices of the rows of piece outside R_1 * below, below being the
+    piece one degree lower or None.
+
+    Row i is kept when it lies outside the span of the degree-one multiples
+    of below and rows 0..i-1.  The multiples lie inside piece, so each is
+    fixed by its coordinates in the RREF basis, its entries at
+    piece.pivots; row i is then not kept exactly when some vector in the
+    span of the coordinates has its last nonzero entry at i.  With the
+    coordinates reversed, those positions are the pivots of their RREF.
+    """
+    last = piece.dim - 1
+    if below is None or not below.dim or last < 0:
+        return list(range(piece.dim))
+    coords = [[vec[p] for p in reversed(piece.pivots)]
+              for vec in degree_one_multiples(below, piece.field)]
+    taken = {last - c for c in ExactMatrix(piece.field, coords).rref()[0]}
+    return [i for i in range(piece.dim) if i not in taken]
+
+
 def _fresh_generators(piece: GradedPiece, below):
-    """The rows of piece outside R_1 * below, as forms: the degree-one
-    multiples of below enter a greedy span first, then the rows of piece in
-    order, and a row is kept when it enlarges the span."""
-    if not piece.dim:
-        return []
-    field = piece.field
-    span = _Span(field, piece.ambient_dim)
-    if below is not None:
-        for vec in degree_one_multiples(below, field):
-            span.add(vec)
-    return [vector_to_poly(piece.n, piece.t, row, field)
-            for row in piece.rows if span.add(row)]
+    """The rows of piece outside R_1 * below, as forms."""
+    return [vector_to_poly(piece.n, piece.t, piece.rows[i], piece.field)
+            for i in _fresh_rows(piece, below)]
 
 
 def _shifted_vectors(n, t, gens_with_vecs, zero):
@@ -307,7 +273,7 @@ class GradedIdeal:
         piece = self._pieces.get(t)
         if piece is None:
             below = self._pieces.get(t - 1)
-            if (below is not None and below.is_full) or self._proved_full(t):
+            if below is not None and below.is_full:
                 # R_1 * R_{t-1} = R_t above a full piece
                 piece = full_piece(self.n, t, self.field)
             else:
@@ -315,33 +281,6 @@ class GradedIdeal:
                 piece = span_of_vectors(self.n, t, vecs, self.field)
             self._pieces[t] = piece
         return piece
-
-    def _proved_full(self, t) -> bool:
-        """Over QQ, True when I_t = R_t is proved modulo CERTIFICATE_PRIME.
-
-        Each generator is scaled to an integer form, so the shifted rows are
-        integer vectors with the same span over QQ.  The rank of an integer
-        matrix modulo p is at most its rank over QQ, so full rank mod p proves
-        the piece full.  False proves nothing; the piece is then eliminated
-        exactly.  Fewer rows than dim R_t can never be full, so no rows are
-        reduced then."""
-        if not isinstance(self.field, RationalField):
-            return False
-        n = self.n
-        dim = monomial_count(n, t)
-        rows = sum(monomial_count(n, t - d) for d, _ in self._gen_data if d <= t)
-        if rows < dim:
-            return False
-        p = CERTIFICATE_PRIME
-        gens = []
-        for d, terms in self._gen_data:
-            lcm = 1
-            for _, c in terms:
-                lcm = lcm // gcd(lcm, c.denominator) * c.denominator
-            gens.append((d, [(e, c.numerator * (lcm // c.denominator) % p)
-                             for e, c in terms]))
-        pivots, _ = rref_mod(_shifted_vectors(n, t, gens, 0), p)
-        return len(pivots) == dim
 
     def hilbert_function(self, t) -> int:
         if t < 0:
@@ -393,11 +332,8 @@ class GradedIdeal:
             t_max = self.max_generator_degree
         profile = {}
         for t in range(t_max + 1):
-            fresh = self.graded_piece(t).dim
-            if t:
-                fresh -= span_of_vectors(
-                    self.n, t, degree_one_multiples(self.graded_piece(t - 1), self.field),
-                    self.field).dim
+            fresh = len(_fresh_rows(self.graded_piece(t),
+                                    self.graded_piece(t - 1) if t else None))
             if fresh:
                 profile[t] = fresh
         return profile
@@ -408,10 +344,8 @@ class GradedIdeal:
             t_max = self.max_generator_degree
         gens = []
         for t in range(t_max + 1):
-            piece = self.graded_piece(t)
-            if piece.dim:
-                gens.extend(_fresh_generators(
-                    piece, self.graded_piece(t - 1) if t else None))
+            gens.extend(_fresh_generators(
+                self.graded_piece(t), self.graded_piece(t - 1) if t else None))
         return gens
 
     def is_equigenerated(self):

@@ -3,7 +3,8 @@
 Everything here is exact; there is no floating point and no tolerance
 anywhere.  Matrices hold raw field scalars (Fraction over QQ, int over
 GF(p)) and the elimination work is delegated to the row-reduction kernels
-of ``_rowred_py``.
+of ``_rowred_py``.  Over QQ a modular front end decides, from the rank
+profile modulo CERTIFICATE_PRIME, which rows the exact kernel sees.
 """
 
 from __future__ import annotations
@@ -13,6 +14,63 @@ from math import gcd
 
 from ._rowred_py import _bareiss, rref_int, rref_mod
 from .fields import PrimeField, RationalField
+
+# The word-size prime (2^31 - 1) of the modular front end of QQ elimination.
+CERTIFICATE_PRIME = 2147483647
+
+
+def _integer_vector(row):
+    """(ints, lcm): the Fraction row times the lcm of its denominators."""
+    lcm = 1
+    for v in row:
+        d = v.denominator
+        if d != 1:
+            lcm = lcm // gcd(lcm, d) * d
+    return [v.numerator * (lcm // v.denominator) if v else 0 for v in row], lcm
+
+
+def _in_row_space(pivots, red, rows, nc):
+    """True when every integer row lies in the row space of the integer
+    RREF (pivots, red).  A combination of the RREF rows is fixed by its
+    entries at the pivots, so only the free columns are compared, all
+    scaled by the lcm of the pivot entries."""
+    pivot_set = set(pivots)
+    free = [c for c in range(nc) if c not in pivot_set]
+    lcm = 1
+    for p, r in zip(pivots, red):
+        lcm = lcm // gcd(lcm, r[p]) * r[p]
+    scaled = [[lcm // r[p] * r[f] for f in free] for p, r in zip(pivots, red)]
+    for row in rows:
+        coeffs = [(row[p], s) for p, s in zip(pivots, scaled) if row[p]]
+        for j, f in enumerate(free):
+            if lcm * row[f] != sum(c * s[j] for c, s in coeffs):
+                return False
+    return True
+
+
+def _rref_rational(rows, nc):
+    """Integer RREF of rows (the contract of rref_int), rows having nc
+    columns.
+
+    With at least as many rows as columns, the row rank profile S modulo
+    CERTIFICATE_PRIME (the pivots of the transposed residues) comes first.
+    The rank over QQ is never below the rank mod p, so |S| = nc proves the
+    identity RREF.  Otherwise only the rows in S are eliminated exactly and
+    every other row is checked against the result; if one lies outside (an
+    unlucky prime), all rows are eliminated.  Either way the output is the
+    canonical RREF of the row space.
+    """
+    if len(rows) < nc:
+        return rref_int(rows)
+    profile, _ = rref_mod(list(zip(*rows)), CERTIFICATE_PRIME)
+    if len(profile) == nc:
+        return list(range(nc)), [[int(i == j) for j in range(nc)] for i in range(nc)]
+    chosen = set(profile)
+    pivots, red = rref_int([rows[i] for i in profile])
+    if _in_row_space(pivots, red,
+                     [r for i, r in enumerate(rows) if i not in chosen], nc):
+        return pivots, red
+    return rref_int(rows)
 
 
 class ExactMatrix:
@@ -63,14 +121,9 @@ class ExactMatrix:
         out = []
         scale = 1
         for row in self.entries:
-            lcm = 1
-            for v in row:
-                d = v.denominator
-                if d != 1:
-                    lcm = lcm // gcd(lcm, d) * d
+            ints, lcm = _integer_vector(row)
             scale *= lcm
-            out.append([v.numerator * (lcm // v.denominator) if v else 0
-                        for v in row])
+            out.append(ints)
         return out, scale
 
     def rref(self):
@@ -83,7 +136,7 @@ class ExactMatrix:
         if self._rref is not None:
             return self._rref
         if isinstance(self.field, RationalField):
-            pivots, rows = rref_int(self._integer_rows()[0])
+            pivots, rows = _rref_rational(self._integer_rows()[0], self.cols)
             zero = self.field.zero
             out = [[Fraction(v, row[p]) if v else zero for v in row]
                    for p, row in zip(pivots, rows)]

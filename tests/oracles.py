@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import gcd
 
 from gor3 import MultiPoly
+from gor3.fields import RationalField
+from gor3.ideals import degree_one_multiples
 from gor3.pfaffians import SkewPolyMatrix
 
 
@@ -134,3 +136,78 @@ def gcd_rref_int(rows):
             cg = -cg
         out.append([v // cg for v in row])
     return pivots, out
+
+
+class Span:
+    """Incremental echelon span: the greedy gor3 used for minimal-generator
+    extraction before it read fresh generators off one coordinate RREF."""
+
+    def __init__(self, field, length):
+        self.field = field
+        self.length = length
+        self.rows = {}
+
+    def residual(self, vec):
+        field = self.field
+        v = list(vec)
+        i = 0
+        while i < self.length:
+            c = v[i]
+            if field.is_zero(c):
+                i += 1
+                continue
+            row = self.rows.get(i)
+            if row is None:
+                return v, i
+            for j in range(i, self.length):
+                w = row[j]
+                if not field.is_zero(w):
+                    v[j] = field.sub(v[j], field.mul(c, w))
+            i += 1
+        return v, None
+
+    def add(self, vec) -> bool:
+        """Insert vec; returns True if it enlarged the span."""
+        v, lead = self.residual(vec)
+        if lead is None:
+            return False
+        field = self.field
+        inv = field.inv(v[lead])
+        self.rows[lead] = [field.mul(inv, x) for x in v]
+        return True
+
+
+def primitive_poly(n, t, vec, field):
+    """Coefficient vector -> polynomial, scaled primitive over QQ, through
+    Fraction arithmetic (int(v * lcm)) rather than gor3's integer boundary."""
+    if isinstance(field, RationalField):
+        lcm = 1
+        for v in vec:
+            d = v.denominator
+            lcm = lcm // gcd(lcm, d) * d
+        ints = [int(v * lcm) for v in vec]
+        g = 0
+        for v in ints:
+            if v:
+                g = gcd(g, v)
+        if g:
+            lead = next(v for v in ints if v)
+            if lead < 0:
+                g = -g
+            vec = [Fraction(v // g) for v in ints]
+    return MultiPoly.from_vector(n, t, vec, field)
+
+
+def greedy_fresh_generators(piece, below):
+    """The rows of piece outside R_1 * below, as forms: the degree-one
+    multiples of below enter a Span first, then the rows of piece in order,
+    and a row is kept when it enlarges the span."""
+    if not piece.dim:
+        return []
+    field = piece.field
+    span = Span(field, piece.ambient_dim)
+    if below is not None:
+        for vec in degree_one_multiples(below, field):
+            span.add(vec)
+    return [primitive_poly(piece.n, piece.t, row, field)
+            for row in piece.rows if span.add(row)]

@@ -1,9 +1,10 @@
 """Full graded pieces decided without an exact elimination.
 
-A QQ piece may be proved full by its rank modulo CERTIFICATE_PRIME, and a
-piece above a full piece is full outright.  Both must give exactly the piece
-that row-reducing the shifted generators gives.  The Artinian search without
-a cap stops at the exact degree n(D-1)+1.
+A QQ piece with at least as many shifted generators as monomials is proved
+full by its rank modulo CERTIFICATE_PRIME, and a piece above a full piece is
+full outright.  Both must give exactly the piece that row-reducing the
+shifted generators gives.  The Artinian search without a cap stops at the
+exact degree n(D-1)+1.
 """
 
 import random
@@ -11,17 +12,18 @@ from fractions import Fraction
 
 import pytest
 
-import gor3.ideals
 import gor3.linalg
 from gor3 import GradedIdeal, MultiPoly, NotArtinianError
 from gor3.fields import GF, QQ
 from gor3.ideals import (
     CERTIFICATE_PRIME,
+    GradedPiece,
     _shifted_vectors,
     full_piece,
-    span_of_vectors,
 )
-from gor3.monomials import monomials_of_degree
+from gor3.monomials import monomial_count, monomials_of_degree
+
+from oracles import fraction_rref
 
 # (n, generator degrees, common factor degree or 0)
 RANDOM_IDEALS = [
@@ -54,8 +56,9 @@ def _random_ideal(n, degrees, common, rng):
 
 
 def _exact_piece(I, t):
+    """The piece by a Fraction Gauss-Jordan of the shifted generators."""
     vecs = _shifted_vectors(I.n, t, I._gen_data, QQ.zero)
-    return span_of_vectors(I.n, t, vecs, QQ)
+    return GradedPiece(I.n, t, QQ, *fraction_rref(vecs))
 
 
 def _top_degree(I):
@@ -67,49 +70,43 @@ def _top_degree(I):
 
 
 def test_pieces_equal_the_exact_elimination(monkeypatch):
-    outcomes = []
-    certificates = []
-    proved_full = GradedIdeal._proved_full
-    rref_mod = gor3.ideals.rref_mod
-
-    def recorded(self, t):
-        outcomes.append(proved_full(self, t))
-        return outcomes[-1]
-
-    def counted(rows, p):
-        certificates.append(p)
-        return rref_mod(rows, p)
-
-    monkeypatch.setattr(GradedIdeal, "_proved_full", recorded)
-    monkeypatch.setattr(gor3.ideals, "rref_mod", counted)
+    calls = []
+    rref_int = gor3.linalg.rref_int
+    monkeypatch.setattr(gor3.linalg, "rref_int",
+                        lambda rows: calls.append(rows) or rref_int(rows))
     rng = random.Random(7)
-    full = not_full = 0
+    proved = eliminated = 0     # pieces with at least dim R_t shifted rows
     for n, degrees, common in RANDOM_IDEALS:
         I = _random_ideal(n, degrees, common, rng)
-        for t in range(_top_degree(I) + 2):
+        # on a copy, so that every piece of I below is built in its own step
+        top = _top_degree(GradedIdeal(n, I.generators, QQ))
+        for t in range(top + 2):
+            before = len(calls)
             piece = I.graded_piece(t)
             assert piece == _exact_piece(I, t), (n, degrees, common, t)
-            full += piece.is_full
-            not_full += not piece.is_full
-    assert full and not_full
-    # some pieces were proved full mod p, and some certificates with enough
-    # rows failed and fell back to the exact elimination
-    assert set(certificates) == {CERTIFICATE_PRIME}
-    assert 0 < outcomes.count(True) < len(certificates)
+            rows = sum(monomial_count(n, t - d) for d, _ in I._gen_data if d <= t)
+            if rows >= monomial_count(n, t) and not (t and I._pieces[t - 1].is_full):
+                if piece.is_full:
+                    proved += len(calls) == before
+                else:
+                    eliminated += len(calls) > before
+    # some pieces were proved full mod p with no exact elimination, and some
+    # with enough rows were not full and were eliminated exactly
+    assert proved and eliminated
 
 
 def test_unlucky_prime_falls_back_to_the_exact_elimination(monkeypatch):
     x = MultiPoly.variable(0, 2)
     y = MultiPoly.variable(1, 2)
     I = GradedIdeal(2, [x, y.scale(CERTIFICATE_PRIME)])
-    # singular modulo the certificate prime, full over QQ
-    assert not I._proved_full(1)
+    # singular modulo the certificate prime, full over QQ: the profile row x
+    # is eliminated, P*y fails the check, and then both rows are eliminated
     calls = []
     rref_int = gor3.linalg.rref_int
     monkeypatch.setattr(gor3.linalg, "rref_int",
                         lambda rows: calls.append(rows) or rref_int(rows))
     assert I.graded_piece(1) == full_piece(2, 1, QQ)
-    assert len(calls) == 1
+    assert calls == [[[1, 0]], [[1, 0], [0, CERTIFICATE_PRIME]]]
     assert I.artinian_bound() == 1
 
 
@@ -124,7 +121,6 @@ def test_no_elimination_above_a_full_piece(field, monkeypatch):
     assert bound == 7 and I.graded_piece(bound).is_full
     monkeypatch.setattr(gor3.linalg, "rref_int", _no_kernel)
     monkeypatch.setattr(gor3.linalg, "rref_mod", _no_kernel)
-    monkeypatch.setattr(gor3.ideals, "rref_mod", _no_kernel)
     for t in (bound + 1, bound + 2):
         assert I.graded_piece(t) == full_piece(3, t, field)
 
