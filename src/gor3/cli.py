@@ -9,6 +9,7 @@ verification mismatches), 2 on parse or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -144,7 +145,11 @@ def _common(parser, seed=False):
                         help="comma-separated variable names (default x,y,z)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-    parser.add_argument("--t-max", type=int, default=None, dest="t_max")
+    parser.add_argument("--t-max", type=int, default=None, dest="t_max",
+                        help="degree bound read by colon (truncate there), "
+                             "betti (last twist) and power-check (last degree); "
+                             "ann only checks that it is at least deg F + 1, "
+                             "the other subcommands ignore it")
     if seed:
         parser.add_argument("--seed", type=int, default=0)
 
@@ -440,7 +445,11 @@ def cmd_reproduce(args):
     return 1 if failures else 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process and shared by every
+    ``main`` call; argparse reads stdout, stderr and the terminal width
+    when it prints, not here."""
     parser = argparse.ArgumentParser(
         prog="gor3",
         description="Exact computations with codimension-3 Gorenstein ideals: "

@@ -1,6 +1,6 @@
 import json
 
-from gor3.cli import main
+from gor3.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -217,3 +217,42 @@ def test_bad_field_spec(capsys):
 
 def test_usage_error(capsys):
     assert main(["colon"]) == 2
+
+
+# One example per subcommand, as in the README's CLI section, plus a usage
+# error and the top-level help.
+README_EXAMPLES = [
+    ["colon", "--ci", "x^3,y^3,z^3", "--f", "x^2+y^2+z^2"],
+    ["socle", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2"],
+    ["betti", "--ideal", "x^2,y^2,z^2"],
+    ["datum", "--ideal", "x^2,y^2,z^2"],
+    ["pfaffian", "--matrix", "x*y*z, y^3, x^3, x^2*y\nz^3, y^3, z^3\nz^3, x^3\nz^3"],
+    ["model", "--r", "5", "--dp", "2", "--seed", "7"],
+    ["inverse", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2"],
+    ["ann", "--dual", "X^2+Y^2+Z^2"],
+    ["newton-dual", "--f", "x^2*y^2+x^2*z^2+y^2*z^2", "--socle-m", "3"],
+    ["directrix", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2", "--m", "3"],
+    ["linres-test", "--f", "(x+y+z)^2", "--m", "3"],
+    ["spans", "--forms", "x^2+z^2,x*y+z^2,x*z,y^2,y*z", "--e", "1"],
+    ["certify-quadrics", "--seed", "42"],
+    ["gap", "--ideal", "x^3,y^3,z^3,x*y*z,x*(y^2-z^2),y*(x^2-z^2),z*(x^2-y^2)"],
+    ["power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2", "--k", "2", "--seed", "1"],
+    ["reproduce", "--case", "ex-3-7"],
+    ["colon", "--ci", "x^3,y^3,z^3"],
+    ["--help"],
+]
+
+
+def test_cached_parser_answers_like_a_fresh_one(capsys):
+    assert len({argv[0] for argv in README_EXAMPLES[:-2]}) == 16
+    cold = []
+    for argv in README_EXAMPLES:
+        build_parser.cache_clear()
+        cold.append(run(capsys, *argv))
+    build_parser.cache_clear()
+    warm = [run(capsys, *argv) for argv in README_EXAMPLES]
+    assert warm == cold
+    assert [code for code, _, _ in cold[-2:]] == [2, 0]
+    assert all(code == 0 for code, _, _ in cold[:-2])
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(README_EXAMPLES) - 1)
