@@ -1,9 +1,12 @@
 """Row-reduction kernels.
 
 The reduced forms below are canonical (unique for a given row space), which
-makes every result bit-for-bit deterministic.  They live in a module of
-their own, apart from ``linalg``, so that the perfbench tracer times them as
-the kernel layer and not as ``linalg`` functions.
+makes every result bit-for-bit deterministic.  rank_profile_mod is the
+forward-only pass: it names the rows a reduction keeps and reduces nothing
+above a pivot, for callers that need a rank or a choice of rows and no
+reduced form.  The kernels live in a module of their own, apart from
+``linalg``, so that the perfbench tracer times them as the kernel layer and
+not as ``linalg`` functions.
 """
 
 from math import gcd
@@ -138,3 +141,33 @@ def rref_mod(rows, p):
         if piv == nr:
             break
     return pivots, [work[k] for k in range(len(pivots))]
+
+
+def rank_profile_mod(rows, p, limit):
+    """Row rank profile over GF(p): the indices, in order, of the rows that
+    are independent mod p of the rows before them, at most limit of them.
+
+    Each row is reduced mod p against the pivot rows kept so far, the
+    earliest pivot column first; a row that stays nonzero is kept and its
+    leading entry becomes a new pivot.  The pass stops once limit rows are
+    kept and never reduces above a pivot.  The result equals the pivots of
+    rref_mod on the transposed rows.
+    """
+    basis = {}      # pivot column -> the pivot row from that column on, leading 1
+    profile = []
+    for i, row in enumerate(rows):
+        if len(profile) == limit:
+            break
+        v = [x % p for x in row]
+        for c in range(len(v)):
+            x = v[c]
+            if not x:
+                continue
+            tail = basis.get(c)
+            if tail is None:
+                inv = pow(x, -1, p)
+                basis[c] = [y * inv % p for y in v[c:]]
+                profile.append(i)
+                break
+            v[c:] = [(a - x * b) % p for a, b in zip(v[c:], tail)]
+    return profile

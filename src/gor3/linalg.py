@@ -3,8 +3,12 @@
 Everything here is exact; there is no floating point and no tolerance
 anywhere.  Matrices hold raw field scalars (Fraction over QQ, int over
 GF(p)) and the elimination work is delegated to the row-reduction kernels
-of ``_rowred_py``.  Over QQ a modular front end decides, from the rank
-profile modulo CERTIFICATE_PRIME, which rows the exact kernel sees.
+of ``_rowred_py``.  Over QQ a modular front end decides, from the row rank
+profile modulo CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that
+stops at full rank), which rows the exact kernel sees.  A rank alone never
+builds a reduced form: it is the length of that profile, or over QQ, when
+the profile falls short of full rank, the pivot count of the exact forward
+elimination.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._rowred_py import _bareiss, rref_int, rref_mod
+from ._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
 from .fields import PrimeField, RationalField
 
 # The word-size prime (2^31 - 1) of the modular front end of QQ elimination.
@@ -53,7 +57,8 @@ def _rref_rational(rows, nc):
     columns.
 
     With at least as many rows as columns, the row rank profile S modulo
-    CERTIFICATE_PRIME (the pivots of the transposed residues) comes first.
+    CERTIFICATE_PRIME comes first: the rows independent mod p of the rows
+    before them, found row by row until nc of them are kept.
     The rank over QQ is never below the rank mod p, so |S| = nc proves the
     identity RREF.  Otherwise only the rows in S are eliminated exactly and
     every other row is checked against the result; if one lies outside (an
@@ -62,7 +67,7 @@ def _rref_rational(rows, nc):
     """
     if len(rows) < nc:
         return rref_int(rows)
-    profile, _ = rref_mod(list(zip(*rows)), CERTIFICATE_PRIME)
+    profile = rank_profile_mod(rows, CERTIFICATE_PRIME, nc)
     if len(profile) == nc:
         return list(range(nc)), [[int(i == j) for j in range(nc)] for i in range(nc)]
     chosen = set(profile)
@@ -148,7 +153,26 @@ class ExactMatrix:
         return self._rref
 
     def rank(self) -> int:
-        return len(self.rref()[0])
+        """Rank, from the cached RREF when there is one and otherwise from a
+        forward pass that reduces nothing above a pivot.
+
+        Over GF(p) it is the length of the row rank profile.  Over QQ the
+        rank is never below the rank mod CERTIFICATE_PRIME, so a profile of
+        min(rows, cols) rows proves full rank; a shorter one (rank deficient,
+        or an unlucky prime) gives way to the pivot count of a Bareiss
+        elimination of the integer rows.
+        """
+        if self._rref is not None:
+            return len(self._rref[0])
+        full = min(self.rows, self.cols)
+        if isinstance(self.field, PrimeField):
+            return len(rank_profile_mod(self.entries, self.field.p, full))
+        if not isinstance(self.field, RationalField):
+            raise TypeError(f"unsupported field {self.field!r}")
+        rows = self._integer_rows()[0]
+        if len(rank_profile_mod(rows, CERTIFICATE_PRIME, full)) == full:
+            return full
+        return len(_bareiss(rows)[0])
 
     def kernel_basis(self):
         """Row-reduced basis of the right kernel.
@@ -246,4 +270,5 @@ class ExactMatrix:
 
 def rank_kernel(matrix: ExactMatrix):
     """(rank, kernel basis); rank + len(kernel) == cols, M v = 0 exactly."""
-    return matrix.rank(), matrix.kernel_basis()
+    basis = matrix.kernel_basis()       # caches the RREF that rank reads
+    return matrix.rank(), basis

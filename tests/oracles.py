@@ -57,6 +57,14 @@ def random_alternating(rng, size, as_poly=True):
     return SkewPolyMatrix(wrapped)
 
 
+def random_product(rng, nr, nc, rank, bits):
+    """An nr x nc integer matrix of rank at most rank: the product of random
+    nr x rank and rank x nc factors with entries of up to bits bits."""
+    left = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(rank)] for _ in range(nr)]
+    right = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(nc)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
 def fraction_rref(rows):
     """Independent Gauss-Jordan over Fraction: (pivots, leading-1 rows)."""
     m = [[Fraction(v) for v in r] for r in rows]
@@ -136,6 +144,27 @@ def gcd_rref_int(rows):
             cg = -cg
         out.append([v // cg for v in row])
     return pivots, out
+
+
+def row_rank_profile(rows, p):
+    """Rows independent mod p of the rows before them, by a row-at-a-time
+    elimination of their own: each row is reduced against whole pivot rows,
+    and every row is read."""
+    basis = {}
+    profile = []
+    for i, row in enumerate(rows):
+        v = [x % p for x in row]
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            if c not in basis:
+                inv = pow(v[c], -1, p)
+                basis[c] = [x * inv % p for x in v]
+                profile.append(i)
+                break
+            k = v[c]
+            v = [(x - k * y) % p for x, y in zip(v, basis[c])]
+    return profile
 
 
 class Span:

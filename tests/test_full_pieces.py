@@ -121,6 +121,7 @@ def test_no_elimination_above_a_full_piece(field, monkeypatch):
     assert bound == 7 and I.graded_piece(bound).is_full
     monkeypatch.setattr(gor3.linalg, "rref_int", _no_kernel)
     monkeypatch.setattr(gor3.linalg, "rref_mod", _no_kernel)
+    monkeypatch.setattr(gor3.linalg, "rank_profile_mod", _no_kernel)
     for t in (bound + 1, bound + 2):
         assert I.graded_piece(t) == full_piece(3, t, field)
 

@@ -1,11 +1,12 @@
 """The modular front end of QQ elimination, against oracles that never take it.
 
 With at least as many rows as columns, ``ExactMatrix.rref`` over QQ takes
-the row rank profile modulo CERTIFICATE_PRIME first: full rank there proves
-the identity RREF with no exact elimination; otherwise ``rref_int`` sees the
-profile rows only, every other row is checked against its result, and an
-unlucky prime falls back to all rows.  Every route must give the canonical
-RREF that ``oracles.gcd_rref_int`` and ``oracles.fraction_rref`` compute.
+the row rank profile modulo CERTIFICATE_PRIME (``rank_profile_mod``) first:
+full rank there proves the identity RREF with no exact elimination;
+otherwise ``rref_int`` sees the profile rows only, every other row is
+checked against its result, and an unlucky prime falls back to all rows.
+Every route must give the canonical RREF that ``oracles.gcd_rref_int`` and
+``oracles.fraction_rref`` compute.
 """
 
 import random
@@ -18,24 +19,33 @@ from gor3.fields import QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
 from gor3.linalg import ExactMatrix
 
-from oracles import fraction_rref, gcd_rref_int
+from oracles import fraction_rref, gcd_rref_int, random_product, row_rank_profile
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The row lists rref_int and rref_mod receive, in order."""
+    """The calls of the kernels behind gor3.linalg, in order: ("int", rows)
+    for rref_int, ("mod", p) for the row rank profile rank_profile_mod and
+    ("rref_mod", p) for rref_mod, which no QQ elimination should reach."""
     calls = []
-    rref_int, rref_mod = gor3.linalg.rref_int, gor3.linalg.rref_mod
+    rref_int = gor3.linalg.rref_int
+    rank_profile_mod = gor3.linalg.rank_profile_mod
+    rref_mod = gor3.linalg.rref_mod
 
     def counted_int(rows):
         calls.append(("int", [list(r) for r in rows]))
         return rref_int(rows)
 
-    def counted_mod(rows, p):
+    def counted_profile(rows, p, limit):
         calls.append(("mod", p))
+        return rank_profile_mod(rows, p, limit)
+
+    def counted_mod(rows, p):
+        calls.append(("rref_mod", p))
         return rref_mod(rows, p)
 
     monkeypatch.setattr(gor3.linalg, "rref_int", counted_int)
+    monkeypatch.setattr(gor3.linalg, "rank_profile_mod", counted_profile)
     monkeypatch.setattr(gor3.linalg, "rref_mod", counted_mod)
     return calls
 
@@ -58,32 +68,6 @@ def _check(rows, scale=None):
     assert out == [[Fraction(v, row[c]) for v in row]
                    for c, row in zip(oracle_pivots, oracle_rows)]
     return pivots
-
-
-def _rank_profile_mod(rows, p):
-    """Rows independent mod p of the rows before them, by a row-at-a-time
-    elimination of their own."""
-    basis = {}
-    profile = []
-    for i, row in enumerate(rows):
-        v = [x % p for x in row]
-        for c in range(len(v)):
-            if not v[c]:
-                continue
-            if c not in basis:
-                inv = pow(v[c], -1, p)
-                basis[c] = [x * inv % p for x in v]
-                profile.append(i)
-                break
-            k = v[c]
-            v = [(x - k * y) % p for x, y in zip(v, basis[c])]
-    return profile
-
-
-def _product(rng, nr, nc, rank, bits):
-    left = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(rank)] for _ in range(nr)]
-    right = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(nc)] for _ in range(rank)]
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
 
 
 def test_zero_and_one_by_one(kernel_calls):
@@ -110,10 +94,10 @@ def test_full_column_rank_needs_no_exact_elimination(kernel_calls):
 
 def test_rank_deficient_product_eliminates_the_profile_rows_only(kernel_calls):
     rng = random.Random(5)
-    rows = _product(rng, 50, 36, 35, 25)
+    rows = random_product(rng, 50, 36, 35, 25)
     del kernel_calls[:]
     assert len(_check(rows)) == 35
-    profile = _rank_profile_mod(rows, P)
+    profile = row_rank_profile(rows, P)
     assert len(profile) == 35
     assert _exact_calls(kernel_calls) == [[rows[i] for i in profile]]
 
@@ -121,7 +105,7 @@ def test_rank_deficient_product_eliminates_the_profile_rows_only(kernel_calls):
 def test_dependent_mod_p_but_independent_over_qq_falls_back(kernel_calls):
     # rows 0 and 1 agree mod P, so row 1 is outside the profile
     rows = [[1, 0, 2], [1 + P, P, 2], [0, 1, 1], [1, 1, 3]]
-    assert _rank_profile_mod(rows, P) == [0, 2]
+    assert row_rank_profile(rows, P) == [0, 2]
     del kernel_calls[:]
     assert _check(rows) == [0, 1, 2]
     assert _exact_calls(kernel_calls) == [[rows[0], rows[2]], rows]
@@ -164,7 +148,7 @@ def test_seeded_tall_and_square_matrices(kernel_calls):
             rows = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(nc)]
                     for _ in range(nr)]
         elif kind == 1:
-            rows = _product(rng, nr, nc, rng.randint(1, nc), rng.choice([3, 60]))
+            rows = random_product(rng, nr, nc, rng.randint(1, nc), rng.choice([3, 60]))
         elif kind == 2:
             # repeated and scaled rows
             base = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(3)]
