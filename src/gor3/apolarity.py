@@ -13,11 +13,12 @@ from .fields import QQ
 from .ideals import (
     GradedIdeal,
     GradedPiece,
+    _integer_span,
+    _integer_terms,
     full_piece,
-    span_of_vectors,
     vector_to_poly,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, kernel_rows
 from .monomials import (
     default_var_names,
     mono_sub,
@@ -140,16 +141,17 @@ def _catalecticant_kernel(F: InverseForm, t) -> GradedPiece:
     """Kernel of contraction against F on R_t, i.e. Ann(F)_t for t <= deg F."""
     n, field = F.n, F.field
     s = F.degree()
-    target = monomials_of_degree(n, s - t)
+    dim = monomial_count(n, t)
     tgt_idx = monomial_index(n, s - t)
-    rows = [[field.zero] * monomial_count(n, t) for _ in target]
+    # F scaled to integer coefficients has the same kernel
+    terms = _integer_terms(F)
+    rows = [[0] * dim for _ in range(monomial_count(n, s - t))]
     for col, alpha in enumerate(monomials_of_degree(n, t)):
-        for beta, b in F.terms.items():
+        for beta, b in terms:
             e = mono_sub(alpha, beta)
             if e is not None:
                 rows[tgt_idx[e]][col] = b
-    matrix = ExactMatrix(field, rows, cols=monomial_count(n, t))
-    return span_of_vectors(n, t, matrix.kernel_basis(), field)
+    return _integer_span(n, t, kernel_rows(field, rows, dim)[0], field)
 
 
 def annihilator(F: InverseForm, t_max=None) -> GradedIdeal:

@@ -2,10 +2,12 @@
 
 beta_{i,j} is the degree-j dimension of the i-th homology of the Koszul
 complex on the variables tensored with R/I; the quotient is handled through
-its standard monomials per degree.  Everything is bounded because the
-quotient is Artinian: the top twist is socle degree + n.  The exterior
-basis is ordered lexicographically on index subsets, frozen for
-determinism.
+its standard monomials per degree.  The differentials are integer rows
+built from the integer multiplication maps of ``ideals`` (one common scale
+per degree), and each rank is one linalg.row_rank call.  Everything is
+bounded because the quotient is Artinian: the top twist is socle degree +
+n.  The exterior basis is ordered lexicographically on index subsets,
+frozen for determinism.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .ideals import GradedIdeal
-from .linalg import ExactMatrix
+from .linalg import row_rank
 
 
 @dataclass
@@ -113,8 +115,7 @@ def betti_table(I: GradedIdeal, j_max=None) -> BettiTable:
         tgt_pos = {S: a for a, S in enumerate(subsets[i - 1])}
         d_src = dims[t]
         d_tgt = dims[t + 1]
-        zero = field.zero
-        rows = [[zero] * cols_dim for _ in range(rows_dim)]
+        rows = [[0] * cols_dim for _ in range(rows_dim)]
         for b, S in enumerate(src):
             for pos, k in enumerate(S):
                 T = tuple(x for x in S if x != k)
@@ -127,10 +128,9 @@ def betti_table(I: GradedIdeal, j_max=None) -> BettiTable:
                     base = a * d_tgt
                     for rr in range(d_tgt):
                         v = col_vals[rr]
-                        if not field.is_zero(v):
-                            rows[base + rr][col_index] = (
-                                field.neg(v) if negate else v)
-        return ExactMatrix(field, rows, cols=cols_dim).rank()
+                        if v:
+                            rows[base + rr][col_index] = -v if negate else v
+        return row_rank(field, rows, cols_dim)
 
     table = {}
     for j in range(j_max + 1):

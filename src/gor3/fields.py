@@ -2,7 +2,10 @@
 
 Field objects carry the arithmetic; the scalars themselves are plain
 ``fractions.Fraction`` values (over QQ) or ints in ``[0, p)`` (over GF(p)).
-Keeping scalars unboxed keeps the linear-algebra kernels fast.
+Keeping scalars unboxed keeps the linear-algebra kernels fast.  QQ accepts
+ints wherever it accepts Fractions, and its inverse and quotient are always
+Fractions, never floats.  Graded pieces and the maps between them hold
+integer rows, not field scalars (see ``ideals``).
 """
 
 from __future__ import annotations
@@ -60,12 +63,12 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        return Fraction(a, b)
 
     def is_zero(self, a) -> bool:
         return a == 0

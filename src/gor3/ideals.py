@@ -5,6 +5,13 @@ socle, powers, membership) reduce to exact linear algebra on graded pieces:
 the degree-t piece of an ideal is the row space of the shifted-generator
 coefficient vectors over the canonical monomial basis.  Equality of ideals
 always means equality of graded pieces through the relevant Artinian bound.
+
+Pieces, the rows built from them and the multiplication maps between them
+are integer rows on both fields.  Over QQ each generator is scaled to
+integer coefficients once, and a piece keeps the primitive rows that
+linalg.rref_rows returns; Fractions appear only where field scalars cross
+the API: GradedPiece.rows, reduce_vector, span_of_vectors and the forms of
+vector_to_poly.
 """
 
 from __future__ import annotations
@@ -17,7 +24,16 @@ from math import gcd
 
 from .fields import QQ, RationalField
 from .linalg import CERTIFICATE_PRIME  # noqa: F401  (re-exported)
-from .linalg import ExactMatrix, _integer_vector
+from .linalg import (
+    ExactMatrix,
+    _identity_rows,
+    _integer_vector,
+    _leading_one_rows,
+    _pivot_lcm,
+    kernel_rows,
+    row_rank,
+    rref_rows,
+)
 from .monomials import mono_mul, monomial_count, monomial_index, monomials_of_degree
 from .poly import MultiPoly
 
@@ -35,17 +51,43 @@ class DatumViolationError(ValueError):
 
 
 class GradedPiece:
-    """Canonical (RREF) basis of a subspace of R_t over the monomial basis."""
+    """Canonical basis of a subspace of R_t over the monomial basis.
 
-    __slots__ = ("n", "t", "field", "pivots", "rows", "pivot_map")
+    int_rows is the RREF of the subspace as integer rows: over QQ primitive
+    rows with a positive pivot, as linalg.rref_int returns them, and over
+    GF(p) leading-1 rows of residues.  Either form is unique for the
+    subspace, so equal pieces have equal rows.  rows is the same RREF in
+    field scalars, leading-1 Fraction rows over QQ, built on first use.
+    """
+
+    __slots__ = ("n", "t", "field", "pivots", "int_rows", "_rows")
 
     def __init__(self, n, t, field, pivots, rows):
-        self.n = n
-        self.t = t
-        self.field = field
+        """rows: the RREF as leading-1 rows of field scalars or, over QQ,
+        as the primitive integer rows of rref_int."""
+        if isinstance(field, RationalField):
+            # a leading-1 row times the lcm of its denominators is primitive
+            rows = [_integer_vector(r)[0] for r in rows]
+        self.n, self.t, self.field = n, t, field
         self.pivots = list(pivots)
-        self.rows = [list(r) for r in rows]
-        self.pivot_map = {p: k for k, p in enumerate(self.pivots)}
+        self.int_rows = [list(r) for r in rows]
+        self._rows = None
+
+    @classmethod
+    def from_rref(cls, n, t, field, rref):
+        """The piece of (pivots, rows) as linalg.rref_rows returns them."""
+        piece = cls.__new__(cls)
+        piece.n, piece.t, piece.field = n, t, field
+        piece.pivots, piece.int_rows = rref
+        piece._rows = None
+        return piece
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = (_leading_one_rows(self.pivots, self.int_rows)
+                          if isinstance(self.field, RationalField) else self.int_rows)
+        return self._rows
 
     @property
     def dim(self):
@@ -61,27 +103,33 @@ class GradedPiece:
 
     @property
     def standard_columns(self):
-        pm = self.pivot_map
-        return [c for c in range(self.ambient_dim) if c not in pm]
+        pivots = set(self.pivots)
+        return [c for c in range(self.ambient_dim) if c not in pivots]
+
+    def _scaled_residual(self, vec):
+        """(out, den) with out / den the residual of vec modulo the span and
+        out an integer vector.  The rows vanish at each other's pivots, so
+        row k enters with the coefficient vec[p_k] / row_k[p_k]; all of them
+        are brought over one denominator, the lcm of the pivot entries."""
+        ints, den = (_integer_vector(vec) if isinstance(self.field, RationalField)
+                     else (list(vec), 1))
+        lcm = _pivot_lcm(self.pivots, self.int_rows)
+        out = [lcm * v for v in ints]
+        for p, row in zip(self.pivots, self.int_rows):
+            if ints[p]:
+                m = ints[p] * (lcm // row[p])
+                out = [v - m * r for v, r in zip(out, row)]
+        return out, lcm * den
 
     def reduce_vector(self, vec):
         """Residual of vec modulo the span; zero iff vec lies in the span."""
+        out, den = self._scaled_residual(vec)
         field = self.field
-        out = list(vec)
-        for k, p in enumerate(self.pivots):
-            c = out[p]
-            if field.is_zero(c):
-                continue
-            row = self.rows[k]
-            for j in range(p, len(out)):
-                v = row[j]
-                if not field.is_zero(v):
-                    out[j] = field.sub(out[j], field.mul(c, v))
-        return out
+        return [field.div(v, den) for v in out]
 
     def contains_vector(self, vec) -> bool:
-        field = self.field
-        return all(field.is_zero(v) for v in self.reduce_vector(vec))
+        is_zero = self.field.is_zero
+        return all(is_zero(v) for v in self._scaled_residual(vec)[0])
 
     def contains_poly(self, f) -> bool:
         if f.is_zero():
@@ -90,78 +138,61 @@ class GradedPiece:
             return False
         return self.contains_vector(f.to_vector(self.t))
 
-    def reduce_monomial_std(self, col):
-        """Image of the col-th basis monomial in the quotient, as a vector
-        over the standard (non-pivot) columns."""
-        field = self.field
-        std = self.standard_columns
-        k = self.pivot_map.get(col)
-        if k is None:
-            return [field.one if c == col else field.zero for c in std]
-        row = self.rows[k]
-        return [field.neg(row[c]) for c in std]
-
     def __eq__(self, other):
         return (isinstance(other, GradedPiece) and self.n == other.n
                 and self.t == other.t and self.field == other.field
-                and self.pivots == other.pivots and self.rows == other.rows)
+                and self.pivots == other.pivots and self.int_rows == other.int_rows)
 
     def __repr__(self):
         return f"GradedPiece(t={self.t}, dim={self.dim}/{self.ambient_dim})"
 
 
 def vector_to_poly(n, t, vec, field):
-    """Coefficient vector -> polynomial, scaled primitive over QQ."""
+    """Coefficient vector (field scalars, or integers over QQ) -> polynomial,
+    scaled primitive over QQ."""
     if isinstance(field, RationalField):
         ints, _ = _integer_vector(vec)
-        g = 0
-        for v in ints:
-            if v:
-                g = gcd(g, v)
+        g = gcd(*ints)
         if g:
-            lead = next(v for v in ints if v)
-            if lead < 0:
+            if next(v for v in ints if v) < 0:
                 g = -g
-            vec = [Fraction(v // g) if v else field.zero for v in ints]
+            vec = [Fraction(v // g) if v else 0 for v in ints]
     return MultiPoly.from_vector(n, t, vec, field)
 
 
+def _integer_span(n, t, rows, field) -> GradedPiece:
+    """The piece spanned by integer rows: over QQ scaled rows, over GF(p)
+    any integers standing for their residues."""
+    if not rows:
+        return zero_piece(n, t, field)
+    rref = rref_rows(field, rows, monomial_count(n, t))
+    return GradedPiece.from_rref(n, t, field, rref)
+
+
 def span_of_vectors(n, t, vectors, field) -> GradedPiece:
-    if not vectors:
-        return GradedPiece(n, t, field, [], [])
-    pivots, rows = ExactMatrix(field, vectors).rref()
-    return GradedPiece(n, t, field, pivots, rows)
+    """The piece spanned by vectors of field scalars (over QQ, Fractions or
+    integers)."""
+    if isinstance(field, RationalField):
+        vectors = [_integer_vector(v)[0] for v in vectors]
+    return _integer_span(n, t, vectors, field)
 
 
 def full_piece(n, t, field) -> GradedPiece:
     dim = monomial_count(n, t)
-    one, zero = field.one, field.zero
-    rows = [[one if j == i else zero for j in range(dim)] for i in range(dim)]
-    return GradedPiece(n, t, field, list(range(dim)), rows)
+    return GradedPiece.from_rref(n, t, field, (list(range(dim)), _identity_rows(dim)))
 
 
 def zero_piece(n, t, field) -> GradedPiece:
-    return GradedPiece(n, t, field, [], [])
+    return GradedPiece.from_rref(n, t, field, ([], []))
 
 
 def degree_one_multiples(piece: GradedPiece, field):
-    """Vectors of x_i * b for every b in the basis of the given piece."""
-    n, t = piece.n, piece.t
-    src = monomials_of_degree(n, t)
-    idx = monomial_index(n, t + 1)
-    dim = monomial_count(n, t + 1)
-    zero = field.zero
-    out = []
-    for row in piece.rows:
-        for i in range(n):
-            vec = [zero] * dim
-            for c, v in enumerate(row):
-                if not field.is_zero(v):
-                    e = list(src[c])
-                    e[i] += 1
-                    vec[idx[tuple(e)]] = v
-            out.append(vec)
-    return out
+    """Integer vectors of x_i * b for every row b of piece.int_rows, the
+    variables innermost; field is the piece's own."""
+    src = monomials_of_degree(piece.n, piece.t)
+    forms = [(piece.t, [(src[c], v) for c, v in enumerate(row) if v])
+             for row in piece.int_rows]
+    return _shifted_vectors(piece.n, piece.t + 1, forms)
 
 
 def _fresh_rows(piece: GradedPiece, below):
@@ -170,27 +201,51 @@ def _fresh_rows(piece: GradedPiece, below):
 
     Row i is kept when it lies outside the span of the degree-one multiples
     of below and rows 0..i-1.  The multiples lie inside piece, so each is
-    fixed by its coordinates in the RREF basis, its entries at
-    piece.pivots; row i is then not kept exactly when some vector in the
-    span of the coordinates has its last nonzero entry at i.  With the
-    coordinates reversed, those positions are the pivots of their RREF.
+    fixed by its coordinates in the basis int_rows, its entries at
+    piece.pivots divided by the pivot entries; that column scaling moves no
+    pivot, so the entries themselves serve.  Row i is then not kept exactly
+    when some vector in the span of the coordinates has its last nonzero
+    entry at i.  With the coordinates reversed, those positions are the
+    pivots of their RREF.
     """
     last = piece.dim - 1
     if below is None or not below.dim or last < 0:
         return list(range(piece.dim))
     coords = [[vec[p] for p in reversed(piece.pivots)]
               for vec in degree_one_multiples(below, piece.field)]
-    taken = {last - c for c in ExactMatrix(piece.field, coords).rref()[0]}
+    taken = {last - c for c in rref_rows(piece.field, coords, piece.dim)[0]}
     return [i for i in range(piece.dim) if i not in taken]
 
 
 def _fresh_generators(piece: GradedPiece, below):
     """The rows of piece outside R_1 * below, as forms."""
-    return [vector_to_poly(piece.n, piece.t, piece.rows[i], piece.field)
+    return [vector_to_poly(piece.n, piece.t, piece.int_rows[i], piece.field)
             for i in _fresh_rows(piece, below)]
 
 
-def _shifted_vectors(n, t, gens_with_vecs, zero):
+def _integer_terms(f):
+    """The terms of the nonzero form f (a polynomial or a dual form), their
+    coefficients multiplied over QQ by the lcm of their denominators, so
+    that the rows built from them are integer rows."""
+    terms = list(f.terms.items())
+    if isinstance(f.field, RationalField):
+        ints, _ = _integer_vector([c for _, c in terms])
+        terms = [(e, c) for (e, _), c in zip(terms, ints)]
+    return terms
+
+
+def _term_product(a, b):
+    """The terms of the product of two forms given by integer terms; over
+    GF(p) the coefficients stand for their residues."""
+    out = {}
+    for e, c in a:
+        for f, d in b:
+            m = mono_mul(e, f)
+            out[m] = out.get(m, 0) + c * d
+    return [(m, c) for m, c in out.items() if c]
+
+
+def _shifted_vectors(n, t, gens_with_vecs):
     """Coefficient vectors of x^alpha * g for all generators g of degree
     <= t and all monomials alpha of complementary degree."""
     idx = monomial_index(n, t)
@@ -200,7 +255,7 @@ def _shifted_vectors(n, t, gens_with_vecs, zero):
         if deg_g > t:
             continue
         for alpha in monomials_of_degree(n, t - deg_g):
-            vec = [zero] * dim
+            vec = [0] * dim
             for e, c in terms:
                 vec[idx[mono_mul(alpha, e)]] = c
             out.append(vec)
@@ -228,8 +283,7 @@ class GradedIdeal:
         self.truncated_at = truncated_at
         self._pieces = {}
         self._artinian_bound = None
-        self._gen_data = [(g.homogeneous_degree(), tuple(g.terms.items()))
-                          for g in gens]
+        self._gen_data = [(g.homogeneous_degree(), _integer_terms(g)) for g in gens]
 
     @classmethod
     def from_pieces(cls, n, pieces, field, truncated_at=None):
@@ -277,8 +331,8 @@ class GradedIdeal:
                 # R_1 * R_{t-1} = R_t above a full piece
                 piece = full_piece(self.n, t, self.field)
             else:
-                vecs = _shifted_vectors(self.n, t, self._gen_data, self.field.zero)
-                piece = span_of_vectors(self.n, t, vecs, self.field)
+                vecs = _shifted_vectors(self.n, t, self._gen_data)
+                piece = _integer_span(self.n, t, vecs, self.field)
             self._pieces[t] = piece
         return piece
 
@@ -366,23 +420,14 @@ class GradedIdeal:
         if target.dim == 0:
             # multiplication by a nonzero form is injective on R_t
             return zero_piece(n, t, field)
+        # the columns x^gamma * f for the monomials gamma of degree t, then
+        # the rows of the target; a kernel vector restricted to its first
+        # dim_t entries is an element of (I : f)_t, and every one arises so
         dim_t = monomial_count(n, t)
-        dim_target = monomial_count(n, t + e)
-        idx = monomial_index(n, t + e)
-        zero = field.zero
-        cols = []
-        for gamma in monomials_of_degree(n, t):
-            vec = [zero] * dim_target
-            for alpha, c in f.terms.items():
-                vec[idx[mono_mul(gamma, alpha)]] = c
-            cols.append(vec)
-        for row in target.rows:
-            cols.append(list(row))
-        matrix = ExactMatrix(field,
-                             [[cols[j][i] for j in range(len(cols))]
-                              for i in range(dim_target)])
-        kernel = matrix.kernel_basis()
-        return span_of_vectors(n, t, [v[:dim_t] for v in kernel], field)
+        cols = (_shifted_vectors(n, t + e, [(e, _integer_terms(f))])
+                + target.int_rows)
+        kernel, _ = kernel_rows(field, [list(r) for r in zip(*cols)], len(cols))
+        return _integer_span(n, t, [v[:dim_t] for v in kernel], field)
 
     def _pure_power_exponents(self):
         """(m_1, ..., m_n) when the generators are c_i * x_i^{m_i}, exactly
@@ -445,20 +490,29 @@ class GradedIdeal:
     def multiplication_maps(self, t):
         """x_k : (R/I)_t -> (R/I)_{t+1} for k = 1..n, each as the list of
         images of the standard monomials of degree t, written over the
-        standard monomials of degree t + 1."""
+        standard monomials of degree t + 1.
+
+        The images are integer vectors, all of them scaled by one L, the lcm
+        of the pivot entries of the piece above (1 over GF(p)): a standard
+        monomial c maps to L * e_c and the pivot monomial of row r to
+        -r * L / r[p] on the standard columns.  One scale for every map of
+        degree t leaves the rank of any matrix stacked from them unchanged.
+        """
         std = self.graded_piece(t).standard_columns
         above = self.graded_piece(t + 1)
+        lcm = _pivot_lcm(above.pivots, above.int_rows)
+        std_above = above.standard_columns
+        images = {}
+        for i, c in enumerate(std_above):
+            images[c] = [0] * len(std_above)
+            images[c][i] = lcm
+        for p, row in zip(above.pivots, above.int_rows):
+            scale = lcm // row[p]
+            images[p] = [-scale * row[c] for c in std_above]
         src = monomials_of_degree(self.n, t)
         idx = monomial_index(self.n, t + 1)
-        maps = []
-        for k in range(self.n):
-            images = []
-            for c in std:
-                e = list(src[c])
-                e[k] += 1
-                images.append(above.reduce_monomial_std(idx[tuple(e)]))
-            maps.append(images)
-        return maps
+        units = [tuple(row) for row in _identity_rows(self.n)]
+        return [[images[idx[mono_mul(src[c], u)]] for c in std] for u in units]
 
     def socle_report(self, cap=None) -> "SocleReport":
         """Socle dimensions of R/I: in degree t, H(t) minus the rank of
@@ -473,7 +527,7 @@ class GradedIdeal:
                 # the matrices of x_1..x_n stacked, one column per standard
                 # monomial: an injective map has an RREF with no free column
                 stacked = [row for m in self.multiplication_maps(t) for row in zip(*m)]
-                sdim -= ExactMatrix(self.field, stacked).rank()
+                sdim -= row_rank(self.field, stacked, sdim)
             if sdim:
                 dims[t] = sdim
         total = sum(dims.values())
@@ -515,16 +569,15 @@ class GradedIdeal:
         if k == 1:
             return self.graded_piece(t)
         products = []
-        for combo in itertools.combinations_with_replacement(
-                range(len(self.generators)), k):
-            prod = self.generators[combo[0]]
-            for j in combo[1:]:
-                prod = prod * self.generators[j]
-            if prod.homogeneous_degree() <= t:
-                products.append((prod.homogeneous_degree(),
-                                 tuple(prod.terms.items())))
-        vecs = _shifted_vectors(self.n, t, products, self.field.zero)
-        return span_of_vectors(self.n, t, vecs, self.field)
+        for combo in itertools.combinations_with_replacement(self._gen_data, k):
+            degree = sum(d for d, _ in combo)
+            if degree <= t:
+                terms = combo[0][1]
+                for _, factor in combo[1:]:
+                    terms = _term_product(terms, factor)
+                products.append((degree, terms))
+        vecs = _shifted_vectors(self.n, t, products)
+        return _integer_span(self.n, t, vecs, self.field)
 
     # ------------------------------------------------------------------
     # equality and membership
@@ -751,11 +804,11 @@ def check_reduction_two(I: GradedIdeal, seed, retries=5) -> ReductionReport:
 
 
 def _product_span(j_gens, factors, I, t):
+    factors = [(g.homogeneous_degree(), _integer_terms(g)) for g in factors]
     data = []
     for j in j_gens:
-        for g in factors:
-            p = j * g
-            if not p.is_zero() and p.homogeneous_degree() == t:
-                data.append((t, tuple(p.terms.items())))
-    vecs = _shifted_vectors(I.n, t, data, I.field.zero)
-    return span_of_vectors(I.n, t, vecs, I.field)
+        j_terms = _integer_terms(j)
+        for d, g_terms in factors:
+            if j.homogeneous_degree() + d == t:
+                data.append((t, _term_product(j_terms, g_terms)))
+    return _integer_span(I.n, t, _shifted_vectors(I.n, t, data), I.field)

@@ -1,13 +1,18 @@
 """Exact dense linear algebra: RREF, rank, kernels, determinants.
 
 Everything here is exact; there is no floating point and no tolerance
-anywhere.  Matrices hold raw field scalars (Fraction over QQ, int over
-GF(p)) and the elimination work is delegated to the row-reduction kernels
-of ``_rowred_py``.  Over QQ a modular front end decides, from the row rank
-profile modulo CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that
-stops at full rank), which rows the exact kernel sees.  A rank alone never
-builds a reduced form: it is the length of that profile, or over QQ, when
-the profile falls short of full rank, the pivot count of the exact forward
+anywhere.  rref_rows, row_rank and kernel_rows take integer rows (over QQ
+any scaling of the rows, over GF(p) the residues) and hand the elimination
+to the kernels of ``_rowred_py``; graded pieces and the maps between them
+call them directly.  ExactMatrix holds field scalars (Fraction over QQ, int
+over GF(p)); over QQ it clears denominators row by row on the way in and
+returns Fractions on the way out.
+
+Over QQ a modular front end decides, from the row rank profile modulo
+CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
+rank), which rows the exact kernel sees.  A rank alone never builds a
+reduced form: it is the length of that profile, or over QQ, when the
+profile falls short of full rank, the pivot count of the exact forward
 elimination.
 """
 
@@ -52,6 +57,19 @@ def _in_row_space(pivots, red, rows, nc):
     return True
 
 
+def _identity_rows(n):
+    """The rows of the n x n identity matrix, as ints."""
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def _pivot_lcm(pivots, rows):
+    """The lcm of the pivot entries of an integer RREF (1 over GF(p))."""
+    lcm = 1
+    for p, row in zip(pivots, rows):
+        lcm = lcm // gcd(lcm, row[p]) * row[p]
+    return lcm
+
+
 def _rref_rational(rows, nc):
     """Integer RREF of rows (the contract of rref_int), rows having nc
     columns.
@@ -69,13 +87,78 @@ def _rref_rational(rows, nc):
         return rref_int(rows)
     profile = rank_profile_mod(rows, CERTIFICATE_PRIME, nc)
     if len(profile) == nc:
-        return list(range(nc)), [[int(i == j) for j in range(nc)] for i in range(nc)]
+        return list(range(nc)), _identity_rows(nc)
     chosen = set(profile)
     pivots, red = rref_int([rows[i] for i in profile])
     if _in_row_space(pivots, red,
                      [r for i, r in enumerate(rows) if i not in chosen], nc):
         return pivots, red
     return rref_int(rows)
+
+
+def rref_rows(field, rows, nc):
+    """Canonical RREF (pivots, rows) of integer rows with nc columns.
+
+    Over QQ the rows are primitive with a positive pivot, as rref_int
+    returns them, and come through the modular front end; over GF(p) they
+    are the leading-1 rows of rref_mod.  Either form is unique for the row
+    space.
+    """
+    if isinstance(field, RationalField):
+        return _rref_rational(rows, nc)
+    if isinstance(field, PrimeField):
+        return rref_mod(rows, field.p)
+    raise TypeError(f"unsupported field {field!r}")
+
+
+def row_rank(field, rows, nc):
+    """Rank of integer rows with nc columns, from a forward pass that
+    reduces nothing above a pivot.
+
+    Over GF(p) it is the length of the row rank profile.  Over QQ the rank
+    is never below the rank mod CERTIFICATE_PRIME, so a profile of
+    min(rows, nc) rows proves full rank; a shorter one (rank deficient, or
+    an unlucky prime) gives way to the pivot count of a Bareiss elimination.
+    """
+    full = min(len(rows), nc)
+    if isinstance(field, PrimeField):
+        return len(rank_profile_mod(rows, field.p, full))
+    if not isinstance(field, RationalField):
+        raise TypeError(f"unsupported field {field!r}")
+    if len(rank_profile_mod(rows, CERTIFICATE_PRIME, full)) == full:
+        return full
+    return len(_bareiss(list(rows))[0])
+
+
+def kernel_rows(field, rows, nc):
+    """(basis, L): an integer basis of the right kernel of integer rows with
+    nc columns, and the lcm L of the pivot entries of their RREF.
+
+    For each free column c of the RREF the basis holds L times the kernel
+    vector with 1 at c and 0 at the other free columns: L at c and
+    -row_k[c] * L / row_k[p_k] at each pivot p_k.
+    """
+    pivots, red = rref_rows(field, rows, nc)
+    lcm = _pivot_lcm(pivots, red)
+    pivot_set = set(pivots)
+    basis = []
+    for c in range(nc):
+        if c in pivot_set:
+            continue
+        vec = [0] * nc
+        vec[c] = lcm
+        for p, row in zip(pivots, red):
+            if row[c]:
+                vec[p] = -row[c] * (lcm // row[p])
+        basis.append(vec)
+    return basis, lcm
+
+
+def _leading_one_rows(pivots, rows):
+    """The leading-1 Fraction rows of an integer RREF over QQ."""
+    zero = Fraction(0)
+    return [[Fraction(v, row[p]) if v else zero for v in row]
+            for p, row in zip(pivots, rows)]
 
 
 class ExactMatrix:
@@ -131,6 +214,12 @@ class ExactMatrix:
             out.append(ints)
         return out, scale
 
+    def _as_integers(self):
+        """The rows as rref_rows, row_rank and kernel_rows take them."""
+        if isinstance(self.field, RationalField):
+            return self._integer_rows()[0]
+        return self.entries
+
     def rref(self):
         """Canonical reduced row echelon form.
 
@@ -138,41 +227,19 @@ class ExactMatrix:
         zeros above and below every pivot.  Zero rows are dropped.  The
         result is unique for the row space.
         """
-        if self._rref is not None:
-            return self._rref
-        if isinstance(self.field, RationalField):
-            pivots, rows = _rref_rational(self._integer_rows()[0], self.cols)
-            zero = self.field.zero
-            out = [[Fraction(v, row[p]) if v else zero for v in row]
-                   for p, row in zip(pivots, rows)]
-        elif isinstance(self.field, PrimeField):
-            pivots, out = rref_mod(self.entries, self.field.p)
-        else:
-            raise TypeError(f"unsupported field {self.field!r}")
-        self._rref = (pivots, out)
+        if self._rref is None:
+            pivots, rows = rref_rows(self.field, self._as_integers(), self.cols)
+            if isinstance(self.field, RationalField):
+                rows = _leading_one_rows(pivots, rows)
+            self._rref = pivots, rows
         return self._rref
 
     def rank(self) -> int:
-        """Rank, from the cached RREF when there is one and otherwise from a
-        forward pass that reduces nothing above a pivot.
-
-        Over GF(p) it is the length of the row rank profile.  Over QQ the
-        rank is never below the rank mod CERTIFICATE_PRIME, so a profile of
-        min(rows, cols) rows proves full rank; a shorter one (rank deficient,
-        or an unlucky prime) gives way to the pivot count of a Bareiss
-        elimination of the integer rows.
-        """
+        """Rank, from the cached RREF when there is one and otherwise from
+        row_rank of the (integer) rows."""
         if self._rref is not None:
             return len(self._rref[0])
-        full = min(self.rows, self.cols)
-        if isinstance(self.field, PrimeField):
-            return len(rank_profile_mod(self.entries, self.field.p, full))
-        if not isinstance(self.field, RationalField):
-            raise TypeError(f"unsupported field {self.field!r}")
-        rows = self._integer_rows()[0]
-        if len(rank_profile_mod(rows, CERTIFICATE_PRIME, full)) == full:
-            return full
-        return len(_bareiss(rows)[0])
+        return row_rank(self.field, self._as_integers(), self.cols)
 
     def kernel_basis(self):
         """Row-reduced basis of the right kernel.
@@ -180,20 +247,10 @@ class ExactMatrix:
         Each basis vector carries a 1 in its own free column and 0 in the
         free columns of the other vectors, so the basis is canonical.
         """
-        pivots, rows = self.rref()
         field = self.field
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [field.zero] * self.cols
-            vec[f] = field.one
-            for k, p in enumerate(pivots):
-                v = rows[k][f]
-                if not field.is_zero(v):
-                    vec[p] = field.neg(v)
-            basis.append(vec)
-        return basis
+        basis, lcm = kernel_rows(field, self._as_integers(), self.cols)
+        inv, zero = field.inv(lcm), field.zero
+        return [[field.mul(v, inv) if v else zero for v in vec] for vec in basis]
 
     def matvec(self, v):
         field = self.field
@@ -270,5 +327,5 @@ class ExactMatrix:
 
 def rank_kernel(matrix: ExactMatrix):
     """(rank, kernel basis); rank + len(kernel) == cols, M v = 0 exactly."""
-    basis = matrix.kernel_basis()       # caches the RREF that rank reads
-    return matrix.rank(), basis
+    basis = matrix.kernel_basis()
+    return matrix.cols - len(basis), basis

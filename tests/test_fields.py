@@ -52,3 +52,17 @@ def test_equality_and_hash():
     assert GF(5) != GF(7)
     assert QQ != GF(5)
     assert hash(GF(5)) == hash(GF(5))
+
+
+def test_rational_inverse_and_quotient_are_fractions():
+    # int arguments must not fall through to float division
+    for value, expected in ((QQ.inv(2), Fraction(1, 2)), (QQ.div(1, 3), Fraction(1, 3)),
+                            (QQ.div(-4, 6), Fraction(-2, 3)), (QQ.inv(-7), Fraction(-1, 7)),
+                            (QQ.div(Fraction(1, 2), 3), Fraction(1, 6)),
+                            (QQ.div(5, Fraction(2, 3)), Fraction(15, 2))):
+        assert type(value) is Fraction and value == expected
+    assert type(QQ.div(6, 3)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, Fraction(0))

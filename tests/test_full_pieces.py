@@ -57,7 +57,7 @@ def _random_ideal(n, degrees, common, rng):
 
 def _exact_piece(I, t):
     """The piece by a Fraction Gauss-Jordan of the shifted generators."""
-    vecs = _shifted_vectors(I.n, t, I._gen_data, QQ.zero)
+    vecs = _shifted_vectors(I.n, t, I._gen_data)
     return GradedPiece(I.n, t, QQ, *fraction_rref(vecs))
 
 
