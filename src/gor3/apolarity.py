@@ -15,16 +15,18 @@ from .ideals import (
     GradedPiece,
     _integer_span,
     _integer_terms,
+    _shifted_vectors,
     full_piece,
     vector_to_poly,
 )
-from .linalg import ExactMatrix, kernel_rows
+from .linalg import kernel_rows
 from .monomials import (
     default_var_names,
     mono_sub,
     monomial_count,
     monomial_index,
     monomials_of_degree,
+    product_table,
 )
 from .poly import MultiPoly
 
@@ -137,21 +139,29 @@ def contract(f: MultiPoly, F: InverseForm) -> InverseForm:
     return InverseForm(f.n, terms, field)
 
 
+def _catalecticant_rows(F: InverseForm, t):
+    """The matrix of contraction R_t -> D_{s-t} against F (s = deg F), as
+    integer rows: F scaled to integer coefficients, which has the same
+    kernel.
+
+    x^alpha contracts F onto the term y^[gamma] with the coefficient of F at
+    alpha + gamma, so the row of gamma reads F's coefficients at the
+    positions product_table(n, s - t, t)[gamma].
+    """
+    n, s = F.n, F.degree()
+    idx = monomial_index(n, s)
+    coeffs = [0] * monomial_count(n, s)
+    for beta, b in _integer_terms(F):
+        coeffs[idx[beta]] = b
+    return [[coeffs[p] for p in row] for row in product_table(n, s - t, t)]
+
+
 def _catalecticant_kernel(F: InverseForm, t) -> GradedPiece:
     """Kernel of contraction against F on R_t, i.e. Ann(F)_t for t <= deg F."""
     n, field = F.n, F.field
-    s = F.degree()
-    dim = monomial_count(n, t)
-    tgt_idx = monomial_index(n, s - t)
-    # F scaled to integer coefficients has the same kernel
-    terms = _integer_terms(F)
-    rows = [[0] * dim for _ in range(monomial_count(n, s - t))]
-    for col, alpha in enumerate(monomials_of_degree(n, t)):
-        for beta, b in terms:
-            e = mono_sub(alpha, beta)
-            if e is not None:
-                rows[tgt_idx[e]][col] = b
-    return _integer_span(n, t, kernel_rows(field, rows, dim)[0], field)
+    rows = _catalecticant_rows(F, t)
+    return _integer_span(
+        n, t, kernel_rows(field, rows, monomial_count(n, t))[0], field)
 
 
 def annihilator(F: InverseForm, t_max=None) -> GradedIdeal:
@@ -180,27 +190,16 @@ def macaulay_inverse(I: GradedIdeal) -> InverseForm:
     report = I.socle_report()
     s = report.socle_degree
     n, field = I.n, I.field
-    dim_s = monomial_count(n, s)
-    rows = []
-    for g in I.generators:
-        d = g.homogeneous_degree()
-        if d > s:
-            continue
-        idx = monomial_index(n, s - d)
-        block = [[field.zero] * dim_s for _ in range(monomial_count(n, s - d))]
-        for col, beta in enumerate(monomials_of_degree(n, s)):
-            for alpha, a in g.terms.items():
-                e = mono_sub(alpha, beta)
-                if e is not None:
-                    block[idx[e]][col] = a
-        rows.extend(block)
-    matrix = ExactMatrix(field, rows, cols=dim_s)
-    kernel = matrix.kernel_basis()
+    # F is annihilated by I exactly when every x^alpha * g of degree s
+    # contracts it to zero, i.e. when its coefficient vector is orthogonal to
+    # every shifted generator row of degree s
+    kernel, _ = kernel_rows(field, _shifted_vectors(n, s, I._gen_data),
+                            monomial_count(n, s))
     if len(kernel) != 1:
         raise NotGorensteinError(
             f"dual socle generator is not unique (kernel dimension "
             f"{len(kernel)} in degree {s})")
-    vec = kernel[0]
+    vec = [field.of(v) for v in kernel[0]]
     lead = next(v for v in vec if not field.is_zero(v))
     inv = field.inv(lead)
     vec = [field.mul(inv, v) for v in vec]

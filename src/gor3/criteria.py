@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix
-from .monomials import mono_sub, monomial_count, monomial_index, monomials_of_degree
+from .ideals import _integer_terms, _shifted_vectors
+from .linalg import ExactMatrix, row_rank
+from .monomials import monomial_count, monomials_of_degree
 from .poly import MultiPoly
 
 
@@ -49,21 +50,11 @@ def spans_target(forms, e: int) -> SpansReport:
     if e < 0:
         raise ValueError("shift must be non-negative")
     target = monomial_count(n, d + e)
-    idx = monomial_index(n, d + e)
-    zero = field.zero
-    cols = []
-    for f in forms:
-        for alpha in monomials_of_degree(n, e):
-            vec = [zero] * target
-            for exps, c in f.terms.items():
-                vec[idx[tuple(a + b for a, b in zip(alpha, exps))]] = c
-            cols.append(vec)
-    matrix = ExactMatrix(field,
-                         [[cols[j][i] for j in range(len(cols))]
-                          for i in range(target)])
-    rank = matrix.rank()
+    # the rows x^alpha * f are the columns of the multiplication matrix
+    rows = _shifted_vectors(n, d + e, [(d, _integer_terms(f)) for f in forms])
+    rank = row_rank(field, rows, target)
     return SpansReport(spans=(rank == target), rank=rank,
-                       target_dim=target, shape=(target, len(cols)))
+                       target_dim=target, shape=(target, len(rows)))
 
 
 def linres_matrix(f: MultiPoly, m: int, e_prime: int) -> ExactMatrix:
@@ -82,18 +73,13 @@ def linres_matrix(f: MultiPoly, m: int, e_prime: int) -> ExactMatrix:
     n = f.n
     field = f.field
     e = f.homogeneous_degree()
-    rows = []
-    cols_basis = monomials_of_degree(n, e_prime)
-    for gamma in monomials_of_degree(n, e + e_prime):
-        if any(g >= m for g in gamma):
-            continue
-        row = []
-        for beta in cols_basis:
-            alpha = mono_sub(beta, gamma)
-            row.append(f.terms.get(alpha, field.zero)
-                       if alpha is not None else field.zero)
-        rows.append(row)
-    return ExactMatrix(field, rows, cols=len(cols_basis))
+    # column beta is x^beta * f over the degree-(e+e') basis
+    cols = _shifted_vectors(n, e + e_prime, [(e, list(f.terms.items()))])
+    zero = field.zero
+    rows = [[c if c else zero for c in row]
+            for row, gamma in zip(zip(*cols), monomials_of_degree(n, e + e_prime))
+            if all(g < m for g in gamma)]
+    return ExactMatrix(field, rows, cols=len(cols))
 
 
 @dataclass

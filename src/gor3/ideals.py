@@ -34,7 +34,13 @@ from .linalg import (
     row_rank,
     rref_rows,
 )
-from .monomials import mono_mul, monomial_count, monomial_index, monomials_of_degree
+from .monomials import (
+    mono_mul,
+    monomial_count,
+    monomial_index,
+    monomials_of_degree,
+    product_table,
+)
 from .poly import MultiPoly
 
 
@@ -247,17 +253,19 @@ def _term_product(a, b):
 
 def _shifted_vectors(n, t, gens_with_vecs):
     """Coefficient vectors of x^alpha * g for all generators g of degree
-    <= t and all monomials alpha of complementary degree."""
-    idx = monomial_index(n, t)
+    <= t and all monomials alpha of complementary degree, alpha in the
+    canonical order; each term of g is placed through product_table."""
     dim = monomial_count(n, t)
     out = []
     for deg_g, terms in gens_with_vecs:
         if deg_g > t:
             continue
-        for alpha in monomials_of_degree(n, t - deg_g):
+        idx = monomial_index(n, deg_g)
+        placed = [(idx[e], c) for e, c in terms]
+        for row in product_table(n, t - deg_g, deg_g):
             vec = [0] * dim
-            for e, c in terms:
-                vec[idx[mono_mul(alpha, e)]] = c
+            for j, c in placed:
+                vec[row[j]] = c
             out.append(vec)
     return out
 
@@ -509,10 +517,9 @@ class GradedIdeal:
         for p, row in zip(above.pivots, above.int_rows):
             scale = lcm // row[p]
             images[p] = [-scale * row[c] for c in std_above]
-        src = monomials_of_degree(self.n, t)
-        idx = monomial_index(self.n, t + 1)
-        units = [tuple(row) for row in _identity_rows(self.n)]
-        return [[images[idx[mono_mul(src[c], u)]] for c in std] for u in units]
+        # x_k is the k-th monomial of degree one
+        table = product_table(self.n, t, 1)
+        return [[images[table[c][k]] for c in std] for k in range(self.n)]
 
     def socle_report(self, cap=None) -> "SocleReport":
         """Socle dimensions of R/I: in degree t, H(t) minus the rank of

@@ -5,12 +5,19 @@ degree-lexicographic with x1 > x2 > ... > xn; within a fixed degree this is
 plain lexicographic order on exponent tuples, descending.  Every module in
 the package indexes coefficient vectors against this order, so it must never
 change.
+
+Dense matrices over these bases are built by index lookup: product_table
+gives the position of every product of a degree-s and a degree-t monomial
+in the degree-(s+t) basis, so shifted generator rows, multiplication maps
+and catalecticants never form an exponent tuple per entry.  mono_mul is
+left to the sparse products of polynomials and terms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import add
 
 
 def monomial_count(n: int, t: int) -> int:
@@ -47,7 +54,20 @@ def monomial_index(n: int, t: int) -> dict:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+@lru_cache(maxsize=None)
+def product_table(n: int, s: int, t: int) -> tuple:
+    """table[i][j] is the position in monomials_of_degree(n, s + t) of the
+    i-th degree-s monomial times the j-th degree-t monomial.
+
+    The table is shared through the cache, so its rows are tuples.
+    """
+    idx = monomial_index(n, s + t)
+    right = monomials_of_degree(n, t)
+    return tuple(tuple([idx[mono_mul(a, b)] for b in right])
+                 for a in monomials_of_degree(n, s))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:

@@ -10,6 +10,7 @@ from math import gcd
 from gor3 import MultiPoly
 from gor3.fields import RationalField
 from gor3.ideals import degree_one_multiples
+from gor3.monomials import monomials_of_degree
 from gor3.pfaffians import SkewPolyMatrix
 
 
@@ -240,3 +241,160 @@ def greedy_fresh_generators(piece, below):
             span.add(vec)
     return [primitive_poly(piece.n, piece.t, row, field)
             for row in piece.rows if span.add(row)]
+
+
+# ----------------------------------------------------------------------
+# Dense builders by exponent-tuple arithmetic.  Each position is found by
+# adding or subtracting exponent tuples and searching the basis list, the
+# route gor3 took before it read positions off monomials.product_table.
+
+
+def _tuple_sum(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _tuple_difference(a, b):
+    """b - a, or None if a coordinate goes negative."""
+    out = tuple(y - x for x, y in zip(a, b))
+    return None if any(v < 0 for v in out) else out
+
+
+def shifted_rows_by_tuples(n, t, gens_with_terms):
+    """Coefficient vectors of x^alpha * g for the (degree, terms) pairs of
+    degree at most t, alpha running over the degree-(t - deg g) basis."""
+    basis = list(monomials_of_degree(n, t))
+    out = []
+    for d, terms in gens_with_terms:
+        if d > t:
+            continue
+        for alpha in monomials_of_degree(n, t - d):
+            vec = [0] * len(basis)
+            for e, c in terms:
+                vec[basis.index(_tuple_sum(alpha, e))] = c
+            out.append(vec)
+    return out
+
+
+def multiplication_maps_by_tuples(I, t):
+    """x_k : (R/I)_t -> (R/I)_{t+1} as GradedIdeal.multiplication_maps
+    writes them: the image of x^c * x_k over the standard monomials of the
+    piece above, all scaled by the lcm L of its pivot entries."""
+    n = I.n
+    std = I.graded_piece(t).standard_columns
+    above = I.graded_piece(t + 1)
+    std_above = list(above.standard_columns)
+    lcm = 1
+    for p, row in zip(above.pivots, above.int_rows):
+        lcm = lcm * row[p] // gcd(lcm, row[p])
+
+    def image(q):
+        if q in std_above:
+            vec = [0] * len(std_above)
+            vec[std_above.index(q)] = lcm
+            return vec
+        row = above.int_rows[above.pivots.index(q)]
+        return [-(lcm // row[q]) * row[c] for c in std_above]
+
+    src = monomials_of_degree(n, t)
+    basis = list(monomials_of_degree(n, t + 1))
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    return [[image(basis.index(_tuple_sum(src[c], u))) for c in std]
+            for u in units]
+
+
+def catalecticant_rows_by_tuples(n, s, terms, t):
+    """Contraction R_t -> D_{s-t} against the degree-s dual form with the
+    given (exponents, coefficient) terms: row gamma, column alpha holds the
+    coefficient at beta whenever beta - alpha = gamma."""
+    rows_basis = list(monomials_of_degree(n, s - t))
+    cols_basis = monomials_of_degree(n, t)
+    rows = [[0] * len(cols_basis) for _ in rows_basis]
+    for col, alpha in enumerate(cols_basis):
+        for beta, b in terms:
+            gamma = _tuple_difference(alpha, beta)
+            if gamma is not None:
+                rows[rows_basis.index(gamma)][col] = b
+    return rows
+
+
+def field_rref(rows, field):
+    """Gauss-Jordan in the field's own arithmetic: (pivots, leading-1 rows)."""
+    m = [[field.of(v) for v in r] for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        sel = next((i for i in range(r, nr) if not field.is_zero(m[i][c])), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, v) for v in m[r]]
+        for i in range(nr):
+            if i != r and not field.is_zero(m[i][c]):
+                k = m[i][c]
+                m[i] = [field.sub(a, field.mul(k, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, m[:r]
+
+
+def macaulay_inverse_by_tuples(I):
+    """The degree-s dual generator of the Gorenstein ideal I as a dense
+    vector: the one kernel vector of the blocks x^alpha * g, found by
+    subtracting exponent tuples and a Gauss-Jordan in field arithmetic, its
+    first nonzero entry scaled to 1."""
+    n, field = I.n, I.field
+    s = I.socle_report().socle_degree
+    basis = monomials_of_degree(n, s)
+    rows = []
+    for g in I.generators:
+        d = g.homogeneous_degree()
+        if d > s:
+            continue
+        block_basis = list(monomials_of_degree(n, s - d))
+        block = [[field.zero] * len(basis) for _ in block_basis]
+        for col, beta in enumerate(basis):
+            for alpha, a in g.terms.items():
+                e = _tuple_difference(alpha, beta)
+                if e is not None:
+                    block[block_basis.index(e)][col] = a
+        rows.extend(block)
+    pivots, red = field_rref(rows, field)
+    free = [c for c in range(len(basis)) if c not in pivots]
+    assert len(free) == 1
+    vec = [field.one if c == free[0] else field.zero for c in range(len(basis))]
+    for p, row in zip(pivots, red):
+        vec[p] = field.neg(row[free[0]])
+    lead = next(v for v in vec if not field.is_zero(v))
+    inv = field.inv(lead)
+    return [field.mul(inv, v) for v in vec]
+
+
+def spans_rank_by_tuples(forms, e):
+    """Rank of the degree-e multiples of forms of one degree d in R_{d+e}."""
+    field = forms[0].field
+    n = forms[0].n
+    d = forms[0].homogeneous_degree()
+    rows = shifted_rows_by_tuples(
+        n, d + e, [(d, list(f.terms.items())) for f in forms])
+    return len(field_rref(rows, field)[0]), len(rows)
+
+
+def linres_rows_by_tuples(f, m, e_prime):
+    """linres_matrix entries: row gamma outside the pure powers x_i^m,
+    column beta, the coefficient of f at gamma - beta."""
+    field = f.field
+    e = f.homogeneous_degree()
+    rows = []
+    for gamma in monomials_of_degree(f.n, e + e_prime):
+        if max(gamma) >= m:
+            continue
+        row = []
+        for beta in monomials_of_degree(f.n, e_prime):
+            alpha = _tuple_difference(beta, gamma)
+            row.append(field.zero if alpha is None
+                       else f.terms.get(alpha, field.zero))
+        rows.append(row)
+    return rows

@@ -3,10 +3,12 @@ from math import comb
 from gor3.monomials import (
     deglex_key,
     mono_divides,
+    mono_mul,
     mono_sub,
     monomial_count,
     monomial_index,
     monomials_of_degree,
+    product_table,
 )
 
 
@@ -52,3 +54,35 @@ def test_mono_helpers():
     assert not mono_divides((0, 2, 0), (1, 1, 3))
     assert deglex_key((2, 0, 0)) > deglex_key((1, 1, 0))
     assert deglex_key((0, 0, 3)) > deglex_key((2, 0, 0))
+
+
+def test_mono_mul_adds_exponents():
+    assert mono_mul((1, 0, 2), (2, 3, 0)) == (3, 3, 2)
+    assert mono_mul((4,), (0,)) == (4,)
+    assert mono_mul((0, 0, 0, 0), (1, 2, 0, 5)) == (1, 2, 0, 5)
+    assert type(mono_mul((1, 1), (1, 1))) is tuple
+
+
+def test_product_table_matches_tuple_arithmetic():
+    for n in range(1, 5):
+        for s in range(6):
+            for t in range(6):
+                table = product_table(n, s, t)
+                target = list(monomials_of_degree(n, s + t))
+                left = monomials_of_degree(n, s)
+                right = monomials_of_degree(n, t)
+                assert len(table) == len(left)
+                for a, row in zip(left, table):
+                    assert len(row) == len(right)
+                    for b, pos in zip(right, row):
+                        assert pos == target.index(
+                            tuple(x + y for x, y in zip(a, b)))
+
+
+def test_product_table_rows_are_immutable():
+    # the table is shared through the cache: a list row could be changed
+    # by one caller under every other
+    table = product_table(3, 2, 1)
+    assert type(table) is tuple
+    assert all(type(row) is tuple for row in table)
+    assert product_table(3, 2, 1) is table
