@@ -33,9 +33,6 @@ class BettiTable:
     def triples(self):
         return [(i, j, v) for (i, j), v in self.nonzero()]
 
-    def max_shift(self) -> int:
-        return max((j for (_, j) in self.entries), default=0)
-
     def column_shifts(self, i) -> dict:
         """shift -> multiplicity in homological position i."""
         return {j: v for (k, j), v in self.entries.items() if k == i}

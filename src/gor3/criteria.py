@@ -154,9 +154,12 @@ def five_quadrics_certificate(quadrics) -> QuadricsReport:
 
     Builds the 6 x 5 coefficient matrix, takes the determinant of the top
     5 x 5 block and the determinant of the symmetric 3 x 3 arrangement of
-    the induced last-row products; if both are nonzero and the degree-1
-    multiples of the quadrics fill R_3, the ideal they generate is a
-    codimension-3 Gorenstein ideal.  Any failure is INCONCLUSIVE, not a
+    the entries of last-row * adj(top).  Entry i comes by Cramer's rule as
+    the determinant of the top block with row i replaced by the last row,
+    singular top block included, so the certificate takes seven
+    determinants and no adjugate.  If both determinants are nonzero and the
+    degree-1 multiples of the quadrics fill R_3, the ideal they generate is
+    a codimension-3 Gorenstein ideal.  Any failure is INCONCLUSIVE, not a
     disproof.
     """
     quadrics = list(quadrics)
@@ -169,18 +172,14 @@ def five_quadrics_certificate(quadrics) -> QuadricsReport:
         if q.is_zero() or q.homogeneous_degree() != 2:
             raise ValueError("inputs must be nonzero quadrics")
     theta_cols = [q.to_vector(2) for q in quadrics]
-    top = ExactMatrix(field, [[theta_cols[j][i] for j in range(5)]
-                              for i in range(5)])
+    top = [[theta_cols[j][i] for j in range(5)] for i in range(5)]
     last = [theta_cols[j][5] for j in range(5)]
-    delta = top.det()
-    adj = top.adjugate()
-    deltas = []
-    for i in range(5):
-        acc = field.zero
-        for k in range(5):
-            acc = field.add(acc, field.mul(last[k], adj.entries[k][i]))
-        deltas.append(acc)
-    d1, d2, d3, d4, d5 = deltas
+    delta = ExactMatrix(field, top).det()
+    # entry i of last * adj(top) is det(top with row i replaced by last), by
+    # Laplace expansion along row i; this holds for a singular top as well
+    d1, d2, d3, d4, d5 = (
+        ExactMatrix(field, top[:i] + [last] + top[i + 1:]).det()
+        for i in range(5))
     sym = ExactMatrix(field, [
         [d1, d2, d3],
         [d2, d4, d5],

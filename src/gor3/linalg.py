@@ -6,7 +6,8 @@ any scaling of the rows, over GF(p) the residues) and hand the elimination
 to the kernels of ``_rowred_py``; graded pieces and the maps between them
 call them directly.  ExactMatrix holds field scalars (Fraction over QQ, int
 over GF(p)); over QQ it clears denominators row by row on the way in and
-returns Fractions on the way out.
+returns Fractions on the way out.  Its determinant is one fraction-free
+Bareiss pass over those integer rows for both fields.
 
 Over QQ a modular front end decides, from the row rank profile modulo
 CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
@@ -203,9 +204,10 @@ class ExactMatrix:
         )
 
     def _integer_rows(self):
-        """Clear denominators row by row (QQ only); row scaling preserves
-        the row space, so RREF and kernels are unaffected.  Returns (rows,
-        scale), scale being the product of the row multipliers."""
+        """Clear denominators row by row; row scaling preserves the row
+        space, so RREF and kernels are unaffected.  Returns (rows, scale),
+        scale being the product of the row multipliers (1 over GF(p), whose
+        residues are ints already)."""
         out = []
         scale = 1
         for row in self.entries:
@@ -264,40 +266,20 @@ class ExactMatrix:
         return out
 
     def det(self):
-        """Exact determinant (square matrices)."""
+        """Exact determinant (square matrices), from one Bareiss pass over
+        the integer rows for both fields: over QQ the last pivot divided by
+        the product of the row multipliers, over GF(p) the last pivot of
+        the residues read as integers, taken mod p (det is a polynomial in
+        the entries)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return self.field.one
-        if isinstance(self.field, RationalField):
-            rows, scale = self._integer_rows()
-            _, sign = _bareiss(rows)
-            # a singular matrix leaves its last row zero
-            return Fraction(sign * rows[n - 1][n - 1], scale)
-        p = self.field.p
-        work = [list(r) for r in self.entries]
-        det = 1
-        for k in range(n):
-            sel = -1
-            for i in range(k, n):
-                if work[i][k] % p:
-                    sel = i
-                    break
-            if sel < 0:
-                return 0
-            if sel != k:
-                work[k], work[sel] = work[sel], work[k]
-                det = -det
-            a = work[k][k]
-            det = det * a % p
-            inv = pow(a, p - 2, p)
-            for i in range(k + 1, n):
-                f = work[i][k] * inv % p
-                if f:
-                    for j in range(k, n):
-                        work[i][j] = (work[i][j] - f * work[k][j]) % p
-        return det % p
+        rows, scale = self._integer_rows()
+        _, sign = _bareiss(rows)
+        # a singular matrix leaves its last row zero
+        return self.field.div(sign * rows[n - 1][n - 1], scale)
 
     def minor(self, i, j):
         return ExactMatrix(

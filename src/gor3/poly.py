@@ -268,24 +268,16 @@ def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
         raise ValueError(f"need {n} linear forms")
     field = f.field
     rows = []
-    for ell in lines:
+    for i, ell in enumerate(lines):
         if ell.is_zero() or ell.homogeneous_degree() != 1:
             raise ValueError("expected linear forms")
-        rows.append(ell.to_vector(1))
-    mat = ExactMatrix(field, rows)
-    if mat.rank() != n:
+        unit = [field.zero] * n
+        unit[i] = field.one
+        rows.append(ell.to_vector(1) + unit)
+    # [A | I] reduces to [I | A^-1] exactly when the forms are independent;
+    # row i of A^-1 writes x_i in the l-coordinates
+    pivots, red = ExactMatrix(field, rows).rref()
+    if pivots != list(range(n)):
         raise ValueError("linear forms are not independent")
-    adj = mat.adjugate()
-    det = mat.det()
-    # columns of adj/det give the x_i written in the l-coordinates
-    images = []
-    for i in range(n):
-        coeffs = {}
-        for j in range(n):
-            v = field.div(adj.entries[i][j], det)
-            if not field.is_zero(v):
-                e = [0] * n
-                e[j] = 1
-                coeffs[tuple(e)] = v
-        images.append(MultiPoly(n, coeffs, field))
+    images = [MultiPoly.from_vector(n, 1, row[n:], field) for row in red]
     return f.substitute(images)

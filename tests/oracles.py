@@ -42,6 +42,29 @@ def det_by_minors(rows):
     return rec(tuple(range(n)))
 
 
+def five_quadrics_by_cofactors(quadrics):
+    """(delta, dee) of the five-quadrics certificate by cofactor expansion:
+    delta = det(top), the vector last * adj(top) with adj(top)[k][i] the
+    signed 4 x 4 minor of top without row i and column k, and dee the
+    determinant of the symmetric arrangement of that vector and -delta.
+    Integer arithmetic is reduced into the field at the end."""
+    field = quadrics[0].field
+    cols = [q.to_vector(2) for q in quadrics]
+    top = [[cols[j][i] for j in range(5)] for i in range(5)]
+    last = [cols[j][5] for j in range(5)]
+
+    def cofactor(i, k):
+        minor = [[v for c, v in enumerate(row) if c != k]
+                 for r, row in enumerate(top) if r != i]
+        return (-1) ** (i + k) * det_by_minors(minor)
+
+    delta = det_by_minors(top)
+    d1, d2, d3, d4, d5 = (sum(last[k] * cofactor(i, k) for k in range(5))
+                          for i in range(5))
+    dee = det_by_minors([[d1, d2, d3], [d2, d4, d5], [d3, d5, -delta]])
+    return field.of(delta), field.of(dee)
+
+
 def random_alternating(rng, size, as_poly=True):
     """Scalar alternating matrix; entries wrapped as constant polynomials
     when asked so the Pfaffian routines accept them."""

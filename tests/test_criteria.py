@@ -10,10 +10,11 @@ from gor3.criteria import (
     linres_matrix,
     spans_target,
 )
-from gor3.fields import QQ
+from gor3.fields import GF, QQ
 from gor3.ideals import variable_power_ideal
 from gor3.monomials import monomials_of_degree
 from gor3.parsing import parse_poly, parse_poly_list
+from oracles import five_quadrics_by_cofactors
 
 VARS = ["x", "y", "z"]
 
@@ -168,6 +169,54 @@ def test_five_quadrics_no_false_positives():
             certified += 1
             assert GradedIdeal(3, qs, QQ).socle_report().is_gorenstein
     assert certified >= 38
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_five_quadrics_matches_cofactor_reference(field):
+    """delta and dee by Cramer determinants equal the adjugate-by-cofactors
+    reference, singular top blocks included: there delta is 0 but dee is
+    still printed, and is nonzero when the fifth quadric is a combination
+    of two others plus z^2 (rank-4 top, generic left kernel)."""
+    from gor3.cases import random_quadrics
+
+    quintuples = [random_quadrics(seed, field) for seed in range(10)]
+    z2 = parse_poly("z^2", VARS, field)
+    for seed in range(3):
+        qs = random_quadrics(seed, field)
+        quintuples.append(qs[:4] + [qs[0] + qs[1].scale(field.of(2)) + z2])
+    for text in ("x^2, y^2, z^2, x*y, x*z", "x^2, x*y, x*z, x^2+x*y, x^2-x*z",
+                 "x^2, x*y, x*z, y^2, y*z", "x^2+z^2, x*y+z^2, x*z, y^2, y*z"):
+        quintuples.append(parse_poly_list(text, VARS, field))
+    singular_with_dee = 0
+    for qs in quintuples:
+        rep = five_quadrics_certificate(qs)
+        delta, dee = five_quadrics_by_cofactors(qs)
+        assert (rep.delta, rep.dee) == (delta, dee), [str(q) for q in qs]
+        assert rep.as_dict()["delta"] == str(delta)
+        assert rep.as_dict()["dee"] == str(dee)
+        singular_with_dee += field.is_zero(delta) and not field.is_zero(dee)
+    assert singular_with_dee == 3
+
+
+def test_five_quadrics_takes_seven_determinants_and_no_adjugate(monkeypatch):
+    from gor3.linalg import ExactMatrix
+
+    calls = []
+    det = ExactMatrix.det
+
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return det(self)
+
+    def no_adjugate(self):
+        raise AssertionError("adjugate called")
+
+    monkeypatch.setattr(ExactMatrix, "det", counted)
+    monkeypatch.setattr(ExactMatrix, "adjugate", no_adjugate)
+    for text in ("x^2+z^2, x*y+z^2, x*z, y^2, y*z", "x^2, y^2, z^2, x*y, x*z"):
+        calls.clear()
+        five_quadrics_certificate(parse_poly_list(text, VARS))
+        assert calls == [(5, 5)] * 6 + [(3, 3)]
 
 
 def test_five_quadrics_rejects_bad_input():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+import pytest
+
 from gor3._rowred_py import rref_int, rref_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import ExactMatrix, rank_kernel
@@ -139,6 +141,11 @@ def test_det_mod_p():
     assert M.det() == 5
     singular = ExactMatrix(F, [[1, 2], [2, 4]])
     assert singular.det() == 0
+    # determinant 13: singular mod 13 alone
+    rows = [[1, 2], [2, 4 + 13]]
+    assert ExactMatrix(QQ, rows).det() == 13
+    assert ExactMatrix(F, rows).det() == 0
+    assert ExactMatrix(GF(32003), rows).det() == 13
 
 
 def test_kernel_contract():
@@ -245,17 +252,49 @@ def test_kernel_against_both_oracles():
     assert max(abs(v).bit_length() for v in big[-1][0]) >= 590
 
 
-def test_det_shares_the_bareiss_pass():
-    """det over QQ clears denominators row by row and reads the last
-    Bareiss pivot; the row swaps fix its sign."""
-    from oracles import det_by_minors
+@pytest.mark.parametrize("field", [QQ, GF(13), GF(32003)], ids=str)
+def test_det_shares_the_bareiss_pass(field):
+    """det clears denominators row by row (over GF(p) it reads the residues
+    as integers) and reads the last Bareiss pivot; the row swaps fix its
+    sign.  Over GF(p) it equals the integer determinant mod p, entries
+    given as negative ints or ints >= p included."""
+    if field == QQ:
+        def entry(rng):
+            return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+
+        def expected(rows):
+            return det_by_minors(rows)
+    else:
+        p = field.p
+
+        def entry(rng):
+            return rng.choice([rng.randint(-6, 6), rng.randint(-3 * p, 3 * p)])
+
+        def expected(rows):
+            return det_by_minors(rows) % p
 
     rng = random.Random(17)
+    cases = []
     for _ in range(60):
         n = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
-                 if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+        rows = [[entry(rng) if rng.random() < 0.7 else field.zero for _ in range(n)]
                 for _ in range(n)]
-        assert ExactMatrix(QQ, rows).det() == det_by_minors(rows)
-    assert ExactMatrix(QQ, [[0, 1], [1, 0]]).det() == -1
-    assert ExactMatrix(QQ, [[1, 2], [2, 4]]).det() == 0
+        cases.append(rows)
+        if n > 1:
+            # singular: the last row repeats a multiple of the first
+            k = rng.randint(-3, 3)
+            cases.append(rows[:-1] + [[k * v for v in rows[0]]])
+    # a zero leading entry forces a row swap at every step
+    cases.append([[0, 0, 2], [0, 3, 1], [5, 1, 1]])
+    cases.append([[0, 1], [1, 0]])
+    cases.append([[1, 2], [2, 4]])
+    swaps = 0
+    for rows in cases:
+        d = ExactMatrix(field, rows).det()
+        assert d == expected(rows), rows
+        if field != QQ:
+            assert 0 <= d < field.p
+        swaps += rows[0][0] == 0
+    assert swaps > 10
+    assert ExactMatrix(field, [[0, 1], [1, 0]]).det() == field.neg(field.one)
+    assert ExactMatrix(field, [[1, 2], [2, 4]]).det() == 0

@@ -130,15 +130,38 @@ def test_general_substitution_matches_power_substitution():
 
 
 def test_rewrite_in_linear_forms_inverts():
-    lines = [P("x + y"), P("y"), P("z - x")]
-    f = P("x^2*z + y^3")
-    g = rewrite_in_linear_forms(f, lines)
-    assert g.substitute(lines) == f
+    """Over QQ, with integer and Fraction coefficients, and over GF(32003),
+    g(l_1, ..., l_n) = f; the forms [x + 32003*y, x, z] are independent over
+    QQ alone."""
+    for field in (QQ, GF(32003)):
+        for texts, f_text in (
+            (["x + y", "y", "z - x"], "x^2*z + y^3"),
+            (["1/2*x + 2/3*y", "y - 3/4*z", "x - z"], "x^2*z - 5/7*y^3 + x*y"),
+            (["z", "x", "y"], "x^3 + 2*x*y*z"),
+        ):
+            lines = [P(t, field) for t in texts]
+            f = P(f_text, field)
+            g = rewrite_in_linear_forms(f, lines)
+            assert g.field == field
+            assert g.substitute(lines) == f
+    lines = [P("x + 32003*y"), P("x"), P("z")]
+    f = P("x*y*z + y^3")
+    assert rewrite_in_linear_forms(f, lines).substitute(lines) == f
 
 
 def test_rewrite_rejects_dependent_lines():
+    for field in (QQ, GF(32003)):
+        with pytest.raises(ValueError):
+            rewrite_in_linear_forms(P("x^2", field),
+                                    [P("x", field), P("y", field), P("x + y", field)])
+        with pytest.raises(ValueError):
+            rewrite_in_linear_forms(P("x^2", field),
+                                    [P("1/2*x - y", field), P("z", field),
+                                     P("2*y - x", field)])
+    # dependent mod 32003 only: [x + 32003*y, x, z] reads [x, x, z] there
+    F = GF(32003)
     with pytest.raises(ValueError):
-        rewrite_in_linear_forms(P("x^2"), [P("x"), P("y"), P("x + y")])
+        rewrite_in_linear_forms(P("x^2", F), [P("x + 32003*y", F), P("x", F), P("z", F)])
 
 
 def test_scale_and_pow():
