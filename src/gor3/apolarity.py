@@ -4,7 +4,9 @@ The dual module carries the contraction action: x^a sends y^[b] to y^[b-a],
 with the term dropped whenever an exponent goes negative.  Coefficients are
 multiplied through as given (no binomial factors), so everything here is
 characteristic-free.  Annihilators of dual forms are assembled from
-catalecticant kernels degree by degree.
+catalecticant kernels degree by degree.  A dual form stores its terms like
+a polynomial (the sparse-form base of poly) but has no ring operations:
+R acts on it only by contraction.
 """
 
 from __future__ import annotations
@@ -21,101 +23,28 @@ from .ideals import (
 )
 from .linalg import kernel_rows
 from .monomials import (
-    default_var_names,
     mono_sub,
     monomial_count,
     monomial_index,
-    monomials_of_degree,
     product_table,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, _SparseForm
 
 
 class NotGorensteinError(ValueError):
     pass
 
 
-class InverseForm:
+class InverseForm(_SparseForm):
     """Homogeneous element of the divided-power dual module."""
 
-    __slots__ = ("n", "field", "terms")
+    __slots__ = ()
+    dual = True
 
     def __init__(self, n, terms=None, field=QQ):
-        self.n = n
-        self.field = field
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != n or any(e < 0 for e in exps):
-                    raise ValueError(f"bad dual exponent vector {exps}")
-                if not field.is_zero(coeff):
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
+        super().__init__(n, terms, field)
+        if not self.is_homogeneous():
             raise ValueError("inverse forms must be homogeneous")
-
-    @classmethod
-    def zero(cls, n, field=QQ):
-        return cls(n, {}, field)
-
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self):
-        if not self.terms:
-            return -1
-        return sum(next(iter(self.terms)))
-
-    def to_vector(self, s=None):
-        if s is None:
-            s = self.degree()
-        zero = self.field.zero
-        return [self.terms.get(e, zero) for e in monomials_of_degree(self.n, s)]
-
-    @classmethod
-    def from_vector(cls, n, s, vec, field=QQ):
-        basis = monomials_of_degree(n, s)
-        return cls(n, {e: c for e, c in zip(basis, vec)}, field)
-
-    def __add__(self, other):
-        if self.n != other.n or self.field != other.field:
-            raise ValueError("incompatible dual forms")
-        field = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = field.add(terms.get(e, field.zero), c)
-            if field.is_zero(acc):
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        return InverseForm(self.n, terms, field)
-
-    def scale(self, scalar):
-        c = self.field.of(scalar)
-        field = self.field
-        return InverseForm(self.n,
-                           {e: field.mul(v, c) for e, v in self.terms.items()},
-                           field)
-
-    def __eq__(self, other):
-        return (isinstance(other, InverseForm) and self.n == other.n
-                and self.field == other.field and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.field, frozenset(self.terms.items())))
-
-    def format(self, var_names=None) -> str:
-        if var_names is None:
-            var_names = default_var_names(self.n, dual=True)
-        proxy = MultiPoly(self.n, dict(self.terms), self.field)
-        return proxy.format(var_names)
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return f"InverseForm({self.format()!r})"
 
 
 def contract(f: MultiPoly, F: InverseForm) -> InverseForm:

@@ -17,7 +17,10 @@ from .betti import betti_table, has_linear_resolution, socle_decomposition_from_
 from .criteria import five_quadrics_certificate, is_equigen_linres, spans_target
 from .fields import QQ
 from .ideals import (
+    DatumViolationError,
     GradedIdeal,
+    NotArtinianError,
+    NotEquigeneratedError,
     check_reduction_two,
     pure_power_gap,
     pure_power_index,
@@ -425,7 +428,8 @@ def _case_model(field, seed):
                 rep = I.socle_report()
                 if rep.is_gorenstein and I.virtual_datum().as_tuple() == datum:
                     good += 1
-            except Exception:
+            except (RuntimeError, NotArtinianError, NotEquigeneratedError,
+                    DatumViolationError):
                 continue
         c.add(f"model (r={r}, entry degree {dp}) hits datum {datum}",
               good >= 9, f"{good}/10 seeds")

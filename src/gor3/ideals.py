@@ -789,7 +789,7 @@ def check_reduction_two(I: GradedIdeal, seed, retries=5) -> ReductionReport:
         if any(c.is_zero() for c in combos):
             continue
         J = GradedIdeal(I.n, combos, I.field)
-        if not J.is_artinian(cap=3 * (d - 1) + 2):
+        if not J.is_artinian():
             continue
         ji = _product_span(J.generators, gens, I, 2 * d)
         i2 = I.power_piece(2, 2 * d)

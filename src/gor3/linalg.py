@@ -165,7 +165,7 @@ def _leading_one_rows(pivots, rows):
 class ExactMatrix:
     """Dense matrix over an exact field."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_rref")
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, entries, cols=None):
         self.field = field
@@ -178,7 +178,6 @@ class ExactMatrix:
                     raise ValueError("ragged matrix")
         else:
             self.cols = 0 if cols is None else cols
-        self._rref = None
 
     @classmethod
     def identity(cls, field, n):
@@ -229,18 +228,13 @@ class ExactMatrix:
         zeros above and below every pivot.  Zero rows are dropped.  The
         result is unique for the row space.
         """
-        if self._rref is None:
-            pivots, rows = rref_rows(self.field, self._as_integers(), self.cols)
-            if isinstance(self.field, RationalField):
-                rows = _leading_one_rows(pivots, rows)
-            self._rref = pivots, rows
-        return self._rref
+        pivots, rows = rref_rows(self.field, self._as_integers(), self.cols)
+        if isinstance(self.field, RationalField):
+            rows = _leading_one_rows(pivots, rows)
+        return pivots, rows
 
     def rank(self) -> int:
-        """Rank, from the cached RREF when there is one and otherwise from
-        row_rank of the (integer) rows."""
-        if self._rref is not None:
-            return len(self._rref[0])
+        """Rank, by row_rank of the (integer) rows."""
         return row_rank(self.field, self._as_integers(), self.cols)
 
     def kernel_basis(self):

@@ -171,7 +171,6 @@ def _composite_images(big_n, n, field, rng):
     """
     vecs = [[field.one if j == i else field.zero for j in range(big_n)]
             for i in range(big_n)]
-    width = big_n
     for m in range(big_n, n, -1):
         coeffs = [_random_nonzero(field, rng) for _ in range(m - 1)]
         for v in vecs:
@@ -180,7 +179,6 @@ def _composite_images(big_n, n, field, rng):
                 for j in range(m - 1):
                     v[j] = field.add(v[j], field.mul(c, coeffs[j]))
             del v[m - 1]
-        width -= 1
     images = []
     for v in vecs:
         terms = {}

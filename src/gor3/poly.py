@@ -3,7 +3,10 @@
 A polynomial is a mapping from exponent tuples to nonzero field scalars.
 Graded pieces of ideals are handled as dense vectors over the canonical
 monomial basis, so MultiPoly only needs ring arithmetic, substitution and
-conversion to/from coefficient vectors.
+conversion to/from coefficient vectors.  The storage, validation, sums,
+vectors and printing live in one sparse-form base that the dual forms of
+apolarity.InverseForm share; only MultiPoly has ring operations, and the
+two kinds of form never mix.
 """
 
 from __future__ import annotations
@@ -17,8 +20,13 @@ from .monomials import (
 )
 
 
-class MultiPoly:
+class _SparseForm:
+    """A map from exponent tuples to nonzero field scalars: the storage,
+    validation, sums, vectors, equality and printing that polynomials and
+    dual forms share.  Subclasses differ in how R acts on them."""
+
     __slots__ = ("n", "field", "terms")
+    dual = False        # default variable names: x, y, z or X, Y, Z
 
     def __init__(self, n, terms=None, field=QQ):
         self.n = n
@@ -39,25 +47,11 @@ class MultiPoly:
     def zero(cls, n, field=QQ):
         return cls(n, {}, field)
 
-    @classmethod
-    def constant(cls, n, value, field=QQ):
-        return cls(n, {(0,) * n: field.of(value)}, field)
-
-    @classmethod
-    def variable(cls, i, n, field=QQ):
-        e = [0] * n
-        e[i] = 1
-        return cls(n, {tuple(e): field.one}, field)
-
-    @classmethod
-    def monomial(cls, exps, coeff=1, field=QQ):
-        return cls(len(exps), {tuple(exps): field.of(coeff)}, field)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero form."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
@@ -67,22 +61,16 @@ class MultiPoly:
         return len(degs) <= 1
 
     def homogeneous_degree(self) -> int:
-        """Degree of a nonzero homogeneous polynomial."""
+        """Degree of a nonzero homogeneous form."""
         degs = {sum(e) for e in self.terms}
         if len(degs) != 1:
             raise ValueError("polynomial is zero or not homogeneous")
         return degs.pop()
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
-
-    def leading_monomial(self) -> tuple:
-        """Deg-lex leading exponent vector (x1 > ... > xn)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=deglex_key)
-
     def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError("ambient variable counts differ")
         if self.field != other.field:
@@ -98,7 +86,108 @@ class MultiPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = acc
-        return MultiPoly(self.n, terms, field)
+        return type(self)(self.n, terms, field)
+
+    def scale(self, scalar):
+        c = self.field.of(scalar)
+        if self.field.is_zero(c):
+            return self.zero(self.n, self.field)
+        field = self.field
+        return type(self)(self.n,
+                          {e: field.mul(v, c) for e, v in self.terms.items()},
+                          field)
+
+    def to_vector(self, t=None):
+        """Dense coefficient vector over the canonical degree-t basis."""
+        if t is None:
+            t = self.homogeneous_degree()
+        elif self.terms and not all(sum(e) == t for e in self.terms):
+            raise ValueError(f"polynomial is not homogeneous of degree {t}")
+        zero = self.field.zero
+        return [self.terms.get(e, zero) for e in monomials_of_degree(self.n, t)]
+
+    @classmethod
+    def from_vector(cls, n, t, vec, field=QQ):
+        basis = monomials_of_degree(n, t)
+        if len(vec) != len(basis):
+            raise ValueError("vector length does not match the graded basis")
+        return cls(n, {e: c for e, c in zip(basis, vec)}, field)
+
+    def sorted_terms(self):
+        """Terms in display order: highest degree first, deg-lex within."""
+        return sorted(self.terms.items(),
+                      key=lambda item: deglex_key(item[0]), reverse=True)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.n == other.n
+                and self.field == other.field and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.n, self.field, frozenset(self.terms.items())))
+
+    def format(self, var_names=None) -> str:
+        if var_names is None:
+            var_names = default_var_names(self.n, dual=self.dual)
+        if not self.terms:
+            return "0"
+        field = self.field
+        parts = []
+        for exps, coeff in self.sorted_terms():
+            factors = []
+            for name, e in zip(var_names, exps):
+                if e == 1:
+                    factors.append(name)
+                elif e > 1:
+                    factors.append(f"{name}^{e}")
+            text = field.fmt(coeff)
+            negative = text.startswith("-")
+            if negative:
+                text = text[1:]
+            if factors:
+                mono = "*".join(factors)
+                body = mono if text == "1" else f"{text}*{mono}"
+            else:
+                body = text
+            if not parts:
+                parts.append(f"-{body}" if negative else body)
+            else:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+        return " ".join(parts)
+
+    def __str__(self):
+        return self.format()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.format()!r})"
+
+
+class MultiPoly(_SparseForm):
+    """A polynomial of R = k[x_1..x_n]: a sparse form with ring operations."""
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, n, value, field=QQ):
+        return cls(n, {(0,) * n: field.of(value)}, field)
+
+    @classmethod
+    def variable(cls, i, n, field=QQ):
+        e = [0] * n
+        e[i] = 1
+        return cls(n, {tuple(e): field.one}, field)
+
+    @classmethod
+    def monomial(cls, exps, coeff=1, field=QQ):
+        return cls(len(exps), {tuple(exps): field.of(coeff)}, field)
+
+    def coefficient(self, exps):
+        return self.terms.get(tuple(exps), self.field.zero)
+
+    def leading_monomial(self) -> tuple:
+        """Deg-lex leading exponent vector (x1 > ... > xn)."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self.terms, key=deglex_key)
 
     def __neg__(self):
         field = self.field
@@ -110,7 +199,7 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, _SparseForm):
             return self.scale(other)
         self._check_compatible(other)
         field = self.field
@@ -127,15 +216,6 @@ class MultiPoly:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def scale(self, scalar):
-        c = self.field.of(scalar)
-        if self.field.is_zero(c):
-            return MultiPoly.zero(self.n, self.field)
-        field = self.field
-        return MultiPoly(self.n,
-                         {e: field.mul(v, c) for e, v in self.terms.items()},
-                         field)
 
     def __pow__(self, k):
         if k < 0:
@@ -177,69 +257,6 @@ class MultiPoly:
                     term = term * power_of(i, e)
             out = out + term
         return out
-
-    def to_vector(self, t=None):
-        """Dense coefficient vector over the canonical degree-t basis."""
-        if t is None:
-            t = self.homogeneous_degree()
-        elif self.terms and not all(sum(e) == t for e in self.terms):
-            raise ValueError(f"polynomial is not homogeneous of degree {t}")
-        zero = self.field.zero
-        return [self.terms.get(e, zero) for e in monomials_of_degree(self.n, t)]
-
-    @classmethod
-    def from_vector(cls, n, t, vec, field=QQ):
-        basis = monomials_of_degree(n, t)
-        if len(vec) != len(basis):
-            raise ValueError("vector length does not match the graded basis")
-        return cls(n, {e: c for e, c in zip(basis, vec)}, field)
-
-    def sorted_terms(self):
-        """Terms in display order: highest degree first, deg-lex within."""
-        return sorted(self.terms.items(),
-                      key=lambda item: deglex_key(item[0]), reverse=True)
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.n == other.n
-                and self.field == other.field and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.field, frozenset(self.terms.items())))
-
-    def format(self, var_names=None) -> str:
-        if var_names is None:
-            var_names = default_var_names(self.n)
-        if not self.terms:
-            return "0"
-        field = self.field
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(var_names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            text = field.fmt(coeff)
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            if factors:
-                mono = "*".join(factors)
-                body = mono if text == "1" else f"{text}*{mono}"
-            else:
-                body = text
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return f"MultiPoly({self.format()!r})"
 
 
 def substitute(f: MultiPoly, images) -> MultiPoly:

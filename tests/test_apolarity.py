@@ -13,6 +13,7 @@ from gor3.apolarity import (
     newton_dual,
     socle_newton_dual,
 )
+from gor3.cli import main
 from gor3.fields import QQ
 from gor3.ideals import variable_power_ideal
 from gor3.monomials import mono_divides, monomial_count, monomials_of_degree
@@ -223,6 +224,37 @@ def test_directrix_precondition_errors(ex_3_7, tower_d3):
 def test_inverse_form_printing():
     F = dual({(2, 0, 0): 1, (0, 1, 1): -2})
     assert str(F) == "X^2 - 2*Y*Z"
+    assert repr(F) == "InverseForm('X^2 - 2*Y*Z')"
+    assert repr(InverseForm.zero(3)) == "InverseForm('0')"
+
+
+def test_polynomials_and_dual_forms_do_not_mix():
+    f, F = P("x"), dual({(1, 0, 0): 1})
+    assert f.terms == F.terms
+    assert f != F and F != f
+    for a, b in ((f, F), (F, f)):
+        with pytest.raises(TypeError):
+            a + b
+    with pytest.raises(TypeError):
+        f * F
+    with pytest.raises(TypeError):
+        f - F
+    assert F + F == F.scale(2) == dual({(1, 0, 0): 2})
+    assert type(F + F) is InverseForm and type(F.scale(0)) is InverseForm
+    assert not isinstance(F, MultiPoly)
+    with pytest.raises(TypeError, match="generators must be MultiPoly"):
+        GradedIdeal(3, [F])
+
+
+def test_inverse_form_rejects_inhomogeneous_terms(capsys):
+    with pytest.raises(ValueError, match="^inverse forms must be homogeneous$"):
+        InverseForm(3, {(1, 0, 0): 1, (0, 0, 2): 1})
+    with pytest.raises(ValueError, match="^inverse forms must be homogeneous$"):
+        dual({(2, 0, 0): 1}) + dual({(0, 1, 0): 1})
+    assert main(["ann", "--dual=X^2+Y"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inverse forms must be homogeneous\n"
 
 
 def test_random_directrix_round_trip():

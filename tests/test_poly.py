@@ -175,3 +175,18 @@ def test_vector_round_trip():
     f = P("x^2 - 2*x*y + z^2")
     vec = f.to_vector(2)
     assert MultiPoly.from_vector(3, 2, vec) == f
+
+
+def test_polynomial_sums_reject_dual_forms():
+    from gor3.apolarity import InverseForm
+
+    f = P("x^2 - 3*y*z")
+    F = InverseForm(3, dict(f.terms))
+    assert f != F
+    assert len({f, F}) == 2
+    for a, b in ((f, F), (F, f)):
+        with pytest.raises(TypeError):
+            a + b
+    assert repr(f) == "MultiPoly('x^2 - 3*y*z')"
+    assert str(F) == "X^2 - 3*Y*Z"
+    assert type(f.scale(0)) is MultiPoly and f.scale(0).is_zero()
