@@ -22,7 +22,7 @@ from .apolarity import (
     socle_newton_dual,
 )
 from .betti import betti_table, has_linear_resolution
-from .cases import case_ids, random_quadrics, run_case
+from .cases import CaseResult, case_ids, random_quadrics, run_case
 from .criteria import five_quadrics_certificate, is_equigen_linres, linres_matrix, spans_target
 from .fields import FieldError, field_from_spec
 from .ideals import (
@@ -247,7 +247,10 @@ def cmd_pfaffian(args):
 
 def cmd_model(args):
     field = _field(args)
-    I = generic_power_model(args.r, args.dp, args.n, args.seed, field)
+    try:
+        I = generic_power_model(args.r, args.dp, args.n, args.seed, field)
+    except RuntimeError as exc:
+        raise CliError(str(exc), code=1)
     report = {"field": field.name, "seed": args.seed,
               "r": args.r, "entry_degree": args.dp, "variables": args.n}
     report.update(_ideal_report(I))
@@ -425,6 +428,10 @@ def cmd_reproduce(args):
             res = run_case(cid, field, args.seed)
         except KeyError as exc:
             raise CliError(str(exc))
+        except (ValueError, RuntimeError) as exc:
+            # a case that raises fails alone; the cases after it still run
+            detail = f"{type(exc).__name__}: {exc}"
+            res = CaseResult(cid, False, [("raised", False, detail)])
         results.append(res)
         status = "SKIP" if res.skipped else ("PASS" if res.passed else "FAIL")
         if not res.passed:

@@ -4,13 +4,15 @@ Field objects carry the arithmetic; the scalars themselves are plain
 ``fractions.Fraction`` values (over QQ) or ints in ``[0, p)`` (over GF(p)).
 Keeping scalars unboxed keeps the linear-algebra kernels fast.  QQ accepts
 ints wherever it accepts Fractions, and its inverse and quotient are always
-Fractions, never floats.  Graded pieces and the maps between them hold
-integer rows, not field scalars (see ``ideals``).
+Fractions, never floats.  Graded pieces hold integer rows and ``linalg``
+reduces only integer rows; each field converts its own scalars to them
+(integer_row) and an integer RREF back to leading-1 rows (scalar_rows).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class FieldError(ValueError):
@@ -72,6 +74,22 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def integer_row(self, vec):
+        """(ints, lcm): the vector of Fractions or ints times the lcm of
+        its denominators."""
+        lcm = 1
+        for v in vec:
+            d = v.denominator
+            if d != 1:
+                lcm = lcm // gcd(lcm, d) * d
+        return [v.numerator * (lcm // v.denominator) if v else 0 for v in vec], lcm
+
+    def scalar_rows(self, pivots, rows):
+        """The leading-1 Fraction rows of an integer RREF."""
+        zero = self.zero
+        return [[Fraction(v, row[p]) if v else zero for v in row]
+                for p, row in zip(pivots, rows)]
 
     def fmt(self, a) -> str:
         return str(a)
@@ -136,6 +154,14 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def integer_row(self, vec):
+        """(ints, 1): residues are integers already."""
+        return list(vec), 1
+
+    def scalar_rows(self, pivots, rows):
+        """An integer RREF over GF(p) is its leading-1 rows already."""
+        return rows
 
     def fmt(self, a) -> str:
         return str(a % self.p)

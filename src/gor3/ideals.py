@@ -7,11 +7,11 @@ coefficient vectors over the canonical monomial basis.  Equality of ideals
 always means equality of graded pieces through the relevant Artinian bound.
 
 Pieces, the rows built from them and the multiplication maps between them
-are integer rows on both fields.  Over QQ each generator is scaled to
-integer coefficients once, and a piece keeps the primitive rows that
-linalg.rref_rows returns; Fractions appear only where field scalars cross
-the API: GradedPiece.rows, reduce_vector, span_of_vectors and the forms of
-vector_to_poly.
+are integer rows on both fields: the field turns each generator into an
+integer row once (fields.integer_row), a piece keeps the integer RREF of
+linalg.rref_rows, and residuals and multiplication maps are read off its
+linalg.normal_form.  Field scalars appear only where they cross the API:
+GradedPiece.rows, reduce_vector, span_of_vectors and vector_to_poly.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .linalg import CERTIFICATE_PRIME  # noqa: F401  (re-exported)
 from .linalg import (
     ExactMatrix,
     _identity_rows,
-    _integer_vector,
-    _leading_one_rows,
-    _pivot_lcm,
+    _residual,
     kernel_rows,
+    normal_form,
     row_rank,
     rref_rows,
 )
@@ -69,30 +68,15 @@ class GradedPiece:
     __slots__ = ("n", "t", "field", "pivots", "int_rows", "_rows")
 
     def __init__(self, n, t, field, pivots, rows):
-        """rows: the RREF as leading-1 rows of field scalars or, over QQ,
-        as the primitive integer rows of rref_int."""
-        if isinstance(field, RationalField):
-            # a leading-1 row times the lcm of its denominators is primitive
-            rows = [_integer_vector(r)[0] for r in rows]
+        """(pivots, rows): the integer RREF as linalg.rref_rows returns it."""
         self.n, self.t, self.field = n, t, field
-        self.pivots = list(pivots)
-        self.int_rows = [list(r) for r in rows]
+        self.pivots, self.int_rows = pivots, rows
         self._rows = None
-
-    @classmethod
-    def from_rref(cls, n, t, field, rref):
-        """The piece of (pivots, rows) as linalg.rref_rows returns them."""
-        piece = cls.__new__(cls)
-        piece.n, piece.t, piece.field = n, t, field
-        piece.pivots, piece.int_rows = rref
-        piece._rows = None
-        return piece
 
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = (_leading_one_rows(self.pivots, self.int_rows)
-                          if isinstance(self.field, RationalField) else self.int_rows)
+            self._rows = self.field.scalar_rows(self.pivots, self.int_rows)
         return self._rows
 
     @property
@@ -114,17 +98,13 @@ class GradedPiece:
 
     def _scaled_residual(self, vec):
         """(out, den) with out / den the residual of vec modulo the span and
-        out an integer vector.  The rows vanish at each other's pivots, so
-        row k enters with the coefficient vec[p_k] / row_k[p_k]; all of them
-        are brought over one denominator, the lcm of the pivot entries."""
-        ints, den = (_integer_vector(vec) if isinstance(self.field, RationalField)
-                     else (list(vec), 1))
-        lcm = _pivot_lcm(self.pivots, self.int_rows)
-        out = [lcm * v for v in ints]
-        for p, row in zip(self.pivots, self.int_rows):
-            if ints[p]:
-                m = ints[p] * (lcm // row[p])
-                out = [v - m * r for v, r in zip(out, row)]
+        out an integer vector: the sum of vec[x] * nf[x] over the normal
+        form of the piece, placed on its free columns."""
+        ints, den = self.field.integer_row(vec)
+        lcm, free, nf = normal_form(self.pivots, self.int_rows, len(ints))
+        out = [0] * len(ints)
+        for c, v in zip(free, _residual(ints, nf, len(free))):
+            out[c] = v
         return out, lcm * den
 
     def reduce_vector(self, vec):
@@ -157,7 +137,7 @@ def vector_to_poly(n, t, vec, field):
     """Coefficient vector (field scalars, or integers over QQ) -> polynomial,
     scaled primitive over QQ."""
     if isinstance(field, RationalField):
-        ints, _ = _integer_vector(vec)
+        ints, _ = field.integer_row(vec)
         g = gcd(*ints)
         if g:
             if next(v for v in ints if v) < 0:
@@ -171,25 +151,22 @@ def _integer_span(n, t, rows, field) -> GradedPiece:
     any integers standing for their residues."""
     if not rows:
         return zero_piece(n, t, field)
-    rref = rref_rows(field, rows, monomial_count(n, t))
-    return GradedPiece.from_rref(n, t, field, rref)
+    return GradedPiece(n, t, field, *rref_rows(field, rows, monomial_count(n, t)))
 
 
 def span_of_vectors(n, t, vectors, field) -> GradedPiece:
     """The piece spanned by vectors of field scalars (over QQ, Fractions or
     integers)."""
-    if isinstance(field, RationalField):
-        vectors = [_integer_vector(v)[0] for v in vectors]
-    return _integer_span(n, t, vectors, field)
+    return _integer_span(n, t, [field.integer_row(v)[0] for v in vectors], field)
 
 
 def full_piece(n, t, field) -> GradedPiece:
     dim = monomial_count(n, t)
-    return GradedPiece.from_rref(n, t, field, (list(range(dim)), _identity_rows(dim)))
+    return GradedPiece(n, t, field, list(range(dim)), _identity_rows(dim))
 
 
 def zero_piece(n, t, field) -> GradedPiece:
-    return GradedPiece.from_rref(n, t, field, ([], []))
+    return GradedPiece(n, t, field, [], [])
 
 
 def degree_one_multiples(piece: GradedPiece, field):
@@ -231,13 +208,11 @@ def _fresh_generators(piece: GradedPiece, below):
 
 def _integer_terms(f):
     """The terms of the nonzero form f (a polynomial or a dual form), their
-    coefficients multiplied over QQ by the lcm of their denominators, so
-    that the rows built from them are integer rows."""
-    terms = list(f.terms.items())
-    if isinstance(f.field, RationalField):
-        ints, _ = _integer_vector([c for _, c in terms])
-        terms = [(e, c) for (e, _), c in zip(terms, ints)]
-    return terms
+    coefficients made integers by the field (over QQ, multiplied by the lcm
+    of their denominators), so that the rows built from them are integer
+    rows."""
+    ints, _ = f.field.integer_row(list(f.terms.values()))
+    return list(zip(f.terms, ints))
 
 
 def _term_product(a, b):
@@ -500,26 +475,17 @@ class GradedIdeal:
         images of the standard monomials of degree t, written over the
         standard monomials of degree t + 1.
 
-        The images are integer vectors, all of them scaled by one L, the lcm
-        of the pivot entries of the piece above (1 over GF(p)): a standard
-        monomial c maps to L * e_c and the pivot monomial of row r to
-        -r * L / r[p] on the standard columns.  One scale for every map of
-        degree t leaves the rank of any matrix stacked from them unchanged.
+        The images are rows of linalg.normal_form of the piece above, all
+        of them scaled by one L, the lcm of its pivot entries (1 over
+        GF(p)); one scale for every map of degree t leaves the rank of any
+        matrix stacked from them unchanged.
         """
         std = self.graded_piece(t).standard_columns
         above = self.graded_piece(t + 1)
-        lcm = _pivot_lcm(above.pivots, above.int_rows)
-        std_above = above.standard_columns
-        images = {}
-        for i, c in enumerate(std_above):
-            images[c] = [0] * len(std_above)
-            images[c][i] = lcm
-        for p, row in zip(above.pivots, above.int_rows):
-            scale = lcm // row[p]
-            images[p] = [-scale * row[c] for c in std_above]
+        _, _, nf = normal_form(above.pivots, above.int_rows, above.ambient_dim)
         # x_k is the k-th monomial of degree one
         table = product_table(self.n, t, 1)
-        return [[images[table[c][k]] for c in std] for k in range(self.n)]
+        return [[nf[table[c][k]] for c in std] for k in range(self.n)]
 
     def socle_report(self, cap=None) -> "SocleReport":
         """Socle dimensions of R/I: in degree t, H(t) minus the rank of

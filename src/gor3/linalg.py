@@ -1,13 +1,16 @@
-"""Exact dense linear algebra: RREF, rank, kernels, determinants.
+"""Exact dense linear algebra: RREF, rank, kernels, normal forms and
+determinants.
 
 Everything here is exact; there is no floating point and no tolerance
-anywhere.  rref_rows, row_rank and kernel_rows take integer rows (over QQ
-any scaling of the rows, over GF(p) the residues) and hand the elimination
-to the kernels of ``_rowred_py``; graded pieces and the maps between them
-call them directly.  ExactMatrix holds field scalars (Fraction over QQ, int
-over GF(p)); over QQ it clears denominators row by row on the way in and
-returns Fractions on the way out.  Its determinant is one fraction-free
-Bareiss pass over those integer rows for both fields.
+anywhere.  Only integer rows are reduced (over QQ any scaling of the rows,
+over GF(p) the residues); the field objects convert scalars to and from
+them.  rref_rows, row_rank and kernel_rows hand the elimination to the
+kernels of ``_rowred_py``, and normal_form is the one reduction modulo an
+integer RREF: kernel bases, residuals, the multiplication maps of R/I and
+the span check of the modular front end are read off it.  ExactMatrix
+holds field scalars (Fraction over QQ, int over GF(p)); its field converts
+the rows on the way in and the RREF on the way out.  Its determinant is
+one fraction-free Bareiss pass over those integer rows for both fields.
 
 Over QQ a modular front end decides, from the row rank profile modulo
 CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
@@ -19,7 +22,6 @@ elimination.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from ._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
@@ -27,35 +29,6 @@ from .fields import PrimeField, RationalField
 
 # The word-size prime (2^31 - 1) of the modular front end of QQ elimination.
 CERTIFICATE_PRIME = 2147483647
-
-
-def _integer_vector(row):
-    """(ints, lcm): the Fraction row times the lcm of its denominators."""
-    lcm = 1
-    for v in row:
-        d = v.denominator
-        if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
-    return [v.numerator * (lcm // v.denominator) if v else 0 for v in row], lcm
-
-
-def _in_row_space(pivots, red, rows, nc):
-    """True when every integer row lies in the row space of the integer
-    RREF (pivots, red).  A combination of the RREF rows is fixed by its
-    entries at the pivots, so only the free columns are compared, all
-    scaled by the lcm of the pivot entries."""
-    pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
-    lcm = 1
-    for p, r in zip(pivots, red):
-        lcm = lcm // gcd(lcm, r[p]) * r[p]
-    scaled = [[lcm // r[p] * r[f] for f in free] for p, r in zip(pivots, red)]
-    for row in rows:
-        coeffs = [(row[p], s) for p, s in zip(pivots, scaled) if row[p]]
-        for j, f in enumerate(free):
-            if lcm * row[f] != sum(c * s[j] for c, s in coeffs):
-                return False
-    return True
 
 
 def _identity_rows(n):
@@ -69,6 +42,40 @@ def _pivot_lcm(pivots, rows):
     for p, row in zip(pivots, rows):
         lcm = lcm // gcd(lcm, row[p]) * row[p]
     return lcm
+
+
+def normal_form(pivots, rows, nc):
+    """(lcm, free, nf): the normal form modulo the integer RREF (pivots,
+    rows) with nc columns, read on its free columns.
+
+    lcm is the lcm of the pivot entries (1 for leading-1 rows) and free
+    lists the free columns.  nf[x] is lcm times the residual of the unit
+    vector e_x: a free column c maps to lcm * e_c, and the pivot p of a row
+    r to -r * lcm / r[p].  The residual of any row v is the sum of
+    v[x] * nf[x] over its nonzero entries, divided by lcm; it is zero
+    exactly when v lies in the row space.
+    """
+    lcm = _pivot_lcm(pivots, rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(nc) if c not in pivot_set]
+    nf = [None] * nc
+    for i, c in enumerate(free):
+        nf[c] = [0] * len(free)
+        nf[c][i] = lcm
+    for p, row in zip(pivots, rows):
+        scale = lcm // row[p]
+        nf[p] = [-scale * row[c] for c in free]
+    return lcm, free, nf
+
+
+def _residual(row, nf, width):
+    """lcm times the residual of an integer row, on the width free columns
+    of the table nf of normal_form."""
+    out = [0] * width
+    for v, image in zip(row, nf):
+        if v:
+            out = [a + v * b for a, b in zip(out, image)]
+    return out
 
 
 def _rref_rational(rows, nc):
@@ -91,8 +98,9 @@ def _rref_rational(rows, nc):
         return list(range(nc)), _identity_rows(nc)
     chosen = set(profile)
     pivots, red = rref_int([rows[i] for i in profile])
-    if _in_row_space(pivots, red,
-                     [r for i, r in enumerate(rows) if i not in chosen], nc):
+    _, free, nf = normal_form(pivots, red, nc)
+    if not any(any(_residual(r, nf, len(free)))
+               for i, r in enumerate(rows) if i not in chosen):
         return pivots, red
     return rref_int(rows)
 
@@ -135,31 +143,12 @@ def kernel_rows(field, rows, nc):
     """(basis, L): an integer basis of the right kernel of integer rows with
     nc columns, and the lcm L of the pivot entries of their RREF.
 
-    For each free column c of the RREF the basis holds L times the kernel
-    vector with 1 at c and 0 at the other free columns: L at c and
-    -row_k[c] * L / row_k[p_k] at each pivot p_k.
+    The basis is the transpose of the normal_form table: for each free
+    column c, L times the kernel vector with 1 at c and 0 at the other
+    free columns.
     """
-    pivots, red = rref_rows(field, rows, nc)
-    lcm = _pivot_lcm(pivots, red)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(nc):
-        if c in pivot_set:
-            continue
-        vec = [0] * nc
-        vec[c] = lcm
-        for p, row in zip(pivots, red):
-            if row[c]:
-                vec[p] = -row[c] * (lcm // row[p])
-        basis.append(vec)
-    return basis, lcm
-
-
-def _leading_one_rows(pivots, rows):
-    """The leading-1 Fraction rows of an integer RREF over QQ."""
-    zero = Fraction(0)
-    return [[Fraction(v, row[p]) if v else zero for v in row]
-            for p, row in zip(pivots, rows)]
+    lcm, _, nf = normal_form(*rref_rows(field, rows, nc), nc)
+    return [list(vec) for vec in zip(*nf)], lcm
 
 
 class ExactMatrix:
@@ -210,16 +199,10 @@ class ExactMatrix:
         out = []
         scale = 1
         for row in self.entries:
-            ints, lcm = _integer_vector(row)
+            ints, lcm = self.field.integer_row(row)
             scale *= lcm
             out.append(ints)
         return out, scale
-
-    def _as_integers(self):
-        """The rows as rref_rows, row_rank and kernel_rows take them."""
-        if isinstance(self.field, RationalField):
-            return self._integer_rows()[0]
-        return self.entries
 
     def rref(self):
         """Canonical reduced row echelon form.
@@ -228,14 +211,12 @@ class ExactMatrix:
         zeros above and below every pivot.  Zero rows are dropped.  The
         result is unique for the row space.
         """
-        pivots, rows = rref_rows(self.field, self._as_integers(), self.cols)
-        if isinstance(self.field, RationalField):
-            rows = _leading_one_rows(pivots, rows)
-        return pivots, rows
+        pivots, rows = rref_rows(self.field, self._integer_rows()[0], self.cols)
+        return pivots, self.field.scalar_rows(pivots, rows)
 
     def rank(self) -> int:
         """Rank, by row_rank of the (integer) rows."""
-        return row_rank(self.field, self._as_integers(), self.cols)
+        return row_rank(self.field, self._integer_rows()[0], self.cols)
 
     def kernel_basis(self):
         """Row-reduced basis of the right kernel.
@@ -244,7 +225,7 @@ class ExactMatrix:
         free columns of the other vectors, so the basis is canonical.
         """
         field = self.field
-        basis, lcm = kernel_rows(field, self._as_integers(), self.cols)
+        basis, lcm = kernel_rows(field, self._integer_rows()[0], self.cols)
         inv, zero = field.inv(lcm), field.zero
         return [[field.mul(v, inv) if v else zero for v in vec] for vec in basis]
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from gor3.cases import case_ids
 from gor3.cli import build_parser, main
 
 
@@ -193,6 +196,66 @@ def test_reproduce_unknown_case(capsys):
     code, _, err = run(capsys, "reproduce", "--case", "nope")
     assert code == 2
     assert "unknown case" in err
+
+
+RAISED_EX_4_9 = ("NotEquigeneratedError: minimal generators spread over "
+                 "degrees [3, 4]")
+
+
+def test_reproduce_all_runs_past_a_case_that_raises(capsys):
+    code, out, err = run(capsys, "reproduce", "--all", "--field", "fp:3")
+    assert code == 1
+    assert err == ""
+    assert f"FAIL ex-4-9\n     failed: raised -- {RAISED_EX_4_9}\n" in out
+    assert "PASS non-equigen-xyz" in out
+    assert f"{len(case_ids())} case(s)," in out
+
+
+def test_reproduce_all_json_records_a_case_that_raises(capsys):
+    code, report, err = run_json(capsys, "reproduce", "--all", "--field", "fp:3")
+    assert code == 1
+    assert err == ""
+    assert [r["case"] for r in report["results"]] == case_ids()
+    failed = next(r for r in report["results"] if r["case"] == "ex-4-9")
+    assert failed["passed"] is False
+    assert failed["checks"] == [{"label": "raised", "ok": False, "detail": RAISED_EX_4_9}]
+
+
+def test_model_specialization_failure_is_an_error(capsys):
+    # over GF(2) every drawn coefficient is 1, so every reseed specializes
+    # to the same non-Artinian ideal
+    code, out, err = run(capsys, "model", "--r", "5", "--dp", "1", "--field", "fp:2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: specialization failed")
+
+
+BAD_INPUTS = [
+    ["socle", "--ideal", "1"],
+    ["betti", "--ideal", "1"],
+    ["inverse", "--ideal", "1"],
+    ["gap", "--ideal", "1"],
+    ["directrix", "--ideal", "1", "--m", "2"],
+    ["power-check", "--ideal", "x^2,y^2,z^2", "--k", "0"],
+    ["spans", "--forms", "x^2,y^2", "--e", "-1"],
+    ["ann", "--dual", "X^2+Y"],
+    ["socle", "--ideal", "x^2,y^2,z^2", "--field", "fp:4"],
+    ["socle", "--ideal", "x^2,y^2,z^2", "--field", "fp:2147483659"],
+    ["model", "--r", "5", "--dp", "1", "--field", "fp:2"],
+    ["colon", "--ci", "x^3,y^3,z^3", "--f", "0"],
+    ["colon", "--ci", "x^3,y^3,z^3", "--f", "x+y^2"],
+    ["socle", "--ideal", "x^2+y"],
+    ["socle", "--ideal", "x*y"],
+    ["pfaffian", "--matrix", "x,y;z"],
+    ["reproduce"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_exits_with_a_message(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert type(code) is int and code in (1, 2)
+    assert err.strip()
 
 
 def test_parse_error_exit_code(capsys):

@@ -58,7 +58,8 @@ def _random_ideal(n, degrees, common, rng):
 def _exact_piece(I, t):
     """The piece by a Fraction Gauss-Jordan of the shifted generators."""
     vecs = _shifted_vectors(I.n, t, I._gen_data)
-    return GradedPiece(I.n, t, QQ, *fraction_rref(vecs))
+    pivots, rows = fraction_rref(vecs)
+    return GradedPiece(I.n, t, QQ, pivots, [QQ.integer_row(r)[0] for r in rows])
 
 
 def _top_degree(I):

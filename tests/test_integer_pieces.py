@@ -27,10 +27,10 @@ from gor3.ideals import (
     degree_one_multiples,
     span_of_vectors,
 )
-from gor3.linalg import ExactMatrix
+from gor3.linalg import ExactMatrix, kernel_rows, normal_form
 from gor3.monomials import monomial_count, monomials_of_degree
 
-from oracles import fraction_rref
+from oracles import Span, fraction_rref
 
 FIELDS = [QQ, GF(32003)]
 VARS = ["x", "y", "z"]
@@ -143,7 +143,8 @@ def test_integer_and_fraction_vectors_give_equal_pieces():
             n = I.n
             assert span_of_vectors(n, t, ints, QQ) == piece
             assert span_of_vectors(n, t, scaled, QQ) == piece
-            assert GradedPiece(n, t, QQ, piece.pivots, piece.rows) == piece
+            assert GradedPiece(n, t, QQ, piece.pivots,
+                               [QQ.integer_row(r)[0] for r in piece.rows]) == piece
             assert GradedPiece(n, t, QQ, piece.pivots, ints) == piece
             # the multiples of the rows span the same piece in either form
             grown = span_of_vectors(n, t + 1, degree_one_multiples(piece, QQ), QQ)
@@ -172,6 +173,44 @@ def test_reduce_vector_is_the_exact_residual(field):
             for row in piece.rows:
                 assert piece.contains_vector(row)
                 assert not any(piece.reduce_vector(row))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_pieces_read_one_normal_form(field):
+    """The kernel of a piece's rows is the transposed normal form of the
+    piece and kills every row; a vector lies in the piece exactly when the
+    Fraction oracle puts it in the span of the rows."""
+    rng = random.Random(29)
+    seen = set()
+    for I in _random_ideals(field):
+        for t in range(_top(I) + 1):
+            piece = I.graded_piece(t)
+            dim = piece.ambient_dim
+            L, free, nf = normal_form(piece.pivots, piece.int_rows, dim)
+            assert free == piece.standard_columns
+            basis, kernel_lcm = kernel_rows(field, piece.int_rows, dim)
+            assert (basis, kernel_lcm) == ([list(col) for col in zip(*nf)], L)
+            for vec in basis:
+                for row in piece.int_rows:
+                    assert field.is_zero(sum(a * b for a, b in zip(row, vec)))
+            span = Span(field, dim)
+            for row in piece.rows:
+                span.add(row)
+            candidates = [[field.of(rng.randint(-3, 3)) for _ in range(dim)]]
+            for _ in range(2):
+                combo = [field.zero] * dim
+                for row in piece.rows:
+                    c = field.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                    combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, row)]
+                moved = list(combo)
+                j = rng.randrange(dim)
+                moved[j] = field.add(moved[j], field.one)
+                candidates += [combo, moved]
+            for vec in candidates:
+                in_span = span.residual(vec)[1] is None
+                assert piece.contains_vector(vec) == in_span
+                seen.add(in_span)
+    assert seen == {True, False}
 
 
 def _scalar_maps(I, t):

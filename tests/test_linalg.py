@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from gor3._rowred_py import rref_int, rref_mod
 from gor3.fields import GF, QQ
-from gor3.linalg import ExactMatrix, rank_kernel
-from oracles import det_by_minors, fraction_rref, gcd_rref_int
+from gor3.linalg import ExactMatrix, kernel_rows, normal_form, rank_kernel, rref_rows
+from oracles import Span, det_by_minors, fraction_rref, gcd_rref_int
 
 
 def frac_matrix(entries):
@@ -250,6 +250,62 @@ def test_kernel_against_both_oracles():
     assert negative_last > 100
     assert len(rref_int(big[0])[0]) == 35
     assert max(abs(v).bit_length() for v in big[-1][0]) >= 590
+
+
+def _seeded_rrefs(field, rng):
+    """(rows, nc, pivots, red) for seeded low-rank integer matrices, taken
+    mod p over GF(p), with their integer RREF from rref_rows."""
+    out = []
+    for _ in range(80):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _product(rng, nr, nc, rng.randint(1, min(nr, nc)), rng.choice([3, 40]))
+        if field.characteristic:
+            rows = [[v % field.characteristic for v in row] for row in rows]
+        out.append((rows, nc, *rref_rows(field, rows, nc)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_kernel_basis_is_the_transposed_normal_form(field):
+    for rows, nc, pivots, red in _seeded_rrefs(field, random.Random(19)):
+        L, free, nf = normal_form(pivots, red, nc)
+        assert free == [c for c in range(nc) if c not in pivots]
+        assert L == lcm(1, *(row[p] for p, row in zip(pivots, red)))
+        for i, c in enumerate(free):
+            assert nf[c] == [L if j == i else 0 for j in range(len(free))]
+        basis = [[nf[x][j] for x in range(nc)] for j in range(len(free))]
+        assert kernel_rows(field, rows, nc) == (basis, L)
+        for vec in basis:
+            for row in rows:
+                assert field.is_zero(sum(a * b for a, b in zip(row, vec)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_residual_vanishes_exactly_on_the_span(field):
+    """sum(v[x] * nf[x]) is zero exactly when the Fraction oracle puts v in
+    the row space: combinations of the rows, the same moved off one entry,
+    and random rows."""
+    rng = random.Random(23)
+    seen = set()
+    for rows, nc, pivots, red in _seeded_rrefs(field, rng):
+        _, free, nf = normal_form(pivots, red, nc)
+        span = Span(field, nc)
+        for row in rows:
+            span.add([field.of(v) for v in row])
+        candidates = [[rng.randint(-9, 9) for _ in range(nc)]]
+        for _ in range(3):
+            coeffs = [rng.randint(-5, 5) for _ in rows]
+            combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(nc)]
+            moved = list(combo)
+            moved[rng.randrange(nc)] += 1
+            candidates += [combo, moved]
+        for vec in candidates:
+            residual = [sum(v * nf[x][j] for x, v in enumerate(vec))
+                        for j in range(len(free))]
+            in_span = span.residual([field.of(v) for v in vec])[1] is None
+            assert all(field.is_zero(v) for v in residual) == in_span
+            seen.add(in_span)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(13), GF(32003)], ids=str)
