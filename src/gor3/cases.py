@@ -188,6 +188,19 @@ def five_gen_expected_socle(dp):
 # ----------------------------------------------------------------------
 # cases
 
+# Seeded sweeps assert how often a random choice is generic.  Over GF(p) the
+# coefficients, drawn from -10..10, also vanish mod p, so those frequencies
+# hold over QQ and large primes only (GF(67) certifies 94/100 quadric
+# systems, GF(3) 42/100); below this field size only the checks that hold
+# seed by seed are made.
+FREQUENCY_MIN_FIELD = 1000
+
+
+def _frequencies_hold(field):
+    p = field.characteristic
+    return p == 0 or p >= FREQUENCY_MIN_FIELD
+
+
 def _case_ex_2_5(field, seed):
     c = _Checker()
     I = ex_2_5_ideal(field)
@@ -348,9 +361,16 @@ def _case_five_quadrics_sweep(field, seed):
             if GradedIdeal(3, qs, field).socle_report().is_gorenstein:
                 confirmed += 1
     c.equal("no false positives", confirmed, gorenstein)
-    c.add("certificate fires on most seeds", gorenstein >= 95,
-          f"{gorenstein}/100 certified")
-    return c.result("five-quadrics-sweep")
+    note = ""
+    if _frequencies_hold(field):
+        c.add("certificate fires on most seeds", gorenstein >= 95,
+              f"{gorenstein}/100 certified")
+    else:
+        note = (f"{gorenstein}/100 certified; the >= 95 frequency is checked "
+                f"only over QQ and GF(p) with p >= {FREQUENCY_MIN_FIELD}: "
+                f"delta*dee has degree 20 in the random coefficients and "
+                f"vanishes mod a small p far more often")
+    return c.result("five-quadrics-sweep", note=note)
 
 
 def _case_power_max(field, seed):
@@ -420,20 +440,41 @@ def _case_gap(field, seed):
 def _case_model(field, seed):
     c = _Checker()
     base = seed if seed is not None else 0
+    frequent = _frequencies_hold(field)
+    counts = []
     for r, dp, datum in ((5, 1, (2, 5, 1)), (5, 2, (4, 5, 2))):
-        good = 0
+        good = artinian = gorenstein = 0
         for s in range(1, 11):
             try:
                 I = generic_power_model(r, dp, 3, base + s, field)
+                artinian += 1
                 rep = I.socle_report()
+                gorenstein += rep.is_gorenstein
                 if rep.is_gorenstein and I.virtual_datum().as_tuple() == datum:
                     good += 1
             except (RuntimeError, NotArtinianError, NotEquigeneratedError,
                     DatumViolationError):
                 continue
-        c.add(f"model (r={r}, entry degree {dp}) hits datum {datum}",
-              good >= 9, f"{good}/10 seeds")
-    return c.result("model-properness")
+        counts.append((r, dp, datum, good, artinian, gorenstein))
+    if not frequent and not any(artinian for *_, artinian, _ in counts):
+        return CaseResult("model-properness", True, [], skipped=True,
+                          note=f"no specialization over {field.name} is "
+                               f"Artinian: the field is too small")
+    for r, dp, datum, good, artinian, gorenstein in counts:
+        if frequent:
+            c.add(f"model (r={r}, entry degree {dp}) hits datum {datum}",
+                  good >= 9, f"{good}/10 seeds")
+        else:
+            c.add(f"model (r={r}, entry degree {dp}) is Gorenstein when "
+                  f"Artinian", artinian > 0 and gorenstein == artinian,
+                  f"{gorenstein}/{artinian} Artinian seeds, "
+                  f"{good}/10 hit datum {datum}")
+    note = "" if frequent else (
+        f"the datum frequency is checked only over QQ and GF(p) with "
+        f"p >= {FREQUENCY_MIN_FIELD}: over a small field more "
+        f"specializations fail; Pfaffian ideals of grade 3 are Gorenstein "
+        f"(Buchsbaum-Eisenbud) over every field")
+    return c.result("model-properness", note=note)
 
 
 _CASES = {

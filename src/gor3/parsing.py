@@ -5,6 +5,11 @@ a bare monomial; monomials are var(^exp)? factors joined by *.  Coefficients
 are integers or a/b rationals; parenthesized subexpressions may be raised to
 integer powers.  The printer in MultiPoly.format round-trips through this
 grammar up to term order.
+
+The evaluator works on one term map, {exponent tuple: nonzero scalar}, per
+subexpression, combined by the same term-map sum, product and power that
+MultiPoly's own +, * and ** use, and builds one MultiPoly per text at the
+end: no polynomial objects while parsing.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import QQ
-from .poly import MultiPoly
+from .poly import MultiPoly, _add_terms, _term_power, _term_product
 
 
 class PolyParseError(ValueError):
@@ -36,9 +41,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -56,6 +61,10 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Every subexpression evaluates to
+    a fresh term map {exponent tuple: nonzero scalar} owned by its caller;
+    only ``parse`` builds a MultiPoly."""
+
     def __init__(self, text, var_names, field):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -78,46 +87,43 @@ class _Parser:
         return tok
 
     def parse(self):
-        poly = self.expr()
+        terms = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
-        return poly
+        return MultiPoly(self.n, terms, self.field)
 
     def expr(self):
-        sign = 1
-        tok = self.peek()
-        if tok[0] in "+-":
+        neg = self.field.neg
+        sign = self.peek()[0]
+        if sign in "+-":
             self.next()
-            sign = -1 if tok[0] == "-" else 1
         acc = self.term()
-        if sign < 0:
-            acc = -acc
+        if sign == "-":
+            acc = {e: neg(c) for e, c in acc.items()}
         while True:
-            tok = self.peek()
-            if tok[0] == "+":
-                self.next()
-                acc = acc + self.term()
-            elif tok[0] == "-":
-                self.next()
-                acc = acc - self.term()
-            else:
+            kind = self.peek()[0]
+            if kind != "+" and kind != "-":
                 return acc
+            self.next()
+            terms = self.term()
+            if kind == "-":
+                terms = {e: neg(c) for e, c in terms.items()}
+            _add_terms(acc, terms, self.field)
 
     def term(self):
         acc = self.factor()
         while self.peek()[0] == "*":
             self.next()
-            acc = acc * self.factor()
+            acc = _term_product(acc, self.factor(), self.field)
         return acc
 
     def factor(self):
         base = self.base()
-        if self.peek()[0] == "^":
-            self.next()
-            tok = self.expect("int")
-            return base ** tok[1]
-        return base
+        if self.peek()[0] != "^":
+            return base
+        self.next()
+        return _term_power(base, self.expect("int")[1], self.n, self.field)
 
     def base(self):
         tok = self.next()
@@ -131,12 +137,16 @@ class _Parser:
                 coeff = self.field.of(Fraction(value, den[1]))
             else:
                 coeff = self.field.of(value)
-            return MultiPoly(self.n, {(0,) * self.n: coeff}, self.field)
+            if self.field.is_zero(coeff):
+                return {}
+            return {(0,) * self.n: coeff}
         if kind == "name":
             idx = self.vars.get(value)
             if idx is None:
                 raise PolyParseError(f"unknown variable {value!r}", pos)
-            return MultiPoly.variable(idx, self.n, self.field)
+            e = [0] * self.n
+            e[idx] = 1
+            return {tuple(e): self.field.one}
         if kind == "(":
             inner = self.expr()
             self.expect(")")

@@ -3,10 +3,12 @@
 A polynomial is a mapping from exponent tuples to nonzero field scalars.
 Graded pieces of ideals are handled as dense vectors over the canonical
 monomial basis, so MultiPoly only needs ring arithmetic, substitution and
-conversion to/from coefficient vectors.  The storage, validation, sums,
-vectors and printing live in one sparse-form base that the dual forms of
-apolarity.InverseForm share; only MultiPoly has ring operations, and the
-two kinds of form never mix.
+conversion to/from coefficient vectors.  Sums, products and powers are
+module-level functions on bare term maps, so that the text parser can
+evaluate a whole expression before it builds one polynomial.  The storage,
+validation, vectors and printing live in one sparse-form base that the dual
+forms of apolarity.InverseForm share; only MultiPoly has ring operations,
+and the two kinds of form never mix.
 """
 
 from __future__ import annotations
@@ -18,6 +20,52 @@ from .monomials import (
     mono_mul,
     monomials_of_degree,
 )
+
+
+def _add_terms(acc, terms, field):
+    """Add the term map ``terms`` into the term map ``acc`` in place.  A new
+    exponent goes to the end of ``acc``; a cancelled one is removed."""
+    add, is_zero, zero = field.add, field.is_zero, field.zero
+    for e, c in terms.items():
+        c = add(acc.get(e, zero), c)
+        if is_zero(c):
+            acc.pop(e, None)
+        else:
+            acc[e] = c
+
+
+def _term_product(a, b, field):
+    """Product of two term maps {exponent tuple: nonzero scalar}, as a new
+    term map whose exponents appear in the order their products are first
+    met; a cancelled exponent is removed and, if met again, goes last."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = mono_mul(e1, e2)
+            c = mul(c1, c2)     # nonzero: a field has no zero divisors
+            if e in out:
+                c = add(out[e], c)
+                if is_zero(c):
+                    del out[e]
+                    continue
+            out[e] = c
+    return out
+
+
+def _term_power(terms, k, n, field):
+    """terms ** k (k >= 0) by square-and-multiply; for k >= 1 the result
+    may be ``terms`` itself, so the caller must not mutate it."""
+    if k == 0:
+        return {(0,) * n: field.one}
+    result = None
+    while k:
+        if k & 1:
+            result = terms if result is None else _term_product(result, terms, field)
+        if k > 1:
+            terms = _term_product(terms, terms, field)
+        k >>= 1
+    return result
 
 
 class _SparseForm:
@@ -78,15 +126,9 @@ class _SparseForm:
 
     def __add__(self, other):
         self._check_compatible(other)
-        field = self.field
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = field.add(terms.get(e, field.zero), c)
-            if field.is_zero(acc):
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
-        return type(self)(self.n, terms, field)
+        _add_terms(terms, other.terms, self.field)
+        return type(self)(self.n, terms, self.field)
 
     def scale(self, scalar):
         c = self.field.of(scalar)
@@ -202,17 +244,8 @@ class MultiPoly(_SparseForm):
         if not isinstance(other, _SparseForm):
             return self.scale(other)
         self._check_compatible(other)
-        field = self.field
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                acc = field.add(terms.get(e, field.zero), field.mul(c1, c2))
-                if field.is_zero(acc):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = acc
-        return MultiPoly(self.n, terms, field)
+        return MultiPoly(self.n, _term_product(self.terms, other.terms, self.field),
+                         self.field)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -220,14 +253,8 @@ class MultiPoly(_SparseForm):
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.n, 1, self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return MultiPoly(self.n, _term_power(self.terms, k, self.n, self.field),
+                         self.field)
 
     def substitute(self, images):
         """Ring-homomorphism image: variable i goes to images[i]."""

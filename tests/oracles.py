@@ -11,6 +11,7 @@ from gor3 import MultiPoly
 from gor3.fields import RationalField
 from gor3.ideals import degree_one_multiples
 from gor3.monomials import monomials_of_degree
+from gor3.parsing import PolyParseError, _tokenize
 from gor3.pfaffians import SkewPolyMatrix
 
 
@@ -421,3 +422,104 @@ def linres_rows_by_tuples(f, m, e_prime):
                        else f.terms.get(alpha, field.zero))
         rows.append(row)
     return rows
+
+
+class _PolyArithmeticParser:
+    """The polynomial grammar evaluated with MultiPoly arithmetic: every
+    number and variable becomes a MultiPoly, combined with +, -, * and **.
+    Same tokens, grammar and error messages as gor3.parsing, so the library
+    parser must agree with it on every text, values and errors alike."""
+
+    def __init__(self, text, var_names, field):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.n = len(var_names)
+        self.vars = {name: i for i, name in enumerate(var_names)}
+        self.field = field
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise PolyParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse(self):
+        poly = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
+        return poly
+
+    def expr(self):
+        sign = 1
+        tok = self.peek()
+        if tok[0] in "+-":
+            self.next()
+            sign = -1 if tok[0] == "-" else 1
+        acc = self.term()
+        if sign < 0:
+            acc = -acc
+        while True:
+            tok = self.peek()
+            if tok[0] == "+":
+                self.next()
+                acc = acc + self.term()
+            elif tok[0] == "-":
+                self.next()
+                acc = acc - self.term()
+            else:
+                return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek()[0] == "*":
+            self.next()
+            acc = acc * self.factor()
+        return acc
+
+    def factor(self):
+        base = self.base()
+        if self.peek()[0] == "^":
+            self.next()
+            tok = self.expect("int")
+            return base ** tok[1]
+        return base
+
+    def base(self):
+        kind, value, pos = self.next()
+        if kind == "int":
+            if self.peek()[0] == "/":
+                self.next()
+                den = self.expect("int")
+                if den[1] == 0:
+                    raise PolyParseError("zero denominator", den[2])
+                coeff = self.field.of(Fraction(value, den[1]))
+            else:
+                coeff = self.field.of(value)
+            return MultiPoly(self.n, {(0,) * self.n: coeff}, self.field)
+        if kind == "name":
+            idx = self.vars.get(value)
+            if idx is None:
+                raise PolyParseError(f"unknown variable {value!r}", pos)
+            return MultiPoly.variable(idx, self.n, self.field)
+        if kind == "(":
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if kind == "/":
+            raise PolyParseError(
+                "'/' is only allowed inside a rational coefficient", pos)
+        raise PolyParseError(f"unexpected {value!r}", pos)
+
+
+def parse_poly_by_arithmetic(text, var_names, field):
+    """parse_poly's answer, built from MultiPoly arithmetic token by token."""
+    return _PolyArithmeticParser(text, list(var_names), field).parse()

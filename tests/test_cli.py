@@ -264,6 +264,14 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_non_decimal_digit_is_a_parse_error(capsys):
+    # '²' is a digit to str.isdigit but not a decimal int() can read
+    code, out, err = run(capsys, "socle", "--ideal", "x^²,y^2,z^2")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: unexpected character '²' (at position 2)\n"
+
+
 def test_field_flag_is_respected(capsys):
     code, report, _ = run_json(
         capsys, "colon", "--ci", "x^3,y^3,z^3", "--f", "x^2+y^2+z^2",

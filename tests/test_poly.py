@@ -171,6 +171,38 @@ def test_scale_and_pow():
     assert f ** 3 == f * f * f
 
 
+def _value_at(f, point):
+    field = f.field
+    total = field.zero
+    for exps, c in f.terms.items():
+        for x, e in zip(point, exps):
+            c = field.mul(c, field.of(x) if e == 1 else field.of(x ** e))
+        total = field.add(total, c)
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_ring_operations_agree_with_evaluation(field):
+    # the term-map sum, product and power (shared with the parser) against
+    # values at points, which use no polynomial arithmetic at all
+    rng = random.Random(17)
+    for _ in range(30):
+        f = sum((random_form(rng, 3, d, field, 0.4) for d in range(3)),
+                MultiPoly.zero(3, field))
+        g = sum((random_form(rng, 3, d, field, 0.4) for d in range(3)),
+                MultiPoly.zero(3, field))
+        k = rng.randint(0, 5)
+        point = [rng.randint(-5, 5) for _ in range(3)]
+        fv, gv = _value_at(f, point), _value_at(g, point)
+        assert _value_at(f + g, point) == field.add(fv, gv)
+        assert _value_at(f * g, point) == field.mul(fv, gv)
+        power = field.one
+        for _ in range(k):
+            power = field.mul(power, fv)
+        assert _value_at(f ** k, point) == power
+        assert (f - f).is_zero() and (f * (g - g)).is_zero()
+
+
 def test_vector_round_trip():
     f = P("x^2 - 2*x*y + z^2")
     vec = f.to_vector(2)
