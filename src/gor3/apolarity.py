@@ -80,7 +80,7 @@ def _catalecticant_rows(F: InverseForm, t):
     n, s = F.n, F.degree()
     idx = monomial_index(n, s)
     coeffs = [0] * monomial_count(n, s)
-    for beta, b in _integer_terms(F):
+    for beta, b in _integer_terms(F).items():
         coeffs[idx[beta]] = b
     return [[coeffs[p] for p in row] for row in product_table(n, s - t, t)]
 

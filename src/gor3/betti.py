@@ -37,17 +37,6 @@ class BettiTable:
         """shift -> multiplicity in homological position i."""
         return {j: v for (k, j), v in self.entries.items() if k == i}
 
-    def is_gorenstein_symmetric(self) -> bool:
-        """beta_{i,j} == beta_{n-i, D-j} with D the top shift."""
-        top = self.column_shifts(self.n)
-        if len(top) != 1:
-            return False
-        D = next(iter(top))
-        for (i, j), v in self.entries.items():
-            if self.beta(self.n - i, D - j) != v:
-                return False
-        return True
-
     def staircase(self) -> str:
         """Text layout with rows j - i and columns i."""
         if not self.entries:

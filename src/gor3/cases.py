@@ -129,10 +129,15 @@ def five_gen_monomial_ideal(dp, field=QQ) -> GradedIdeal:
     return GradedIdeal(3, gens, field)
 
 
-def random_quadrics(seed, field=QQ, count=5):
+# five quadrics, the number the five-quadrics certificate takes
+QUADRIC_COUNT = 5
+
+
+def random_quadrics(seed, field=QQ):
+    """QUADRIC_COUNT seeded ternary quadrics, coefficients from -10..10."""
     rng = random.Random(seed)
     out = []
-    for _ in range(count):
+    for _ in range(QUADRIC_COUNT):
         terms = {}
         for e in monomials_of_degree(3, 2):
             c = field.of(rng.randint(-10, 10))

@@ -23,7 +23,7 @@ from .apolarity import (
 )
 from .betti import betti_table, has_linear_resolution
 from .cases import CaseResult, case_ids, random_quadrics, run_case
-from .criteria import five_quadrics_certificate, is_equigen_linres, linres_matrix, spans_target
+from .criteria import five_quadrics_certificate, is_equigen_linres, spans_target
 from .fields import FieldError, field_from_spec
 from .ideals import (
     DatumViolationError,
@@ -326,9 +326,8 @@ def cmd_linres_test(args):
         report["warning"] = ("sum-of-powers guarantees hold in characteristic "
                              "0 only; this field has characteristic "
                              f"{field.characteristic}")
-    matrix = linres_matrix(f, args.m, rep.s // 2) if rep.s % 2 == 0 else None
-    if matrix is not None:
-        report["matrix_shape"] = [matrix.rows, matrix.cols]
+    if rep.matrix_shape is not None:
+        report["matrix_shape"] = list(rep.matrix_shape)
     _emit(args, report)
     return 0
 

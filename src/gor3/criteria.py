@@ -74,7 +74,7 @@ def linres_matrix(f: MultiPoly, m: int, e_prime: int) -> ExactMatrix:
     field = f.field
     e = f.homogeneous_degree()
     # column beta is x^beta * f over the degree-(e+e') basis
-    cols = _shifted_vectors(n, e + e_prime, [(e, list(f.terms.items()))])
+    cols = _shifted_vectors(n, e + e_prime, [(e, f.terms)])
     zero = field.zero
     rows = [[c if c else zero for c in row]
             for row, gamma in zip(zip(*cols), monomials_of_degree(n, e + e_prime))
@@ -90,6 +90,8 @@ class LinresReport:
     rank: int | None
     required_rank: int | None
     reason: str
+    # (rows, cols) of the membership matrix at e' = s/2; not in as_dict
+    matrix_shape: tuple | None = None
 
     def __bool__(self):
         return self.verdict == "YES"
@@ -125,12 +127,14 @@ def is_equigen_linres(f: MultiPoly, m: int) -> LinresReport:
                             "s is odd, no linear-resolution degree exists")
     half = s // 2
     required = monomial_count(n, half)
-    rank = linres_matrix(f, m, half).rank()
+    matrix = linres_matrix(f, m, half)
+    rank = matrix.rank()
+    shape = (matrix.rows, matrix.cols)
     if rank == required:
         return LinresReport("YES", s, half + 1, rank, required,
-                            "membership matrix has full column rank")
+                            "membership matrix has full column rank", shape)
     return LinresReport("NO", s, None, rank, required,
-                        f"membership matrix rank {rank} is below {required}")
+                        f"membership matrix rank {rank} is below {required}", shape)
 
 
 @dataclass

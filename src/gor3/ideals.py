@@ -5,13 +5,17 @@ socle, powers, membership) reduce to exact linear algebra on graded pieces:
 the degree-t piece of an ideal is the row space of the shifted-generator
 coefficient vectors over the canonical monomial basis.  Equality of ideals
 always means equality of graded pieces through the relevant Artinian bound.
+That bound is exact, with no search cap: an ideal generated in degrees <= D
+is Artinian exactly when its degree n(D-1)+1 piece is full.
 
 Pieces, the rows built from them and the multiplication maps between them
 are integer rows on both fields: the field turns each generator into an
-integer row once (fields.integer_row), a piece keeps the integer RREF of
-linalg.rref_rows, and residuals and multiplication maps are read off its
-linalg.normal_form.  Field scalars appear only where they cross the API:
-GradedPiece.rows, reduce_vector, span_of_vectors and vector_to_poly.
+integer term map once (fields.integer_row), a piece keeps the integer RREF
+of linalg.rref_rows, and residuals and multiplication maps are read off its
+linalg.normal_form.  Products of generators (powers of I, J * I) multiply
+those term maps with poly._term_product, the one product of the package.
+Field scalars appear only where they cross the API: GradedPiece.rows,
+reduce_vector, span_of_vectors and vector_to_poly.
 """
 
 from __future__ import annotations
@@ -34,13 +38,16 @@ from .linalg import (
     rref_rows,
 )
 from .monomials import (
-    mono_mul,
     monomial_count,
     monomial_index,
     monomials_of_degree,
     product_table,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, _term_product
+
+
+# seeded draws of J that check_reduction_two makes before it gives up
+REDUCTION_RETRIES = 5
 
 
 class NotArtinianError(ValueError):
@@ -173,7 +180,7 @@ def degree_one_multiples(piece: GradedPiece, field):
     """Integer vectors of x_i * b for every row b of piece.int_rows, the
     variables innermost; field is the piece's own."""
     src = monomials_of_degree(piece.n, piece.t)
-    forms = [(piece.t, [(src[c], v) for c, v in enumerate(row) if v])
+    forms = [(piece.t, {src[c]: v for c, v in enumerate(row) if v})
              for row in piece.int_rows]
     return _shifted_vectors(piece.n, piece.t + 1, forms)
 
@@ -207,36 +214,27 @@ def _fresh_generators(piece: GradedPiece, below):
 
 
 def _integer_terms(f):
-    """The terms of the nonzero form f (a polynomial or a dual form), their
+    """The term map of the nonzero form f (a polynomial or a dual form), its
     coefficients made integers by the field (over QQ, multiplied by the lcm
-    of their denominators), so that the rows built from them are integer
-    rows."""
+    of their denominators), so that the rows built from it are integer rows.
+    poly._term_product multiplies such maps in either field: QQ's arithmetic
+    keeps integers integers, and GF(p)'s coefficients are residues."""
     ints, _ = f.field.integer_row(list(f.terms.values()))
-    return list(zip(f.terms, ints))
+    return dict(zip(f.terms, ints))
 
 
-def _term_product(a, b):
-    """The terms of the product of two forms given by integer terms; over
-    GF(p) the coefficients stand for their residues."""
-    out = {}
-    for e, c in a:
-        for f, d in b:
-            m = mono_mul(e, f)
-            out[m] = out.get(m, 0) + c * d
-    return [(m, c) for m, c in out.items() if c]
-
-
-def _shifted_vectors(n, t, gens_with_vecs):
-    """Coefficient vectors of x^alpha * g for all generators g of degree
-    <= t and all monomials alpha of complementary degree, alpha in the
-    canonical order; each term of g is placed through product_table."""
+def _shifted_vectors(n, t, gens_with_terms):
+    """Coefficient vectors of x^alpha * g for all generators g, given as
+    (degree, term map) pairs, of degree <= t and all monomials alpha of
+    complementary degree, alpha in the canonical order; each term of g is
+    placed through product_table."""
     dim = monomial_count(n, t)
     out = []
-    for deg_g, terms in gens_with_vecs:
+    for deg_g, terms in gens_with_terms:
         if deg_g > t:
             continue
         idx = monomial_index(n, deg_g)
-        placed = [(idx[e], c) for e, c in terms]
+        placed = [(idx[e], c) for e, c in terms.items()]
         for row in product_table(n, t - deg_g, deg_g):
             vec = [0] * dim
             for j, c in placed:
@@ -324,36 +322,29 @@ class GradedIdeal:
             return 0
         return monomial_count(self.n, t) - self.graded_piece(t).dim
 
-    def default_cap(self) -> int:
-        return 4 * max(self.max_generator_degree, 1) * self.n
+    def artinian_bound(self) -> int:
+        """Least t with (R/I)_t = 0, exactly.
 
-    def artinian_bound(self, cap=None) -> int:
-        """Least t with (R/I)_t = 0.
-
-        Without a cap the answer is exact.  An m-primary ideal generated in
-        degrees <= D contains a regular sequence of n forms of degree D, hence
-        all of R_{n(D-1)+1} (Eisenbud, Commutative Algebra, ch. 21; Hilbert
-        functions do not change under field extension).  A nonzero Hilbert
-        value at n(D-1)+1 therefore proves I is not Artinian, and the error
-        names default_cap(), up to which no value vanishes either.  An
-        explicit cap searches up to that degree only.
+        An m-primary ideal generated in degrees <= D contains a regular
+        sequence of n forms of degree D, hence all of R_{n(D-1)+1} (Eisenbud,
+        Commutative Algebra, ch. 21; Hilbert functions do not change under
+        field extension).  A nonzero Hilbert value at n(D-1)+1 therefore
+        proves I is not Artinian.  The error keeps the words of an older
+        search that stopped at 4Dn; no value up to there vanishes either.
         """
         if self._artinian_bound is not None:
             return self._artinian_bound
-        last = cap
-        if cap is None:
-            last = self.n * (max(self.max_generator_degree, 1) - 1) + 1
-            cap = self.default_cap()
-        for t in range(last + 1):
+        D = max(self.max_generator_degree, 1)
+        for t in range(self.n * (D - 1) + 2):
             if self.hilbert_function(t) == 0:
                 self._artinian_bound = t
                 return t
-        raise NotArtinianError(
-            f"not Artinian within cap (no vanishing Hilbert value up to t={cap})")
+        raise NotArtinianError(f"not Artinian within cap (no vanishing Hilbert "
+                               f"value up to t={4 * D * self.n})")
 
-    def is_artinian(self, cap=None) -> bool:
+    def is_artinian(self) -> bool:
         try:
-            self.artinian_bound(cap)
+            self.artinian_bound()
             return True
         except NotArtinianError:
             return False
@@ -421,7 +412,7 @@ class GradedIdeal:
         for _, terms in self._gen_data:
             if len(terms) != 1:
                 return None
-            (exps, _), = terms
+            exps, = terms
             support = [i for i, x in enumerate(exps) if x]
             if len(support) != 1 or m[support[0]]:
                 return None
@@ -487,10 +478,10 @@ class GradedIdeal:
         table = product_table(self.n, t, 1)
         return [[nf[table[c][k]] for c in std] for k in range(self.n)]
 
-    def socle_report(self, cap=None) -> "SocleReport":
+    def socle_report(self) -> "SocleReport":
         """Socle dimensions of R/I: in degree t, H(t) minus the rank of
         x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n."""
-        bound = self.artinian_bound(cap)
+        bound = self.artinian_bound()
         if bound == 0:
             raise ValueError("the unit ideal has no socle (R/I = 0)")
         dims = {}
@@ -547,7 +538,7 @@ class GradedIdeal:
             if degree <= t:
                 terms = combo[0][1]
                 for _, factor in combo[1:]:
-                    terms = _term_product(terms, factor)
+                    terms = _term_product(terms, factor, self.field)
                 products.append((degree, terms))
         vecs = _shifted_vectors(self.n, t, products)
         return _integer_span(self.n, t, vecs, self.field)
@@ -645,8 +636,8 @@ def colon_form(I: GradedIdeal, f: MultiPoly, t_max=None) -> GradedIdeal:
     return I.colon(f, t_max)
 
 
-def socle_report(I: GradedIdeal, cap=None) -> SocleReport:
-    return I.socle_report(cap)
+def socle_report(I: GradedIdeal) -> SocleReport:
+    return I.socle_report()
 
 
 def virtual_datum(I: GradedIdeal) -> VirtualDatum:
@@ -729,7 +720,7 @@ def colon_iteration_check(lines, exponents, f: MultiPoly, i: int) -> bool:
     return left.equals(right)
 
 
-def check_reduction_two(I: GradedIdeal, seed, retries=5) -> ReductionReport:
+def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
     """Seeded check that three general combinations J of the generators
     satisfy J*I^2 = I^3 while J*I != I^2."""
     eq = I.is_equigenerated()
@@ -742,7 +733,7 @@ def check_reduction_two(I: GradedIdeal, seed, retries=5) -> ReductionReport:
     rng = random.Random(seed)
     gens = I.generators
     attempts = 0
-    while attempts < retries:
+    while attempts < REDUCTION_RETRIES:
         attempts += 1
         combos = []
         for _ in range(3):
@@ -773,7 +764,7 @@ def check_reduction_two(I: GradedIdeal, seed, retries=5) -> ReductionReport:
             attempts=attempts,
         )
     raise RuntimeError(
-        f"could not find a height-3 reduction in {retries} seeded attempts")
+        f"could not find a height-3 reduction in {REDUCTION_RETRIES} seeded attempts")
 
 
 def _product_span(j_gens, factors, I, t):
@@ -783,5 +774,5 @@ def _product_span(j_gens, factors, I, t):
         j_terms = _integer_terms(j)
         for d, g_terms in factors:
             if j.homogeneous_degree() + d == t:
-                data.append((t, _term_product(j_terms, g_terms)))
+                data.append((t, _term_product(j_terms, g_terms, I.field)))
     return _integer_span(I.n, t, _shifted_vectors(I.n, t, data), I.field)

@@ -229,17 +229,6 @@ class ExactMatrix:
         inv, zero = field.inv(lcm), field.zero
         return [[field.mul(v, inv) if v else zero for v in vec] for vec in basis]
 
-    def matvec(self, v):
-        field = self.field
-        out = []
-        for row in self.entries:
-            acc = field.zero
-            for a, b in zip(row, v):
-                if not field.is_zero(a) and not field.is_zero(b):
-                    acc = field.add(acc, field.mul(a, b))
-            out.append(acc)
-        return out
-
     def det(self):
         """Exact determinant (square matrices), from one Bareiss pass over
         the integer rows for both fields: over QQ the last pivot divided by

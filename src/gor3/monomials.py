@@ -70,11 +70,6 @@ def product_table(n: int, s: int, t: int) -> tuple:
                  for a in monomials_of_degree(n, s))
 
 
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_sub(a: tuple, b: tuple):
     """b - a, or None if any coordinate goes negative."""
     out = []

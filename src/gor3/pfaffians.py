@@ -12,8 +12,11 @@ from __future__ import annotations
 import random
 
 from .fields import QQ
-from .ideals import GradedIdeal, NotArtinianError
+from .ideals import GradedIdeal
 from .poly import MultiPoly
+
+# seeded specializations generic_power_model draws before it gives up
+MODEL_RETRIES = 5
 
 
 class SkewPolyMatrix:
@@ -73,9 +76,6 @@ class SkewPolyMatrix:
         if len(degs) != 1:
             return None
         return degs.pop()
-
-    def submatrix(self, keep):
-        return [[self.entries[i][j] for j in keep] for i in keep]
 
     def __repr__(self):
         return f"SkewPolyMatrix(r={self.r}, n={self.n})"
@@ -191,15 +191,18 @@ def _composite_images(big_n, n, field, rng):
     return images
 
 
-def generic_power_model(r, d_prime, n, seed, field=QQ, retries=5) -> GradedIdeal:
+def generic_power_model(r, d_prime, n, seed, field=QQ) -> GradedIdeal:
     """Specialize the pure-power alternating model down to n variables.
 
     Starts from the C(r,2)-variable matrix with entries x_{ij}^{d'}, takes
     its maximal Pfaffians and repeatedly replaces the last variable by a
     seeded random combination of the remaining ones (applied as the
     composite substitution).  Coefficients are drawn from {-10..10} minus
-    {0}.  For n = 3 the result is checked to be Artinian; a failed
-    specialization is retried with fresh randomness.
+    {0}.  For n = 3 the result is checked to be Artinian, exactly; a failed
+    specialization is retried with fresh randomness, up to MODEL_RETRIES
+    draws in all.  The maximal Pfaffians generate a grade-3 Pfaffian ideal,
+    so an Artinian specialization vanishes from degree 2d + d' - 2 on
+    (Buchsbaum-Eisenbud 1977) and no search cap is needed.
     """
     if r < 3 or r % 2 == 0:
         raise ValueError("matrix size must be odd and at least 3")
@@ -210,24 +213,16 @@ def generic_power_model(r, d_prime, n, seed, field=QQ, retries=5) -> GradedIdeal
         raise ValueError(f"target variable count must lie in [3, {big_n}]")
     rng = random.Random(seed)
     base = maximal_pfaffians(generic_skew_matrix(r, d_prime, field))
-    d = (r - 1) * d_prime // 2
-    # a proper specialization vanishes right above the expected socle degree
-    cap = 2 * d + d_prime
-    for _ in range(retries):
+    for _ in range(MODEL_RETRIES):
         images = _composite_images(big_n, n, field, rng)
         polys = [p.substitute(images) for p in base]
         gens = [p for p in polys if not p.is_zero()]
         ideal = GradedIdeal(n, gens, field)
-        if n > 3:
+        if n > 3 or ideal.is_artinian():
             return ideal
-        try:
-            ideal.artinian_bound(cap)
-            return ideal
-        except NotArtinianError:
-            continue
     raise RuntimeError(
-        f"specialization failed to reach an Artinian ideal after {retries} "
-        f"reseeds (seed {seed})")
+        f"specialization failed to reach an Artinian ideal after "
+        f"{MODEL_RETRIES} reseeds (seed {seed})")
 
 
 def _random_nonzero(field, rng):

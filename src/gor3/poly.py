@@ -4,11 +4,12 @@ A polynomial is a mapping from exponent tuples to nonzero field scalars.
 Graded pieces of ideals are handled as dense vectors over the canonical
 monomial basis, so MultiPoly only needs ring arithmetic, substitution and
 conversion to/from coefficient vectors.  Sums, products and powers are
-module-level functions on bare term maps, so that the text parser can
-evaluate a whole expression before it builds one polynomial.  The storage,
-validation, vectors and printing live in one sparse-form base that the dual
-forms of apolarity.InverseForm share; only MultiPoly has ring operations,
-and the two kinds of form never mix.
+module-level functions on bare term maps, so that the text parser and
+substitution evaluate a whole expression before they build one polynomial;
+the ideals module multiplies its integer terms with the same product.  The
+storage, validation, vectors and printing live in one sparse-form base that
+the dual forms of apolarity.InverseForm share; only MultiPoly has ring
+operations, and the two kinds of form never mix.
 """
 
 from __future__ import annotations
@@ -225,12 +226,6 @@ class MultiPoly(_SparseForm):
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.field.zero)
 
-    def leading_monomial(self) -> tuple:
-        """Deg-lex leading exponent vector (x1 > ... > xn)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=deglex_key)
-
     def __neg__(self):
         field = self.field
         return MultiPoly(self.n,
@@ -257,7 +252,8 @@ class MultiPoly(_SparseForm):
                          self.field)
 
     def substitute(self, images):
-        """Ring-homomorphism image: variable i goes to images[i]."""
+        """Ring-homomorphism image: variable i goes to images[i].  Each term
+        is a product of cached powers of the images, all on term maps."""
         if len(images) != self.n:
             raise ValueError(
                 f"need {self.n} images, got {len(images)}")
@@ -268,22 +264,19 @@ class MultiPoly(_SparseForm):
         for g in images:
             if g.n != m or g.field != field:
                 raise ValueError("images live in incompatible rings")
-        out = MultiPoly.zero(m, field)
+        out = {}
         powers = [{} for _ in range(self.n)]
-
-        def power_of(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = images[i] ** k
-            return cache[k]
-
+        one = (0,) * m
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(m, 1, field).scale(coeff)
+            term = {one: field.of(coeff)}
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power_of(i, e)
-            out = out + term
-        return out
+                    cache = powers[i]
+                    if e not in cache:
+                        cache[e] = _term_power(images[i].terms, e, m, field)
+                    term = _term_product(term, cache[e], field)
+            _add_terms(out, term, field)
+        return MultiPoly(m, out, field)
 
 
 def substitute(f: MultiPoly, images) -> MultiPoly:

@@ -4,15 +4,21 @@ These deliberately avoid the library's own elimination and Pfaffian
 recursions so that the checks stay dual-route.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
-from gor3 import MultiPoly
+from gor3 import GradedIdeal, MultiPoly
 from gor3.fields import RationalField
-from gor3.ideals import degree_one_multiples
-from gor3.monomials import monomials_of_degree
+from gor3.ideals import NotArtinianError, degree_one_multiples
+from gor3.monomials import deglex_key, monomials_of_degree
 from gor3.parsing import PolyParseError, _tokenize
-from gor3.pfaffians import SkewPolyMatrix
+from gor3.pfaffians import (
+    SkewPolyMatrix,
+    _composite_images,
+    generic_skew_matrix,
+    maximal_pfaffians,
+)
 
 
 def det_by_minors(rows):
@@ -284,7 +290,7 @@ def _tuple_difference(a, b):
 
 
 def shifted_rows_by_tuples(n, t, gens_with_terms):
-    """Coefficient vectors of x^alpha * g for the (degree, terms) pairs of
+    """Coefficient vectors of x^alpha * g for the (degree, term map) pairs of
     degree at most t, alpha running over the degree-(t - deg g) basis."""
     basis = list(monomials_of_degree(n, t))
     out = []
@@ -293,7 +299,7 @@ def shifted_rows_by_tuples(n, t, gens_with_terms):
             continue
         for alpha in monomials_of_degree(n, t - d):
             vec = [0] * len(basis)
-            for e, c in terms:
+            for e, c in terms.items():
                 vec[basis.index(_tuple_sum(alpha, e))] = c
             out.append(vec)
     return out
@@ -328,13 +334,13 @@ def multiplication_maps_by_tuples(I, t):
 
 def catalecticant_rows_by_tuples(n, s, terms, t):
     """Contraction R_t -> D_{s-t} against the degree-s dual form with the
-    given (exponents, coefficient) terms: row gamma, column alpha holds the
-    coefficient at beta whenever beta - alpha = gamma."""
+    given term map: row gamma, column alpha holds the coefficient at beta
+    whenever beta - alpha = gamma."""
     rows_basis = list(monomials_of_degree(n, s - t))
     cols_basis = monomials_of_degree(n, t)
     rows = [[0] * len(cols_basis) for _ in rows_basis]
     for col, alpha in enumerate(cols_basis):
-        for beta, b in terms:
+        for beta, b in terms.items():
             gamma = _tuple_difference(alpha, beta)
             if gamma is not None:
                 rows[rows_basis.index(gamma)][col] = b
@@ -402,7 +408,7 @@ def spans_rank_by_tuples(forms, e):
     n = forms[0].n
     d = forms[0].homogeneous_degree()
     rows = shifted_rows_by_tuples(
-        n, d + e, [(d, list(f.terms.items())) for f in forms])
+        n, d + e, [(d, f.terms) for f in forms])
     return len(field_rref(rows, field)[0]), len(rows)
 
 
@@ -523,3 +529,72 @@ class _PolyArithmeticParser:
 def parse_poly_by_arithmetic(text, var_names, field):
     """parse_poly's answer, built from MultiPoly arithmetic token by token."""
     return _PolyArithmeticParser(text, list(var_names), field).parse()
+
+
+# ----------------------------------------------------------------------
+# Small helpers that only the tests use.
+
+
+def mono_divides(a, b):
+    """Does x^a divide x^b?"""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def leading_monomial(f):
+    """Deg-lex leading exponent vector (x1 > ... > xn) of a nonzero f."""
+    if not f.terms:
+        raise ValueError("zero polynomial has no leading monomial")
+    return max(f.terms, key=deglex_key)
+
+
+def is_gorenstein_symmetric(table):
+    """beta_{i,j} == beta_{n-i, D-j} in a Betti table, D its top shift."""
+    top = table.column_shifts(table.n)
+    if len(top) != 1:
+        return False
+    D = next(iter(top))
+    return all(table.beta(table.n - i, D - j) == v
+               for (i, j), v in table.entries.items())
+
+
+# ----------------------------------------------------------------------
+# Substitution through MultiPoly objects, and the Pfaffian model's retry
+# loop with a search cap: the routes substitute and generic_power_model are
+# checked against.
+
+
+def substitute_by_objects(f, images):
+    """f(images): each term built as a MultiPoly, the constant 1 scaled by
+    the coefficient and multiplied by cached MultiPoly powers of the images,
+    then added to a MultiPoly total."""
+    m, field = images[0].n, f.field
+    out = MultiPoly.zero(m, field)
+    powers = [{} for _ in range(f.n)]
+    for exps, coeff in f.terms.items():
+        term = MultiPoly.constant(m, 1, field).scale(coeff)
+        for i, e in enumerate(exps):
+            if e:
+                if e not in powers[i]:
+                    powers[i][e] = images[i] ** e
+                term = term * powers[i][e]
+        out = out + term
+    return out
+
+
+def generic_power_model_capped(r, d_prime, seed, field, retries=5):
+    """(ideal, Artinian bound) of the pure-power Pfaffian model specialized
+    to 3 variables, by the retry loop with a search cap: a draw is accepted
+    when some Hilbert value up to 2d + d' vanishes."""
+    rng = random.Random(seed)
+    base = maximal_pfaffians(generic_skew_matrix(r, d_prime, field))
+    big_n = r * (r - 1) // 2
+    cap = 2 * ((r - 1) * d_prime // 2) + d_prime
+    for _ in range(retries):
+        images = _composite_images(big_n, 3, field, rng)
+        gens = [g for g in (substitute_by_objects(p, images) for p in base)
+                if not g.is_zero()]
+        ideal = GradedIdeal(3, gens, field)
+        for t in range(cap + 1):
+            if ideal.hilbert_function(t) == 0:
+                return ideal, t
+    raise NotArtinianError(f"no Artinian draw in {retries} attempts")

@@ -16,8 +16,9 @@ from gor3.apolarity import (
 from gor3.cli import main
 from gor3.fields import QQ
 from gor3.ideals import variable_power_ideal
-from gor3.monomials import mono_divides, monomial_count, monomials_of_degree
+from gor3.monomials import monomial_count, monomials_of_degree
 from gor3.parsing import parse_poly
+from oracles import mono_divides
 
 VARS = ["x", "y", "z"]
 

@@ -3,8 +3,8 @@
 A QQ piece with at least as many shifted generators as monomials is proved
 full by its rank modulo CERTIFICATE_PRIME, and a piece above a full piece is
 full outright.  Both must give exactly the piece that row-reducing the
-shifted generators gives.  The Artinian search without a cap stops at the
-exact degree n(D-1)+1.
+shifted generators gives.  The Artinian search stops at the exact degree
+n(D-1)+1.
 """
 
 import random
@@ -143,13 +143,3 @@ def test_not_artinian_is_decided_at_the_exact_degree(field):
         "not Artinian within cap (no vanishing Hilbert value up to t=36)")
     # n(D-1)+1 = 7 is the last degree searched
     assert max(I._pieces) == 7
-
-
-def test_explicit_cap_searches_up_to_the_cap():
-    I = GradedIdeal.from_strings(["x^2", "y^3"])
-    with pytest.raises(NotArtinianError, match=r"up to t=9\)"):
-        I.artinian_bound(cap=9)
-    assert max(I._pieces) == 9
-    J = GradedIdeal.from_strings(["x^2", "y^3", "z^4"])
-    assert not J.is_artinian(cap=6)
-    assert J.artinian_bound() == 7

@@ -18,8 +18,9 @@ from gor3 import (
     variable_power_ideal,
 )
 from gor3.fields import GF, QQ
-from gor3.monomials import mono_divides, monomials_of_degree
+from gor3.monomials import monomials_of_degree
 from gor3.parsing import parse_poly
+from oracles import mono_divides
 
 VARS = ["x", "y", "z"]
 

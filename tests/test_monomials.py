@@ -2,7 +2,6 @@ from math import comb
 
 from gor3.monomials import (
     deglex_key,
-    mono_divides,
     mono_mul,
     mono_sub,
     monomial_count,
@@ -10,6 +9,7 @@ from gor3.monomials import (
     monomials_of_degree,
     product_table,
 )
+from oracles import mono_divides
 
 
 def test_degree_two_in_three_vars():

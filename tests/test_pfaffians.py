@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gor3 import GradedIdeal, MultiPoly
-from gor3.fields import QQ
+from gor3.fields import GF, QQ
+from gor3.ideals import NotArtinianError
 from gor3.parsing import parse_poly, parse_poly_list
 from gor3.pfaffians import (
     SkewPolyMatrix,
@@ -14,7 +15,7 @@ from gor3.pfaffians import (
     pfaffian,
     pfaffian_ideal,
 )
-from oracles import det_by_minors, random_alternating
+from oracles import det_by_minors, generic_power_model_capped, random_alternating
 
 VARS = ["x", "y", "z"]
 
@@ -180,6 +181,25 @@ def test_generic_model_socle_degree_formula():
         rep = I.socle_report()
         assert rep.is_gorenstein
         assert rep.socle_degree == 2 * d + dp - 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(7), GF(3)], ids=repr)
+def test_generic_model_matches_the_capped_retry_loop(field):
+    """The exact Artinian decision accepts the same draw, with the same
+    generators and bound, as a loop that searched only up to 2d + d': an
+    Artinian specialization vanishes from 2d + d' - 2 on."""
+    for r, dp in ((3, 1), (3, 2), (5, 1), (5, 2)):
+        for seed in range(10):
+            try:
+                J, bound = generic_power_model_capped(r, dp, seed, field)
+            except NotArtinianError:
+                with pytest.raises(RuntimeError):
+                    generic_power_model(r, dp, 3, seed, field)
+                continue
+            I = generic_power_model(r, dp, 3, seed, field)
+            assert ([list(g.terms.items()) for g in I.generators]
+                    == [list(g.terms.items()) for g in J.generators])
+            assert I.artinian_bound() == bound
 
 
 def test_generic_model_intermediate_dimension():

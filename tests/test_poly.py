@@ -7,6 +7,7 @@ from gor3.fields import GF, QQ
 from gor3.monomials import monomials_of_degree
 from gor3.parsing import PolyParseError, parse_poly
 from gor3.poly import MultiPoly, power_substitution, rewrite_in_linear_forms
+from oracles import leading_monomial, substitute_by_objects
 
 VARS = ["x", "y", "z"]
 
@@ -102,6 +103,29 @@ def test_substitute_linear():
     assert f.substitute([x, y, x + y]) == P("x^2 + x*y")
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_substitute_matches_term_by_term_polynomials(field):
+    """The image and the order of its terms are those of building every
+    term as a MultiPoly and adding it to a MultiPoly total."""
+    rng = random.Random(6)
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        f = random_form(rng, n, 0, field)
+        for degree in range(1, 4):
+            f = f + random_form(rng, n, degree, field)
+        images = [random_form(rng, m, rng.randint(0, 2), field)
+                  for _ in range(n)]
+        got, want = f.substitute(images), substitute_by_objects(f, images)
+        assert got == want and list(got.terms) == list(want.terms)
+    # the y*z terms of (y + z)(y - z) cancel, and the constant 3 stays
+    x, y, z = (MultiPoly.variable(i, 3, field) for i in range(3))
+    f = P("x*y + 3", field)
+    images = [y + z, y - z, x]
+    got = f.substitute(images)
+    assert got == P("y^2 - z^2 + 3", field)
+    assert list(got.terms) == list(substitute_by_objects(f, images).terms)
+
+
 def test_substitution_ambient_mismatch():
     f = P("x + y")
     with pytest.raises(ValueError):
@@ -117,8 +141,8 @@ def test_exponent_scaling_commutes_with_leading_monomial():
         f = random_form(rng, n, rng.randint(1, 4), density=0.5)
         p = rng.randint(2, 4)
         lifted = power_substitution(f, p)
-        expected = tuple(e * p for e in f.leading_monomial())
-        assert lifted.leading_monomial() == expected
+        expected = tuple(e * p for e in leading_monomial(f))
+        assert leading_monomial(lifted) == expected
 
 
 def test_general_substitution_matches_power_substitution():
