@@ -1,12 +1,14 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Field objects carry the arithmetic; the scalars themselves are plain
-``fractions.Fraction`` values (over QQ) or ints in ``[0, p)`` (over GF(p)).
-Keeping scalars unboxed keeps the linear-algebra kernels fast.  QQ accepts
-ints wherever it accepts Fractions, and its inverse and quotient are always
-Fractions, never floats.  Graded pieces hold integer rows and ``linalg``
-reduces only integer rows; each field converts its own scalars to them
-(integer_row) and an integer RREF back to leading-1 rows (scalar_rows).
+Field objects carry the arithmetic; the scalars themselves are unboxed:
+over QQ ints and ``fractions.Fraction`` values, over GF(p) ints in
+``[0, p)``.  QQ.of gives an int for every integral value and ints stay ints
+under +, - and *, so integral coefficients never pay for Fraction
+arithmetic; ints and Fractions mix exactly and print alike.  QQ's inverse
+and quotient are always Fractions, never floats.  Graded pieces hold
+integer rows and ``linalg`` reduces only integer rows; each field converts
+its own scalars to them (integer_row) and an integer RREF back to leading-1
+rows (scalar_rows).
 """
 
 from __future__ import annotations
@@ -39,15 +41,17 @@ class RationalField:
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def of(self, value):
-        """Coerce an int or Fraction into the field."""
-        if isinstance(value, Fraction):
-            return value
+        """Coerce an int or Fraction into the field: an int when the value
+        is integral (int(), so that a bool becomes 1 or 0), else the
+        Fraction."""
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         raise FieldError(f"cannot coerce {value!r} into QQ")
 
     def add(self, a, b):
@@ -87,7 +91,7 @@ class RationalField:
 
     def scalar_rows(self, pivots, rows):
         """The leading-1 Fraction rows of an integer RREF."""
-        zero = self.zero
+        zero = Fraction(0)
         return [[Fraction(v, row[p]) if v else zero for v in row]
                 for p, row in zip(pivots, rows)]
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .fields import QQ, RationalField
@@ -69,7 +68,8 @@ class GradedPiece:
     rows with a positive pivot, as linalg.rref_int returns them, and over
     GF(p) leading-1 rows of residues.  Either form is unique for the
     subspace, so equal pieces have equal rows.  rows is the same RREF in
-    field scalars, leading-1 Fraction rows over QQ, built on first use.
+    field scalars, leading-1 Fraction rows over QQ (scalar_rows), built on
+    first use.
     """
 
     __slots__ = ("n", "t", "field", "pivots", "int_rows", "_rows")
@@ -149,7 +149,7 @@ def vector_to_poly(n, t, vec, field):
         if g:
             if next(v for v in ints if v) < 0:
                 g = -g
-            vec = [Fraction(v // g) if v else 0 for v in ints]
+            vec = [v // g for v in ints]
     return MultiPoly.from_vector(n, t, vec, field)
 
 

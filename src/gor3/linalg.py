@@ -8,9 +8,10 @@ them.  rref_rows, row_rank and kernel_rows hand the elimination to the
 kernels of ``_rowred_py``, and normal_form is the one reduction modulo an
 integer RREF: kernel bases, residuals, the multiplication maps of R/I and
 the span check of the modular front end are read off it.  ExactMatrix
-holds field scalars (Fraction over QQ, int over GF(p)); its field converts
-the rows on the way in and the RREF on the way out.  Its determinant is
-one fraction-free Bareiss pass over those integer rows for both fields.
+holds field scalars (int or Fraction over QQ, int over GF(p)); its field
+converts the rows on the way in and the RREF on the way out.  Its
+determinant is one fraction-free Bareiss pass over those integer rows for
+both fields.
 
 Over QQ a modular front end decides, from the row rank profile modulo
 CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
@@ -27,8 +28,9 @@ from math import gcd
 from ._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
 from .fields import PrimeField, RationalField
 
-# The word-size prime (2^31 - 1) of the modular front end of QQ elimination.
-CERTIFICATE_PRIME = 2147483647
+# The prime of the modular front end of QQ elimination, the largest below
+# 2^15: residues and their products then fit one 30-bit CPython int digit.
+CERTIFICATE_PRIME = 32749
 
 
 def _identity_rows(n):

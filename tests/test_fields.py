@@ -66,3 +66,23 @@ def test_rational_inverse_and_quotient_are_fractions():
         QQ.inv(0)
     with pytest.raises(ZeroDivisionError):
         QQ.div(1, Fraction(0))
+
+
+def test_integral_rationals_are_ints():
+    for value in (QQ.of(3), QQ.of(Fraction(4, 2)), QQ.of(True), QQ.of(Fraction(-6, 3)),
+                  QQ.one, QQ.zero):
+        assert type(value) is int
+    assert QQ.of(True) == 1 and QQ.of(False) == 0
+    assert QQ.of(Fraction(4, 2)) == 2 and QQ.of(Fraction(-6, 3)) == -2
+    assert type(QQ.of(Fraction(1, 2))) is Fraction
+    assert (QQ.one, QQ.zero) == (1, 0)
+    # sums and products of ints stay ints
+    assert type(QQ.add(QQ.mul(QQ.of(2), QQ.of(3)), QQ.one)) is int
+    with pytest.raises(FieldError):
+        QQ.of(0.5)
+
+
+def test_rational_rows_stay_fractions():
+    rows = QQ.scalar_rows([0, 2], [[2, 0, 0, 1], [0, 0, 3, 6]])
+    assert rows == [[1, 0, 0, Fraction(1, 2)], [0, 0, 1, 2]]
+    assert all(type(v) is Fraction for row in rows for v in row)

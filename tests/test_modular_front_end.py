@@ -6,20 +6,24 @@ full rank there proves the identity RREF with no exact elimination;
 otherwise ``rref_int`` sees the profile rows only, every other row is
 checked against its result, and an unlucky prime falls back to all rows.
 Every route must give the canonical RREF that ``oracles.gcd_rref_int`` and
-``oracles.fraction_rref`` compute.
+``oracles.fraction_rref`` compute, whichever prime the front end uses.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import gor3.linalg
+from gor3._rowred_py import rref_int
 from gor3.fields import QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
-from gor3.linalg import ExactMatrix
+from gor3.linalg import ExactMatrix, kernel_rows, row_rank, rref_rows
+from gor3.monomials import monomials_of_degree
 
-from oracles import fraction_rref, gcd_rref_int, random_product, row_rank_profile
+from oracles import (catalecticant_rows_by_tuples, fraction_rref, gcd_rref_int,
+                     random_product, row_rank_profile)
 
 
 @pytest.fixture
@@ -164,3 +168,78 @@ def test_seeded_tall_and_square_matrices(kernel_calls):
         assert kernel_calls[0] == ("mod", P)
         outcomes[["identity", "profile", "fallback"][exact]] += 1
     assert all(count >= 20 for count in outcomes.values()), outcomes
+
+
+# 2^31 - 1, the largest prime below 2^30 and the largest below 2^15
+PRIMES = (2 ** 31 - 1, 1073741789, 32749)
+
+
+def _expected_kernel(rows, nc):
+    """The kernel_rows contract from the Fraction oracle: for each free
+    column c, L times the kernel vector with 1 at c and 0 at the other free
+    columns, L being the lcm of the pivot entries of the primitive RREF."""
+    pivots, red = fraction_rref(rows)
+    lcm = 1
+    for c, row in zip(*gcd_rref_int(rows)):
+        lcm = lcm * row[c] // gcd(lcm, row[c])
+    basis = []
+    for c in (c for c in range(nc) if c not in pivots):
+        vec = [Fraction(0)] * nc
+        vec[c] = Fraction(1)
+        for p, row in zip(pivots, red):
+            vec[p] = -row[c]
+        basis.append([int(lcm * v) for v in vec])
+    return basis, lcm
+
+
+def _answers_at_each_prime(monkeypatch, rows, nc):
+    """{prime: (rref_rows, row_rank, kernel_rows, fell_back)} over tall or
+    square integer rows over QQ, CERTIFICATE_PRIME set to each prime in
+    turn.  fell_back tells whether rref_int saw all rows: the front end
+    hands it fewer than nc <= len(rows) rows unless the prime is unlucky."""
+    out = {}
+    for p in PRIMES:
+        monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", p)
+        seen = []
+        monkeypatch.setattr(gor3.linalg, "rref_int",
+                            lambda r: seen.append(len(r)) or rref_int(r))
+        out[p] = (rref_rows(QQ, rows, nc), row_rank(QQ, rows, nc),
+                  kernel_rows(QQ, rows, nc), len(rows) in seen)
+    return out
+
+
+def _prime_free_matrices(rng):
+    """(rows, unlucky): seeded tall and square integer matrices; where
+    unlucky is a prime, rows were built to vanish or coincide modulo it."""
+    for p in PRIMES:
+        yield [[1, 0, 2], [1 + p, p, 2], [0, 1, 1], [1, 1, 3]], p
+        yield [[p, 1], [2 * p, 3]], p
+        for _ in range(12):
+            nc = rng.randint(1, 6)
+            nr = nc + rng.randint(0, 4)
+            yield [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)], None
+            yield [[rng.choice([0, 1, -1, 2]) * p + rng.choice([0, 0, 1])
+                    for _ in range(nc)] for _ in range(nr)], p
+    # degree-2 catalecticants (15 x 6) of the binomial dual form
+    # X^3*Y^3 + Z^6, rank 4, and of the divided power of X + 2Y + 3Z, rank 1
+    yield catalecticant_rows_by_tuples(3, 6, {(3, 3, 0): 1, (0, 0, 6): 1}, 2), None
+    power = {e: 2 ** e[1] * 3 ** e[2] for e in monomials_of_degree(3, 6)}
+    yield catalecticant_rows_by_tuples(3, 6, power, 2), None
+
+
+def test_no_answer_depends_on_the_prime(monkeypatch):
+    """rref_rows, row_rank and kernel_rows over QQ give the oracle's answer
+    modulo any certificate prime, and matrices built on a prime's multiples
+    take the unlucky-prime fallback at that prime."""
+    fallbacks = {p: 0 for p in PRIMES}
+    for rows, unlucky in _prime_free_matrices(random.Random(3)):
+        nc = len(rows[0])
+        answers = _answers_at_each_prime(monkeypatch, rows, nc)
+        pivots, red = gcd_rref_int(rows)
+        expected = ((pivots, red), len(pivots), _expected_kernel(rows, nc))
+        for p, (*got, fell_back) in answers.items():
+            assert tuple(got) == expected, p
+            if unlucky == p:
+                fallbacks[p] += fell_back
+    # the two hand-built matrices and some of the seeded ones, at each prime
+    assert all(count >= 4 for count in fallbacks.values()), fallbacks

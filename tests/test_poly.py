@@ -52,6 +52,17 @@ def test_parse_rational_coefficients():
     assert f.coefficient((0, 1, 0)) == Fraction(-3, 4)
 
 
+def test_integral_rational_coefficients_are_ints():
+    f = P("(x + 2*y - z)^3 + 4/2*x*y*z")
+    assert f.terms and all(type(c) is int for c in f.terms.values())
+    assert f.coefficient((1, 1, 1)) == -10
+    one = MultiPoly.constant(1, True)
+    assert str(one) == "1" and type(one.terms[(0,)]) is int
+    g = P("1/2*x + 3*y - 4/2*z")
+    assert [type(c) for _, c in g.sorted_terms()] == [Fraction, int, int]
+    assert g.format() == "1/2*x + 3*y - 2*z"
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(PolyParseError):
         P("x +* y")
