@@ -15,9 +15,9 @@ from .fields import QQ
 from .ideals import (
     GradedIdeal,
     GradedPiece,
+    _dual_vector,
     _integer_span,
     _integer_terms,
-    _shifted_vectors,
     full_piece,
     vector_to_poly,
 )
@@ -121,14 +121,15 @@ def macaulay_inverse(I: GradedIdeal) -> InverseForm:
     n, field = I.n, I.field
     # F is annihilated by I exactly when every x^alpha * g of degree s
     # contracts it to zero, i.e. when its coefficient vector is orthogonal to
-    # every shifted generator row of degree s
-    kernel, _ = kernel_rows(field, _shifted_vectors(n, s, I._gen_data),
-                            monomial_count(n, s))
-    if len(kernel) != 1:
+    # the piece I_s: one free column of that piece, the vector the Gorenstein
+    # certificate of GradedIdeal.artinian_bound reads
+    piece = I.graded_piece(s)
+    kernel_dim = piece.ambient_dim - piece.dim
+    if kernel_dim != 1:
         raise NotGorensteinError(
             f"dual socle generator is not unique (kernel dimension "
-            f"{len(kernel)} in degree {s})")
-    vec = [field.of(v) for v in kernel[0]]
+            f"{kernel_dim} in degree {s})")
+    vec = [field.of(v) for v in _dual_vector(piece)]
     lead = next(v for v in vec if not field.is_zero(v))
     inv = field.inv(lead)
     vec = [field.mul(inv, v) for v in vec]

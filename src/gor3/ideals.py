@@ -6,7 +6,10 @@ the degree-t piece of an ideal is the row space of the shifted-generator
 coefficient vectors over the canonical monomial basis.  Equality of ideals
 always means equality of graded pieces through the relevant Artinian bound.
 That bound is exact, with no search cap: an ideal generated in degrees <= D
-is Artinian exactly when its degree n(D-1)+1 piece is full.
+is Artinian exactly when its degree n(D-1)+1 piece is full.  It is walked on
+row rank profiles mod p, and a Gorenstein ideal is certified to be Ann(F),
+by Macaulay duality, from the one exact piece in its socle degree; every
+Hilbert value and the socle then follow without the pieces below it.
 
 Pieces, the rows built from them and the multiplication maps between them
 are integer rows on both fields: the field turns each generator into an
@@ -33,6 +36,7 @@ from .linalg import (
     _residual,
     kernel_rows,
     normal_form,
+    row_profile,
     row_rank,
     rref_rows,
 )
@@ -153,12 +157,14 @@ def vector_to_poly(n, t, vec, field):
     return MultiPoly.from_vector(n, t, vec, field)
 
 
-def _integer_span(n, t, rows, field) -> GradedPiece:
+def _integer_span(n, t, rows, field, profile=None) -> GradedPiece:
     """The piece spanned by integer rows: over QQ scaled rows, over GF(p)
-    any integers standing for their residues."""
+    any integers standing for their residues.  profile is their row rank
+    profile when the caller has it (linalg.rref_rows)."""
     if not rows:
         return zero_piece(n, t, field)
-    return GradedPiece(n, t, field, *rref_rows(field, rows, monomial_count(n, t)))
+    return GradedPiece(n, t, field,
+                       *rref_rows(field, rows, monomial_count(n, t), profile))
 
 
 def span_of_vectors(n, t, vectors, field) -> GradedPiece:
@@ -174,6 +180,17 @@ def full_piece(n, t, field) -> GradedPiece:
 
 def zero_piece(n, t, field) -> GradedPiece:
     return GradedPiece(n, t, field, [], [])
+
+
+def _dual_vector(piece: GradedPiece):
+    """The primitive integer vector orthogonal to every row of a piece of
+    codimension one: the coefficients of the dual form F of degree piece.t
+    with g o F = 0 for every g in the piece, x^a o Y^[a] being 1.  It is the
+    one column of the piece's linalg.normal_form."""
+    _, _, nf = normal_form(piece.pivots, piece.int_rows, piece.ambient_dim)
+    vec = [image[0] for image in nf]
+    g = gcd(*vec)
+    return [v // g for v in vec]
 
 
 def degree_one_multiples(piece: GradedPiece, field):
@@ -263,7 +280,12 @@ class GradedIdeal:
         self.generators = gens
         self.truncated_at = truncated_at
         self._pieces = {}
+        # t -> (shifted generator rows, their row_profile), as the Artinian
+        # walk left them for the exact piece of degree t to reuse
+        self._profiles = {}
         self._artinian_bound = None
+        # the Hilbert values H(0..s) once I = Ann(F) is certified
+        self._hilbert = None
         self._gen_data = [(g.homogeneous_degree(), _integer_terms(g)) for g in gens]
 
     @classmethod
@@ -312,15 +334,64 @@ class GradedIdeal:
                 # R_1 * R_{t-1} = R_t above a full piece
                 piece = full_piece(self.n, t, self.field)
             else:
-                vecs = _shifted_vectors(self.n, t, self._gen_data)
-                piece = _integer_span(self.n, t, vecs, self.field)
+                rows, profile = self._profiles.pop(t, (None, None))
+                if rows is None:
+                    rows = _shifted_vectors(self.n, t, self._gen_data)
+                piece = _integer_span(self.n, t, rows, self.field, profile)
             self._pieces[t] = piece
         return piece
 
     def hilbert_function(self, t) -> int:
         if t < 0:
             return 0
+        if self._hilbert is not None:
+            return self._hilbert[t] if t < len(self._hilbert) else 0
         return monomial_count(self.n, t) - self.graded_piece(t).dim
+
+    def _upper_hilbert(self, t) -> int:
+        """dim R_t minus the rank mod p of the degree-t rows (the exact
+        piece's rank once it is built): H(t) over GF(p), and over QQ an
+        upper bound for H(t), since reduction mod CERTIFICATE_PRIME never
+        raises a rank.  The rows and their profile stay cached for
+        graded_piece."""
+        dim = monomial_count(self.n, t)
+        piece = self._pieces.get(t)
+        if piece is not None:
+            return dim - piece.dim
+        entry = self._profiles.get(t)
+        if entry is None:
+            rows = _shifted_vectors(self.n, t, self._gen_data)
+            entry = self._profiles[t] = rows, row_profile(self.field, rows, dim)
+        return dim - len(entry[1])
+
+    def _certify(self, upper) -> bool:
+        """Whether I = Ann(F) for a dual form F of degree s = len(upper) - 1,
+        upper[t] >= H(t) for t <= s and I_{s+1} full.
+
+        When upper[s] = 1 the exact piece I_s has one free column, read as
+        F (_dual_vector).  I_s o F = 0 puts I inside Ann(F), so the rank mod
+        p of the catalecticant Cat_t(F) is at most H(t) <= upper[t].  Cat_t
+        and Cat_{s-t} are transposes, so ranks equal to upper[t] and
+        upper[s-t] for every t <= s/2 prove every Hilbert value and
+        I = Ann(F): R/I is Gorenstein with socle {s: 1}.  The values are
+        then kept in _hilbert.
+        """
+        s = len(upper) - 1
+        if s < 0 or upper[s] != 1:
+            return False
+        piece = self.graded_piece(s)
+        if piece.ambient_dim - piece.dim != 1:
+            return False    # over QQ an unlucky prime: I_s is full
+        F = _dual_vector(piece)
+        for t in range(s // 2 + 1):
+            h = upper[t]
+            if upper[s - t] != h:
+                return False
+            cat = [[F[j] for j in row] for row in product_table(self.n, s - t, t)]
+            if len(row_profile(self.field, cat, h)) != h:
+                return False
+        self._hilbert = upper
+        return True
 
     def artinian_bound(self) -> int:
         """Least t with (R/I)_t = 0, exactly.
@@ -331,11 +402,30 @@ class GradedIdeal:
         field extension).  A nonzero Hilbert value at n(D-1)+1 therefore
         proves I is not Artinian.  The error keeps the words of an older
         search that stopped at 4Dn; no value up to there vanishes either.
+
+        The degrees are walked first on row rank profiles mod p alone
+        (_upper_hilbert), up to the first piece full mod p, which is full
+        over either field.  If the value below it is 1, the Macaulay dual
+        certificate (_certify) proves every Hilbert value from one exact
+        piece, the socle-degree one.  Otherwise (a larger value, a rank
+        that falls short, an unlucky prime, no full piece) the exact pieces
+        are built degree by degree, reusing the walk's profiles.
         """
         if self._artinian_bound is not None:
             return self._artinian_bound
         D = max(self.max_generator_degree, 1)
-        for t in range(self.n * (D - 1) + 2):
+        top = self.n * (D - 1) + 1
+        upper = []
+        for t in range(top + 1):
+            h = self._upper_hilbert(t)
+            if h == 0:
+                self.graded_piece(t)    # full by its profile: no elimination
+                if self._certify(upper):
+                    self._artinian_bound = t
+                    return t
+                break
+            upper.append(h)
+        for t in range(top + 1):
             if self.hilbert_function(t) == 0:
                 self._artinian_bound = t
                 return t
@@ -480,10 +570,18 @@ class GradedIdeal:
 
     def socle_report(self) -> "SocleReport":
         """Socle dimensions of R/I: in degree t, H(t) minus the rank of
-        x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n."""
+        x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n.
+
+        When artinian_bound certified I = Ann(F), the socle is one copy of
+        k in degree s = deg F, and no multiplication map is built.
+        """
         bound = self.artinian_bound()
         if bound == 0:
             raise ValueError("the unit ideal has no socle (R/I = 0)")
+        if self._hilbert is not None:
+            s = bound - 1
+            return SocleReport(socle_dims={s: 1}, socle_degree=s,
+                               is_gorenstein=True, artinian_bound=bound)
         dims = {}
         for t in range(bound):
             sdim = self.hilbert_function(t)

@@ -15,10 +15,12 @@ both fields.
 
 Over QQ a modular front end decides, from the row rank profile modulo
 CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
-rank), which rows the exact kernel sees.  A rank alone never builds a
-reduced form: it is the length of that profile, or over QQ, when the
-profile falls short of full rank, the pivot count of the exact forward
-elimination.
+rank), which rows the exact kernel sees.  A caller that has the profile
+already (row_profile, the profile modulo the field's own prime or, over QQ,
+CERTIFICATE_PRIME) passes it to rref_rows, which then never runs a second
+one.  A rank alone never builds a reduced form: it is the length of that
+profile, or over QQ, when the profile falls short of full rank, the pivot
+count of the exact forward elimination.
 """
 
 from __future__ import annotations
@@ -80,22 +82,43 @@ def _residual(row, nf, width):
     return out
 
 
-def _rref_rational(rows, nc):
+def _modulus(field):
+    """The prime of the row rank profiles over field: its own p over GF(p),
+    CERTIFICATE_PRIME over QQ."""
+    if isinstance(field, PrimeField):
+        return field.p
+    if isinstance(field, RationalField):
+        return CERTIFICATE_PRIME
+    raise TypeError(f"unsupported field {field!r}")
+
+
+def row_profile(field, rows, limit):
+    """The row rank profile of integer rows modulo the prime of field, at
+    most limit rows (rank_profile_mod).  Over GF(p) its length is the rank;
+    over QQ it is a lower bound for the rank, which never drops under
+    reduction mod CERTIFICATE_PRIME."""
+    return rank_profile_mod(rows, _modulus(field), limit)
+
+
+def _rref_rational(rows, nc, profile=None):
     """Integer RREF of rows (the contract of rref_int), rows having nc
     columns.
 
-    With at least as many rows as columns, the row rank profile S modulo
-    CERTIFICATE_PRIME comes first: the rows independent mod p of the rows
-    before them, found row by row until nc of them are kept.
-    The rank over QQ is never below the rank mod p, so |S| = nc proves the
-    identity RREF.  Otherwise only the rows in S are eliminated exactly and
-    every other row is checked against the result; if one lies outside (an
-    unlucky prime), all rows are eliminated.  Either way the output is the
-    canonical RREF of the row space.
+    The row rank profile S modulo CERTIFICATE_PRIME comes first: the rows
+    independent mod p of the rows before them, found row by row until nc of
+    them are kept.  It is taken here when there are at least as many rows
+    as columns, unless the caller passes it as profile; with fewer rows and
+    no profile, all rows go to rref_int.  The rank over QQ is never below
+    the rank mod p, so |S| = nc proves the identity RREF.  Otherwise only
+    the rows in S are eliminated exactly and every other row is checked
+    against the result; if one lies outside (an unlucky prime), all rows
+    are eliminated.  Either way the output is the canonical RREF of the row
+    space.
     """
-    if len(rows) < nc:
-        return rref_int(rows)
-    profile = rank_profile_mod(rows, CERTIFICATE_PRIME, nc)
+    if profile is None:
+        if len(rows) < nc:
+            return rref_int(rows)
+        profile = rank_profile_mod(rows, CERTIFICATE_PRIME, nc)
     if len(profile) == nc:
         return list(range(nc)), _identity_rows(nc)
     chosen = set(profile)
@@ -107,17 +130,23 @@ def _rref_rational(rows, nc):
     return rref_int(rows)
 
 
-def rref_rows(field, rows, nc):
+def rref_rows(field, rows, nc, profile=None):
     """Canonical RREF (pivots, rows) of integer rows with nc columns.
 
     Over QQ the rows are primitive with a positive pivot, as rref_int
     returns them, and come through the modular front end; over GF(p) they
     are the leading-1 rows of rref_mod.  Either form is unique for the row
-    space.
+    space.  profile, when given, is row_profile(field, rows, nc) of these
+    rows: over GF(p) only its rows are reduced (none when it is full), over
+    QQ it replaces the front end's own profile.
     """
+    if profile is not None and len(profile) == nc:
+        return list(range(nc)), _identity_rows(nc)
     if isinstance(field, RationalField):
-        return _rref_rational(rows, nc)
+        return _rref_rational(rows, nc, profile)
     if isinstance(field, PrimeField):
+        if profile is not None:
+            rows = [rows[i] for i in profile]
         return rref_mod(rows, field.p)
     raise TypeError(f"unsupported field {field!r}")
 
@@ -132,12 +161,9 @@ def row_rank(field, rows, nc):
     an unlucky prime) gives way to the pivot count of a Bareiss elimination.
     """
     full = min(len(rows), nc)
-    if isinstance(field, PrimeField):
-        return len(rank_profile_mod(rows, field.p, full))
-    if not isinstance(field, RationalField):
-        raise TypeError(f"unsupported field {field!r}")
-    if len(rank_profile_mod(rows, CERTIFICATE_PRIME, full)) == full:
-        return full
+    rank = len(row_profile(field, rows, full))
+    if rank == full or isinstance(field, PrimeField):
+        return rank
     return len(_bareiss(list(rows))[0])
 
 

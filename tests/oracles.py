@@ -370,6 +370,53 @@ def field_rref(rows, field):
     return pivots, m[:r]
 
 
+def socle_by_field_rref(I):
+    """(bound, hilbert, socle) of R/I from a Gauss-Jordan of every piece in
+    field arithmetic, degree by degree up to the first full one, and the
+    ranks of the stacked maps x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n read on
+    standard monomials: no modular rank, no integer kernel and no
+    certificate.  (None, None, None) when no piece up to n(D-1)+1 is full."""
+    n, field = I.n, I.field
+    gens = [(g.homogeneous_degree(), dict(g.terms)) for g in I.generators]
+    top = n * (max(d for d, _ in gens) - 1) + 1
+    pieces = []
+    for t in range(top + 1):
+        rows = shifted_rows_by_tuples(n, t, gens)
+        pieces.append(field_rref(rows, field) if rows else ([], []))
+        if len(pieces[-1][0]) == len(monomials_of_degree(n, t)):
+            break
+    else:
+        return None, None, None
+    bound = len(pieces) - 1
+    hilbert = [len(monomials_of_degree(n, t)) - len(pieces[t][0])
+               for t in range(bound)]
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    socle = {}
+    for t in range(bound):
+        pivots, _ = pieces[t]
+        above, rows_above = pieces[t + 1]
+        basis_above = list(monomials_of_degree(n, t + 1))
+        free_above = [c for c in range(len(basis_above)) if c not in above]
+        images = []     # one row per standard monomial: its n images, joined
+        for c, mono in enumerate(monomials_of_degree(n, t)):
+            if c in pivots:
+                continue
+            row = []
+            for u in units:
+                q = basis_above.index(_tuple_sum(mono, u))
+                if q in above:
+                    red = rows_above[above.index(q)]
+                    row.extend(field.neg(red[f]) for f in free_above)
+                else:
+                    row.extend(field.one if f == q else field.zero
+                               for f in free_above)
+            images.append(row)
+        rank = len(field_rref(images, field)[0]) if free_above else 0
+        if hilbert[t] - rank:
+            socle[t] = hilbert[t] - rank
+    return bound, hilbert, socle
+
+
 def macaulay_inverse_by_tuples(I):
     """The degree-s dual generator of the Gorenstein ideal I as a dense
     vector: the one kernel vector of the blocks x^alpha * g, found by

@@ -1,0 +1,210 @@
+"""The Macaulay dual certificate of GradedIdeal.artinian_bound.
+
+artinian_bound walks the degrees on row rank profiles mod p (the field's
+own prime, or CERTIFICATE_PRIME over QQ) up to the first piece full mod p.
+When the value below it is 1, one exact piece, the socle-degree one, gives
+the dual form F, and catalecticant ranks mod p prove I = Ann(F): every
+Hilbert value and the socle {s: 1}.  Any miss falls back to exact pieces
+degree by degree.  The answers must equal those of the exact route (the
+library's own with the certificate switched off) and of
+oracles.socle_by_field_rref, over every field and modulo any prime.
+"""
+
+import random
+
+import pytest
+
+import gor3.linalg
+from gor3 import GradedIdeal, MultiPoly
+from gor3.apolarity import InverseForm, NotGorensteinError, annihilator, macaulay_inverse
+from gor3.cases import monomial_tower_ideal, random_quadrics
+from gor3.fields import GF, QQ
+from gor3.ideals import NotArtinianError, vector_to_poly
+from gor3.monomials import monomials_of_degree
+from gor3.pfaffians import generic_power_model
+
+from oracles import macaulay_inverse_by_tuples, socle_by_field_rref
+
+FIELDS = [QQ, GF(32003), GF(7), GF(2)]
+
+NOT_GORENSTEIN = [
+    # H = 1, 3, 1 with socle {1: 1, 2: 1}: H(s) = 1, but x is a socle element
+    ["x^2", "x*y", "x*z", "y^2", "z^2"],
+    # H(s) = H(2) = 2
+    ["x^2", "y^2", "z^2", "x*y"],
+    # the monomial tower of degree 3, socle {2: 1, 3: 3}
+    ["y^2*z", "x*y*z", "x^2*z", "x^3", "x^2*y", "y^3", "z^3"],
+]
+
+NOT_ARTINIAN = ["x*y", "x*z", "y*z", "x^2 - z^2"]
+
+
+def _random_dual_form(rng, field):
+    s = rng.randint(1, 5)
+    terms = {e: field.of(rng.randint(-3, 3)) for e in monomials_of_degree(3, s)
+             if rng.random() < 0.6}
+    terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
+    return InverseForm(3, terms or {(s, 0, 0): field.one}, field)
+
+
+def _gorenstein_candidates(field):
+    """(kind, ideal) for seeded ideals given by generators: Pfaffian models
+    (5, 1) and (5, 2), annihilators of random dual forms and random quadric
+    sets."""
+    gens = []
+    for r, dp in ((5, 1), (5, 2)):
+        for seed in (1, 2):
+            try:
+                model = generic_power_model(r, dp, 3, seed, field)
+            except RuntimeError:
+                continue    # no Artinian specialization over a tiny field
+            gens.append((f"model-{dp}", model.generators))
+    rng = random.Random(24)
+    for _ in range(6):
+        gens.append(("annihilator",
+                     annihilator(_random_dual_form(rng, field)).generators))
+    for seed in range(6):
+        gens.append(("quadrics", random_quadrics(seed, field)))
+    return [(kind, GradedIdeal(3, g, field)) for kind, g in gens]
+
+
+def _fresh(I):
+    return GradedIdeal(I.n, I.generators, I.field)
+
+
+def _answers(I):
+    """(answers, certified) of a fresh copy of I: the Artinian bound, the
+    Hilbert table and the socle report, or the NotArtinianError text."""
+    J = _fresh(I)
+    try:
+        bound = J.artinian_bound()
+    except NotArtinianError as e:
+        return str(e), J._hilbert is not None
+    return (bound, J.hilbert_series_table(), J.socle_report().as_dict()), \
+        J._hilbert is not None
+
+
+def _exact_answers(I, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(GradedIdeal, "_certify", lambda self, upper: False)
+        return _answers(I)[0]
+
+
+def _oracle_answers(I):
+    bound, hilbert, socle = socle_by_field_rref(I)
+    if bound is None:
+        return None
+    return bound, hilbert, {
+        "socle_dims": {str(k): v for k, v in sorted(socle.items())},
+        "socle_degree": max(socle),
+        "is_gorenstein": sum(socle.values()) == 1,
+        "artinian_bound": bound,
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_certified_answers_equal_the_exact_route(field, monkeypatch):
+    certified = 0
+    for kind, I in _gorenstein_candidates(field):
+        got, was_certified = _answers(I)
+        assert got == _exact_answers(I, monkeypatch), I
+        if field == QQ and kind == "model-2":
+            # the Fraction Gauss-Jordan takes seconds on a (5, 2) model over
+            # QQ; the GF(p) runs check those against the oracle
+            oracle = got
+        else:
+            oracle = _oracle_answers(I)
+        if oracle is None:
+            # random quadrics over GF(2) can miss the Artinian ones
+            assert got.startswith("not Artinian") and not was_certified
+            continue
+        assert got == oracle, I
+        # over GF(p) the walk's values are exact, over QQ the prime is lucky
+        # for these seeds: the certificate fires exactly on Gorenstein input
+        assert was_certified == got[2]["is_gorenstein"], I
+        certified += was_certified
+    assert certified >= 6
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_non_gorenstein_ideals_fall_back(field, monkeypatch):
+    expected = [(3, [1, 3, 1], {"1": 1, "2": 1}),
+                (3, [1, 3, 2], {"2": 2}),
+                (4, [1, 3, 6, 3], {"2": 1, "3": 3})]
+    for texts, (bound, table, socle) in zip(NOT_GORENSTEIN, expected):
+        I = GradedIdeal.from_strings(texts, field=field)
+        got, was_certified = _answers(I)
+        assert not was_certified
+        assert got == _exact_answers(I, monkeypatch) == _oracle_answers(I)
+        assert got[:2] == (bound, table) and got[2]["socle_dims"] == socle
+    # (Ann F)_4 alone for a quartic F with H_F = 1, 3, 6, 3, 1: the ranks of
+    # Cat_t(F) meet the walk's values for t <= 2, but H(3) = 10 > H(1)
+    rng = random.Random(4)
+    F = InverseForm(3, {e: field.of(rng.randint(1, 9))
+                        for e in monomials_of_degree(3, 4)}, field)
+    quartics = annihilator(F).graded_piece(4).int_rows
+    I = GradedIdeal(3, [vector_to_poly(3, 4, r, field) for r in quartics], field)
+    got, was_certified = _answers(I)
+    assert not was_certified
+    assert got == _exact_answers(I, monkeypatch) == _oracle_answers(I)
+    assert got[:2] == (5, [1, 3, 6, 10, 1]) and got[2]["socle_dims"] == {"3": 7, "4": 1}
+    I = GradedIdeal.from_strings(NOT_ARTINIAN, field=field)
+    message = "not Artinian within cap (no vanishing Hilbert value up to t=24)"
+    assert _answers(I) == (message, False)
+    assert _exact_answers(I, monkeypatch) == message
+    assert _oracle_answers(I) is None
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_no_certified_answer_depends_on_the_prime(prime, monkeypatch):
+    """Over QQ with CERTIFICATE_PRIME patched to a tiny prime, some walks
+    see ranks drop and some catalecticant ranks fall short: those fall back,
+    and every answer stays the one at the default prime."""
+    ideals = [I for _, I in _gorenstein_candidates(QQ)] + [
+        GradedIdeal.from_strings(texts) for texts in NOT_GORENSTEIN]
+    expected = [_answers(I)[0] for I in ideals]
+    monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", prime)
+    missed = 0
+    for I, answer in zip(ideals, expected):
+        got, was_certified = _answers(I)
+        assert got == answer, I
+        missed += answer[2]["is_gorenstein"] and not was_certified
+    assert missed >= 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_one_exact_piece_for_a_certified_ideal(field, monkeypatch):
+    calls = []
+    for name in ("rref_int", "rref_mod"):
+        kernel = getattr(gor3.linalg, name)
+        monkeypatch.setattr(gor3.linalg, name,
+                            lambda *a, kernel=kernel: calls.append(a) or kernel(*a))
+    I = generic_power_model(5, 2, 3, 1, field)
+    rep = I.socle_report()
+    s = rep.socle_degree
+    assert rep.is_gorenstein and I._hilbert is not None
+    # the socle-degree piece is exact, the one above it full by its profile
+    assert sorted(I._pieces) == [s, s + 1]
+    assert len(calls) == 1
+    # macaulay_inverse reads the cached piece: no elimination at all
+    F = macaulay_inverse(I)
+    assert len(calls) == 1
+    assert F.to_vector(s) == macaulay_inverse_by_tuples(_fresh(I))
+    # the pieces below, built later from the walk's cached profiles, are
+    # the exact ones
+    for t in range(s):
+        assert I.graded_piece(t) == _fresh(I).graded_piece(t)
+    assert I._profiles == {}
+
+
+def test_macaulay_inverse_error_text_is_unchanged():
+    tower = monomial_tower_ideal(3)
+    with pytest.raises(NotGorensteinError) as info:
+        macaulay_inverse(tower)
+    assert str(info.value) == ("dual socle generator is not unique "
+                               "(kernel dimension 3 in degree 3)")
+    # H(s) = 1 without Gorenstein: the one orthogonal form is still read
+    I = GradedIdeal.from_strings(NOT_GORENSTEIN[0])
+    assert macaulay_inverse(I) == InverseForm(3, {(0, 1, 1): 1})
+    x = MultiPoly.variable(0, 1)
+    assert macaulay_inverse(GradedIdeal(1, [x ** 5])) == InverseForm(1, {(4,): 1})

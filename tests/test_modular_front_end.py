@@ -17,9 +17,9 @@ import pytest
 
 import gor3.linalg
 from gor3._rowred_py import rref_int
-from gor3.fields import QQ
+from gor3.fields import GF, QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
-from gor3.linalg import ExactMatrix, kernel_rows, row_rank, rref_rows
+from gor3.linalg import ExactMatrix, kernel_rows, row_profile, row_rank, rref_rows
 from gor3.monomials import monomials_of_degree
 
 from oracles import (catalecticant_rows_by_tuples, fraction_rref, gcd_rref_int,
@@ -243,3 +243,25 @@ def test_no_answer_depends_on_the_prime(monkeypatch):
                 fallbacks[p] += fell_back
     # the two hand-built matrices and some of the seeded ones, at each prime
     assert all(count >= 4 for count in fallbacks.values()), fallbacks
+
+
+def test_a_profile_passed_in_gives_the_same_rref(monkeypatch):
+    """rref_rows with the row profile the caller took (as the Artinian walk
+    passes it) equals rref_rows without one, over QQ modulo each prime and
+    over GF(p) from the profile rows alone, for tall and wide matrices."""
+    rng = random.Random(8)
+    matrices = [rows for rows, _ in _prime_free_matrices(rng)]
+    matrices += [[list(col) for col in zip(*rows)] for rows in matrices]
+    matrices += [[[rng.randint(-3, 3) for _ in range(7)] for _ in range(3)]
+                 for _ in range(10)]
+    for field in (GF(7), GF(32003)):
+        for rows in matrices:
+            nc = len(rows[0])
+            profile = row_profile(field, rows, nc)
+            assert rref_rows(field, rows, nc, profile) == rref_rows(field, rows, nc)
+    for p in PRIMES:
+        monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", p)
+        for rows in matrices:
+            nc = len(rows[0])
+            profile = row_profile(QQ, rows, nc)
+            assert rref_rows(QQ, rows, nc, profile) == gcd_rref_int(rows)
