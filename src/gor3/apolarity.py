@@ -3,10 +3,11 @@
 The dual module carries the contraction action: x^a sends y^[b] to y^[b-a],
 with the term dropped whenever an exponent goes negative.  Coefficients are
 multiplied through as given (no binomial factors), so everything here is
-characteristic-free.  Annihilators of dual forms are assembled from
-catalecticant kernels degree by degree.  A dual form stores its terms like
-a polynomial (the sparse-form base of poly) but has no ring operations:
-R acts on it only by contraction.
+characteristic-free.  Annihilators of dual forms are read off
+ideals._annihilator_pieces, the catalecticant kernels that colons of pure
+powers use too.  A dual form stores its terms like a polynomial (the
+sparse-form base of poly) but has no ring operations: R acts on it only by
+contraction.
 """
 
 from __future__ import annotations
@@ -14,20 +15,12 @@ from __future__ import annotations
 from .fields import QQ
 from .ideals import (
     GradedIdeal,
-    GradedPiece,
+    _annihilator_pieces,
     _dual_vector,
-    _integer_span,
     _integer_terms,
-    full_piece,
     vector_to_poly,
 )
-from .linalg import kernel_rows
-from .monomials import (
-    mono_sub,
-    monomial_count,
-    monomial_index,
-    product_table,
-)
+from .monomials import mono_sub
 from .poly import MultiPoly, _SparseForm
 
 
@@ -68,46 +61,17 @@ def contract(f: MultiPoly, F: InverseForm) -> InverseForm:
     return InverseForm(f.n, terms, field)
 
 
-def _catalecticant_rows(F: InverseForm, t):
-    """The matrix of contraction R_t -> D_{s-t} against F (s = deg F), as
-    integer rows: F scaled to integer coefficients, which has the same
-    kernel.
-
-    x^alpha contracts F onto the term y^[gamma] with the coefficient of F at
-    alpha + gamma, so the row of gamma reads F's coefficients at the
-    positions product_table(n, s - t, t)[gamma].
-    """
-    n, s = F.n, F.degree()
-    idx = monomial_index(n, s)
-    coeffs = [0] * monomial_count(n, s)
-    for beta, b in _integer_terms(F).items():
-        coeffs[idx[beta]] = b
-    return [[coeffs[p] for p in row] for row in product_table(n, s - t, t)]
-
-
-def _catalecticant_kernel(F: InverseForm, t) -> GradedPiece:
-    """Kernel of contraction against F on R_t, i.e. Ann(F)_t for t <= deg F."""
-    n, field = F.n, F.field
-    rows = _catalecticant_rows(F, t)
-    return _integer_span(
-        n, t, kernel_rows(field, rows, monomial_count(n, t))[0], field)
-
-
-def annihilator(F: InverseForm, t_max=None) -> GradedIdeal:
+def annihilator(F: InverseForm) -> GradedIdeal:
     """The ideal of forms contracting F to zero.
 
     Its pieces are catalecticant kernels through deg(F) and all of R from
-    deg(F) + 1 on, so every minimal generator has degree at most deg(F) + 1.
-    A t_max below that is rejected; a larger one changes nothing.
+    deg(F) + 1 on (ideals._annihilator_pieces), so every minimal generator
+    has degree at most deg(F) + 1.
     """
     if F.is_zero():
         raise ValueError("annihilator of the zero dual form")
-    n, field = F.n, F.field
-    s = F.degree()
-    if t_max is not None and t_max < s + 1:
-        raise ValueError(f"t_max must be at least deg(F) + 1 = {s + 1}")
-    pieces = [_catalecticant_kernel(F, t) for t in range(s + 1)]
-    return GradedIdeal.from_pieces(n, pieces + [full_piece(n, s + 1, field)], field)
+    pieces = _annihilator_pieces(F.n, F.degree(), _integer_terms(F), F.field)
+    return GradedIdeal.from_pieces(F.n, pieces, F.field)
 
 
 def macaulay_inverse(I: GradedIdeal) -> InverseForm:

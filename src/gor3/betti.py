@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .ideals import GradedIdeal
+from .ideals import GradedIdeal, NotEquigeneratedError
 from .linalg import row_rank
 
 
@@ -68,30 +68,28 @@ def _quotient_data(I: GradedIdeal, t_max):
     return dims, [I.multiplication_maps(t) for t in range(t_max + 1)]
 
 
-def betti_table(I: GradedIdeal, j_max=None) -> BettiTable:
-    """Exact graded Betti numbers of R/I (I Artinian)."""
+def betti_table(I: GradedIdeal) -> BettiTable:
+    """Exact graded Betti numbers of R/I (I Artinian), through the top twist
+    s + n, s = artinian_bound() - 1 being the socle degree."""
     n, field = I.n, I.field
-    s = I.socle_report().socle_degree
-    top = s + n
-    if j_max is None:
-        j_max = top
-    elif j_max < top:
-        raise ValueError(
-            f"j_max = {j_max} is below the top twist {top}; entries would be cut off")
-    dims, mult = _quotient_data(I, j_max)
+    bound = I.artinian_bound()
+    if bound == 0:
+        raise ValueError("the unit ideal has no socle (R/I = 0)")
+    top = bound - 1 + n
+    dims, mult = _quotient_data(I, top)
     subsets = {i: list(itertools.combinations(range(n), i))
                for i in range(n + 1)}
 
     def chain_dim(i, j):
         t = j - i
-        if i < 0 or i > n or t < 0 or t > j_max:
+        if i < 0 or i > n or t < 0 or t > top:
             return 0
         return len(subsets[i]) * dims[t]
 
     def differential_rank(i, j):
         """Rank of K_i(j) -> K_{i-1}(j)."""
         t = j - i
-        if i < 1 or i > n or t < 0 or t + 1 > j_max:
+        if i < 1 or i > n or t < 0 or t + 1 > top:
             return 0
         rows_dim = chain_dim(i - 1, j)
         cols_dim = chain_dim(i, j)
@@ -119,7 +117,7 @@ def betti_table(I: GradedIdeal, j_max=None) -> BettiTable:
         return row_rank(field, rows, cols_dim)
 
     table = {}
-    for j in range(j_max + 1):
+    for j in range(top + 1):
         ranks = [differential_rank(i, j) for i in range(n + 2)]
         for i in range(n + 1):
             beta = chain_dim(i, j) - ranks[i] - ranks[i + 1]
@@ -133,8 +131,6 @@ def has_linear_resolution(I: GradedIdeal) -> bool:
     at 2d+n-2, for an ideal equigenerated in degree d."""
     eq = I.is_equigenerated()
     if eq is None:
-        from .ideals import NotEquigeneratedError
-
         raise NotEquigeneratedError(
             "linear resolution is defined for equigenerated ideals")
     d, _ = eq

@@ -145,11 +145,6 @@ def _common(parser, seed=False):
                         help="comma-separated variable names (default x,y,z)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-    parser.add_argument("--t-max", type=int, default=None, dest="t_max",
-                        help="degree bound read by colon (truncate there), "
-                             "betti (last twist) and power-check (last degree); "
-                             "ann only checks that it is at least deg F + 1, "
-                             "the other subcommands ignore it")
     if seed:
         parser.add_argument("--seed", type=int, default=0)
 
@@ -184,7 +179,7 @@ def cmd_socle(args):
 def cmd_betti(args):
     field = _field(args)
     I = _ideal_from_arg(args.ideal, _vars(args), field)
-    table = betti_table(I, args.t_max)
+    table = betti_table(I)
     report = {
         "field": field.name,
         "betti": table.as_dict(),
@@ -276,7 +271,7 @@ def cmd_ann(args):
     names = [v.upper() for v in _vars(args)]
     proxy = parse_poly(_read_source(args.dual), names, field)
     F = InverseForm(proxy.n, dict(proxy.terms), field)
-    ideal = annihilator(F, args.t_max)
+    ideal = annihilator(F)
     report = {"field": field.name, "dual_form": str(F)}
     report.update(_ideal_report(ideal))
     _emit(args, report)
@@ -467,6 +462,9 @@ def build_parser():
     p.add_argument("--ci", required=True,
                    help="base ideal generators, comma separated (or @file)")
     p.add_argument("--f", required=True, help="the form to colon by")
+    p.add_argument("--t-max", type=int, default=None, dest="t_max",
+                   help="truncate the colon ideal above this degree "
+                        "(required for a non-Artinian base)")
     _common(p)
     p.set_defaults(func=cmd_colon)
 
@@ -557,6 +555,8 @@ def build_parser():
                             "maximal ideal; seeded reduction-number check")
     p.add_argument("--ideal", required=True)
     p.add_argument("--k", type=int, default=2)
+    p.add_argument("--t-max", type=int, default=None, dest="t_max",
+                   help="last degree compared (default d*k + 2)")
     _common(p, seed=True)
     p.set_defaults(func=cmd_power_check)
 

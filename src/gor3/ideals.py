@@ -11,6 +11,11 @@ row rank profiles mod p, and a Gorenstein ideal is certified to be Ann(F),
 by Macaulay duality, from the one exact piece in its socle degree; every
 Hilbert value and the socle then follow without the pieces below it.
 
+Macaulay duality lives here alone: _catalecticant is the one builder of
+catalecticant rows, whose ranks the certificate reads, and whose kernels
+_annihilator_pieces yields as the pieces of Ann(F) for colons of pure
+powers and apolarity.annihilator.
+
 Pieces, the rows built from them and the multiplication maps between them
 are integer rows on both fields: the field turns each generator into an
 integer term map once (fields.integer_row), a piece keeps the integer RREF
@@ -46,6 +51,7 @@ from .monomials import (
     monomials_of_degree,
     product_table,
 )
+from .parsing import parse_poly
 from .poly import MultiPoly, _term_product
 
 
@@ -193,6 +199,29 @@ def _dual_vector(piece: GradedPiece):
     return [v // g for v in vec]
 
 
+def _catalecticant(n, s, F, t):
+    """Cat_t(F), the matrix of contraction R_t -> D_{s-t} against the dual
+    form F of degree s, given as its integer coefficient vector over the
+    monomials of degree s.  x^alpha contracts F onto y^[gamma] with the
+    coefficient of F at alpha + gamma, so the row of gamma reads F at the
+    positions product_table(n, s - t, t)[gamma]; its kernel is Ann(F)_t."""
+    return [[F[j] for j in row] for row in product_table(n, s - t, t)]
+
+
+def _annihilator_pieces(n, s, terms, field):
+    """The pieces Ann(F)_t, t = 0, 1, ..., s + 1, of the nonzero dual form F
+    of degree s with the integer term map terms (_integer_terms): the kernel
+    of Cat_t(F) for t <= s, then all of R_{s+1}."""
+    idx = monomial_index(n, s)
+    F = [0] * len(idx)
+    for beta, c in terms.items():
+        F[idx[beta]] = c
+    for t in range(s + 1):
+        kernel, _ = kernel_rows(field, _catalecticant(n, s, F, t), monomial_count(n, t))
+        yield _integer_span(n, t, kernel, field)
+    yield full_piece(n, s + 1, field)
+
+
 def degree_one_multiples(piece: GradedPiece, field):
     """Integer vectors of x_i * b for every row b of piece.int_rows, the
     variables innermost; field is the piece's own."""
@@ -314,8 +343,6 @@ class GradedIdeal:
 
     @classmethod
     def from_strings(cls, texts, var_names=("x", "y", "z"), field=QQ):
-        from .parsing import parse_poly
-
         names = list(var_names)
         gens = [parse_poly(s, names, field) for s in texts]
         return cls(len(names), gens, field)
@@ -387,7 +414,7 @@ class GradedIdeal:
             h = upper[t]
             if upper[s - t] != h:
                 return False
-            cat = [[F[j] for j in row] for row in product_table(self.n, s - t, t)]
+            cat = _catalecticant(self.n, s, F, t)
             if len(row_profile(self.field, cat, h)) != h:
                 return False
         self._hilbert = upper
@@ -512,41 +539,46 @@ class GradedIdeal:
     def colon(self, f: MultiPoly, t_max=None) -> "GradedIdeal":
         """The ideal (I : f), complete when I is Artinian.
 
-        Pure powers (x_1^{m_1}, ..., x_n^{m_n}) with no t_max are Ann(X^[m-1])
-        in Macaulay duality, so their colon is Ann(f o X^[m-1]), read off
-        catalecticant kernels.  Every other base, and any explicit t_max, goes
-        through the kernel of multiplication by f into R/I, degree by degree.
-        Both give the canonical RREF of each piece and so the same generators.
+        The base alone picks the route.  Pure powers (x_1^{m_1}, ...,
+        x_n^{m_n}) are Ann(X^[m-1]) in Macaulay duality, so their colon is
+        Ann(f o X^[m-1]) (_annihilator_pieces): the term of f at alpha sends
+        X^[m-1] to X^[m-1-alpha], and drops out unless alpha <= m - 1 in
+        every coordinate.  Every other base goes through the kernel of
+        multiplication by f into R/I, degree by degree.  Both give the
+        canonical RREF of each piece and so the same generators.
 
-        For non-Artinian I an explicit t_max is required and the result is
-        marked as truncated at that degree.
+        t_max only truncates: the pieces of degree above it are not read, and
+        the result is marked as truncated at t_max when t_max is below the
+        Artinian bound of I.  For non-Artinian I it is required.
         """
         if f.is_zero():
             raise ValueError("colon by the zero form")
         if not f.is_homogeneous():
             raise ValueError("colon by a non-homogeneous form")
-        if t_max is None:
-            m = self._pure_power_exponents()
-            if m is not None:
-                from .apolarity import InverseForm, annihilator, contract
-
-                dual = InverseForm(self.n, {tuple(x - 1 for x in m): self.field.one},
-                                   self.field)
-                F = contract(f, dual)
-                if F.is_zero():
-                    # f lies in the pure powers
-                    return GradedIdeal.from_pieces(
-                        self.n, [full_piece(self.n, 0, self.field)], self.field)
-                return annihilator(F)
-        e = f.homogeneous_degree()
+        n, field, e = self.n, self.field, f.homogeneous_degree()
+        m = self._pure_power_exponents()
+        if m is None:
+            # from_pieces reads no piece above the first full one
+            pieces = (self._colon_piece(t, f, e) for t in itertools.count())
+            # without t_max a non-Artinian I raises here
+            bound = (self.artinian_bound() if t_max is None or self.is_artinian()
+                     else None)
+        else:
+            bound = sum(m) - n + 1
+            terms = {tuple(k - 1 - a for k, a in zip(m, alpha)): c
+                     for alpha, c in _integer_terms(f).items()
+                     if all(a < k for a, k in zip(alpha, m))}
+            if terms:
+                pieces = _annihilator_pieces(n, bound - 1 - e, terms, field)
+            else:
+                # f lies in the pure powers
+                pieces = [full_piece(n, 0, field)]
         truncated = None
-        if t_max is None:
-            t_max = self.artinian_bound()
-        elif not self.is_artinian() or t_max < self.artinian_bound():
-            truncated = t_max
-        return GradedIdeal.from_pieces(
-            self.n, (self._colon_piece(t, f, e) for t in range(t_max + 1)),
-            self.field, truncated_at=truncated)
+        if t_max is not None:
+            pieces = itertools.islice(pieces, max(t_max + 1, 0))
+            if bound is None or t_max < bound:
+                truncated = t_max
+        return GradedIdeal.from_pieces(n, pieces, field, truncated_at=truncated)
 
     # ------------------------------------------------------------------
     # socle

@@ -15,6 +15,7 @@ operations, and the two kinds of form never mix.
 from __future__ import annotations
 
 from .fields import QQ
+from .linalg import ExactMatrix
 from .monomials import (
     default_var_names,
     deglex_key,
@@ -298,8 +299,6 @@ def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
 
     Returns g with g(l_1, ..., l_n) = f; raises if the forms are dependent.
     """
-    from .linalg import ExactMatrix
-
     n = f.n
     if len(lines) != n:
         raise ValueError(f"need {n} linear forms")

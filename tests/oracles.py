@@ -273,6 +273,24 @@ def greedy_fresh_generators(piece, below):
             for row in piece.rows if span.add(row)]
 
 
+def colon_by_kernel(base, f, t_max=None):
+    """(base : f) through the kernel of multiplication by f into R/base,
+    degree by degree (GradedIdeal._colon_piece), whatever the base: the
+    route GradedIdeal.colon takes for every base but pure powers, with its
+    rule for t_max (truncated there when below the Artinian bound of the
+    Artinian base)."""
+    e = f.homogeneous_degree()
+    bound = base.artinian_bound()
+    truncated = None
+    if t_max is None:
+        t_max = bound
+    elif t_max < bound:
+        truncated = t_max
+    return GradedIdeal.from_pieces(
+        base.n, (base._colon_piece(t, f, e) for t in range(t_max + 1)),
+        base.field, truncated_at=truncated)
+
+
 # ----------------------------------------------------------------------
 # Dense builders by exponent-tuple arithmetic.  Each position is found by
 # adding or subtracting exponent tuples and searching the basis list, the

@@ -143,13 +143,6 @@ def test_euler_characteristic_per_degree(ex_2_5, tower_d3):
             assert chains == homology, (j,)
 
 
-def test_j_max_validation(ex_2_5):
-    with pytest.raises(ValueError):
-        betti_table(ex_2_5, j_max=3)
-    table = betti_table(ex_2_5, j_max=8)
-    assert table.beta(3, 5) == 1
-
-
 def test_staircase_rendering(ex_2_5):
     text = betti_table(ex_2_5).staircase()
     assert "1" in text and ":" in text
@@ -165,3 +158,17 @@ def test_triples_serialization(ex_2_5):
     assert (3, 5, 1) in triples
     rebuilt = {(i, j): v for i, j, v in triples}
     assert rebuilt == table.entries
+
+
+def test_betti_table_reads_the_socle_degree_off_the_bound(monkeypatch, tower_d3):
+    def no_socle_report(self):
+        raise AssertionError("socle_report called")
+
+    monkeypatch.setattr(GradedIdeal, "socle_report", no_socle_report)
+    # socle {1: 1, 2: 1}: the top twists are the socle degrees + 3
+    I = GradedIdeal.from_strings(["x^2", "x*y", "x*z", "y^2", "z^2"])
+    assert betti_table(I).column_shifts(3) == {4: 1, 5: 1}
+    assert betti_table(tower_d3).column_shifts(3) == {
+        s + 3: v for s, v in tower_expected_socle(3).items()}
+    with pytest.raises(ValueError, match="unit ideal"):
+        betti_table(GradedIdeal.from_strings(["x", "y", "z", "1"]))

@@ -300,6 +300,20 @@ def test_usage_error(capsys):
     assert main(["colon"]) == 2
 
 
+def test_t_max_is_an_option_of_colon_and_power_check_only(capsys):
+    code, _, err = run(capsys, "socle", "--ideal", "x^2,y^2,z^2", "--t-max", "3")
+    assert code == 2
+    assert "--t-max" in err
+    commands = sorted({argv[0] for argv in README_EXAMPLES[:-2]})
+    with_t_max = []
+    for command in commands:
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        if "--t-max" in out:
+            with_t_max.append(command)
+    assert with_t_max == ["colon", "power-check"]
+
+
 # One example per subcommand, as in the README's CLI section, plus a usage
 # error and the top-level help.
 README_EXAMPLES = [

@@ -1,19 +1,23 @@
 """Colons of pure powers: the Macaulay-duality route against the kernel route.
 
 ``base.colon(f)`` on a base of pure powers c_i * x_i^{m_i} returns
-Ann(f o X^[m-1]); ``base.colon(f, t_max=base.artinian_bound())`` on the same
-base goes through the kernel of multiplication by f into R/I.  The two must
-give the same generator strings, not just the same ideal.
+Ann(f o X^[m-1]), with or without t_max; ``oracles.colon_by_kernel`` on the
+same base goes through the kernel of multiplication by f into R/I, the
+route of every other base.  The two must give the same generator strings,
+not just the same ideal.
 """
 
 import random
 
 import pytest
 
-import gor3.apolarity
+import gor3.ideals
 from gor3 import GradedIdeal, MultiPoly, NotArtinianError, parse_poly
+from gor3.cli import _ideal_report
 from gor3.fields import GF, QQ
 from gor3.monomials import monomials_of_degree
+
+from oracles import colon_by_kernel
 
 FIELDS = [QQ, GF(32003)]
 
@@ -53,7 +57,7 @@ def _cases():
 
 def _assert_routes_agree(base, f):
     fast = base.colon(f)
-    slow = base.colon(f, t_max=base.artinian_bound())
+    slow = colon_by_kernel(base, f)
     assert [str(g) for g in fast.generators] == [str(g) for g in slow.generators]
     assert fast.truncated_at is None
     assert slow.truncated_at is None
@@ -89,8 +93,41 @@ def test_pure_powers_skip_the_kernel_route(field, monkeypatch):
 
     monkeypatch.setattr(GradedIdeal, "_colon_piece", no_kernel)
     base = GradedIdeal.from_strings(["-2*z^3", "x^3", "5*y^2"], field=field)
-    colon = base.colon(parse_poly("x^2*y + y*z^2 + z^3", ["x", "y", "z"], field))
-    assert colon.generators
+    f = parse_poly("x^2*y + y*z^2 + z^3", ["x", "y", "z"], field)
+    assert base.colon(f).generators
+    # t_max only truncates: it never picks the route
+    for t_max in (2, 7):
+        assert base.colon(f, t_max).generators
+
+
+SWEEP_FORMS = {
+    (3, 3, 3): ["x^2+y^2+z^2", "x*y*z - 2*x^2*y + 1/3*y*z^2", "x^4 + 5*y^3*z - z^4"],
+    (2, 3, 4): ["x*y + 3*z^2", "y^2*z^2 - x*y*z^2 + 7*z^4", "x^2*y + y^3"],
+    (5, 5, 5): ["x^2*y^2*z - 3*x*z^4", "x^3*y*z - 2*y^5"],
+    (3, 2, 2): ["x^2 - y*z", "x^3*y - 4*x^2*y*z"],
+}
+
+
+@pytest.mark.parametrize("field", FIELDS + [GF(7)], ids=str)
+@pytest.mark.parametrize("m", sorted(SWEEP_FORMS), ids=str)
+def test_truncated_pure_power_colons_match_the_kernel_route(field, m):
+    """colon(f, t_max) on pure powers against the kernel route for every
+    t_max from -1 to sum(m) + 2, forms inside the pure powers included
+    (the last ones of (3,3,3) and (2,3,4))."""
+    vars_ = ["x", "y", "z"]
+    base = GradedIdeal.from_strings([f"{v}^{k}" for v, k in zip(vars_, m)], field=field)
+    seen_unit = False
+    for text in SWEEP_FORMS[m]:
+        f = parse_poly(text, vars_, field)
+        for t_max in range(-1, sum(m) + 3):
+            fast = base.colon(f, t_max)
+            slow = colon_by_kernel(base, f, t_max)
+            assert _ideal_report(fast) == _ideal_report(slow), (text, t_max)
+            assert fast._pieces == slow._pieces
+            assert fast.truncated_at == slow.truncated_at
+            assert fast._artinian_bound == slow._artinian_bound
+            seen_unit |= [str(g) for g in fast.generators] == ["1"]
+    assert seen_unit == (m in {(3, 3, 3), (2, 3, 4)})
 
 
 NEAR_MISS = {
@@ -116,7 +153,7 @@ def test_near_miss_bases_take_the_kernel_route(base_text, f_text, monkeypatch):
     def no_duality(*args, **kwargs):
         raise AssertionError("duality route taken")
 
-    monkeypatch.setattr(gor3.apolarity, "annihilator", no_duality)
+    monkeypatch.setattr(gor3.ideals, "_annihilator_pieces", no_duality)
     base = GradedIdeal.from_strings(base_text.split(","))
     colon = base.colon(parse_poly(f_text, ["x", "y", "z"]))
     assert [str(g) for g in colon.generators] == NEAR_MISS[base_text, f_text]

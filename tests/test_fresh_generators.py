@@ -15,7 +15,7 @@ from gor3 import GradedIdeal, InverseForm, MultiPoly, annihilator, parse_poly
 from gor3.fields import GF, QQ
 from gor3.monomials import monomials_of_degree
 
-from oracles import greedy_fresh_generators
+from oracles import colon_by_kernel, greedy_fresh_generators
 
 FIELDS = [QQ, GF(32003)]
 VARS = ["x", "y", "z"]
@@ -81,7 +81,7 @@ def test_generators_match_the_greedy_span(field):
     results = []
     for base, f in colons:
         results.append(base.colon(f))                                  # duality route
-        results.append(base.colon(f, t_max=base.artinian_bound()))    # kernel route
+        results.append(colon_by_kernel(base, f))                      # kernel route
     results += [annihilator(F) for F in duals]
     for J in results:
         # from_pieces extracted J.generators from the pieces up to the bound

@@ -30,7 +30,7 @@ from gor3.ideals import (
 from gor3.linalg import ExactMatrix, kernel_rows, normal_form
 from gor3.monomials import monomial_count, monomials_of_degree
 
-from oracles import Span, fraction_rref
+from oracles import Span, colon_by_kernel, fraction_rref
 
 FIELDS = [QQ, GF(32003)]
 VARS = ["x", "y", "z"]
@@ -96,7 +96,7 @@ def test_pieces_of_both_colon_routes_and_annihilators():
     f = parse_poly("1/2*x^2*y + y*z^2 - 3/7*z^3", VARS)
     g = parse_poly("x^2 + 2/3*y^2 + z^2", VARS)
     colons = [base.colon(f),                                 # duality route
-              base.colon(f, t_max=base.artinian_bound()),    # kernel route
+              colon_by_kernel(base, f),                      # kernel route
               near.colon(g)]                                 # kernel route
     F = InverseForm(3, {(2, 1, 0): Fraction(1, 2), (0, 1, 2): Fraction(-5, 3),
                         (1, 1, 1): Fraction(7)})

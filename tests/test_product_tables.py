@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from gor3 import GF, QQ, InverseForm, MultiPoly
-from gor3.apolarity import _catalecticant_rows, annihilator, macaulay_inverse
+from gor3.apolarity import annihilator, macaulay_inverse
 from gor3.criteria import linres_matrix, spans_target
-from gor3.ideals import GradedIdeal, _integer_terms, _shifted_vectors
+from gor3.ideals import GradedIdeal, _catalecticant, _integer_terms, _shifted_vectors
 from gor3.monomials import monomials_of_degree
 
 from oracles import (
@@ -57,8 +57,9 @@ def test_catalecticant_rows(gorenstein):
     F, _ = gorenstein
     s = F.degree()
     terms = _integer_terms(F)
+    vec = [terms.get(beta, 0) for beta in monomials_of_degree(F.n, s)]
     for t in range(s + 1):
-        assert _catalecticant_rows(F, t) == catalecticant_rows_by_tuples(
+        assert _catalecticant(F.n, s, vec, t) == catalecticant_rows_by_tuples(
             F.n, s, terms, t)
 
 
