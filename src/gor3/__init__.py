@@ -34,7 +34,6 @@ from .fields import GF, QQ, FieldError, PrimeField, RationalField, field_from_sp
 from .ideals import (
     DatumViolationError,
     GradedIdeal,
-    GradedPiece,
     NotArtinianError,
     NotEquigeneratedError,
     ReductionReport,
@@ -65,6 +64,7 @@ from .pfaffians import (
     pfaffian,
     pfaffian_ideal,
 )
+from .pieces import GradedPiece
 from .poly import MultiPoly, power_substitution, rewrite_in_linear_forms, substitute
 
 __version__ = "0.1.0"

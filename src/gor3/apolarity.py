@@ -4,7 +4,7 @@ The dual module carries the contraction action: x^a sends y^[b] to y^[b-a],
 with the term dropped whenever an exponent goes negative.  Coefficients are
 multiplied through as given (no binomial factors), so everything here is
 characteristic-free.  Annihilators of dual forms are read off
-ideals._annihilator_pieces, the catalecticant kernels that colons of pure
+pieces.annihilator_pieces, the catalecticant kernels that colons of pure
 powers use too.  A dual form stores its terms like a polynomial (the
 sparse-form base of poly) but has no ring operations: R acts on it only by
 contraction.
@@ -13,14 +13,9 @@ contraction.
 from __future__ import annotations
 
 from .fields import QQ
-from .ideals import (
-    GradedIdeal,
-    _annihilator_pieces,
-    _dual_vector,
-    _integer_terms,
-    vector_to_poly,
-)
+from .ideals import GradedIdeal
 from .monomials import mono_sub
+from .pieces import annihilator_pieces, dual_vector, integer_terms, vector_to_poly
 from .poly import MultiPoly, _SparseForm
 
 
@@ -65,12 +60,12 @@ def annihilator(F: InverseForm) -> GradedIdeal:
     """The ideal of forms contracting F to zero.
 
     Its pieces are catalecticant kernels through deg(F) and all of R from
-    deg(F) + 1 on (ideals._annihilator_pieces), so every minimal generator
+    deg(F) + 1 on (pieces.annihilator_pieces), so every minimal generator
     has degree at most deg(F) + 1.
     """
     if F.is_zero():
         raise ValueError("annihilator of the zero dual form")
-    pieces = _annihilator_pieces(F.n, F.degree(), _integer_terms(F), F.field)
+    pieces = annihilator_pieces(F.n, F.degree(), integer_terms(F), F.field)
     return GradedIdeal.from_pieces(F.n, pieces, F.field)
 
 
@@ -93,7 +88,7 @@ def macaulay_inverse(I: GradedIdeal) -> InverseForm:
         raise NotGorensteinError(
             f"dual socle generator is not unique (kernel dimension "
             f"{kernel_dim} in degree {s})")
-    vec = [field.of(v) for v in _dual_vector(piece)]
+    vec = [field.of(v) for v in dual_vector(piece)]
     lead = next(v for v in vec if not field.is_zero(v))
     inv = field.inv(lead)
     vec = [field.mul(inv, v) for v in vec]

@@ -61,13 +61,6 @@ class BettiTable:
                 "triples": [[i, j, v] for i, j, v in self.triples()]}
 
 
-def _quotient_data(I: GradedIdeal, t_max):
-    """Per-degree standard-monomial dimensions and the multiplication maps
-    x_k : (R/I)_t -> (R/I)_{t+1} as column lists."""
-    dims = [I.hilbert_function(t) for t in range(t_max + 2)]
-    return dims, [I.multiplication_maps(t) for t in range(t_max + 1)]
-
-
 def betti_table(I: GradedIdeal) -> BettiTable:
     """Exact graded Betti numbers of R/I (I Artinian), through the top twist
     s + n, s = artinian_bound() - 1 being the socle degree."""
@@ -76,7 +69,11 @@ def betti_table(I: GradedIdeal) -> BettiTable:
     if bound == 0:
         raise ValueError("the unit ideal has no socle (R/I = 0)")
     top = bound - 1 + n
-    dims, mult = _quotient_data(I, top)
+    # standard-monomial dimensions through top + 1, and the maps x_k :
+    # (R/I)_t -> (R/I)_{t+1} as column lists; R/I is 0 from the bound on,
+    # so no piece above it is built
+    dims = [I.hilbert_function(t) for t in range(bound)] + [0] * (n + 1)
+    mult = [I.multiplication_maps(t) for t in range(bound - 1)]
     subsets = {i: list(itertools.combinations(range(n), i))
                for i in range(n + 1)}
 

@@ -1,7 +1,8 @@
 """Rank-based decision procedures on spaces of forms.
 
 These are point tests: given concrete forms, build the relevant
-multiplication or membership matrix and decide by its exact rank.  The
+multiplication or membership matrix (rows of shifted forms from
+pieces.shifted_vectors) and decide by its exact rank.  The
 five-quadrics certificate is one-sided; a failed certificate never
 disproves the Gorenstein property.
 """
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import _integer_terms, _shifted_vectors
 from .linalg import ExactMatrix, row_rank
 from .monomials import monomial_count, monomials_of_degree
+from .pieces import integer_terms, shifted_vectors
 from .poly import MultiPoly
 
 
@@ -51,7 +52,7 @@ def spans_target(forms, e: int) -> SpansReport:
         raise ValueError("shift must be non-negative")
     target = monomial_count(n, d + e)
     # the rows x^alpha * f are the columns of the multiplication matrix
-    rows = _shifted_vectors(n, d + e, [(d, _integer_terms(f)) for f in forms])
+    rows = shifted_vectors(n, d + e, [(d, integer_terms(f)) for f in forms])
     rank = row_rank(field, rows, target)
     return SpansReport(spans=(rank == target), rank=rank,
                        target_dim=target, shape=(target, len(rows)))
@@ -74,7 +75,7 @@ def linres_matrix(f: MultiPoly, m: int, e_prime: int) -> ExactMatrix:
     field = f.field
     e = f.homogeneous_degree()
     # column beta is x^beta * f over the degree-(e+e') basis
-    cols = _shifted_vectors(n, e + e_prime, [(e, f.terms)])
+    cols = shifted_vectors(n, e + e_prime, [(e, f.terms)])
     zero = field.zero
     rows = [[c if c else zero for c in row]
             for row, gamma in zip(zip(*cols), monomials_of_degree(n, e + e_prime))

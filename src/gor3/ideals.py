@@ -11,19 +11,11 @@ row rank profiles mod p, and a Gorenstein ideal is certified to be Ann(F),
 by Macaulay duality, from the one exact piece in its socle degree; every
 Hilbert value and the socle then follow without the pieces below it.
 
-Macaulay duality lives here alone: _catalecticant is the one builder of
-catalecticant rows, whose ranks the certificate reads, and whose kernels
-_annihilator_pieces yields as the pieces of Ann(F) for colons of pure
-powers and apolarity.annihilator.
-
-Pieces, the rows built from them and the multiplication maps between them
-are integer rows on both fields: the field turns each generator into an
-integer term map once (fields.integer_row), a piece keeps the integer RREF
-of linalg.rref_rows, and residuals and multiplication maps are read off its
-linalg.normal_form.  Products of generators (powers of I, J * I) multiply
-those term maps with poly._term_product, the one product of the package.
-Field scalars appear only where they cross the API: GradedPiece.rows,
-reduce_vector, span_of_vectors and vector_to_poly.
+GradedPiece and the builders of its rows (shifted generators, catalecticants,
+the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
+has built (the _pieces, _profiles and _hilbert caches) and asks them questions.
+Products of generators (powers of I, J * I) multiply integer term maps with
+poly._term_product, the one product of the package.
 """
 
 from __future__ import annotations
@@ -31,27 +23,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
 
-from .fields import QQ, RationalField
-from .linalg import CERTIFICATE_PRIME  # noqa: F401  (re-exported)
-from .linalg import (
-    ExactMatrix,
-    _identity_rows,
-    _residual,
-    kernel_rows,
-    normal_form,
-    row_profile,
-    row_rank,
-    rref_rows,
-)
-from .monomials import (
-    monomial_count,
-    monomial_index,
-    monomials_of_degree,
-    product_table,
-)
+from .fields import QQ
+from .linalg import ExactMatrix, kernel_rows, normal_form, row_profile, row_rank
+from .monomials import monomial_count, product_table
 from .parsing import parse_poly
+from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_vector,
+                     fresh_generators, fresh_rows, full_piece, integer_span,
+                     integer_terms, shifted_vectors, zero_piece)
 from .poly import MultiPoly, _term_product
 
 
@@ -69,224 +48,6 @@ class NotEquigeneratedError(ValueError):
 
 class DatumViolationError(ValueError):
     pass
-
-
-class GradedPiece:
-    """Canonical basis of a subspace of R_t over the monomial basis.
-
-    int_rows is the RREF of the subspace as integer rows: over QQ primitive
-    rows with a positive pivot, as linalg.rref_int returns them, and over
-    GF(p) leading-1 rows of residues.  Either form is unique for the
-    subspace, so equal pieces have equal rows.  rows is the same RREF in
-    field scalars, leading-1 Fraction rows over QQ (scalar_rows), built on
-    first use.
-    """
-
-    __slots__ = ("n", "t", "field", "pivots", "int_rows", "_rows")
-
-    def __init__(self, n, t, field, pivots, rows):
-        """(pivots, rows): the integer RREF as linalg.rref_rows returns it."""
-        self.n, self.t, self.field = n, t, field
-        self.pivots, self.int_rows = pivots, rows
-        self._rows = None
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = self.field.scalar_rows(self.pivots, self.int_rows)
-        return self._rows
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-    @property
-    def ambient_dim(self):
-        return monomial_count(self.n, self.t)
-
-    @property
-    def is_full(self):
-        return self.dim == self.ambient_dim
-
-    @property
-    def standard_columns(self):
-        pivots = set(self.pivots)
-        return [c for c in range(self.ambient_dim) if c not in pivots]
-
-    def _scaled_residual(self, vec):
-        """(out, den) with out / den the residual of vec modulo the span and
-        out an integer vector: the sum of vec[x] * nf[x] over the normal
-        form of the piece, placed on its free columns."""
-        ints, den = self.field.integer_row(vec)
-        lcm, free, nf = normal_form(self.pivots, self.int_rows, len(ints))
-        out = [0] * len(ints)
-        for c, v in zip(free, _residual(ints, nf, len(free))):
-            out[c] = v
-        return out, lcm * den
-
-    def reduce_vector(self, vec):
-        """Residual of vec modulo the span; zero iff vec lies in the span."""
-        out, den = self._scaled_residual(vec)
-        field = self.field
-        return [field.div(v, den) for v in out]
-
-    def contains_vector(self, vec) -> bool:
-        is_zero = self.field.is_zero
-        return all(is_zero(v) for v in self._scaled_residual(vec)[0])
-
-    def contains_poly(self, f) -> bool:
-        if f.is_zero():
-            return True
-        if f.homogeneous_degree() != self.t:
-            return False
-        return self.contains_vector(f.to_vector(self.t))
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedPiece) and self.n == other.n
-                and self.t == other.t and self.field == other.field
-                and self.pivots == other.pivots and self.int_rows == other.int_rows)
-
-    def __repr__(self):
-        return f"GradedPiece(t={self.t}, dim={self.dim}/{self.ambient_dim})"
-
-
-def vector_to_poly(n, t, vec, field):
-    """Coefficient vector (field scalars, or integers over QQ) -> polynomial,
-    scaled primitive over QQ."""
-    if isinstance(field, RationalField):
-        ints, _ = field.integer_row(vec)
-        g = gcd(*ints)
-        if g:
-            if next(v for v in ints if v) < 0:
-                g = -g
-            vec = [v // g for v in ints]
-    return MultiPoly.from_vector(n, t, vec, field)
-
-
-def _integer_span(n, t, rows, field, profile=None) -> GradedPiece:
-    """The piece spanned by integer rows: over QQ scaled rows, over GF(p)
-    any integers standing for their residues.  profile is their row rank
-    profile when the caller has it (linalg.rref_rows)."""
-    if not rows:
-        return zero_piece(n, t, field)
-    return GradedPiece(n, t, field,
-                       *rref_rows(field, rows, monomial_count(n, t), profile))
-
-
-def span_of_vectors(n, t, vectors, field) -> GradedPiece:
-    """The piece spanned by vectors of field scalars (over QQ, Fractions or
-    integers)."""
-    return _integer_span(n, t, [field.integer_row(v)[0] for v in vectors], field)
-
-
-def full_piece(n, t, field) -> GradedPiece:
-    dim = monomial_count(n, t)
-    return GradedPiece(n, t, field, list(range(dim)), _identity_rows(dim))
-
-
-def zero_piece(n, t, field) -> GradedPiece:
-    return GradedPiece(n, t, field, [], [])
-
-
-def _dual_vector(piece: GradedPiece):
-    """The primitive integer vector orthogonal to every row of a piece of
-    codimension one: the coefficients of the dual form F of degree piece.t
-    with g o F = 0 for every g in the piece, x^a o Y^[a] being 1.  It is the
-    one column of the piece's linalg.normal_form."""
-    _, _, nf = normal_form(piece.pivots, piece.int_rows, piece.ambient_dim)
-    vec = [image[0] for image in nf]
-    g = gcd(*vec)
-    return [v // g for v in vec]
-
-
-def _catalecticant(n, s, F, t):
-    """Cat_t(F), the matrix of contraction R_t -> D_{s-t} against the dual
-    form F of degree s, given as its integer coefficient vector over the
-    monomials of degree s.  x^alpha contracts F onto y^[gamma] with the
-    coefficient of F at alpha + gamma, so the row of gamma reads F at the
-    positions product_table(n, s - t, t)[gamma]; its kernel is Ann(F)_t."""
-    return [[F[j] for j in row] for row in product_table(n, s - t, t)]
-
-
-def _annihilator_pieces(n, s, terms, field):
-    """The pieces Ann(F)_t, t = 0, 1, ..., s + 1, of the nonzero dual form F
-    of degree s with the integer term map terms (_integer_terms): the kernel
-    of Cat_t(F) for t <= s, then all of R_{s+1}."""
-    idx = monomial_index(n, s)
-    F = [0] * len(idx)
-    for beta, c in terms.items():
-        F[idx[beta]] = c
-    for t in range(s + 1):
-        kernel, _ = kernel_rows(field, _catalecticant(n, s, F, t), monomial_count(n, t))
-        yield _integer_span(n, t, kernel, field)
-    yield full_piece(n, s + 1, field)
-
-
-def degree_one_multiples(piece: GradedPiece, field):
-    """Integer vectors of x_i * b for every row b of piece.int_rows, the
-    variables innermost; field is the piece's own."""
-    src = monomials_of_degree(piece.n, piece.t)
-    forms = [(piece.t, {src[c]: v for c, v in enumerate(row) if v})
-             for row in piece.int_rows]
-    return _shifted_vectors(piece.n, piece.t + 1, forms)
-
-
-def _fresh_rows(piece: GradedPiece, below):
-    """Indices of the rows of piece outside R_1 * below, below being the
-    piece one degree lower or None.
-
-    Row i is kept when it lies outside the span of the degree-one multiples
-    of below and rows 0..i-1.  The multiples lie inside piece, so each is
-    fixed by its coordinates in the basis int_rows, its entries at
-    piece.pivots divided by the pivot entries; that column scaling moves no
-    pivot, so the entries themselves serve.  Row i is then not kept exactly
-    when some vector in the span of the coordinates has its last nonzero
-    entry at i.  With the coordinates reversed, those positions are the
-    pivots of their RREF.
-    """
-    last = piece.dim - 1
-    if below is None or not below.dim or last < 0:
-        return list(range(piece.dim))
-    coords = [[vec[p] for p in reversed(piece.pivots)]
-              for vec in degree_one_multiples(below, piece.field)]
-    taken = {last - c for c in rref_rows(piece.field, coords, piece.dim)[0]}
-    return [i for i in range(piece.dim) if i not in taken]
-
-
-def _fresh_generators(piece: GradedPiece, below):
-    """The rows of piece outside R_1 * below, as forms."""
-    return [vector_to_poly(piece.n, piece.t, piece.int_rows[i], piece.field)
-            for i in _fresh_rows(piece, below)]
-
-
-def _integer_terms(f):
-    """The term map of the nonzero form f (a polynomial or a dual form), its
-    coefficients made integers by the field (over QQ, multiplied by the lcm
-    of their denominators), so that the rows built from it are integer rows.
-    poly._term_product multiplies such maps in either field: QQ's arithmetic
-    keeps integers integers, and GF(p)'s coefficients are residues."""
-    ints, _ = f.field.integer_row(list(f.terms.values()))
-    return dict(zip(f.terms, ints))
-
-
-def _shifted_vectors(n, t, gens_with_terms):
-    """Coefficient vectors of x^alpha * g for all generators g, given as
-    (degree, term map) pairs, of degree <= t and all monomials alpha of
-    complementary degree, alpha in the canonical order; each term of g is
-    placed through product_table."""
-    dim = monomial_count(n, t)
-    out = []
-    for deg_g, terms in gens_with_terms:
-        if deg_g > t:
-            continue
-        idx = monomial_index(n, deg_g)
-        placed = [(idx[e], c) for e, c in terms.items()]
-        for row in product_table(n, t - deg_g, deg_g):
-            vec = [0] * dim
-            for j, c in placed:
-                vec[row[j]] = c
-            out.append(vec)
-    return out
 
 
 class GradedIdeal:
@@ -315,7 +76,7 @@ class GradedIdeal:
         self._artinian_bound = None
         # the Hilbert values H(0..s) once I = Ann(F) is certified
         self._hilbert = None
-        self._gen_data = [(g.homogeneous_degree(), _integer_terms(g)) for g in gens]
+        self._gen_data = [(g.homogeneous_degree(), integer_terms(g)) for g in gens]
 
     @classmethod
     def from_pieces(cls, n, pieces, field, truncated_at=None):
@@ -329,7 +90,7 @@ class GradedIdeal:
         gens, seeded = [], {}
         bound = below = None
         for t, piece in enumerate(pieces):
-            gens.extend(_fresh_generators(piece, below))
+            gens.extend(fresh_generators(piece, below))
             seeded[t] = piece
             if piece.is_full:
                 # R_1 * R_{t-1} = R_t: nothing new can appear from here on
@@ -363,8 +124,8 @@ class GradedIdeal:
             else:
                 rows, profile = self._profiles.pop(t, (None, None))
                 if rows is None:
-                    rows = _shifted_vectors(self.n, t, self._gen_data)
-                piece = _integer_span(self.n, t, rows, self.field, profile)
+                    rows = shifted_vectors(self.n, t, self._gen_data)
+                piece = integer_span(self.n, t, rows, self.field, profile)
             self._pieces[t] = piece
         return piece
 
@@ -387,7 +148,7 @@ class GradedIdeal:
             return dim - piece.dim
         entry = self._profiles.get(t)
         if entry is None:
-            rows = _shifted_vectors(self.n, t, self._gen_data)
+            rows = shifted_vectors(self.n, t, self._gen_data)
             entry = self._profiles[t] = rows, row_profile(self.field, rows, dim)
         return dim - len(entry[1])
 
@@ -396,7 +157,7 @@ class GradedIdeal:
         upper[t] >= H(t) for t <= s and I_{s+1} full.
 
         When upper[s] = 1 the exact piece I_s has one free column, read as
-        F (_dual_vector).  I_s o F = 0 puts I inside Ann(F), so the rank mod
+        F (dual_vector).  I_s o F = 0 puts I inside Ann(F), so the rank mod
         p of the catalecticant Cat_t(F) is at most H(t) <= upper[t].  Cat_t
         and Cat_{s-t} are transposes, so ranks equal to upper[t] and
         upper[s-t] for every t <= s/2 prove every Hilbert value and
@@ -409,12 +170,12 @@ class GradedIdeal:
         piece = self.graded_piece(s)
         if piece.ambient_dim - piece.dim != 1:
             return False    # over QQ an unlucky prime: I_s is full
-        F = _dual_vector(piece)
+        F = dual_vector(piece)
         for t in range(s // 2 + 1):
             h = upper[t]
             if upper[s - t] != h:
                 return False
-            cat = _catalecticant(self.n, s, F, t)
+            cat = catalecticant(self.n, s, F, t)
             if len(row_profile(self.field, cat, h)) != h:
                 return False
         self._hilbert = upper
@@ -477,7 +238,7 @@ class GradedIdeal:
             t_max = self.max_generator_degree
         profile = {}
         for t in range(t_max + 1):
-            fresh = len(_fresh_rows(self.graded_piece(t),
+            fresh = len(fresh_rows(self.graded_piece(t),
                                     self.graded_piece(t - 1) if t else None))
             if fresh:
                 profile[t] = fresh
@@ -489,7 +250,7 @@ class GradedIdeal:
             t_max = self.max_generator_degree
         gens = []
         for t in range(t_max + 1):
-            gens.extend(_fresh_generators(
+            gens.extend(fresh_generators(
                 self.graded_piece(t), self.graded_piece(t - 1) if t else None))
         return gens
 
@@ -515,10 +276,10 @@ class GradedIdeal:
         # the rows of the target; a kernel vector restricted to its first
         # dim_t entries is an element of (I : f)_t, and every one arises so
         dim_t = monomial_count(n, t)
-        cols = (_shifted_vectors(n, t + e, [(e, _integer_terms(f))])
+        cols = (shifted_vectors(n, t + e, [(e, integer_terms(f))])
                 + target.int_rows)
         kernel, _ = kernel_rows(field, [list(r) for r in zip(*cols)], len(cols))
-        return _integer_span(n, t, [v[:dim_t] for v in kernel], field)
+        return integer_span(n, t, [v[:dim_t] for v in kernel], field)
 
     def _pure_power_exponents(self):
         """(m_1, ..., m_n) when the generators are c_i * x_i^{m_i}, exactly
@@ -541,7 +302,7 @@ class GradedIdeal:
 
         The base alone picks the route.  Pure powers (x_1^{m_1}, ...,
         x_n^{m_n}) are Ann(X^[m-1]) in Macaulay duality, so their colon is
-        Ann(f o X^[m-1]) (_annihilator_pieces): the term of f at alpha sends
+        Ann(f o X^[m-1]) (annihilator_pieces): the term of f at alpha sends
         X^[m-1] to X^[m-1-alpha], and drops out unless alpha <= m - 1 in
         every coordinate.  Every other base goes through the kernel of
         multiplication by f into R/I, degree by degree.  Both give the
@@ -566,10 +327,10 @@ class GradedIdeal:
         else:
             bound = sum(m) - n + 1
             terms = {tuple(k - 1 - a for k, a in zip(m, alpha)): c
-                     for alpha, c in _integer_terms(f).items()
+                     for alpha, c in integer_terms(f).items()
                      if all(a < k for a, k in zip(alpha, m))}
             if terms:
-                pieces = _annihilator_pieces(n, bound - 1 - e, terms, field)
+                pieces = annihilator_pieces(n, bound - 1 - e, terms, field)
             else:
                 # f lies in the pure powers
                 pieces = [full_piece(n, 0, field)]
@@ -670,8 +431,8 @@ class GradedIdeal:
                 for _, factor in combo[1:]:
                     terms = _term_product(terms, factor, self.field)
                 products.append((degree, terms))
-        vecs = _shifted_vectors(self.n, t, products)
-        return _integer_span(self.n, t, vecs, self.field)
+        vecs = shifted_vectors(self.n, t, products)
+        return integer_span(self.n, t, vecs, self.field)
 
     # ------------------------------------------------------------------
     # equality and membership
@@ -898,11 +659,11 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
 
 
 def _product_span(j_gens, factors, I, t):
-    factors = [(g.homogeneous_degree(), _integer_terms(g)) for g in factors]
+    factors = [(g.homogeneous_degree(), integer_terms(g)) for g in factors]
     data = []
     for j in j_gens:
-        j_terms = _integer_terms(j)
+        j_terms = integer_terms(j)
         for d, g_terms in factors:
             if j.homogeneous_degree() + d == t:
                 data.append((t, _term_product(j_terms, g_terms, I.field)))
-    return _integer_span(I.n, t, _shifted_vectors(I.n, t, data), I.field)
+    return integer_span(I.n, t, shifted_vectors(I.n, t, data), I.field)

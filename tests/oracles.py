@@ -10,7 +10,7 @@ from math import gcd
 
 from gor3 import GradedIdeal, MultiPoly
 from gor3.fields import RationalField
-from gor3.ideals import NotArtinianError, degree_one_multiples
+from gor3.ideals import NotArtinianError
 from gor3.monomials import deglex_key, monomials_of_degree
 from gor3.parsing import PolyParseError, _tokenize
 from gor3.pfaffians import (
@@ -19,6 +19,7 @@ from gor3.pfaffians import (
     generic_skew_matrix,
     maximal_pfaffians,
 )
+from gor3.pieces import degree_one_multiples
 
 
 def det_by_minors(rows):
@@ -267,7 +268,7 @@ def greedy_fresh_generators(piece, below):
     field = piece.field
     span = Span(field, piece.ambient_dim)
     if below is not None:
-        for vec in degree_one_multiples(below, field):
+        for vec in degree_one_multiples(below):
             span.add(vec)
     return [primitive_poly(piece.n, piece.t, row, field)
             for row in piece.rows if span.add(row)]

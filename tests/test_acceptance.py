@@ -35,10 +35,10 @@ from gor3.cases import (
     tower_expected_socle,
 )
 from gor3.fields import QQ
-from gor3.ideals import span_of_vectors
 from gor3.monomials import monomial_count, monomials_of_degree
 from gor3.parsing import parse_poly, parse_poly_list
 from gor3.pfaffians import generic_power_model, pfaffian
+from gor3.pieces import span_of_vectors
 from oracles import det_by_minors, random_alternating
 
 VARS = ["x", "y", "z"]

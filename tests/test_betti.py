@@ -5,8 +5,11 @@ import pytest
 from gor3 import GradedIdeal
 from gor3.betti import betti_table, has_linear_resolution, socle_decomposition_from_betti
 from gor3.cases import (
+    ex_2_5_ideal,
+    ex_3_7_ideal,
     five_gen_expected_betti,
     five_gen_expected_socle,
+    monomial_tower_ideal,
     monomial_tower_squared,
     tower_expected_betti,
     tower_expected_socle,
@@ -172,3 +175,22 @@ def test_betti_table_reads_the_socle_degree_off_the_bound(monkeypatch, tower_d3)
         s + 3: v for s, v in tower_expected_socle(3).items()}
     with pytest.raises(ValueError, match="unit ideal"):
         betti_table(GradedIdeal.from_strings(["x", "y", "z", "1"]))
+
+
+@pytest.mark.parametrize("make,entries", [
+    (ex_2_5_ideal, {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1}),
+    (lambda: monomial_tower_ideal(4),
+     {(0, 0): 1, (1, 4): 9, (2, 5): 9, (2, 6): 1, (3, 6): 2, (2, 7): 4,
+      (3, 7): 1, (3, 8): 3}),
+    (ex_3_7_ideal, {(0, 0): 1, (1, 3): 7, (2, 4): 7, (3, 7): 1}),
+    # built from generators, so the bound comes from the duality certificate
+    (lambda: GradedIdeal.from_strings(["x^2", "y^2", "z^2"]),
+     {(0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1}),
+], ids=["ex-2-5", "tower-d4", "ex-3-7", "squares"])
+def test_betti_table_builds_no_piece_above_the_bound(make, entries):
+    # R/I is 0 from the Artinian bound on, so the top twists s + 1 .. s + n
+    # need no piece of degree above it
+    I = make()
+    table = betti_table(I)
+    assert max(I._pieces) <= I.artinian_bound()
+    assert table.entries == entries

@@ -153,7 +153,7 @@ def test_near_miss_bases_take_the_kernel_route(base_text, f_text, monkeypatch):
     def no_duality(*args, **kwargs):
         raise AssertionError("duality route taken")
 
-    monkeypatch.setattr(gor3.ideals, "_annihilator_pieces", no_duality)
+    monkeypatch.setattr(gor3.ideals, "annihilator_pieces", no_duality)
     base = GradedIdeal.from_strings(base_text.split(","))
     colon = base.colon(parse_poly(f_text, ["x", "y", "z"]))
     assert [str(g) for g in colon.generators] == NEAR_MISS[base_text, f_text]

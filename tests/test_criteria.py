@@ -14,6 +14,7 @@ from gor3.fields import GF, QQ
 from gor3.ideals import variable_power_ideal
 from gor3.monomials import monomials_of_degree
 from gor3.parsing import parse_poly, parse_poly_list
+from gor3.pieces import span_of_vectors
 from oracles import five_quadrics_by_cofactors
 
 VARS = ["x", "y", "z"]
@@ -93,8 +94,6 @@ def test_linres_kernel_matches_colon_on_seeds():
         kernel = M.kernel_basis()
         colon_piece = variable_power_ideal(3, m).colon(
             f, t_max=ep).graded_piece(ep)
-        from gor3.ideals import span_of_vectors
-
         kernel_span = span_of_vectors(3, ep, kernel, QQ)
         assert kernel_span.dim == colon_piece.dim
         assert kernel_span == colon_piece

@@ -19,9 +19,10 @@ from gor3 import GradedIdeal, MultiPoly
 from gor3.apolarity import InverseForm, NotGorensteinError, annihilator, macaulay_inverse
 from gor3.cases import monomial_tower_ideal, random_quadrics
 from gor3.fields import GF, QQ
-from gor3.ideals import NotArtinianError, vector_to_poly
+from gor3.ideals import NotArtinianError
 from gor3.monomials import monomials_of_degree
 from gor3.pfaffians import generic_power_model
+from gor3.pieces import vector_to_poly
 
 from oracles import macaulay_inverse_by_tuples, socle_by_field_rref
 

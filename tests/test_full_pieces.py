@@ -15,13 +15,9 @@ import pytest
 import gor3.linalg
 from gor3 import GradedIdeal, MultiPoly, NotArtinianError
 from gor3.fields import GF, QQ
-from gor3.ideals import (
-    CERTIFICATE_PRIME,
-    GradedPiece,
-    _shifted_vectors,
-    full_piece,
-)
+from gor3.linalg import CERTIFICATE_PRIME
 from gor3.monomials import monomial_count, monomials_of_degree
+from gor3.pieces import GradedPiece, full_piece, shifted_vectors
 
 from oracles import fraction_rref
 
@@ -57,7 +53,7 @@ def _random_ideal(n, degrees, common, rng):
 
 def _exact_piece(I, t):
     """The piece by a Fraction Gauss-Jordan of the shifted generators."""
-    vecs = _shifted_vectors(I.n, t, I._gen_data)
+    vecs = shifted_vectors(I.n, t, I._gen_data)
     pivots, rows = fraction_rref(vecs)
     return GradedPiece(I.n, t, QQ, pivots, [QQ.integer_row(r)[0] for r in rows])
 

@@ -20,6 +20,7 @@ from gor3 import (
 from gor3.fields import GF, QQ
 from gor3.monomials import monomials_of_degree
 from gor3.parsing import parse_poly
+from gor3.pieces import degree_one_multiples, span_of_vectors
 from oracles import mono_divides
 
 VARS = ["x", "y", "z"]
@@ -63,13 +64,11 @@ def test_hilbert_at_zero():
 
 
 def test_dimension_monotonicity(ex_3_7, cubes):
-    from gor3.ideals import degree_one_multiples, span_of_vectors
-
     for I in (ex_3_7, cubes):
         for t in range(0, 6):
             piece = I.graded_piece(t)
             grown = span_of_vectors(
-                3, t + 1, degree_one_multiples(piece, I.field), I.field)
+                3, t + 1, degree_one_multiples(piece), I.field)
             assert piece.dim <= grown.dim <= I.graded_piece(t + 1).dim
 
 

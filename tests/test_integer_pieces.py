@@ -20,15 +20,10 @@ from gor3 import GradedIdeal, InverseForm, MultiPoly, annihilator, parse_poly
 from gor3.betti import betti_table
 from gor3.cases import ex_2_5_ideal, five_gen_monomial_ideal
 from gor3.fields import GF, QQ
-from gor3.ideals import (
-    CERTIFICATE_PRIME,
-    GradedPiece,
-    _product_span,
-    degree_one_multiples,
-    span_of_vectors,
-)
-from gor3.linalg import ExactMatrix, kernel_rows, normal_form
+from gor3.ideals import _product_span
+from gor3.linalg import CERTIFICATE_PRIME, ExactMatrix, kernel_rows, normal_form
 from gor3.monomials import monomial_count, monomials_of_degree
+from gor3.pieces import GradedPiece, degree_one_multiples, span_of_vectors
 
 from oracles import Span, colon_by_kernel, fraction_rref
 
@@ -147,9 +142,9 @@ def test_integer_and_fraction_vectors_give_equal_pieces():
                                [QQ.integer_row(r)[0] for r in piece.rows]) == piece
             assert GradedPiece(n, t, QQ, piece.pivots, ints) == piece
             # the multiples of the rows span the same piece in either form
-            grown = span_of_vectors(n, t + 1, degree_one_multiples(piece, QQ), QQ)
+            grown = span_of_vectors(n, t + 1, degree_one_multiples(piece), QQ)
             as_fractions = [[Fraction(v) for v in vec]
-                            for vec in degree_one_multiples(piece, QQ)]
+                            for vec in degree_one_multiples(piece)]
             assert span_of_vectors(n, t + 1, as_fractions, QQ) == grown
 
 

@@ -1,5 +1,6 @@
 """The layering of the package: every import of a gor3 module sits at the
-top of its module, and the graph of those imports has no cycle.
+top of its module, the graph of those imports has no cycle, pieces sits
+below ideals, and no module takes a private name from ideals or pieces.
 
 An import inside a function hides a dependency from the reader and is the
 usual way a cycle gets in, so both are checked on the source with ``ast``,
@@ -73,9 +74,9 @@ def _cycle(graph):
 
 def test_the_graph_sees_every_module():
     graph = _graph()
-    assert {"ideals", "apolarity", "cli", "linalg", "poly"} <= set(graph)
-    assert graph["apolarity"][0] >= {"ideals", "poly"}
-    assert "linalg" in graph["ideals"][0]
+    assert {"ideals", "pieces", "apolarity", "cli", "linalg", "poly"} <= set(graph)
+    assert graph["apolarity"][0] >= {"ideals", "pieces", "poly"}
+    assert graph["ideals"][0] >= {"linalg", "pieces"}
 
 
 def test_no_import_inside_a_function():
@@ -89,6 +90,37 @@ def test_the_import_graph_is_acyclic():
 
 def test_ideals_does_not_import_apolarity():
     assert "apolarity" not in _graph()["ideals"][0]
+
+
+def test_pieces_sits_below_ideals():
+    above = {"ideals", "apolarity", "criteria", "betti", "pfaffians", "cases", "cli"}
+    assert _graph()["pieces"][0] & above == set()
+
+
+def _private_imports(source, modules):
+    """(module, name) for every name starting with "_" that an import in
+    source takes from one of the gor3 modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend((module, alias.name) for module in _package_imports(node)
+                         if module in modules for alias in node.names
+                         if alias.name.startswith("_"))
+    return found
+
+
+def test_no_private_name_is_imported_from_ideals_or_pieces():
+    taken = {path.stem: _private_imports(path.read_text(encoding="utf-8"),
+                                         {"ideals", "pieces"})
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in taken.items() if names} == {}
+
+
+def test_the_private_import_finder_finds_one():
+    source = ("from .ideals import GradedIdeal, _product_span\n"
+              "from gor3.pieces import _helper\nfrom .linalg import _residual\n")
+    assert _private_imports(source, {"ideals", "pieces"}) == [
+        ("ideals", "_product_span"), ("pieces", "_helper")]
 
 
 def test_the_cycle_finder_finds_a_cycle():

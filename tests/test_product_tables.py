@@ -10,8 +10,9 @@ import pytest
 from gor3 import GF, QQ, InverseForm, MultiPoly
 from gor3.apolarity import annihilator, macaulay_inverse
 from gor3.criteria import linres_matrix, spans_target
-from gor3.ideals import GradedIdeal, _catalecticant, _integer_terms, _shifted_vectors
+from gor3.ideals import GradedIdeal
 from gor3.monomials import monomials_of_degree
+from gor3.pieces import catalecticant, integer_terms, shifted_vectors
 
 from oracles import (
     catalecticant_rows_by_tuples,
@@ -56,10 +57,10 @@ def gorenstein(request):
 def test_catalecticant_rows(gorenstein):
     F, _ = gorenstein
     s = F.degree()
-    terms = _integer_terms(F)
+    terms = integer_terms(F)
     vec = [terms.get(beta, 0) for beta in monomials_of_degree(F.n, s)]
     for t in range(s + 1):
-        assert _catalecticant(F.n, s, vec, t) == catalecticant_rows_by_tuples(
+        assert catalecticant(F.n, s, vec, t) == catalecticant_rows_by_tuples(
             F.n, s, terms, t)
 
 
@@ -67,7 +68,7 @@ def test_shifted_vectors(gorenstein):
     _, I = gorenstein
     bound = I.artinian_bound()
     for t in range(bound + 2):
-        assert _shifted_vectors(I.n, t, I._gen_data) == shifted_rows_by_tuples(
+        assert shifted_vectors(I.n, t, I._gen_data) == shifted_rows_by_tuples(
             I.n, t, I._gen_data)
 
 
