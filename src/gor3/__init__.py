@@ -49,12 +49,13 @@ from .ideals import (
     pure_power_gap,
     pure_power_ideal,
     pure_power_index,
+    rewrite_in_linear_forms,
     socle_report,
     variable_lines,
     variable_power_ideal,
     virtual_datum,
 )
-from .linalg import ExactMatrix, rank_kernel
+from .linalg import det, kernel_rows, row_rank
 from .monomials import monomial_count, monomials_of_degree
 from .parsing import PolyParseError, parse_poly, parse_poly_list
 from .pfaffians import (
@@ -65,6 +66,6 @@ from .pfaffians import (
     pfaffian_ideal,
 )
 from .pieces import GradedPiece
-from .poly import MultiPoly, power_substitution, rewrite_in_linear_forms, substitute
+from .poly import MultiPoly, power_substitution, substitute
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, row_rank
+from .linalg import det, row_rank
 from .monomials import monomial_count, monomials_of_degree
 from .pieces import integer_terms, shifted_vectors
 from .poly import MultiPoly
@@ -58,29 +58,29 @@ def spans_target(forms, e: int) -> SpansReport:
                        target_dim=target, shape=(target, len(rows)))
 
 
-def linres_matrix(f: MultiPoly, m: int, e_prime: int) -> ExactMatrix:
-    """Membership matrix for the colon of the pure powers by f.
+def linres_matrix(f: MultiPoly, m: int, e_prime: int):
+    """Membership matrix for the colon of the pure powers by f, as (rows,
+    nc): integer rows with nc columns.
 
     Rows are indexed by the degree-(e+e') monomials outside
     (x_1^m, ..., x_n^m), columns by the degree-e' monomials; the entry is
-    the coefficient of f at the difference.  A degree-e' form g lies in
-    (x_1^m, ..., x_n^m) : f exactly when the matrix kills its coefficient
-    vector.
+    the coefficient of f at the difference, f scaled once to integer
+    coefficients (integer_terms), which keeps the rank and the kernel.  A
+    degree-e' form g lies in (x_1^m, ..., x_n^m) : f exactly when the
+    matrix kills its coefficient vector.
     """
     if f.is_zero():
         raise ValueError("zero form")
     if m < 1:
         raise ValueError("exponent m must be at least 1")
     n = f.n
-    field = f.field
     e = f.homogeneous_degree()
     # column beta is x^beta * f over the degree-(e+e') basis
-    cols = shifted_vectors(n, e + e_prime, [(e, f.terms)])
-    zero = field.zero
-    rows = [[c if c else zero for c in row]
+    cols = shifted_vectors(n, e + e_prime, [(e, integer_terms(f))])
+    rows = [list(row)
             for row, gamma in zip(zip(*cols), monomials_of_degree(n, e + e_prime))
             if all(g < m for g in gamma)]
-    return ExactMatrix(field, rows, cols=len(cols))
+    return rows, len(cols)
 
 
 @dataclass
@@ -128,9 +128,9 @@ def is_equigen_linres(f: MultiPoly, m: int) -> LinresReport:
                             "s is odd, no linear-resolution degree exists")
     half = s // 2
     required = monomial_count(n, half)
-    matrix = linres_matrix(f, m, half)
-    rank = matrix.rank()
-    shape = (matrix.rows, matrix.cols)
+    rows, nc = linres_matrix(f, m, half)
+    rank = row_rank(f.field, rows, nc)
+    shape = (len(rows), nc)
     if rank == required:
         return LinresReport("YES", s, half + 1, rank, required,
                             "membership matrix has full column rank", shape)
@@ -162,10 +162,10 @@ def five_quadrics_certificate(quadrics) -> QuadricsReport:
     the entries of last-row * adj(top).  Entry i comes by Cramer's rule as
     the determinant of the top block with row i replaced by the last row,
     singular top block included, so the certificate takes seven
-    determinants and no adjugate.  If both determinants are nonzero and the
-    degree-1 multiples of the quadrics fill R_3, the ideal they generate is
-    a codimension-3 Gorenstein ideal.  Any failure is INCONCLUSIVE, not a
-    disproof.
+    determinants (linalg.det) and builds no cofactor matrix.  If both
+    determinants are nonzero and the degree-1 multiples of the quadrics
+    fill R_3, the ideal they generate is a codimension-3 Gorenstein ideal.
+    Any failure is INCONCLUSIVE, not a disproof.
     """
     quadrics = list(quadrics)
     if len(quadrics) != 5:
@@ -179,18 +179,16 @@ def five_quadrics_certificate(quadrics) -> QuadricsReport:
     theta_cols = [q.to_vector(2) for q in quadrics]
     top = [[theta_cols[j][i] for j in range(5)] for i in range(5)]
     last = [theta_cols[j][5] for j in range(5)]
-    delta = ExactMatrix(field, top).det()
+    delta = det(field, top)
     # entry i of last * adj(top) is det(top with row i replaced by last), by
     # Laplace expansion along row i; this holds for a singular top as well
-    d1, d2, d3, d4, d5 = (
-        ExactMatrix(field, top[:i] + [last] + top[i + 1:]).det()
-        for i in range(5))
-    sym = ExactMatrix(field, [
+    d1, d2, d3, d4, d5 = (det(field, top[:i] + [last] + top[i + 1:])
+                          for i in range(5))
+    dee = det(field, [
         [d1, d2, d3],
         [d2, d4, d5],
         [d3, d5, field.neg(delta)],
     ])
-    dee = sym.det()
     spans = spans_target(quadrics, 1).spans
     certified = (not field.is_zero(delta) and not field.is_zero(dee)
                  and spans)

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import ExactMatrix, kernel_rows, normal_form, row_profile, row_rank
+from .linalg import kernel_rows, normal_form, row_profile, row_rank, rref_rows
 from .monomials import monomial_count, product_table
 from .parsing import parse_poly
 from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_vector,
@@ -561,18 +561,43 @@ def variable_power_ideal(n, m, field=QQ) -> GradedIdeal:
     return pure_power_ideal(variable_lines(n, field), [m] * n, field)
 
 
-def _check_independent_lines(lines):
-    n = lines[0].n
+def _line_rows(lines, n):
+    """(ints, scale) for each of n nonzero linear forms: its coefficient
+    vector made an integer row by the field and the multiplier it took."""
     if len(lines) != n:
         raise ValueError(f"need exactly {n} linear forms")
-    field = lines[0].field
     rows = []
     for ell in lines:
         if ell.is_zero() or ell.homogeneous_degree() != 1:
             raise ValueError("expected nonzero linear forms")
-        rows.append(ell.to_vector(1))
-    if ExactMatrix(field, rows).rank() != n:
+        rows.append(ell.field.integer_row(ell.to_vector(1)))
+    return rows
+
+
+def _check_independent_lines(lines):
+    n = lines[0].n
+    rows = [ints for ints, _ in _line_rows(lines, n)]
+    if row_rank(lines[0].field, rows, n) != n:
         raise ValueError("linear forms are not independent")
+
+
+def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
+    """Express f as a polynomial in n independent linear forms.
+
+    Returns g with g(l_1, ..., l_n) = f; raises if the forms are dependent.
+    """
+    n, field = f.n, f.field
+    # row i of [A | I], scaled as the field scaled row i of A
+    rows = [ints + [0] * i + [scale] + [0] * (n - 1 - i)
+            for i, (ints, scale) in enumerate(_line_rows(lines, n))]
+    # [A | I] reduces to [I | A^-1] exactly when the forms are independent;
+    # row i of A^-1 writes x_i in the l-coordinates
+    pivots, red = rref_rows(field, rows, 2 * n)
+    if pivots != list(range(n)):
+        raise ValueError("linear forms are not independent")
+    images = [MultiPoly.from_vector(n, 1, row[n:], field)
+              for row in field.scalar_rows(pivots, red)]
+    return f.substitute(images)
 
 
 def pure_power_index(I: GradedIdeal, lines) -> int:

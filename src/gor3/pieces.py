@@ -6,8 +6,8 @@ Pieces, the rows built from them and the multiplication maps between them
 are integer rows on both fields: the field turns each generator into an
 integer term map once (integer_terms), a piece keeps the integer RREF of
 linalg.rref_rows, and residuals are read off its linalg.normal_form.  Field
-scalars appear only where they cross the API: GradedPiece.rows,
-reduce_vector, span_of_vectors and vector_to_poly.
+scalars cross only at GradedPiece.contains_vector/contains_poly and
+vector_to_poly.
 
 Macaulay duality lives here alone: catalecticant is the one builder of
 catalecticant rows, whose ranks the Gorenstein certificate of ideals reads,
@@ -32,24 +32,15 @@ class GradedPiece:
     int_rows is the RREF of the subspace as integer rows: over QQ primitive
     rows with a positive pivot, as linalg.rref_int returns them, and over
     GF(p) leading-1 rows of residues.  Either form is unique for the
-    subspace, so equal pieces have equal rows.  rows is the same RREF in
-    field scalars, leading-1 Fraction rows over QQ (scalar_rows), built on
-    first use.
+    subspace, so equal pieces have equal rows.
     """
 
-    __slots__ = ("n", "t", "field", "pivots", "int_rows", "_rows")
+    __slots__ = ("n", "t", "field", "pivots", "int_rows")
 
     def __init__(self, n, t, field, pivots, rows):
         """(pivots, rows): the integer RREF as linalg.rref_rows returns it."""
         self.n, self.t, self.field = n, t, field
         self.pivots, self.int_rows = pivots, rows
-        self._rows = None
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = self.field.scalar_rows(self.pivots, self.int_rows)
-        return self._rows
 
     @property
     def dim(self):
@@ -68,26 +59,13 @@ class GradedPiece:
         pivots = set(self.pivots)
         return [c for c in range(self.ambient_dim) if c not in pivots]
 
-    def _scaled_residual(self, vec):
-        """(out, den) with out / den the residual of vec modulo the span and
-        out an integer vector: the sum of vec[x] * nf[x] over the normal
-        form of the piece, placed on its free columns."""
-        ints, den = self.field.integer_row(vec)
-        lcm, free, nf = normal_form(self.pivots, self.int_rows, len(ints))
-        out = [0] * len(ints)
-        for c, v in zip(free, _residual(ints, nf, len(free))):
-            out[c] = v
-        return out, lcm * den
-
-    def reduce_vector(self, vec):
-        """Residual of vec modulo the span; zero iff vec lies in the span."""
-        out, den = self._scaled_residual(vec)
-        field = self.field
-        return [field.div(v, den) for v in out]
-
     def contains_vector(self, vec) -> bool:
+        """Whether the vector of field scalars lies in the span: its integer
+        row has a zero residual on the normal form of the piece."""
+        ints, _ = self.field.integer_row(vec)
+        _, free, nf = normal_form(self.pivots, self.int_rows, len(ints))
         is_zero = self.field.is_zero
-        return all(is_zero(v) for v in self._scaled_residual(vec)[0])
+        return all(is_zero(v) for v in _residual(ints, nf, len(free)))
 
     def contains_poly(self, f) -> bool:
         if f.is_zero():
@@ -126,12 +104,6 @@ def integer_span(n, t, rows, field, profile=None) -> GradedPiece:
         return zero_piece(n, t, field)
     return GradedPiece(n, t, field,
                        *rref_rows(field, rows, monomial_count(n, t), profile))
-
-
-def span_of_vectors(n, t, vectors, field) -> GradedPiece:
-    """The piece spanned by vectors of field scalars (over QQ, Fractions or
-    integers)."""
-    return integer_span(n, t, [field.integer_row(v)[0] for v in vectors], field)
 
 
 def full_piece(n, t, field) -> GradedPiece:

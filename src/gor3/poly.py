@@ -15,7 +15,6 @@ operations, and the two kinds of form never mix.
 from __future__ import annotations
 
 from .fields import QQ
-from .linalg import ExactMatrix
 from .monomials import (
     default_var_names,
     deglex_key,
@@ -292,28 +291,3 @@ def power_substitution(f: MultiPoly, p: int) -> MultiPoly:
                      {tuple(e * p for e in exps): c
                       for exps, c in f.terms.items()},
                      f.field)
-
-
-def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
-    """Express f as a polynomial in n independent linear forms.
-
-    Returns g with g(l_1, ..., l_n) = f; raises if the forms are dependent.
-    """
-    n = f.n
-    if len(lines) != n:
-        raise ValueError(f"need {n} linear forms")
-    field = f.field
-    rows = []
-    for i, ell in enumerate(lines):
-        if ell.is_zero() or ell.homogeneous_degree() != 1:
-            raise ValueError("expected linear forms")
-        unit = [field.zero] * n
-        unit[i] = field.one
-        rows.append(ell.to_vector(1) + unit)
-    # [A | I] reduces to [I | A^-1] exactly when the forms are independent;
-    # row i of A^-1 writes x_i in the l-coordinates
-    pivots, red = ExactMatrix(field, rows).rref()
-    if pivots != list(range(n)):
-        raise ValueError("linear forms are not independent")
-    images = [MultiPoly.from_vector(n, 1, row[n:], field) for row in red]
-    return f.substitute(images)

@@ -11,6 +11,7 @@ from math import gcd
 from gor3 import GradedIdeal, MultiPoly
 from gor3.fields import RationalField
 from gor3.ideals import NotArtinianError
+from gor3.linalg import normal_form
 from gor3.monomials import deglex_key, monomials_of_degree
 from gor3.parsing import PolyParseError, _tokenize
 from gor3.pfaffians import (
@@ -19,7 +20,32 @@ from gor3.pfaffians import (
     generic_skew_matrix,
     maximal_pfaffians,
 )
-from gor3.pieces import degree_one_multiples
+from gor3.pieces import degree_one_multiples, integer_span
+
+
+def piece_rows(piece):
+    """The RREF of a piece in field scalars: leading-1 rows, Fractions over
+    QQ (field.scalar_rows of its integer rows)."""
+    return piece.field.scalar_rows(piece.pivots, piece.int_rows)
+
+
+def span_of_vectors(n, t, vectors, field):
+    """The piece spanned by vectors of field scalars (over QQ, Fractions or
+    integers), through their integer rows."""
+    return integer_span(n, t, [field.integer_row(v)[0] for v in vectors], field)
+
+
+def reduce_vector(piece, vec):
+    """The residual of a vector of field scalars modulo a piece, in field
+    scalars: sum(v[x] * nf[x]) over the piece's normal form, placed on its
+    free columns and divided by the pivot lcm and the row's multiplier."""
+    field = piece.field
+    ints, den = field.integer_row(vec)
+    lcm, free, nf = normal_form(piece.pivots, piece.int_rows, len(ints))
+    out = [field.zero] * len(ints)
+    for j, c in enumerate(free):
+        out[c] = field.div(sum(v * nf[x][j] for x, v in enumerate(ints)), lcm * den)
+    return out
 
 
 def det_by_minors(rows):
@@ -271,7 +297,7 @@ def greedy_fresh_generators(piece, below):
         for vec in degree_one_multiples(below):
             span.add(vec)
     return [primitive_poly(piece.n, piece.t, row, field)
-            for row in piece.rows if span.add(row)]
+            for row in piece_rows(piece) if span.add(row)]
 
 
 def colon_by_kernel(base, f, t_max=None):

@@ -79,17 +79,16 @@ def test_contract_bilinear():
 
 def brute_force_annihilator_dim(F, t):
     """Catalecticant kernel dimension computed from scratch."""
-    from gor3.linalg import ExactMatrix
+    from gor3.linalg import kernel_rows
 
     n, s = F.n, F.degree()
     cols = []
     for alpha in monomials_of_degree(n, t):
         g = MultiPoly.monomial(alpha, 1, QQ)
         cols.append(contract(g, F).to_vector(s - t))
-    mat = ExactMatrix(QQ, [[cols[j][i] for j in range(len(cols))]
-                           for i in range(monomial_count(n, s - t))],
-                      cols=len(cols))
-    return len(mat.kernel_basis())
+    rows = [QQ.integer_row([cols[j][i] for j in range(len(cols))])[0]
+            for i in range(monomial_count(n, s - t))]
+    return len(kernel_rows(QQ, rows, len(cols))[0])
 
 
 def test_annihilator_of_sum_of_squares():

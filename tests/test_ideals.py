@@ -20,8 +20,8 @@ from gor3 import (
 from gor3.fields import GF, QQ
 from gor3.monomials import monomials_of_degree
 from gor3.parsing import parse_poly
-from gor3.pieces import degree_one_multiples, span_of_vectors
-from oracles import mono_divides
+from gor3.pieces import degree_one_multiples, integer_span
+from oracles import mono_divides, piece_rows
 
 VARS = ["x", "y", "z"]
 
@@ -67,7 +67,7 @@ def test_dimension_monotonicity(ex_3_7, cubes):
     for I in (ex_3_7, cubes):
         for t in range(0, 6):
             piece = I.graded_piece(t)
-            grown = span_of_vectors(
+            grown = integer_span(
                 3, t + 1, degree_one_multiples(piece), I.field)
             assert piece.dim <= grown.dim <= I.graded_piece(t + 1).dim
 
@@ -89,7 +89,7 @@ def test_colon_contains_base(cubes, ex_3_7):
     for t in range(bound + 1):
         inner = cubes.graded_piece(t)
         outer = ex_3_7.graded_piece(t)
-        for row in inner.rows:
+        for row in piece_rows(inner):
             assert outer.contains_vector(row)
 
 

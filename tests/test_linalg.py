@@ -7,12 +7,8 @@ import pytest
 
 from gor3._rowred_py import rref_int, rref_mod
 from gor3.fields import GF, QQ
-from gor3.linalg import ExactMatrix, kernel_rows, normal_form, rank_kernel, rref_rows
+from gor3.linalg import det, kernel_rows, normal_form, row_rank, rref_rows
 from oracles import Span, det_by_minors, fraction_rref, gcd_rref_int
-
-
-def frac_matrix(entries):
-    return ExactMatrix(QQ, [[Fraction(v) for v in row] for row in entries])
 
 
 def bareiss_rank_and_pivots(rows):
@@ -44,56 +40,50 @@ def bareiss_rank_and_pivots(rows):
 
 
 def test_identity_rank_kernel():
-    M = ExactMatrix.identity(QQ, 4)
-    rank, kernel = rank_kernel(M)
-    assert rank == 4
-    assert kernel == []
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert row_rank(QQ, identity, 4) == 4
+    assert kernel_rows(QQ, identity, 4) == ([], 1)
 
 
 def test_zero_matrix():
-    M = ExactMatrix.zero(QQ, 3, 5)
-    rank, kernel = rank_kernel(M)
-    assert rank == 0
-    assert len(kernel) == 5
+    zero = [[0] * 5 for _ in range(3)]
+    assert row_rank(QQ, zero, 5) == 0
+    assert len(kernel_rows(QQ, zero, 5)[0]) == 5
 
 
 def test_kernel_vectors_are_exact():
     rng = random.Random(11)
     for _ in range(25):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        M = frac_matrix([[rng.randint(-6, 6) for _ in range(nc)]
-                         for _ in range(nr)])
-        rank, kernel = rank_kernel(M)
+        rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        rank = row_rank(QQ, rows, nc)
+        kernel, _ = kernel_rows(QQ, rows, nc)
         assert rank + len(kernel) == nc
         for v in kernel:
-            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in M.entries)
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
 
 def test_appending_kernel_vector_keeps_rank():
     rng = random.Random(5)
     for _ in range(10):
         nr, nc = rng.randint(2, 6), rng.randint(2, 6)
-        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(nc)]
-                for _ in range(nr)]
-        M = ExactMatrix(QQ, rows)
-        kernel = M.kernel_basis()
+        rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        kernel, _ = kernel_rows(QQ, rows, nc)
         if not kernel:
             continue
         v = kernel[0]
-        extended = ExactMatrix(QQ, [row + [sum(a * b for a, b in zip(row, v))]
-                                    for row in rows])
-        assert extended.rank() == M.rank()
+        extended = [row + [sum(a * b for a, b in zip(row, v))] for row in rows]
+        assert row_rank(QQ, extended, nc + 1) == row_rank(QQ, rows, nc)
 
 
 def test_rref_is_idempotent():
     rng = random.Random(7)
     for _ in range(15):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        M = frac_matrix([[rng.randint(-5, 5) for _ in range(nc)]
-                         for _ in range(nr)])
-        pivots, rows = M.rref()
-        again = ExactMatrix(QQ, rows, cols=nc).rref() if rows else ([], [])
-        assert again == (pivots, rows)
+        rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        pivots, red = rref_rows(QQ, rows, nc)
+        again = rref_rows(QQ, red, nc) if red else ([], [])
+        assert again == (pivots, red)
 
 
 def test_rank_qq_vs_fp_against_oracle():
@@ -104,48 +94,78 @@ def test_rank_qq_vs_fp_against_oracle():
     for _ in range(20):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
         oracle_rank, pivots = bareiss_rank_and_pivots(rows)
-        M = frac_matrix(rows)
-        assert M.rank() == oracle_rank
+        assert row_rank(QQ, rows, 6) == oracle_rank
         good = next(p for p in primes
                     if all(v % p != 0 for v in pivots))
-        Mp = ExactMatrix(GF(good), [[v % good for v in row] for row in rows])
-        assert Mp.rank() == oracle_rank
+        residues = [[v % good for v in row] for row in rows]
+        assert row_rank(GF(good), residues, 6) == oracle_rank
 
 
 def test_rational_entries_and_rref_normalization():
-    M = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)],
-                         [Fraction(3, 2), Fraction(2, 1)]])
-    pivots, rows = M.rref()
+    """Fraction rows enter through QQ.integer_row and the integer RREF
+    leaves through QQ.scalar_rows as leading-1 rows."""
+    rows = [QQ.integer_row(r)[0] for r in [[Fraction(1, 2), Fraction(1, 3)],
+                                           [Fraction(3, 2), Fraction(2, 1)]]]
+    pivots, red = rref_rows(QQ, rows, 2)
     assert pivots == [0, 1]
-    assert rows == [[1, 0], [0, 1]]
+    assert QQ.scalar_rows(pivots, red) == [[1, 0], [0, 1]]
     # proportional rows collapse to a single pivot
-    S = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)],
-                         [Fraction(3, 2), Fraction(1, 1)]])
-    assert S.rank() == 1
-    assert S.rref()[1] == [[1, Fraction(2, 3)]]
+    rows = [QQ.integer_row(r)[0] for r in [[Fraction(1, 2), Fraction(1, 3)],
+                                           [Fraction(3, 2), Fraction(1, 1)]]]
+    assert row_rank(QQ, rows, 2) == 1
+    assert QQ.scalar_rows(*rref_rows(QQ, rows, 2)) == [[1, Fraction(2, 3)]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(13)], ids=str)
+def test_det_small_cases(field):
+    """2 x 2, singular, 0 x 0 (the empty product), a row swap (the sign)
+    and non-square input, which raises."""
+    assert det(field, [[2, 1], [1, 3]]) == 5
+    assert det(field, [[1, 2], [2, 4]]) == 0
+    assert det(field, []) == field.one
+    assert det(field, [[0, 1], [1, 0]]) == field.neg(field.one)
+    assert det(field, [[0, 1, 0], [1, 0, 0], [0, 0, 3]]) == field.neg(field.of(3))
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            det(field, rows)
 
 
 def test_det_bareiss_and_adjugate():
-    M = frac_matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-    d = M.det()
-    assert d == Fraction(18)
-    adj = M.adjugate()
-    prod = [[sum(M.entries[i][k] * adj.entries[k][j] for k in range(3))
-             for j in range(3)] for i in range(3)]
-    assert prod == [[d if i == j else 0 for j in range(3)] for i in range(3)]
+    """det of a Fraction matrix, and Cramer's rule against the adjugate by
+    cofactors (det_by_minors): entry i of last * adj(top) equals det of top
+    with row i replaced by last, singular tops included."""
+    assert det(QQ, [[Fraction(v) for v in row]
+                    for row in [[2, 1, 0], [1, 3, 1], [0, 1, 4]]]) == 18
+    assert det(QQ, [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
+    rng = random.Random(31)
+    for field in (QQ, GF(13)):
+        singular = 0
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            top = [[field.of(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                top[-1] = list(top[0])
+            last = [field.of(rng.randint(-4, 4)) for _ in range(n)]
+            singular += field.is_zero(det(field, top))
+            adj = [[field.of((-1) ** (i + k) * det_by_minors(
+                        [[v for c, v in enumerate(row) if c != k]
+                         for r, row in enumerate(top) if r != i]))
+                    for i in range(n)] for k in range(n)]
+            for i in range(n):
+                cramer = field.of(sum(last[k] * adj[k][i] for k in range(n)))
+                assert det(field, top[:i] + [last] + top[i + 1:]) == cramer
+        assert singular > 3
 
 
 def test_det_mod_p():
     F = GF(13)
-    M = ExactMatrix(F, [[2, 1], [1, 3]])
-    assert M.det() == 5
-    singular = ExactMatrix(F, [[1, 2], [2, 4]])
-    assert singular.det() == 0
+    assert det(F, [[2, 1], [1, 3]]) == 5
+    assert det(F, [[1, 2], [2, 4]]) == 0
     # determinant 13: singular mod 13 alone
     rows = [[1, 2], [2, 4 + 13]]
-    assert ExactMatrix(QQ, rows).det() == 13
-    assert ExactMatrix(F, rows).det() == 0
-    assert ExactMatrix(GF(32003), rows).det() == 13
+    assert det(QQ, rows) == 13
+    assert det(F, rows) == 0
+    assert det(GF(32003), rows) == 13
 
 
 def test_kernel_contract():
@@ -346,11 +366,11 @@ def test_det_shares_the_bareiss_pass(field):
     cases.append([[1, 2], [2, 4]])
     swaps = 0
     for rows in cases:
-        d = ExactMatrix(field, rows).det()
+        d = det(field, rows)
         assert d == expected(rows), rows
         if field != QQ:
             assert 0 <= d < field.p
         swaps += rows[0][0] == 0
     assert swaps > 10
-    assert ExactMatrix(field, [[0, 1], [1, 0]]).det() == field.neg(field.one)
-    assert ExactMatrix(field, [[1, 2], [2, 4]]).det() == 0
+    assert det(field, [[0, 1], [1, 0]]) == field.neg(field.one)
+    assert det(field, [[1, 2], [2, 4]]) == 0

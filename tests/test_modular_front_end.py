@@ -1,6 +1,6 @@
 """The modular front end of QQ elimination, against oracles that never take it.
 
-With at least as many rows as columns, ``ExactMatrix.rref`` over QQ takes
+With at least as many rows as columns, ``rref_rows`` over QQ takes
 the row rank profile modulo CERTIFICATE_PRIME (``rank_profile_mod``) first:
 full rank there proves the identity RREF with no exact elimination;
 otherwise ``rref_int`` sees the profile rows only, every other row is
@@ -19,7 +19,7 @@ import gor3.linalg
 from gor3._rowred_py import rref_int
 from gor3.fields import GF, QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
-from gor3.linalg import ExactMatrix, kernel_rows, row_profile, row_rank, rref_rows
+from gor3.linalg import kernel_rows, row_profile, row_rank, rref_rows
 from gor3.monomials import monomials_of_degree
 
 from oracles import (catalecticant_rows_by_tuples, fraction_rref, gcd_rref_int,
@@ -64,7 +64,9 @@ def _check(rows, scale=None):
     cleared on the way in."""
     entries = [[Fraction(v, scale[i] if scale else 1) for v in row]
                for i, row in enumerate(rows)]
-    pivots, out = ExactMatrix(QQ, entries, cols=len(rows[0]) if rows else 0).rref()
+    nc = len(rows[0]) if rows else 0
+    pivots, red = rref_rows(QQ, [QQ.integer_row(e)[0] for e in entries], nc)
+    out = QQ.scalar_rows(pivots, red)
     expected = fraction_rref(entries)
     assert (pivots, out) == expected
     oracle_pivots, oracle_rows = gcd_rref_int(rows)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from gor3 import rewrite_in_linear_forms
 from gor3.fields import GF, QQ
 from gor3.monomials import monomials_of_degree
 from gor3.parsing import PolyParseError, parse_poly
-from gor3.poly import MultiPoly, power_substitution, rewrite_in_linear_forms
+from gor3.poly import MultiPoly, power_substitution
 from oracles import leading_monomial, substitute_by_objects
 
 VARS = ["x", "y", "z"]

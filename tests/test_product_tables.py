@@ -4,6 +4,7 @@ checked against builders that add and subtract exponent tuples
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -106,8 +107,12 @@ def test_linres_matrix(field, n):
     rng = random.Random(n)
     for e in (1, 2):
         f = _random_form(rng, n, e, field)
+        # over QQ the rows are f times the lcm of its denominators
+        scale = (lcm(*(Fraction(c).denominator for c in f.terms.values()))
+                 if field == QQ else 1)
         for m in (2, 3):
             for e_prime in range(3):
-                M = linres_matrix(f, m, e_prime)
-                assert M.entries == linres_rows_by_tuples(f, m, e_prime)
-                assert M.cols == len(monomials_of_degree(n, e_prime))
+                rows, nc = linres_matrix(f, m, e_prime)
+                assert rows == [[scale * v for v in row]
+                                for row in linres_rows_by_tuples(f, m, e_prime)]
+                assert nc == len(monomials_of_degree(n, e_prime))

@@ -4,7 +4,7 @@
 independent mod p of the rows before them and stops at limit of them.  It
 must equal the pivots of ``rref_mod`` on the transposed rows and the
 profile of ``oracles.row_rank_profile``, which reduces against whole rows
-and reads every row.  ``ExactMatrix.rank`` must equal the pivot count of the
+and reads every row.  ``row_rank`` must equal the pivot count of the
 canonical RREF over QQ and GF(32003), also where the prime is unlucky.
 """
 
@@ -17,7 +17,7 @@ import gor3.linalg
 from gor3._rowred_py import rank_profile_mod, rref_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
-from gor3.linalg import ExactMatrix
+from gor3.linalg import row_rank, rref_rows
 
 from oracles import random_product, row_rank_profile
 
@@ -94,8 +94,8 @@ def test_rank_equals_rref_pivot_count(field):
     for rows, _ in _matrices(random.Random(99)):
         nc = len(rows[0]) if rows else 0
         entries = _qq(rows, rng) if field is QQ else [[v % field.p for v in r] for r in rows]
-        rank = ExactMatrix(field, entries, cols=nc).rank()
-        assert rank == len(ExactMatrix(field, entries, cols=nc).rref()[0])
+        ints = [field.integer_row(r)[0] for r in entries]
+        assert row_rank(field, ints, nc) == len(rref_rows(field, ints, nc)[0])
 
 
 def test_rank_over_qq_falls_back_on_an_unlucky_prime(monkeypatch):
@@ -108,19 +108,23 @@ def test_rank_over_qq_falls_back_on_an_unlucky_prime(monkeypatch):
 
     monkeypatch.setattr(gor3.linalg, "_bareiss", counted)
     assert row_rank_profile(UNLUCKY, P) == [0, 2]
-    assert ExactMatrix(QQ, [[Fraction(v) for v in r] for r in UNLUCKY]).rank() == 3
+    assert row_rank(QQ, UNLUCKY, 3) == 3
     assert calls == [4]
     # full rank mod P proves full rank: no exact elimination at all
     del calls[:]
-    assert ExactMatrix(QQ, [[Fraction(1, 2), 3], [5, 7], [1, 1]]).rank() == 2
+    rows = [QQ.integer_row(r)[0] for r in [[Fraction(1, 2), 3], [5, 7], [1, 1]]]
+    assert row_rank(QQ, rows, 2) == 2
     assert calls == []
 
 
 def test_rank_and_rref_follow_mutated_entries():
-    # entries is a public list: rank() and rref() read it as it is now
+    # the row functions keep no state and leave their input as it is: they
+    # read the rows as they are now
     for field in (QQ, GF(32003)):
-        M = ExactMatrix(field, [[field.one, field.zero], [field.zero, field.one]])
-        assert M.rref()[0] == [0, 1]
-        M.entries[1][1] = field.zero
-        assert M.rank() == 1
-        assert M.rref()[0] == [0]
+        rows = [[field.one, field.zero], [field.zero, field.one]]
+        assert rref_rows(field, rows, 2)[0] == [0, 1]
+        assert rows == [[1, 0], [0, 1]]
+        rows[1][1] = field.zero
+        assert row_rank(field, rows, 2) == 1
+        assert rref_rows(field, rows, 2)[0] == [0]
+        assert rows == [[1, 0], [0, 0]]
