@@ -55,7 +55,7 @@ from .ideals import (
     variable_power_ideal,
     virtual_datum,
 )
-from .linalg import det, kernel_rows, row_rank
+from .linalg import ExactMatrix, kernel_rows, row_rank
 from .monomials import monomial_count, monomials_of_degree
 from .parsing import PolyParseError, parse_poly, parse_poly_list
 from .pfaffians import (

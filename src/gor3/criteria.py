@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import det, row_rank
+from .linalg import ExactMatrix, row_rank
 from .monomials import monomial_count, monomials_of_degree
 from .pieces import integer_terms, shifted_vectors
 from .poly import MultiPoly
@@ -162,10 +162,10 @@ def five_quadrics_certificate(quadrics) -> QuadricsReport:
     the entries of last-row * adj(top).  Entry i comes by Cramer's rule as
     the determinant of the top block with row i replaced by the last row,
     singular top block included, so the certificate takes seven
-    determinants (linalg.det) and builds no cofactor matrix.  If both
-    determinants are nonzero and the degree-1 multiples of the quadrics
-    fill R_3, the ideal they generate is a codimension-3 Gorenstein ideal.
-    Any failure is INCONCLUSIVE, not a disproof.
+    determinants and no adjugate.  If both determinants are nonzero and the
+    degree-1 multiples of the quadrics fill R_3, the ideal they generate is
+    a codimension-3 Gorenstein ideal.  Any failure is INCONCLUSIVE, not a
+    disproof.
     """
     quadrics = list(quadrics)
     if len(quadrics) != 5:
@@ -179,16 +179,18 @@ def five_quadrics_certificate(quadrics) -> QuadricsReport:
     theta_cols = [q.to_vector(2) for q in quadrics]
     top = [[theta_cols[j][i] for j in range(5)] for i in range(5)]
     last = [theta_cols[j][5] for j in range(5)]
-    delta = det(field, top)
+    delta = ExactMatrix(field, top).det()
     # entry i of last * adj(top) is det(top with row i replaced by last), by
     # Laplace expansion along row i; this holds for a singular top as well
-    d1, d2, d3, d4, d5 = (det(field, top[:i] + [last] + top[i + 1:])
-                          for i in range(5))
-    dee = det(field, [
+    d1, d2, d3, d4, d5 = (
+        ExactMatrix(field, top[:i] + [last] + top[i + 1:]).det()
+        for i in range(5))
+    sym = ExactMatrix(field, [
         [d1, d2, d3],
         [d2, d4, d5],
         [d3, d5, field.neg(delta)],
     ])
+    dee = sym.det()
     spans = spans_target(quadrics, 1).spans
     certified = (not field.is_zero(delta) and not field.is_zero(dee)
                  and spans)

@@ -7,10 +7,11 @@ over GF(p) the residues); the field objects convert scalars to and from
 them.  rref_rows, row_rank and kernel_rows hand the elimination to the
 kernels of ``_rowred_py``, and normal_form is the one reduction modulo an
 integer RREF: kernel bases, residuals, the multiplication maps of R/I and
-the span check of the modular front end are read off it.  det is the one
-function that takes field scalars: its field converts the rows once
-(integer_row), and one fraction-free Bareiss pass over them gives the
-determinant for both fields.
+the span check of the modular front end are read off it.  ExactMatrix
+holds field scalars (int or Fraction over QQ, int over GF(p)); its field
+converts the rows on the way in and the RREF on the way out.  Its
+determinant is one fraction-free Bareiss pass over those integer rows for
+both fields.
 
 Over QQ a modular front end decides, from the row rank profile modulo
 CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
@@ -178,22 +179,97 @@ def kernel_rows(field, rows, nc):
     return [list(vec) for vec in zip(*nf)], lcm
 
 
-def det(field, rows):
-    """Exact determinant of square rows of field scalars, from one Bareiss
-    pass over their integer rows for both fields: over QQ the last pivot
-    divided by the product of the row multipliers, over GF(p) the last pivot
-    of the residues read as integers, taken mod p (det is a polynomial in
-    the entries)."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return field.one
-    work, scale = [], 1
-    for row in rows:
-        ints, lcm = field.integer_row(row)
-        scale *= lcm
-        work.append(ints)
-    _, sign = _bareiss(work)
-    # a singular matrix leaves its last row zero
-    return field.div(sign * work[n - 1][n - 1], scale)
+class ExactMatrix:
+    """Dense matrix over an exact field.
+
+    In the package only the five-quadrics certificate uses it, for its
+    determinants.  rref, kernel_basis, minor and adjugate have no caller,
+    but perfbench/run.py reads its linalg.* metrics off these methods, so
+    they leave with the class once the benchmark reads them elsewhere.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field, entries, cols=None):
+        self.field = field
+        self.entries = [list(r) for r in entries]
+        self.rows = len(self.entries)
+        if self.rows:
+            self.cols = len(self.entries[0])
+            for r in self.entries:
+                if len(r) != self.cols:
+                    raise ValueError("ragged matrix")
+        else:
+            self.cols = 0 if cols is None else cols
+
+    def _integer_rows(self):
+        """Clear denominators row by row; row scaling preserves the row
+        space, so RREF and kernels are unaffected.  Returns (rows, scale),
+        scale being the product of the row multipliers (1 over GF(p), whose
+        residues are ints already)."""
+        out = []
+        scale = 1
+        for row in self.entries:
+            ints, lcm = self.field.integer_row(row)
+            scale *= lcm
+            out.append(ints)
+        return out, scale
+
+    def rref(self):
+        """Canonical reduced row echelon form.
+
+        Returns (pivots, rows) where rows are leading-1 field vectors with
+        zeros above and below every pivot.  Zero rows are dropped.  The
+        result is unique for the row space.
+        """
+        pivots, rows = rref_rows(self.field, self._integer_rows()[0], self.cols)
+        return pivots, self.field.scalar_rows(pivots, rows)
+
+    def kernel_basis(self):
+        """Row-reduced basis of the right kernel.
+
+        Each basis vector carries a 1 in its own free column and 0 in the
+        free columns of the other vectors, so the basis is canonical.
+        """
+        field = self.field
+        basis, lcm = kernel_rows(field, self._integer_rows()[0], self.cols)
+        inv, zero = field.inv(lcm), field.zero
+        return [[field.mul(v, inv) if v else zero for v in vec] for vec in basis]
+
+    def det(self):
+        """Exact determinant (square matrices), from one Bareiss pass over
+        the integer rows for both fields: over QQ the last pivot divided by
+        the product of the row multipliers, over GF(p) the last pivot of
+        the residues read as integers, taken mod p (det is a polynomial in
+        the entries)."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of a non-square matrix")
+        n = self.rows
+        if n == 0:
+            return self.field.one
+        rows, scale = self._integer_rows()
+        _, sign = _bareiss(rows)
+        # a singular matrix leaves its last row zero
+        return self.field.div(sign * rows[n - 1][n - 1], scale)
+
+    def minor(self, i, j):
+        return ExactMatrix(
+            self.field,
+            [[v for c, v in enumerate(row) if c != j]
+             for r, row in enumerate(self.entries) if r != i],
+        )
+
+    def adjugate(self):
+        """adj(A) with A * adj(A) = det(A) * I."""
+        if self.rows != self.cols:
+            raise ValueError("adjugate of a non-square matrix")
+        n = self.rows
+        field = self.field
+        adj = [[field.zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                c = self.minor(j, i).det()
+                if (i + j) % 2:
+                    c = field.neg(c)
+                adj[i][j] = c
+        return ExactMatrix(field, adj)

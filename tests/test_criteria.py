@@ -199,16 +199,20 @@ def test_five_quadrics_matches_cofactor_reference(field):
 
 
 def test_five_quadrics_takes_seven_determinants_and_no_adjugate(monkeypatch):
-    from gor3 import criteria
+    from gor3.linalg import ExactMatrix
 
     calls = []
-    det = criteria.det
+    det = ExactMatrix.det
 
-    def counted(field, rows):
-        calls.append((len(rows), len(rows[0])))
-        return det(field, rows)
+    def counted(self):
+        calls.append((self.rows, self.cols))
+        return det(self)
 
-    monkeypatch.setattr(criteria, "det", counted)
+    def no_adjugate(self):
+        raise AssertionError("adjugate called")
+
+    monkeypatch.setattr(ExactMatrix, "det", counted)
+    monkeypatch.setattr(ExactMatrix, "adjugate", no_adjugate)
     for text in ("x^2+z^2, x*y+z^2, x*z, y^2, y*z", "x^2, y^2, z^2, x*y, x*z"):
         calls.clear()
         five_quadrics_certificate(parse_poly_list(text, VARS))

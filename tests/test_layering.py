@@ -1,8 +1,7 @@
 """The layering of the package: every import of a gor3 module sits at the
 top of its module, the graph of those imports has no cycle, pieces sits
-below ideals, poly below linalg, no module takes a private name from ideals
-or pieces, and no module defines a matrix class: matrices are integer rows
-handed with a field to linalg's row functions.
+below ideals, poly below linalg, and no module takes a private name from
+ideals or pieces.
 
 An import inside a function hides a dependency from the reader and is the
 usual way a cycle gets in, so both are checked on the source with ``ast``,
@@ -101,25 +100,6 @@ def test_pieces_sits_below_ideals():
 
 def test_poly_sits_below_linalg():
     assert _graph()["poly"][0] == {"fields", "monomials"}
-
-
-# methods that make a class a matrix over a field
-MATRIX_METHODS = {"rank", "rref", "det", "kernel_basis", "transpose", "adjugate", "minor"}
-
-
-def _matrix_classes(source):
-    """Names of the classes in source that have a linear-algebra method."""
-    return [node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ClassDef)
-            and any(isinstance(f, ast.FunctionDef) and f.name in MATRIX_METHODS
-                    for f in node.body)]
-
-
-def test_no_module_defines_a_matrix_class():
-    found = {path.stem: _matrix_classes(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
-    assert {module: names for module, names in found.items() if names} == {}
-    assert _matrix_classes("class M:\n    def det(self):\n        pass\n") == ["M"]
 
 
 def _private_imports(source, modules):

@@ -7,8 +7,12 @@ import pytest
 
 from gor3._rowred_py import rref_int, rref_mod
 from gor3.fields import GF, QQ
-from gor3.linalg import det, kernel_rows, normal_form, row_rank, rref_rows
+from gor3.linalg import ExactMatrix, kernel_rows, normal_form, row_rank, rref_rows
 from oracles import Span, det_by_minors, fraction_rref, gcd_rref_int
+
+
+def frac_matrix(entries):
+    return ExactMatrix(QQ, [[Fraction(v) for v in row] for row in entries])
 
 
 def bareiss_rank_and_pivots(rows):
@@ -56,9 +60,8 @@ def test_kernel_vectors_are_exact():
     for _ in range(25):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        rank = row_rank(QQ, rows, nc)
-        kernel, _ = kernel_rows(QQ, rows, nc)
-        assert rank + len(kernel) == nc
+        kernel = frac_matrix(rows).kernel_basis()
+        assert row_rank(QQ, rows, nc) + len(kernel) == nc
         for v in kernel:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
@@ -68,11 +71,12 @@ def test_appending_kernel_vector_keeps_rank():
     for _ in range(10):
         nr, nc = rng.randint(2, 6), rng.randint(2, 6)
         rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
-        kernel, _ = kernel_rows(QQ, rows, nc)
+        kernel = frac_matrix(rows).kernel_basis()
         if not kernel:
             continue
         v = kernel[0]
-        extended = [row + [sum(a * b for a, b in zip(row, v))] for row in rows]
+        extended = [QQ.integer_row(row + [sum(a * b for a, b in zip(row, v))])[0]
+                    for row in rows]
         assert row_rank(QQ, extended, nc + 1) == row_rank(QQ, rows, nc)
 
 
@@ -80,10 +84,11 @@ def test_rref_is_idempotent():
     rng = random.Random(7)
     for _ in range(15):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
-        pivots, red = rref_rows(QQ, rows, nc)
-        again = rref_rows(QQ, red, nc) if red else ([], [])
-        assert again == (pivots, red)
+        M = frac_matrix([[rng.randint(-5, 5) for _ in range(nc)]
+                         for _ in range(nr)])
+        pivots, rows = M.rref()
+        again = ExactMatrix(QQ, rows, cols=nc).rref() if rows else ([], [])
+        assert again == (pivots, rows)
 
 
 def test_rank_qq_vs_fp_against_oracle():
@@ -102,41 +107,45 @@ def test_rank_qq_vs_fp_against_oracle():
 
 
 def test_rational_entries_and_rref_normalization():
-    """Fraction rows enter through QQ.integer_row and the integer RREF
-    leaves through QQ.scalar_rows as leading-1 rows."""
-    rows = [QQ.integer_row(r)[0] for r in [[Fraction(1, 2), Fraction(1, 3)],
-                                           [Fraction(3, 2), Fraction(2, 1)]]]
-    pivots, red = rref_rows(QQ, rows, 2)
+    M = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)],
+                         [Fraction(3, 2), Fraction(2, 1)]])
+    pivots, rows = M.rref()
     assert pivots == [0, 1]
-    assert QQ.scalar_rows(pivots, red) == [[1, 0], [0, 1]]
+    assert rows == [[1, 0], [0, 1]]
     # proportional rows collapse to a single pivot
-    rows = [QQ.integer_row(r)[0] for r in [[Fraction(1, 2), Fraction(1, 3)],
-                                           [Fraction(3, 2), Fraction(1, 1)]]]
-    assert row_rank(QQ, rows, 2) == 1
-    assert QQ.scalar_rows(*rref_rows(QQ, rows, 2)) == [[1, Fraction(2, 3)]]
+    S = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)],
+                         [Fraction(3, 2), Fraction(1, 1)]])
+    assert S.rref() == ([0], [[1, Fraction(2, 3)]])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(13)], ids=str)
 def test_det_small_cases(field):
     """2 x 2, singular, 0 x 0 (the empty product), a row swap (the sign)
     and non-square input, which raises."""
-    assert det(field, [[2, 1], [1, 3]]) == 5
-    assert det(field, [[1, 2], [2, 4]]) == 0
-    assert det(field, []) == field.one
-    assert det(field, [[0, 1], [1, 0]]) == field.neg(field.one)
-    assert det(field, [[0, 1, 0], [1, 0, 0], [0, 0, 3]]) == field.neg(field.of(3))
+    def det(rows):
+        return ExactMatrix(field, rows).det()
+
+    assert det([[2, 1], [1, 3]]) == 5
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([]) == field.one
+    assert det([[0, 1], [1, 0]]) == field.neg(field.one)
+    assert det([[0, 1, 0], [1, 0, 0], [0, 0, 3]]) == field.neg(field.of(3))
     for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
         with pytest.raises(ValueError):
-            det(field, rows)
+            det(rows)
 
 
 def test_det_bareiss_and_adjugate():
-    """det of a Fraction matrix, and Cramer's rule against the adjugate by
-    cofactors (det_by_minors): entry i of last * adj(top) equals det of top
-    with row i replaced by last, singular tops included."""
-    assert det(QQ, [[Fraction(v) for v in row]
-                    for row in [[2, 1, 0], [1, 3, 1], [0, 1, 4]]]) == 18
-    assert det(QQ, [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
+    """det of a Fraction matrix, A * adj(A) = det(A) * I, and Cramer's rule:
+    entry i of last * adj(top) equals det of top with row i replaced by
+    last, singular tops included."""
+    M = frac_matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    d = M.det()
+    assert d == Fraction(18)
+    adj = M.adjugate()
+    prod = [[sum(M.entries[i][k] * adj.entries[k][j] for k in range(3))
+             for j in range(3)] for i in range(3)]
+    assert prod == [[d if i == j else 0 for j in range(3)] for i in range(3)]
     rng = random.Random(31)
     for field in (QQ, GF(13)):
         singular = 0
@@ -146,26 +155,26 @@ def test_det_bareiss_and_adjugate():
             if n > 1 and rng.random() < 0.3:
                 top[-1] = list(top[0])
             last = [field.of(rng.randint(-4, 4)) for _ in range(n)]
-            singular += field.is_zero(det(field, top))
-            adj = [[field.of((-1) ** (i + k) * det_by_minors(
-                        [[v for c, v in enumerate(row) if c != k]
-                         for r, row in enumerate(top) if r != i]))
-                    for i in range(n)] for k in range(n)]
+            singular += field.is_zero(ExactMatrix(field, top).det())
+            adj = ExactMatrix(field, top).adjugate().entries
             for i in range(n):
                 cramer = field.of(sum(last[k] * adj[k][i] for k in range(n)))
-                assert det(field, top[:i] + [last] + top[i + 1:]) == cramer
+                replaced = ExactMatrix(field, top[:i] + [last] + top[i + 1:])
+                assert replaced.det() == cramer
         assert singular > 3
 
 
 def test_det_mod_p():
     F = GF(13)
-    assert det(F, [[2, 1], [1, 3]]) == 5
-    assert det(F, [[1, 2], [2, 4]]) == 0
+    M = ExactMatrix(F, [[2, 1], [1, 3]])
+    assert M.det() == 5
+    singular = ExactMatrix(F, [[1, 2], [2, 4]])
+    assert singular.det() == 0
     # determinant 13: singular mod 13 alone
     rows = [[1, 2], [2, 4 + 13]]
-    assert det(QQ, rows) == 13
-    assert det(F, rows) == 0
-    assert det(GF(32003), rows) == 13
+    assert ExactMatrix(QQ, rows).det() == 13
+    assert ExactMatrix(F, rows).det() == 0
+    assert ExactMatrix(GF(32003), rows).det() == 13
 
 
 def test_kernel_contract():
@@ -366,11 +375,11 @@ def test_det_shares_the_bareiss_pass(field):
     cases.append([[1, 2], [2, 4]])
     swaps = 0
     for rows in cases:
-        d = det(field, rows)
+        d = ExactMatrix(field, rows).det()
         assert d == expected(rows), rows
         if field != QQ:
             assert 0 <= d < field.p
         swaps += rows[0][0] == 0
     assert swaps > 10
-    assert det(field, [[0, 1], [1, 0]]) == field.neg(field.one)
-    assert det(field, [[1, 2], [2, 4]]) == 0
+    assert ExactMatrix(field, [[0, 1], [1, 0]]).det() == field.neg(field.one)
+    assert ExactMatrix(field, [[1, 2], [2, 4]]).det() == 0

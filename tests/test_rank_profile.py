@@ -17,7 +17,7 @@ import gor3.linalg
 from gor3._rowred_py import rank_profile_mod, rref_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
-from gor3.linalg import row_rank, rref_rows
+from gor3.linalg import ExactMatrix, row_rank, rref_rows
 
 from oracles import random_product, row_rank_profile
 
@@ -118,9 +118,13 @@ def test_rank_over_qq_falls_back_on_an_unlucky_prime(monkeypatch):
 
 
 def test_rank_and_rref_follow_mutated_entries():
-    # the row functions keep no state and leave their input as it is: they
-    # read the rows as they are now
+    # entries is a public list: rref() reads it as it is now; the row
+    # functions keep no state and leave their input as it is
     for field in (QQ, GF(32003)):
+        M = ExactMatrix(field, [[field.one, field.zero], [field.zero, field.one]])
+        assert M.rref()[0] == [0, 1]
+        M.entries[1][1] = field.zero
+        assert M.rref()[0] == [0]
         rows = [[field.one, field.zero], [field.zero, field.one]]
         assert rref_rows(field, rows, 2)[0] == [0, 1]
         assert rows == [[1, 0], [0, 1]]

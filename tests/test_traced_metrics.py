@@ -4,10 +4,7 @@ perfbench/layertrace.py binds gor3 functions and methods by name and
 perfbench/run.py builds its per-layer metrics from them; a target that no
 longer exists is reported as missing and its metric as absent (None), which
 a traced benchmark run only prints.  This test makes such a loss fail the
-suite: it traces one small case and reads the metrics as run.py does.  The
-four linalg metrics that run.py binds to the methods of the deleted
-ExactMatrix class are the one known loss, until the benchmark rebinds
-linalg.det_s to the linalg.det span.
+suite: it traces one small case and reads the metrics as run.py does.
 """
 
 import sys
@@ -45,11 +42,6 @@ def test_traced_five_quadrics_unit_reports_every_metric():
     cache = (after[0] - before[0], after[1] - before[1])
     traced_pass = SimpleNamespace(labels=[case], times=[elapsed])
     metrics = run.layer_metrics(traced_pass, tracer, cache, gor3.cases.case_ids())
-    # run.py reads these four off methods of the deleted linalg.ExactMatrix;
-    # every other metric must still find its target
-    assert [name for name, (value, _) in metrics.items() if value is None] == [
-        "linalg.rref_calls", "linalg.convert_s", "linalg.det_s", "linalg.kernel_basis_s"]
-    # the determinants are still traced, as the linalg.det span: the
-    # certificate takes seven
-    assert tracer.calls["linalg.det"] == 7 and tracer.self_s["linalg.det"] > 0
+    assert [name for name, (value, _) in metrics.items() if value is None] == []
+    assert metrics["linalg.det_s"][0] > 0
     assert metrics["kernel.calls"][0] > 0
