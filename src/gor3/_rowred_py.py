@@ -4,7 +4,12 @@ The reduced forms below are canonical (unique for a given row space), which
 makes every result bit-for-bit deterministic.  rank_profile_mod is the
 forward-only pass: it names the rows a reduction keeps and reduces nothing
 above a pivot, for callers that need a rank or a choice of rows and no
-reduced form.  The kernels live in a module of their own, apart from
+reduced form.  Both forward passes are lazy.  In _bareiss a row holds
+minors at its own level, the pivot of the step that last updated it, and
+is divided by that level's pivot when it is next updated; a row with a zero
+in the pivot column is left as it is, and a pivot row is brought up to date
+when it is chosen.  In rank_profile_mod entries are reduced mod p only when
+they are read.  The kernels live in a module of their own, apart from
 ``linalg``, so that the perfbench tracer times them as the kernel layer and
 not as ``linalg`` functions.
 """
@@ -16,13 +21,19 @@ def _bareiss(work):
     """Fraction-free forward elimination (Bareiss 1968) on the list work,
     whose rows are replaced, never mutated.
 
-    Each row update divides exactly by the previous pivot, so every entry
-    stays a minor of the input and no gcd is taken.  Rows 0..rank-1 of work
-    end in echelon form and the rows below them zero.  Returns (pivots,
-    sign): the pivot columns and the parity of the row swaps.
+    Each row keeps a level, the pivot of the step that last updated it (1
+    before any step), and holds the minors of that step.  It is divided by
+    its level's pivot when it is next updated: (a * x - b * y) // level is
+    exact, the standard update of the row rescaled to the current step.  A
+    row with a zero in the pivot column is left as it is, and a pivot row
+    is brought up to date, once, when it is chosen.  No gcd is taken.  Rows
+    0..rank-1 of work end in the echelon form of the standard elimination
+    and the rows below them zero.  Returns (pivots, sign): the pivot
+    columns and the parity of the row swaps.
     """
     nr = len(work)
     nc = len(work[0]) if nr else 0
+    level = [1] * nr
     pivots = []
     sign = 1
     prev = 1
@@ -37,18 +48,20 @@ def _bareiss(work):
             continue
         if sel != piv:
             work[piv], work[sel] = work[sel], work[piv]
+            level[piv], level[sel] = level[sel], level[piv]
             sign = -sign
         prow = work[piv]
+        if level[piv] != prev:
+            lv = level[piv]
+            prow = work[piv] = [prev * x // lv for x in prow]
         a = prow[col]
         for i in range(piv + 1, nr):
             row = work[i]
             b = row[col]
             if b:
-                work[i] = [(a * x - b * y) // prev for x, y in zip(row, prow)]
-            elif a != prev:
-                # rows with a zero in the pivot column are rescaled too, or
-                # the next exact division fails
-                work[i] = [a * x // prev for x in row]
+                lv = level[i]
+                work[i] = [(a * x - b * y) // lv for x, y in zip(row, prow)]
+                level[i] = a
         prev = a
         pivots.append(col)
         piv += 1
@@ -152,22 +165,27 @@ def rank_profile_mod(rows, p, limit):
     leading entry becomes a new pivot.  The pass stops once limit rows are
     kept and never reduces above a pivot.  The result equals the pivots of
     rref_mod on the transposed rows.
+
+    Entries are reduced mod p only when they are read: a pivot row is
+    stored reduced and without its leading 1, and the update of the row
+    being reduced takes no remainder, so its entries stay below about
+    ncols * p^2 in absolute value.
     """
-    basis = {}      # pivot column -> the pivot row from that column on, leading 1
+    basis = {}      # pivot column -> the pivot row after its leading 1, mod p
     profile = []
     for i, row in enumerate(rows):
         if len(profile) == limit:
             break
         v = [x % p for x in row]
         for c in range(len(v)):
-            x = v[c]
+            x = v[c] % p
             if not x:
                 continue
             tail = basis.get(c)
             if tail is None:
                 inv = pow(x, -1, p)
-                basis[c] = [y * inv % p for y in v[c:]]
+                basis[c] = [y * inv % p for y in v[c + 1:]]
                 profile.append(i)
                 break
-            v[c:] = [(a - x * b) % p for a, b in zip(v[c:], tail)]
+            v[c + 1:] = [a - x * b for a, b in zip(v[c + 1:], tail)]
     return profile

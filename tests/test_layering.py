@@ -1,7 +1,7 @@
 """The layering of the package: every import of a gor3 module sits at the
 top of its module, the graph of those imports has no cycle, pieces sits
-below ideals, poly below linalg, and no module takes a private name from
-ideals or pieces.
+below ideals, poly below linalg, no module takes a private name from
+ideals or pieces, and the row-reduction kernels import nothing but math.
 
 An import inside a function hides a dependency from the reader and is the
 usual way a cycle gets in, so both are checked on the source with ``ast``,
@@ -100,6 +100,30 @@ def test_pieces_sits_below_ideals():
 
 def test_poly_sits_below_linalg():
     assert _graph()["poly"][0] == {"fields", "monomials"}
+
+
+def _imported_modules(source):
+    """The top-level names of every module an import in source takes from,
+    relative imports as "." plus their module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or "").split(".")[0])
+    return names
+
+
+def test_the_kernels_import_only_math():
+    # one pure-stdlib kernel, no second backend behind it
+    source = (PACKAGE / "_rowred_py.py").read_text(encoding="utf-8")
+    assert _imported_modules(source) == {"math"}
+
+
+def test_the_import_lister_sees_every_form():
+    source = ("import numpy.linalg\nfrom math import gcd\nfrom . import fields\n"
+              "from .linalg import row_rank\ndef f():\n    import gmpy2\n")
+    assert _imported_modules(source) == {"numpy", "math", ".", ".linalg", "gmpy2"}
 
 
 def _private_imports(source, modules):

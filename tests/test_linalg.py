@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from gor3._rowred_py import rref_int, rref_mod
+from gor3._rowred_py import _bareiss, rref_int, rref_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import ExactMatrix, kernel_rows, normal_form, row_rank, rref_rows
 from oracles import Span, det_by_minors, fraction_rref, gcd_rref_int
@@ -15,32 +15,53 @@ def frac_matrix(entries):
     return ExactMatrix(QQ, [[Fraction(v) for v in row] for row in entries])
 
 
-def bareiss_rank_and_pivots(rows):
-    """Independent fraction-free elimination oracle: returns the rank and
-    the list of pivot values met during the sweep (one-step division form)."""
+def standard_bareiss(rows):
+    """Independent fraction-free elimination oracle, one-step division form:
+    at every step every row below the pivot is updated, a row with a zero
+    in the pivot column too (it is rescaled by pivot / previous pivot).
+
+    Returns (m, cols, lazy): the eliminated matrix, the pivot columns, and
+    the lazy paths a kernel that skips those rescales must take, "updated"
+    when a row left behind by a rescale is later updated and "pivot" when
+    such a row becomes the pivot row."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
+    level = [1] * nr        # the pivot of the step that last updated a row
+    lazy = set()
     prev = 1
-    rank = 0
-    pivots = []
+    cols = []
     r = 0
     for c in range(nc):
         sel = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if sel is None:
             continue
         m[r], m[sel] = m[sel], m[r]
-        pivots.append(m[r][c])
+        level[r], level[sel] = level[sel], level[r]
+        if level[r] != prev:
+            lazy.add("pivot")
+        a = m[r][c]
         for i in range(r + 1, nr):
+            if m[i][c]:
+                if level[i] != prev:
+                    lazy.add("updated")
+                level[i] = a
             for j in range(c + 1, nc):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
+                m[i][j] = (m[i][j] * a - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
-        prev = m[r][c]
-        rank += 1
+        prev = a
+        cols.append(c)
         r += 1
         if r == nr:
             break
-    return rank, pivots
+    return m, cols, lazy
+
+
+def bareiss_rank_and_pivots(rows):
+    """The rank and the pivot values met during the sweep of
+    standard_bareiss."""
+    m, cols, _ = standard_bareiss(rows)
+    return len(cols), [m[k][c] for k, c in enumerate(cols)]
 
 
 def test_identity_rank_kernel():
@@ -279,6 +300,79 @@ def test_kernel_against_both_oracles():
     assert negative_last > 100
     assert len(rref_int(big[0])[0]) == 35
     assert max(abs(v).bit_length() for v in big[-1][0]) >= 590
+
+
+# Matrices whose Bareiss elimination meets chains of zero pivot-column
+# entries, each with the lazy paths it takes (standard_bareiss).
+LAZY = [
+    # row 1 skips step 0 and is the pivot row of step 1; row 2 skips step 0
+    # and is updated at step 1
+    ([[3, 1, 2, 5], [0, 2, 1, 1], [0, 5, 4, 7]], {"pivot", "updated"}),
+    # upper triangular, negative pivots: each row lags until it is chosen
+    ([[-2, 1, 3, 4], [0, -3, 5, 1], [0, 0, -5, 2], [0, 0, 0, 7]], {"pivot"}),
+    # row 3 skips steps 0 and 1, then is updated at step 2 and chosen at 3
+    ([[2, 1, 1, 0, 1], [1, -3, 1, 2, 0], [0, 0, -4, 1, 3], [0, 0, 5, 6, -1],
+      [0, 0, 0, 0, 0]], {"pivot", "updated"}),
+    # more rows than columns, a zero row and a repeated row: rank 3 of 6
+    ([[0, 0, 7], [-1, 2, 0], [0, 0, 0], [0, 3, 1], [0, 0, 7], [-2, 4, 0]],
+     {"pivot", "updated"}),
+    # rank deficient: the last row is the sum of two lagging rows
+    ([[5, 0, 1, 2], [0, -2, 0, 3], [0, 0, 3, 1], [0, -2, 3, 4]], {"pivot", "updated"}),
+    # a lagging row becomes the pivot row after a row swap
+    ([[0, 0, 2, 1], [4, 1, 0, 0], [0, 0, -3, 2], [0, 6, 1, 1]], {"pivot", "updated"}),
+]
+
+
+def _staircases(rng):
+    """Seeded sparse matrices whose rows start at random columns (negative
+    entries, zero rows, rank deficiency and every shape), some with 40-bit
+    entries, in a random row order."""
+    for k in range(300):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        bits = 40 if k % 10 == 0 else 3
+        rows = []
+        for _ in range(nr):
+            start = rng.randint(0, nc)
+            rows.append([0] * start + [rng.randint(-2 ** bits, 2 ** bits)
+                                       if rng.random() < 0.5 else 0
+                                       for _ in range(nc - start)])
+        if nr > 2 and k % 3 == 0:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        rng.shuffle(rows)
+        yield rows
+
+
+def test_lazy_bareiss_paths():
+    """_bareiss leaves a row with a zero in the pivot column as it is and
+    divides it by its own level when it is next updated or chosen.  Its
+    pivot rows and pivots equal the standard elimination's, the rows below
+    its rank end zero, sign times the last pivot is the determinant, and
+    rref_int equals the Fraction Gauss-Jordan."""
+    seen = set()
+    shapes = set()
+    for rows, lazy in LAZY:
+        assert standard_bareiss(rows)[2] == lazy, rows
+    for rows in [rows for rows, _ in LAZY] + list(_staircases(random.Random(8))):
+        expected_m, expected_cols, lazy = standard_bareiss(rows)
+        seen |= lazy
+        work = list(rows)
+        pivots, sign = _bareiss(work)
+        rank = len(pivots)
+        assert pivots == expected_cols
+        assert work[:rank] == expected_m[:rank]
+        assert not any(any(r) for r in work[rank:])
+        nr, nc = len(rows), len(rows[0])
+        shapes.add((nr > nc) - (nr < nc))
+        if nr == nc:
+            last = sign * work[-1][pivots[-1]] if rank == nr else 0
+            assert last == det_by_minors(rows), rows
+        out_pivots, out = rref_int(rows)
+        expected_pivots, expected = fraction_rref(rows)
+        assert out_pivots == expected_pivots == pivots
+        assert [[Fraction(v, row[c]) for v in row]
+                for c, row in zip(out_pivots, out)] == expected
+    assert seen == {"pivot", "updated"}
+    assert shapes == {-1, 0, 1}
 
 
 def _seeded_rrefs(field, rng):

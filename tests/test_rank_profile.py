@@ -132,3 +132,24 @@ def test_rank_and_rref_follow_mutated_entries():
         assert row_rank(field, rows, 2) == 1
         assert rref_rows(field, rows, 2)[0] == [0]
         assert rows == [[1, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("p", [P, 2 ** 31 - 1])
+def test_dense_rows_with_unreduced_growth(p):
+    """rank_profile_mod reduces an entry mod p only when it reads it, so on
+    dense rows of 124 columns an entry takes up to about a hundred updates
+    before it is read.  The profile still equals the transposed pivots of
+    rref_mod and the oracle, also on rows that vanish mod p only after those
+    updates and on entries far outside [0, p), and every limit keeps a
+    prefix of it."""
+    rng = random.Random(p)
+    rows = random_product(rng, 110, 124, 100, 31)
+    rows += [[v + rng.choice([-3, 1, 7]) * p for v in rows[rng.randrange(110)]]
+             for _ in range(10)]
+    rows += [[rng.randrange(p) for _ in range(124)] for _ in range(4)]
+    rng.shuffle(rows)
+    full = rank_profile_mod(rows, p, 124)
+    assert len(full) == 104
+    assert full == rref_mod(list(zip(*rows)), p)[0] == row_rank_profile(rows, p)
+    for k in (0, 1, 51, 103, 104):
+        assert rank_profile_mod(rows, p, k) == full[:k]
