@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Every subcommand builds one structured report (a plain dict); --json prints
-it verbatim, otherwise a human rendering of the same structure is shown.
+main resolves --field and --vars once and calls the subcommand with the
+parsed options, the field and the variable names.  Every polynomial or
+matrix option may be given as @file, and polynomial lists (--ideal, --ci,
+--forms, --lines) all go through parsing.parse_poly_list: items separated
+by commas or newlines.  Every subcommand builds one structured report (a
+plain dict) and hands it to _emit, the one switch between --json, which
+prints it verbatim, and a human rendering of the same structure.
 Exit codes: 0 on success, 1 when an assertion-style check fails (reproduce,
 verification mismatches), 2 on parse or usage errors.
 """
@@ -56,11 +61,6 @@ def _read_source(text):
     return text
 
 
-def _split_items(text):
-    return [part.strip() for part in text.replace("\n", ",").split(",")
-            if part.strip()]
-
-
 def _vars(args):
     if args.vars:
         return [v.strip() for v in args.vars.split(",") if v.strip()]
@@ -75,10 +75,9 @@ def _field(args):
 
 
 def _ideal_from_arg(text, names, field) -> GradedIdeal:
-    items = _split_items(_read_source(text))
-    if not items:
+    gens = parse_poly_list(_read_source(text), names, field)
+    if not gens:
         raise CliError("empty generator list")
-    gens = [parse_poly(s, names, field) for s in items]
     return GradedIdeal(len(names), gens, field)
 
 
@@ -149,9 +148,7 @@ def _common(parser, seed=False):
         parser.add_argument("--seed", type=int, default=0)
 
 
-def cmd_colon(args):
-    field = _field(args)
-    names = _vars(args)
+def cmd_colon(args, field, names):
     base = _ideal_from_arg(args.ci, names, field)
     f = parse_poly(_read_source(args.f), names, field)
     result = base.colon(f, args.t_max)
@@ -162,9 +159,8 @@ def cmd_colon(args):
     return 0
 
 
-def cmd_socle(args):
-    field = _field(args)
-    I = _ideal_from_arg(args.ideal, _vars(args), field)
+def cmd_socle(args, field, names):
+    I = _ideal_from_arg(args.ideal, names, field)
     socle = I.socle_report()
     report = {
         "field": field.name,
@@ -176,9 +172,8 @@ def cmd_socle(args):
     return 0
 
 
-def cmd_betti(args):
-    field = _field(args)
-    I = _ideal_from_arg(args.ideal, _vars(args), field)
+def cmd_betti(args, field, names):
+    I = _ideal_from_arg(args.ideal, names, field)
     table = betti_table(I)
     report = {
         "field": field.name,
@@ -188,17 +183,14 @@ def cmd_betti(args):
     if eq is not None:
         report["equigenerated_degree"] = eq[0]
         report["linear_resolution"] = has_linear_resolution(I)
-    if args.json:
-        _emit(args, report)
-    else:
-        print("\n".join(_render(report)))
+    _emit(args, report)
+    if not args.json:
         print(table.staircase())
     return 0
 
 
-def cmd_datum(args):
-    field = _field(args)
-    I = _ideal_from_arg(args.ideal, _vars(args), field)
+def cmd_datum(args, field, names):
+    I = _ideal_from_arg(args.ideal, names, field)
     try:
         datum = I.virtual_datum()
     except (NotEquigeneratedError, DatumViolationError) as exc:
@@ -222,9 +214,7 @@ def _parse_matrix(text, names, field) -> SkewPolyMatrix:
                    "upper triangle (rows of decreasing length)")
 
 
-def cmd_pfaffian(args):
-    field = _field(args)
-    names = _vars(args)
+def cmd_pfaffian(args, field, names):
     A = _parse_matrix(_read_source(args.matrix), names, field)
     report = {"field": field.name, "size": A.r}
     if A.r % 2 == 0:
@@ -240,8 +230,7 @@ def cmd_pfaffian(args):
     return 0
 
 
-def cmd_model(args):
-    field = _field(args)
+def cmd_model(args, field, names):
     try:
         I = generic_power_model(args.r, args.dp, args.n, args.seed, field)
     except RuntimeError as exc:
@@ -253,9 +242,8 @@ def cmd_model(args):
     return 0
 
 
-def cmd_inverse(args):
-    field = _field(args)
-    I = _ideal_from_arg(args.ideal, _vars(args), field)
+def cmd_inverse(args, field, names):
+    I = _ideal_from_arg(args.ideal, names, field)
     F = macaulay_inverse(I)
     _emit(args, {
         "field": field.name,
@@ -266,10 +254,8 @@ def cmd_inverse(args):
     return 0
 
 
-def cmd_ann(args):
-    field = _field(args)
-    names = [v.upper() for v in _vars(args)]
-    proxy = parse_poly(_read_source(args.dual), names, field)
+def cmd_ann(args, field, names):
+    proxy = parse_poly(_read_source(args.dual), [v.upper() for v in names], field)
     F = InverseForm(proxy.n, dict(proxy.terms), field)
     ideal = annihilator(F)
     report = {"field": field.name, "dual_form": str(F)}
@@ -278,9 +264,7 @@ def cmd_ann(args):
     return 0
 
 
-def cmd_newton_dual(args):
-    field = _field(args)
-    names = _vars(args)
+def cmd_newton_dual(args, field, names):
     f = parse_poly(_read_source(args.f), names, field)
     if args.socle_m is None:
         _emit(args, {"field": field.name, "dual": str(newton_dual(f))})
@@ -295,9 +279,8 @@ def cmd_newton_dual(args):
     return 0
 
 
-def cmd_directrix(args):
-    field = _field(args)
-    I = _ideal_from_arg(args.ideal, _vars(args), field)
+def cmd_directrix(args, field, names):
+    I = _ideal_from_arg(args.ideal, names, field)
     f = directrix_form(I, args.m)
     colon = variable_power_ideal(I.n, args.m, field).colon(f)
     report = {
@@ -311,9 +294,8 @@ def cmd_directrix(args):
     return 0 if report["colon_identity_verified"] else 1
 
 
-def cmd_linres_test(args):
-    field = _field(args)
-    f = parse_poly(_read_source(args.f), _vars(args), field)
+def cmd_linres_test(args, field, names):
+    f = parse_poly(_read_source(args.f), names, field)
     rep = is_equigen_linres(f, args.m)
     report = {"field": field.name, "form": str(f), "m": args.m}
     report.update(rep.as_dict())
@@ -327,9 +309,8 @@ def cmd_linres_test(args):
     return 0
 
 
-def cmd_spans(args):
-    field = _field(args)
-    forms = parse_poly_list(_read_source(args.forms), _vars(args), field)
+def cmd_spans(args, field, names):
+    forms = parse_poly_list(_read_source(args.forms), names, field)
     rep = spans_target(forms, args.e)
     report = {"field": field.name, "e": args.e}
     report.update(rep.as_dict())
@@ -337,10 +318,9 @@ def cmd_spans(args):
     return 0
 
 
-def cmd_certify_quadrics(args):
-    field = _field(args)
+def cmd_certify_quadrics(args, field, names):
     if args.forms:
-        quadrics = parse_poly_list(_read_source(args.forms), _vars(args), field)
+        quadrics = parse_poly_list(_read_source(args.forms), names, field)
     else:
         quadrics = random_quadrics(args.seed, field)
     rep = five_quadrics_certificate(quadrics)
@@ -357,9 +337,7 @@ def cmd_certify_quadrics(args):
     return 0
 
 
-def cmd_gap(args):
-    field = _field(args)
-    names = _vars(args)
+def cmd_gap(args, field, names):
     I = _ideal_from_arg(args.ideal, names, field)
     if args.lines:
         lines = parse_poly_list(_read_source(args.lines), names, field)
@@ -378,15 +356,17 @@ def cmd_gap(args):
     return 0
 
 
-def cmd_power_check(args):
-    field = _field(args)
-    I = _ideal_from_arg(args.ideal, _vars(args), field)
+def cmd_power_check(args, field, names):
+    I = _ideal_from_arg(args.ideal, names, field)
     eq = I.is_equigenerated()
     if eq is None:
         raise CliError("power check needs an equigenerated ideal")
     d, _ = eq
     k = args.k
     t_max = args.t_max if args.t_max is not None else d * k + 2
+    if t_max < d * k:
+        raise CliError(f"--t-max {t_max} is below d*k = {d * k}, the least "
+                       f"degree of I^{k}: no piece to compare")
     rows = []
     all_match = True
     for t in range(d * k, t_max + 1):
@@ -408,8 +388,7 @@ def cmd_power_check(args):
     return 0
 
 
-def cmd_reproduce(args):
-    field = _field(args)
+def cmd_reproduce(args, field, names):
     ids = case_ids() if args.all else [args.case]
     if not args.all and args.case is None:
         raise CliError("give --case <id> or --all")
@@ -439,8 +418,8 @@ def cmd_reproduce(args):
                 if not ok:
                     print(f"     failed: {label} -- {detail}")
     if args.json:
-        print(json.dumps({"field": field.name, "seed": args.seed,
-                          "results": [r.as_dict() for r in results]}, indent=2))
+        _emit(args, {"field": field.name, "seed": args.seed,
+                     "results": [r.as_dict() for r in results]})
     else:
         print(f"{len(results)} case(s), {failures} failure(s)")
     return 1 if failures else 0
@@ -460,7 +439,8 @@ def build_parser():
 
     p = sub.add_parser("colon", help="colon ideal (I : f)")
     p.add_argument("--ci", required=True,
-                   help="base ideal generators, comma separated (or @file)")
+                   help="base ideal generators, comma or newline separated "
+                        "(or @file)")
     p.add_argument("--f", required=True, help="the form to colon by")
     p.add_argument("--t-max", type=int, default=None, dest="t_max",
                    help="truncate the colon ideal above this degree "
@@ -539,7 +519,8 @@ def build_parser():
     p = sub.add_parser("certify-quadrics",
                        help="open-set Gorenstein certificate for five quadrics")
     p.add_argument("--forms", default=None,
-                   help="five quadrics, comma separated; omit for seeded random")
+                   help="five quadrics, comma or newline separated; omit "
+                        "for seeded random")
     _common(p, seed=True)
     p.set_defaults(func=cmd_certify_quadrics)
 
@@ -576,7 +557,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        return args.func(args, _field(args), _vars(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -14,7 +14,8 @@ Hilbert value and the socle then follow without the pieces below it.
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
 has built (the _pieces, _profiles and _hilbert caches) and asks them questions.
-Products of generators (powers of I, J * I) multiply integer term maps with
+Products of generators (powers of I, J * I, J * I^2) are built by one
+builder, _product_piece, which multiplies integer term maps with
 poly._term_product, the one product of the package.
 """
 
@@ -423,16 +424,8 @@ class GradedIdeal:
             raise ValueError("power must be >= 1")
         if k == 1:
             return self.graded_piece(t)
-        products = []
-        for combo in itertools.combinations_with_replacement(self._gen_data, k):
-            degree = sum(d for d, _ in combo)
-            if degree <= t:
-                terms = combo[0][1]
-                for _, factor in combo[1:]:
-                    terms = _term_product(terms, factor, self.field)
-                products.append((degree, terms))
-        vecs = shifted_vectors(self.n, t, products)
-        return integer_span(self.n, t, vecs, self.field)
+        combos = itertools.combinations_with_replacement(self._gen_data, k)
+        return _product_piece(self.n, t, self.field, combos)
 
     # ------------------------------------------------------------------
     # equality and membership
@@ -664,12 +657,14 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
         J = GradedIdeal(I.n, combos, I.field)
         if not J.is_artinian():
             continue
-        ji = _product_span(J.generators, gens, I, 2 * d)
+        ji = _product_piece(I.n, 2 * d, I.field,
+                            itertools.product(J._gen_data, I._gen_data))
         i2 = I.power_piece(2, 2 * d)
         ji_eq = ji.dim == i2.dim
-        pairs = [a * b for a, b in
-                 itertools.combinations_with_replacement(gens, 2)]
-        ji2 = _product_span(J.generators, pairs, I, 3 * d)
+        # a list: every generator of J goes through all the pairs
+        pairs = list(itertools.combinations_with_replacement(I._gen_data, 2))
+        ji2 = _product_piece(I.n, 3 * d, I.field,
+                             ((j,) + pair for j in J._gen_data for pair in pairs))
         i3 = I.power_piece(3, 3 * d)
         ji2_eq = ji2.dim == i3.dim
         return ReductionReport(
@@ -683,12 +678,16 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
         f"could not find a height-3 reduction in {REDUCTION_RETRIES} seeded attempts")
 
 
-def _product_span(j_gens, factors, I, t):
-    factors = [(g.homogeneous_degree(), integer_terms(g)) for g in factors]
-    data = []
-    for j in j_gens:
-        j_terms = integer_terms(j)
-        for d, g_terms in factors:
-            if j.homogeneous_degree() + d == t:
-                data.append((t, _term_product(j_terms, g_terms, I.field)))
-    return integer_span(I.n, t, shifted_vectors(I.n, t, data), I.field)
+def _product_piece(n, t, field, combos):
+    """The degree-t piece spanned by the products of the combos, tuples of
+    (degree, integer term map) factors as in GradedIdeal._gen_data; a
+    product above degree t is not formed."""
+    products = []
+    for combo in combos:
+        degree = sum(d for d, _ in combo)
+        if degree <= t:
+            terms = combo[0][1]
+            for _, factor in combo[1:]:
+                terms = _term_product(terms, factor, field)
+            products.append((degree, terms))
+    return integer_span(n, t, shifted_vectors(n, t, products), field)

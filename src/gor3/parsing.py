@@ -163,6 +163,7 @@ def parse_poly(text: str, var_names, field=QQ) -> MultiPoly:
 
 
 def parse_poly_list(text: str, var_names, field=QQ):
-    """Comma-separated list of polynomials."""
-    return [parse_poly(part, var_names, field)
-            for part in text.split(",") if part.strip()]
+    """Polynomials separated by commas or newlines, so that a file may hold
+    one per line; each item is stripped and empty items are skipped."""
+    items = (part.strip() for part in text.replace("\n", ",").split(","))
+    return [parse_poly(item, var_names, field) for item in items if item]

@@ -208,6 +208,7 @@ def ex_4_9_raises(monkeypatch):
     """ex-4-9 run over any field, without the characteristic hypothesis it
     skips below: over GF(3) its colon has generators in degrees 3 and 4, so
     virtual_datum raises."""
+    monkeypatch.delitem(gor3.cases.LEFSCHETZ_BASES, "ex-4-9")
     monkeypatch.setitem(gor3.cases._CASES, "ex-4-9",
                         lambda field, seed: gor3.cases.ex_4_9_ideal(field).virtual_datum())
 
@@ -258,6 +259,7 @@ BAD_INPUTS = [
     ["socle", "--ideal", "x*y"],
     ["pfaffian", "--matrix", "x,y;z"],
     ["reproduce"],
+    ["power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2", "--t-max", "1"],
 ]
 
 
@@ -266,6 +268,17 @@ def test_bad_input_exits_with_a_message(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert type(code) is int and code in (1, 2)
     assert err.strip()
+
+
+def test_power_check_t_max_below_dk_is_a_usage_error(capsys):
+    # the quadrics have d = 2, so I^2 starts in degree 4 and no piece of
+    # degree <= 1 could be compared
+    code, out, err = run(capsys, "power-check", "--ideal",
+                         "x*y,x*z,y*z,x^2-z^2,y^2-z^2", "--t-max", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --t-max 1 is below d*k = 4, the least degree of "
+                   "I^2: no piece to compare\n")
 
 
 def test_parse_error_exit_code(capsys):
@@ -351,3 +364,38 @@ def test_cached_parser_answers_like_a_fresh_one(capsys):
     assert all(code == 0 for code, _, _ in cold[:-2])
     info = build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(README_EXAMPLES) - 1)
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES[:-2] + [
+    ["reproduce"],
+    ["socle", "--ideal", "x^(,y^2"],
+    ["socle", "--ideal", "@no/such/file"],
+    ["power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2", "--t-max", "1"],
+], ids=" ".join)
+def test_bad_field_is_reported_before_anything_else(capsys, argv):
+    code, out, err = run(capsys, *argv, "--field=fp:9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: modulus 9 is not prime\n"
+
+
+# Each polynomial list option, given inline with commas and as a file with
+# one item per line.
+LIST_OPTIONS = {
+    "--ideal": (["socle", "--ideal"], "x*y,x*z,y*z,x^2-z^2,y^2-z^2", []),
+    "--ci": (["colon", "--ci"], "x^3,y^3,z^3", ["--f", "x^2+y^2+z^2"]),
+    "--forms": (["certify-quadrics", "--forms"], "x^2+z^2,x*y+z^2,x*z,y^2,y*z", []),
+    "--lines": (["gap", "--ideal", "x^3,y^3,z^3,x*y*z,x*(y^2-z^2),y*(x^2-z^2),"
+                 "z*(x^2-y^2)", "--lines"], "x+y,y+z,x+z", []),
+}
+
+
+@pytest.mark.parametrize("option", LIST_OPTIONS)
+def test_list_option_from_a_file_with_one_item_per_line(tmp_path, capsys, option):
+    head, items, tail = LIST_OPTIONS[option]
+    path = tmp_path / "items.txt"
+    path.write_text(items.replace(",", "\n") + "\n")
+    inline = run(capsys, *head, items, *tail)
+    from_file = run(capsys, *head, f"@{path}", *tail)
+    assert inline[0] == 0 and inline[2] == ""
+    assert from_file == inline

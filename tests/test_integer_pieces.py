@@ -21,10 +21,10 @@ from gor3 import GradedIdeal, InverseForm, MultiPoly, annihilator, parse_poly
 from gor3.betti import betti_table
 from gor3.cases import ex_2_5_ideal, five_gen_monomial_ideal
 from gor3.fields import GF, QQ
-from gor3.ideals import _product_span
+from gor3.ideals import _product_piece
 from gor3.linalg import CERTIFICATE_PRIME, kernel_rows, normal_form, row_rank
 from gor3.monomials import monomial_count, monomials_of_degree
-from gor3.pieces import GradedPiece, degree_one_multiples
+from gor3.pieces import GradedPiece, degree_one_multiples, integer_terms
 
 from oracles import (Span, colon_by_kernel, fraction_rref, piece_rows, reduce_vector,
                      span_of_vectors)
@@ -113,10 +113,13 @@ def test_power_pieces_and_product_spans():
     rng = random.Random(5)
     J = [sum((g.scale(rng.randint(-4, 4)) for g in gens), MultiPoly.zero(3))
          for _ in range(3)]
-    pairs = [a * b for a, b in itertools.combinations_with_replacement(gens, 2)]
-    for factors, t in ((gens, 4), (pairs, 6)):
-        products = [j * g for j in J for g in factors]
-        _assert_canonical(_product_span(J, factors, I, t),
+    pairs = list(itertools.combinations_with_replacement(gens, 2))
+    for factors, t in (([(g,) for g in gens], 4), (pairs, 6)):
+        combos = [(j, *f) for j in J for f in factors]
+        products = [_product(combo, range(len(combo))) for combo in combos]
+        data = [tuple((g.homogeneous_degree(), integer_terms(g)) for g in combo)
+                for combo in combos]
+        _assert_canonical(_product_piece(I.n, t, I.field, data),
                           [p.to_vector(t) for p in products if not p.is_zero()])
 
 
