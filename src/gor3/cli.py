@@ -62,9 +62,15 @@ def _read_source(text):
 
 
 def _vars(args):
-    if args.vars:
-        return [v.strip() for v in args.vars.split(",") if v.strip()]
-    return default_var_names(3)
+    if args.vars is None:
+        return default_var_names(3)
+    names = [v.strip() for v in args.vars.split(",")]
+    for i, name in enumerate(names):
+        if not name:
+            raise CliError(f"--vars {args.vars!r}: variable {i + 1} has an empty name")
+        if name in names[:i]:
+            raise CliError(f"--vars {args.vars!r}: variable {name!r} is repeated")
+    return names
 
 
 def _field(args):
@@ -141,7 +147,7 @@ def _common(parser, seed=False):
     parser.add_argument("--field", default="q",
                         help="coefficient field: q or fp:<prime> (default q)")
     parser.add_argument("--vars", default=None,
-                        help="comma-separated variable names (default x,y,z)")
+                        help="comma-separated distinct variable names (default x,y,z)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     if seed:

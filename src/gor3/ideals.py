@@ -9,11 +9,13 @@ That bound is exact, with no search cap: an ideal generated in degrees <= D
 is Artinian exactly when its degree n(D-1)+1 piece is full.  It is walked on
 row rank profiles mod p, and a Gorenstein ideal is certified to be Ann(F),
 by Macaulay duality, from the one exact piece in its socle degree; every
-Hilbert value and the socle then follow without the pieces below it.
+Hilbert value and the socle then follow without the pieces below it, and,
+when H(1) >= 2, without a profile of the degree above it.
 
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
-has built (the _pieces, _profiles and _hilbert caches) and asks them questions.
+has built (the _pieces, _power_pieces, _profiles and _hilbert caches) and
+asks them questions.
 Products of generators (powers of I, J * I, J * I^2) are built by one
 builder, _product_piece, which multiplies integer term maps with
 poly._term_product, the one product of the package.
@@ -71,6 +73,8 @@ class GradedIdeal:
         self.generators = gens
         self.truncated_at = truncated_at
         self._pieces = {}
+        # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
+        self._power_pieces = {}
         # t -> (shifted generator rows, their row_profile), as the Artinian
         # walk left them for the exact piece of degree t to reuse
         self._profiles = {}
@@ -155,18 +159,22 @@ class GradedIdeal:
 
     def _certify(self, upper) -> bool:
         """Whether I = Ann(F) for a dual form F of degree s = len(upper) - 1,
-        upper[t] >= H(t) for t <= s and I_{s+1} full.
+        upper[t] >= H(t) for t <= s and I_{s+1} full, the last either seen
+        in the walk or, when upper[1] >= 2, implied by the rest (see
+        artinian_bound).
 
-        When upper[s] = 1 the exact piece I_s has one free column, read as
-        F (dual_vector).  I_s o F = 0 puts I inside Ann(F), so the rank mod
-        p of the catalecticant Cat_t(F) is at most H(t) <= upper[t].  Cat_t
-        and Cat_{s-t} are transposes, so ranks equal to upper[t] and
-        upper[s-t] for every t <= s/2 prove every Hilbert value and
-        I = Ann(F): R/I is Gorenstein with socle {s: 1}.  The values are
-        then kept in _hilbert.
+        A Gorenstein h-vector is symmetric, so an upper with upper[s] != 1
+        or upper[t] != upper[s-t] fails before any elimination.  Otherwise
+        the exact piece I_s is built; with one free column it is read as F
+        (dual_vector).  I_s o F = 0 puts I inside Ann(F), so the rank mod p
+        of the catalecticant Cat_t(F) is at most H(t) <= upper[t].  Cat_t
+        and Cat_{s-t} are transposes, so ranks equal to upper[t] for every
+        t <= s/2 prove every Hilbert value and I_t = Ann(F)_t for t <= s:
+        with I_{s+1} full, R/I is Gorenstein with socle {s: 1}.  The values
+        are then kept in _hilbert.
         """
         s = len(upper) - 1
-        if s < 0 or upper[s] != 1:
+        if s < 0 or upper[s] != 1 or upper != upper[::-1]:
             return False
         piece = self.graded_piece(s)
         if piece.ambient_dim - piece.dim != 1:
@@ -174,8 +182,6 @@ class GradedIdeal:
         F = dual_vector(piece)
         for t in range(s // 2 + 1):
             h = upper[t]
-            if upper[s - t] != h:
-                return False
             cat = catalecticant(self.n, s, F, t)
             if len(row_profile(self.field, cat, h)) != h:
                 return False
@@ -193,27 +199,48 @@ class GradedIdeal:
         search that stopped at 4Dn; no value up to there vanishes either.
 
         The degrees are walked first on row rank profiles mod p alone
-        (_upper_hilbert), up to the first piece full mod p, which is full
-        over either field.  If the value below it is 1, the Macaulay dual
-        certificate (_certify) proves every Hilbert value from one exact
-        piece, the socle-degree one.  Otherwise (a larger value, a rank
-        that falls short, an unlucky prime, no full piece) the exact pieces
-        are built degree by degree, reusing the walk's profiles.
+        (_upper_hilbert).  The Macaulay dual certificate (_certify) proves
+        every Hilbert value from one exact piece, the socle-degree one, and
+        is tried where the walk meets a value 1: at once, in degree s >= 2,
+        when upper[1] >= 2, and otherwise at the first piece full mod p
+        (full over either field) when the value below it is 1.  If it
+        fails (an asymmetric or larger value, a rank that falls short, an
+        unlucky prime, no full piece), the exact pieces are built degree by
+        degree, reusing the walk's profiles.
+
+        The early try needs no profile of degree s+1, because a certified
+        I_s with H(1) >= 2 gives R_1 * I_s = R_{s+1} over any field: Ann(F)
+        has a generator in degree s+1 only when F is a divided power of one
+        linear form (Iarrobino-Kanev, Power Sums, Gorenstein Algebras, and
+        Determinantal Loci, LNM 1721).  The certificate gives I_s^perp = <F>
+        and rank Cat_1(F) = H(1) >= 2.  Take G in (R_1 * I_s)^perp inside
+        D_{s+1}.  Then x_j o G lies in I_s^perp, so x_j o G = c_j F for each
+        j.  If c != 0, every form c_k x_i - c_i x_k annihilates F, so
+        rank Cat_1(F) <= 1, a contradiction.  So c = 0, and a form of
+        degree s+1 that every x_j annihilates is 0.
         """
         if self._artinian_bound is not None:
             return self._artinian_bound
         D = max(self.max_generator_degree, 1)
         top = self.n * (D - 1) + 1
-        upper = []
+        upper, tried = [], None
         for t in range(top + 1):
             h = self._upper_hilbert(t)
             if h == 0:
                 self.graded_piece(t)    # full by its profile: no elimination
-                if self._certify(upper):
+                # the same upper already failed one degree below
+                if tried != t - 1 and self._certify(upper):
                     self._artinian_bound = t
                     return t
                 break
             upper.append(h)
+            if t >= 2 and h == 1 and upper[1] >= 2:
+                tried = t
+                if self._certify(upper):
+                    # R_1 * I_t = R_{t+1} (see above): no profile of t + 1
+                    self._pieces[t + 1] = full_piece(self.n, t + 1, self.field)
+                    self._artinian_bound = t + 1
+                    return t + 1
         for t in range(top + 1):
             if self.hilbert_function(t) == 0:
                 self._artinian_bound = t
@@ -419,13 +446,17 @@ class GradedIdeal:
     # powers
 
     def power_piece(self, k, t) -> GradedPiece:
-        """Graded piece (I^k)_t."""
+        """Graded piece (I^k)_t, built once per ideal."""
         if k < 1:
             raise ValueError("power must be >= 1")
         if k == 1:
             return self.graded_piece(t)
-        combos = itertools.combinations_with_replacement(self._gen_data, k)
-        return _product_piece(self.n, t, self.field, combos)
+        piece = self._power_pieces.get((k, t))
+        if piece is None:
+            combos = itertools.combinations_with_replacement(self._gen_data, k)
+            piece = _product_piece(self.n, t, self.field, combos)
+            self._power_pieces[k, t] = piece
+        return piece
 
     # ------------------------------------------------------------------
     # equality and membership

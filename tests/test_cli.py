@@ -3,6 +3,7 @@ import json
 import pytest
 
 import gor3.cases
+import gor3.ideals
 from gor3.cases import case_ids
 from gor3.cli import build_parser, main
 
@@ -187,6 +188,31 @@ def test_power_check_subcommand(capsys):
     assert report["reduction"]["reduction_number_is_two"] is True
 
 
+def test_power_check_builds_each_product_piece_once(capsys, monkeypatch):
+    """power_piece keeps (I^k)_t on the ideal, so check_reduction_two reads
+    the (I^2)_4 that the table of pieces built."""
+    builds = []
+    product_piece = gor3.ideals._product_piece
+
+    def counted(n, t, field, combos):
+        # the combos are kept, so the ids of their factors stay unique
+        combos = list(combos)
+        builds.append((len(combos[0]), t, combos))
+        return product_piece(n, t, field, combos)
+
+    monkeypatch.setattr(gor3.ideals, "_product_piece", counted)
+    code, report, _ = run_json(
+        capsys, "power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2",
+        "--k", "2", "--seed", "1")
+    assert code == 0 and report["reduction"]["reduction_number_is_two"] is True
+    # (I^2)_4..6 for the table, then J*I, J*I^2 and (I^3)_6 for the reduction
+    assert sorted(k_t for *k_t, _ in builds) == [[2, 4], [2, 4], [2, 5], [2, 6],
+                                                 [3, 6], [3, 6]]
+    signatures = {(t, tuple(tuple(map(id, c)) for c in combos))
+                  for _, t, combos in builds}
+    assert len(signatures) == len(builds)
+
+
 def test_reproduce_single_case(capsys):
     code, out, _ = run(capsys, "reproduce", "--case", "ex-2-5")
     assert code == 0
@@ -260,6 +286,8 @@ BAD_INPUTS = [
     ["pfaffian", "--matrix", "x,y;z"],
     ["reproduce"],
     ["power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2", "--t-max", "1"],
+    ["socle", "--ideal", "x^2,y^2", "--vars", "x,x,y"],
+    ["socle", "--ideal", "x^2,y^2", "--vars", "x,,y"],
 ]
 
 
@@ -279,6 +307,22 @@ def test_power_check_t_max_below_dk_is_a_usage_error(capsys):
     assert out == ""
     assert err == ("error: --t-max 1 is below d*k = 4, the least degree of "
                    "I^2: no piece to compare\n")
+
+
+@pytest.mark.parametrize("names, message", [
+    ("x,x,y", "--vars 'x,x,y': variable 'x' is repeated"),
+    (" x , y,x", "--vars ' x , y,x': variable 'x' is repeated"),
+    ("x,,y", "--vars 'x,,y': variable 2 has an empty name"),
+    ("x,y,", "--vars 'x,y,': variable 3 has an empty name"),
+    ("", "--vars '': variable 1 has an empty name"),
+], ids=["repeated", "repeated-spaced", "empty-inner", "empty-last", "empty"])
+def test_repeated_or_empty_variable_is_a_usage_error(capsys, names, message):
+    # a repeated name gives a ring with a variable no text can reach, which
+    # made x^2, y^2 read as not Artinian (exit 1)
+    code, out, err = run(capsys, "socle", "--ideal", "x^2,y^2", "--vars", names)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_parse_error_exit_code(capsys):

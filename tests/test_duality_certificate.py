@@ -1,13 +1,17 @@
 """The Macaulay dual certificate of GradedIdeal.artinian_bound.
 
 artinian_bound walks the degrees on row rank profiles mod p (the field's
-own prime, or CERTIFICATE_PRIME over QQ) up to the first piece full mod p.
-When the value below it is 1, one exact piece, the socle-degree one, gives
-the dual form F, and catalecticant ranks mod p prove I = Ann(F): every
-Hilbert value and the socle {s: 1}.  Any miss falls back to exact pieces
-degree by degree.  The answers must equal those of the exact route (the
-library's own with the certificate switched off) and of
-oracles.socle_by_field_rref, over every field and modulo any prime.
+own prime, or CERTIFICATE_PRIME over QQ).  Where the walk meets a value 1
+in degree s >= 2 with H(1) >= 2, one exact piece, the socle-degree one,
+gives the dual form F, and catalecticant ranks mod p prove I = Ann(F):
+every Hilbert value and the socle {s: 1}.  Degree s + 1 is then full by a
+theorem (R_1 * Ann(F)_s = R_{s+1} unless F is a divided power of a linear
+form), so no profile or piece above s is built.  With H(1) = 1, or when
+that try fails, the walk goes on to the first piece full mod p and tries
+the certificate there if it has not tried the same values.  Any miss falls
+back to exact pieces degree by degree.  The answers must equal those of
+the exact route (the library's own with the certificate switched off) and
+of oracles.socle_by_field_rref, over every field and modulo any prime.
 """
 
 import random
@@ -20,7 +24,7 @@ from gor3.apolarity import InverseForm, NotGorensteinError, annihilator, macaula
 from gor3.cases import monomial_tower_ideal, random_quadrics
 from gor3.fields import GF, QQ
 from gor3.ideals import NotArtinianError
-from gor3.monomials import monomials_of_degree
+from gor3.monomials import monomial_count, monomials_of_degree
 from gor3.pfaffians import generic_power_model
 from gor3.pieces import vector_to_poly
 
@@ -71,6 +75,31 @@ def _gorenstein_candidates(field):
 
 def _fresh(I):
     return GradedIdeal(I.n, I.generators, I.field)
+
+
+def _quartic_ideal(field):
+    """(Ann F)_4 alone for a quartic F with H_F = 1, 3, 6, 3, 1: the ideal
+    has H = 1, 3, 6, 10, 1 and socle {3: 7, 4: 1}."""
+    rng = random.Random(4)
+    F = InverseForm(3, {e: field.of(rng.randint(1, 9))
+                        for e in monomials_of_degree(3, 4)}, field)
+    quartics = annihilator(F).graded_piece(4).int_rows
+    return GradedIdeal(3, [vector_to_poly(3, 4, r, field) for r in quartics], field)
+
+
+def _profile_shapes(monkeypatch):
+    """The (rows, columns) of every nonempty rank_profile_mod call from now
+    on, in a list the caller may clear."""
+    shapes = []
+    profile = gor3.linalg.rank_profile_mod
+
+    def recorded(rows, p, limit):
+        if rows:
+            shapes.append((len(rows), len(rows[0])))
+        return profile(rows, p, limit)
+
+    monkeypatch.setattr(gor3.linalg, "rank_profile_mod", recorded)
+    return shapes
 
 
 def _answers(I):
@@ -138,13 +167,9 @@ def test_non_gorenstein_ideals_fall_back(field, monkeypatch):
         assert not was_certified
         assert got == _exact_answers(I, monkeypatch) == _oracle_answers(I)
         assert got[:2] == (bound, table) and got[2]["socle_dims"] == socle
-    # (Ann F)_4 alone for a quartic F with H_F = 1, 3, 6, 3, 1: the ranks of
-    # Cat_t(F) meet the walk's values for t <= 2, but H(3) = 10 > H(1)
-    rng = random.Random(4)
-    F = InverseForm(3, {e: field.of(rng.randint(1, 9))
-                        for e in monomials_of_degree(3, 4)}, field)
-    quartics = annihilator(F).graded_piece(4).int_rows
-    I = GradedIdeal(3, [vector_to_poly(3, 4, r, field) for r in quartics], field)
+    # the ranks of Cat_t(F) meet the walk's values for t <= 2, but
+    # H(3) = 10 > H(1)
+    I = _quartic_ideal(field)
     got, was_certified = _answers(I)
     assert not was_certified
     assert got == _exact_answers(I, monkeypatch) == _oracle_answers(I)
@@ -154,6 +179,77 @@ def test_non_gorenstein_ideals_fall_back(field, monkeypatch):
     assert _answers(I) == (message, False)
     assert _exact_answers(I, monkeypatch) == message
     assert _oracle_answers(I) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_certified_ideals_build_nothing_above_the_socle_degree(field, monkeypatch):
+    """Every candidate certified here has H(1) >= 2 (the divided power
+    below has H(1) = 1), so the rows of degree s + 1 are never profiled."""
+    shapes = _profile_shapes(monkeypatch)
+    certified = 0
+    for _, I in _gorenstein_candidates(field):
+        shapes.clear()
+        try:
+            bound = I.artinian_bound()
+        except NotArtinianError:
+            continue
+        if I._hilbert is None:
+            continue
+        s = bound - 1
+        assert I._hilbert[1] >= 2, I
+        assert sorted(I._pieces) == [s, s + 1] and I._pieces[s + 1].is_full, I
+        assert max(cols for _, cols in shapes) == monomial_count(3, s), I
+        certified += 1
+    assert certified >= 6
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_line_is_not_artinian_though_its_degree_two_piece_certifies(field):
+    """(y, z) has H = 1, 1, 1, ...: the certificate at s = 2 holds, with
+    F = X^[2], but H(1) = 1, so it says nothing about degree 3."""
+    I = GradedIdeal.from_strings(["y", "z"], field=field)
+    assert _fresh(I)._certify([1, 1, 1])
+    with pytest.raises(NotArtinianError):
+        I.artinian_bound()
+    # a redundant y^2 raises D, so the walk itself reads 1, 1, 1 up to
+    # degree 2 and must not stop there
+    I = GradedIdeal.from_strings(["y", "z", "y^2"], field=field)
+    with pytest.raises(NotArtinianError):
+        I.artinian_bound()
+    assert I._hilbert is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_divided_power_is_certified_at_the_full_piece(field, monkeypatch):
+    """(y, z, x^5) = Ann(X^[4]) has H(1) = 1 and a generator in degree
+    s + 1 = 5: the walk profiles degree 5, finds it full and certifies there."""
+    shapes = _profile_shapes(monkeypatch)
+    I = GradedIdeal.from_strings(["y", "z", "x^5"], field=field)
+    assert I.artinian_bound() == 5
+    assert I._hilbert == [1, 1, 1, 1, 1]
+    assert sorted(I._pieces) == [4, 5] and I._pieces[5].is_full
+    assert max(cols for _, cols in shapes) == monomial_count(3, 5)
+    assert I.socle_report().socle_dims == {4: 1}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_an_asymmetric_walk_builds_no_exact_piece(field, monkeypatch):
+    """The quartic ideal's walk reads 1, 3, 6, 10, 1: the certificate tried
+    at s = 4 fails on the asymmetric values before any elimination, and it
+    is not tried again at the full piece of degree 5 with the same values."""
+    tries = []
+    certify = GradedIdeal._certify
+
+    def recorded(self, upper):
+        held = certify(self, upper)
+        exact = sorted(t for t, piece in self._pieces.items() if not piece.is_full)
+        tries.append((list(upper), held, exact))
+        return held
+
+    monkeypatch.setattr(GradedIdeal, "_certify", recorded)
+    I = _quartic_ideal(field)
+    assert I.artinian_bound() == 5
+    assert tries == [([1, 3, 6, 10, 1], False, [])]
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
@@ -184,7 +280,8 @@ def test_one_exact_piece_for_a_certified_ideal(field, monkeypatch):
     rep = I.socle_report()
     s = rep.socle_degree
     assert rep.is_gorenstein and I._hilbert is not None
-    # the socle-degree piece is exact, the one above it full by its profile
+    # the socle-degree piece is exact, the one above it full by the
+    # certificate (H(1) = 3), without a profile
     assert sorted(I._pieces) == [s, s + 1]
     assert len(calls) == 1
     # macaulay_inverse reads the cached piece: no elimination at all
