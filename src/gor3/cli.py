@@ -41,7 +41,7 @@ from .ideals import (
     variable_power_ideal,
 )
 from .monomials import default_var_names, monomial_count
-from .parsing import PolyParseError, parse_poly, parse_poly_list
+from .parsing import PolyParseError, is_name, parse_poly, parse_poly_list
 from .pfaffians import SkewPolyMatrix, generic_power_model, maximal_pfaffians, pfaffian
 
 
@@ -68,6 +68,9 @@ def _vars(args):
     for i, name in enumerate(names):
         if not name:
             raise CliError(f"--vars {args.vars!r}: variable {i + 1} has an empty name")
+        if not is_name(name):
+            raise CliError(f"--vars {args.vars!r}: variable {name!r} is not a name "
+                           f"(a letter or _, then letters, digits or _)")
         if name in names[:i]:
             raise CliError(f"--vars {args.vars!r}: variable {name!r} is repeated")
     return names

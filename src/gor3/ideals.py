@@ -81,7 +81,18 @@ class GradedIdeal:
         self._artinian_bound = None
         # the Hilbert values H(0..s) once I = Ann(F) is certified
         self._hilbert = None
-        self._gen_data = [(g.homogeneous_degree(), integer_terms(g)) for g in gens]
+        gen_data = [(g.homogeneous_degree(), integer_terms(g)) for g in gens]
+        if field == QQ:
+            # Lightest generators first, by the squared norm of their integer
+            # coefficients, which every row they shift shares.  The walk's
+            # row profile is a greedy pass, so over rows in this order it
+            # keeps a basis of least height (Rado-Edmonds), and by Hadamard's
+            # inequality that basis has the smallest bound on every minor the
+            # exact Bareiss pass forms, the last pivot included.  The sort is
+            # stable and every piece is a canonical RREF, so no answer moves.
+            # Over GF(p) rows are residues whose size costs nothing.
+            gen_data.sort(key=lambda gd: sum(c * c for c in gd[1].values()))
+        self._gen_data = gen_data
 
     @classmethod
     def from_pieces(cls, n, pieces, field, truncated_at=None):
@@ -146,7 +157,9 @@ class GradedIdeal:
         piece's rank once it is built): H(t) over GF(p), and over QQ an
         upper bound for H(t), since reduction mod CERTIFICATE_PRIME never
         raises a rank.  The rows and their profile stay cached for
-        graded_piece."""
+        graded_piece; over QQ the rows come lightest generator first (see
+        __init__), so the profile keeps the rows of least height for the
+        exact elimination."""
         dim = monomial_count(self.n, t)
         piece = self._pieces.get(t)
         if piece is not None:

@@ -157,6 +157,16 @@ class _Parser:
         raise PolyParseError(f"unexpected {value!r}", pos)
 
 
+def is_name(text: str) -> bool:
+    """Whether the text is read as exactly one name token (a letter or _,
+    then letters, digits or _), the only way a variable can be written."""
+    try:
+        tokens = _tokenize(text)
+    except PolyParseError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("name", text)
+
+
 def parse_poly(text: str, var_names, field=QQ) -> MultiPoly:
     """Parse a polynomial over the given variables."""
     return _Parser(text, list(var_names), field).parse()

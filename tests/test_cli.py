@@ -288,6 +288,9 @@ BAD_INPUTS = [
     ["power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2", "--t-max", "1"],
     ["socle", "--ideal", "x^2,y^2", "--vars", "x,x,y"],
     ["socle", "--ideal", "x^2,y^2", "--vars", "x,,y"],
+    ["socle", "--ideal", "c^2,d^2", "--vars", "a b,c,d"],
+    ["socle", "--ideal", "c^2,d^2", "--vars", "2,c,d"],
+    ["socle", "--ideal", "x^2,y^2,z^2", "--vars", "x,y,z*"],
 ]
 
 
@@ -323,6 +326,22 @@ def test_repeated_or_empty_variable_is_a_usage_error(capsys, names, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("ideal, names, bad", [
+    ("c^2,d^2", "a b,c,d", "a b"),
+    ("c^2,d^2", "2,c,d", "2"),
+    ("x^2,y^2,z^2", "x,y,z*", "z*"),
+], ids=["space", "digit", "operator"])
+def test_unreadable_variable_name_is_a_usage_error(capsys, ideal, names, bad):
+    # the parser reads a variable only as one name token, so these rings had
+    # a variable no text can reach: "c^2,d^2" read as not Artinian (exit 1)
+    # and "z^2" as an unknown variable
+    code, out, err = run(capsys, "socle", "--ideal", ideal, "--vars", names)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --vars {names!r}: variable {bad!r} is not a name "
+                   f"(a letter or _, then letters, digits or _)\n")
 
 
 def test_parse_error_exit_code(capsys):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gor3.fields import GF, QQ, FieldError
-from gor3.parsing import PolyParseError, parse_poly, parse_poly_list
+from gor3.parsing import PolyParseError, is_name, parse_poly, parse_poly_list
 from gor3.poly import MultiPoly
 from oracles import parse_poly_by_arithmetic
 
@@ -159,3 +159,20 @@ def test_parsing_makes_one_polynomial_per_generator(monkeypatch):
     assert len(gens) == 7
     assert len(built) == 7
     assert mul_calls == []
+
+
+@pytest.mark.parametrize("text", ["x", "_", "x_1", "Y2", "abc", "x²", "é"])
+def test_a_name_is_read_as_its_variable(text):
+    assert is_name(text)
+    assert parse_poly(text, [text]) == MultiPoly.variable(0, 1, QQ)
+
+
+@pytest.mark.parametrize("text", ["", " x", "x ", "a b", "2", "2x", "z*", "x^2",
+                                  "x-y", "(x)", "x.y", "²"])
+def test_a_non_name_is_never_read_as_one_variable(text):
+    assert not is_name(text)
+    try:
+        parsed = parse_poly(text, [text])
+    except (PolyParseError, ValueError):
+        return
+    assert parsed != MultiPoly.variable(0, 1, QQ)
