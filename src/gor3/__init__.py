@@ -40,20 +40,13 @@ from .ideals import (
     SocleReport,
     VirtualDatum,
     check_reduction_two,
-    colon_form,
     colon_iteration_check,
-    hilbert_function,
-    ideal_graded_piece,
-    ideal_power_piece,
-    minimal_generator_profile,
     pure_power_gap,
     pure_power_ideal,
     pure_power_index,
     rewrite_in_linear_forms,
-    socle_report,
     variable_lines,
     variable_power_ideal,
-    virtual_datum,
 )
 from .linalg import ExactMatrix, kernel_rows, row_rank
 from .monomials import monomial_count, monomials_of_degree
@@ -66,6 +59,6 @@ from .pfaffians import (
     pfaffian_ideal,
 )
 from .pieces import GradedPiece
-from .poly import MultiPoly, power_substitution, substitute
+from .poly import MultiPoly, power_substitution
 
 __version__ = "0.1.0"

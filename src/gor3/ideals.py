@@ -15,10 +15,12 @@ when H(1) >= 2, without a profile of the degree above it.
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
 has built (the _pieces, _power_pieces, _profiles and _hilbert caches) and
-asks them questions.
-Products of generators (powers of I, J * I, J * I^2) are built by one
-builder, _product_piece, which multiplies integer term maps with
-poly._term_product, the one product of the package.
+asks them questions.  An ideal made from its pieces (colons, Ann(F)) derives
+its minimal generators only when they are read.
+The rows of products of generators (powers of I, J * I, J * I^2) come from
+one builder, _product_rows, which multiplies integer term maps with
+poly._term_product, the one product of the package; a power is kept as a
+piece, and J * I and J * I^2 only as ranks.
 """
 
 from __future__ import annotations
@@ -53,6 +55,23 @@ class DatumViolationError(ValueError):
     pass
 
 
+def _generator_data(gens, field):
+    """(degree, integer term map) of each generator, in the order the walk
+    shifts them."""
+    gen_data = [(g.homogeneous_degree(), integer_terms(g)) for g in gens]
+    if field == QQ:
+        # Lightest generators first, by the squared norm of their integer
+        # coefficients, which every row they shift shares.  The walk's row
+        # profile is a greedy pass, so over rows in this order it keeps a
+        # basis of least height (Rado-Edmonds), and by Hadamard's inequality
+        # that basis has the smallest bound on every minor the exact Bareiss
+        # pass forms, the last pivot included.  The sort is stable and every
+        # piece is a canonical RREF, so no answer moves.  Over GF(p) rows are
+        # residues whose size costs nothing.
+        gen_data.sort(key=lambda gd: sum(c * c for c in gd[1].values()))
+    return gen_data
+
+
 class GradedIdeal:
     """Homogeneous ideal given by generators, queried per degree."""
 
@@ -70,7 +89,9 @@ class GradedIdeal:
             if not g.is_homogeneous():
                 raise ValueError(f"generator {g} is not homogeneous")
             gens.append(g)
-        self.generators = gens
+        self._gens = gens
+        # the last degree from_pieces seeded, whose pieces give _gens
+        self._seeded_top = None
         self.truncated_at = truncated_at
         self._pieces = {}
         # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
@@ -81,41 +102,48 @@ class GradedIdeal:
         self._artinian_bound = None
         # the Hilbert values H(0..s) once I = Ann(F) is certified
         self._hilbert = None
-        gen_data = [(g.homogeneous_degree(), integer_terms(g)) for g in gens]
-        if field == QQ:
-            # Lightest generators first, by the squared norm of their integer
-            # coefficients, which every row they shift shares.  The walk's
-            # row profile is a greedy pass, so over rows in this order it
-            # keeps a basis of least height (Rado-Edmonds), and by Hadamard's
-            # inequality that basis has the smallest bound on every minor the
-            # exact Bareiss pass forms, the last pivot included.  The sort is
-            # stable and every piece is a canonical RREF, so no answer moves.
-            # Over GF(p) rows are residues whose size costs nothing.
-            gen_data.sort(key=lambda gd: sum(c * c for c in gd[1].values()))
-        self._gen_data = gen_data
+        self._gen_data_list = _generator_data(gens, field)
+
+    @property
+    def generators(self):
+        """The generators as given, or for a from_pieces ideal the minimal
+        generators of its seeded pieces, derived on first read: the rows of
+        each piece outside R_1 times the piece below."""
+        if self._gens is None:
+            pieces = self._pieces
+            self._gens = [g for t in range(self._seeded_top + 1)
+                          for g in fresh_generators(pieces[t], pieces.get(t - 1))]
+        return self._gens
+
+    @property
+    def _gen_data(self):
+        """(degree, integer term map) of each generator, in the walk's order
+        (_generator_data), derived with the generators on first read."""
+        if self._gen_data_list is None:
+            self._gen_data_list = _generator_data(self.generators, self.field)
+        return self._gen_data_list
 
     @classmethod
     def from_pieces(cls, n, pieces, field, truncated_at=None):
         """The ideal whose degree-t piece is the t-th of pieces, t = 0, 1, ...
 
-        Pieces are read lazily up to and including the first full one; every
-        piece read seeds the cache, and a full piece also fixes the Artinian
-        bound.  The minimal generators are the rows of each piece outside
-        R_1 times the piece below.
+        Pieces are read up to and including the first full one; every piece
+        read seeds the cache, and a full piece also fixes the Artinian bound.
+        The minimal generators (generators, _gen_data) are derived from the
+        seeded pieces on first read.  equals, contains, socle_report and the
+        seeded pieces never read them; a piece above the seeded ones, which
+        only a truncated ideal builds, does.
         """
-        gens, seeded = [], {}
-        bound = below = None
-        for t, piece in enumerate(pieces):
-            gens.extend(fresh_generators(piece, below))
-            seeded[t] = piece
+        ideal = cls(n, [], field, truncated_at=truncated_at)
+        top = -1
+        for top, piece in enumerate(pieces):
+            ideal._pieces[top] = piece
             if piece.is_full:
                 # R_1 * R_{t-1} = R_t: nothing new can appear from here on
-                bound = t
+                ideal._artinian_bound = top
                 break
-            below = piece
-        ideal = cls(n, gens, field, truncated_at=truncated_at)
-        ideal._pieces = seeded
-        ideal._artinian_bound = bound
+        ideal._seeded_top = top
+        ideal._gens = ideal._gen_data_list = None
         return ideal
 
     @classmethod
@@ -158,8 +186,8 @@ class GradedIdeal:
         upper bound for H(t), since reduction mod CERTIFICATE_PRIME never
         raises a rank.  The rows and their profile stay cached for
         graded_piece; over QQ the rows come lightest generator first (see
-        __init__), so the profile keeps the rows of least height for the
-        exact elimination."""
+        _generator_data), so the profile keeps the rows of least height for
+        the exact elimination."""
         dim = monomial_count(self.n, t)
         piece = self._pieces.get(t)
         if piece is not None:
@@ -467,7 +495,8 @@ class GradedIdeal:
         piece = self._power_pieces.get((k, t))
         if piece is None:
             combos = itertools.combinations_with_replacement(self._gen_data, k)
-            piece = _product_piece(self.n, t, self.field, combos)
+            rows = _product_rows(self.n, t, self.field, combos)
+            piece = integer_span(self.n, t, rows, self.field)
             self._power_pieces[k, t] = piece
         return piece
 
@@ -543,37 +572,6 @@ class ReductionReport:
             "seed": self.seed,
             "attempts": self.attempts,
         }
-
-
-# ----------------------------------------------------------------------
-# module-level operation aliases
-
-def ideal_graded_piece(I: GradedIdeal, t) -> GradedPiece:
-    return I.graded_piece(t)
-
-
-def hilbert_function(I: GradedIdeal, t) -> int:
-    return I.hilbert_function(t)
-
-
-def minimal_generator_profile(I: GradedIdeal, t_max=None) -> dict:
-    return I.minimal_generator_profile(t_max)
-
-
-def colon_form(I: GradedIdeal, f: MultiPoly, t_max=None) -> GradedIdeal:
-    return I.colon(f, t_max)
-
-
-def socle_report(I: GradedIdeal) -> SocleReport:
-    return I.socle_report()
-
-
-def virtual_datum(I: GradedIdeal) -> VirtualDatum:
-    return I.virtual_datum()
-
-
-def ideal_power_piece(I: GradedIdeal, k, t) -> GradedPiece:
-    return I.power_piece(k, t)
 
 
 def pure_power_ideal(lines, exponents, field=None) -> GradedIdeal:
@@ -701,16 +699,17 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
         J = GradedIdeal(I.n, combos, I.field)
         if not J.is_artinian():
             continue
-        ji = _product_piece(I.n, 2 * d, I.field,
-                            itertools.product(J._gen_data, I._gen_data))
-        i2 = I.power_piece(2, 2 * d)
-        ji_eq = ji.dim == i2.dim
+        # J*I and J*I^2 lie inside I^2 and I^3: equal exactly when the ranks are
+        ji = _product_rows(I.n, 2 * d, I.field,
+                           itertools.product(J._gen_data, I._gen_data))
+        ji_eq = (row_rank(I.field, ji, monomial_count(I.n, 2 * d))
+                 == I.power_piece(2, 2 * d).dim)
         # a list: every generator of J goes through all the pairs
         pairs = list(itertools.combinations_with_replacement(I._gen_data, 2))
-        ji2 = _product_piece(I.n, 3 * d, I.field,
-                             ((j,) + pair for j in J._gen_data for pair in pairs))
-        i3 = I.power_piece(3, 3 * d)
-        ji2_eq = ji2.dim == i3.dim
+        ji2 = _product_rows(I.n, 3 * d, I.field,
+                            ((j,) + pair for j in J._gen_data for pair in pairs))
+        ji2_eq = (row_rank(I.field, ji2, monomial_count(I.n, 3 * d))
+                  == I.power_piece(3, 3 * d).dim)
         return ReductionReport(
             reduction_number_is_two=(ji2_eq and not ji_eq),
             ji_equals_i2=ji_eq,
@@ -722,10 +721,10 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
         f"could not find a height-3 reduction in {REDUCTION_RETRIES} seeded attempts")
 
 
-def _product_piece(n, t, field, combos):
-    """The degree-t piece spanned by the products of the combos, tuples of
-    (degree, integer term map) factors as in GradedIdeal._gen_data; a
-    product above degree t is not formed."""
+def _product_rows(n, t, field, combos):
+    """The rows x^alpha * p of degree t for the products p of the combos,
+    tuples of (degree, integer term map) factors as in
+    GradedIdeal._gen_data; a product above degree t is not formed."""
     products = []
     for combo in combos:
         degree = sum(d for d, _ in combo)
@@ -734,4 +733,4 @@ def _product_piece(n, t, field, combos):
             for _, factor in combo[1:]:
                 terms = _term_product(terms, factor, field)
             products.append((degree, terms))
-    return integer_span(n, t, shifted_vectors(n, t, products), field)
+    return shifted_vectors(n, t, products)

@@ -4,10 +4,13 @@ determinants.
 Everything here is exact; there is no floating point and no tolerance
 anywhere.  Only integer rows are reduced (over QQ any scaling of the rows,
 over GF(p) the residues); the field objects convert scalars to and from
-them.  rref_rows, row_rank and kernel_rows hand the elimination to the
-kernels of ``_rowred_py``, and normal_form is the one reduction modulo an
-integer RREF: kernel bases, residuals, the multiplication maps of R/I and
-the span check of the modular front end are read off it.  ExactMatrix
+them.  rref_rows, row_rank, kernel_rows and kernel_rref hand the
+elimination to the kernels of ``_rowred_py``, and normal_form is the one
+reduction modulo an integer RREF: kernel bases, residuals, the
+multiplication maps of R/I and the span check of the modular front end are
+read off it.  kernel_rref reads the canonical RREF of a kernel off the
+normal form of the rows with their columns reversed, so a kernel piece
+costs one elimination, not a second one of the kernel basis.  ExactMatrix
 holds field scalars (int or Fraction over QQ, int over GF(p)); its field
 converts the rows on the way in and the RREF on the way out.  Its
 determinant is one fraction-free Bareiss pass over those integer rows for
@@ -177,6 +180,29 @@ def kernel_rows(field, rows, nc):
     """
     lcm, _, nf = normal_form(*rref_rows(field, rows, nc), nc)
     return [list(vec) for vec in zip(*nf)], lcm
+
+
+def kernel_rref(field, rows, nc):
+    """The canonical RREF (pivots, rows) of the right kernel of integer rows
+    with nc columns, in the contract of rref_rows, from one elimination.
+
+    The rows are reduced with their columns reversed.  In that order the
+    normal_form kernel vector of a free column c is nonzero only at c and
+    at pivots before c; in the original order its first nonzero is at
+    nc - 1 - c, where every other kernel vector is 0.  These vectors sorted
+    by that column are the RREF once scaled: over QQ divided by their gcd
+    (the pivot entry, the lcm of pivot entries, is positive), over GF(p)
+    taken mod p (the lcm is 1).
+    """
+    _, free, nf = normal_form(*rref_rows(field, [row[::-1] for row in rows], nc), nc)
+    basis = []
+    for vec in reversed(list(zip(*nf))):
+        if isinstance(field, PrimeField):
+            basis.append([v % field.p for v in reversed(vec)])
+        else:
+            g = gcd(*vec)
+            basis.append([v // g for v in reversed(vec)])
+    return [nc - 1 - c for c in reversed(free)], basis
 
 
 class ExactMatrix:

@@ -12,7 +12,9 @@ vector_to_poly.
 Macaulay duality lives here alone: catalecticant is the one builder of
 catalecticant rows, whose ranks the Gorenstein certificate of ideals reads,
 and whose kernels annihilator_pieces yields as the pieces of Ann(F) for
-colons of pure powers and apolarity.annihilator.
+colons of pure powers and apolarity.annihilator, each in one elimination
+(linalg.kernel_rref).  fresh_generators, the minimal generators of a piece
+over the one below, is run only when an ideal's generators are read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from math import gcd
 
 from .fields import RationalField
-from .linalg import _identity_rows, _residual, kernel_rows, normal_form, rref_rows
+from .linalg import _identity_rows, _residual, kernel_rref, normal_form, rref_rows
 from .monomials import (monomial_count, monomial_index, monomials_of_degree,
                         product_table)
 from .poly import MultiPoly
@@ -138,14 +140,15 @@ def catalecticant(n, s, F, t):
 def annihilator_pieces(n, s, terms, field):
     """The pieces Ann(F)_t, t = 0, 1, ..., s + 1, of the nonzero dual form F
     of degree s with the integer term map terms (integer_terms): the kernel
-    of Cat_t(F) for t <= s, then all of R_{s+1}."""
+    of Cat_t(F) for t <= s, each the canonical RREF that linalg.kernel_rref
+    reads off one elimination of Cat_t(F), then all of R_{s+1}."""
     idx = monomial_index(n, s)
     F = [0] * len(idx)
     for beta, c in terms.items():
         F[idx[beta]] = c
     for t in range(s + 1):
-        kernel, _ = kernel_rows(field, catalecticant(n, s, F, t), monomial_count(n, t))
-        yield integer_span(n, t, kernel, field)
+        cat = catalecticant(n, s, F, t)
+        yield GradedPiece(n, t, field, *kernel_rref(field, cat, monomial_count(n, t)))
     yield full_piece(n, s + 1, field)
 
 

@@ -279,10 +279,6 @@ class MultiPoly(_SparseForm):
         return MultiPoly(m, out, field)
 
 
-def substitute(f: MultiPoly, images) -> MultiPoly:
-    return f.substitute(images)
-
-
 def power_substitution(f: MultiPoly, p: int) -> MultiPoly:
     """Image of f under x_i -> x_i^p (exponent scaling, coefficients kept)."""
     if p < 1:

@@ -9,11 +9,14 @@ from fractions import Fraction
 from math import gcd
 
 from gor3 import GradedIdeal, MultiPoly
+from gor3.apolarity import directrix_form
+from gor3.cases import ex_2_5_ideal, ex_3_7_ideal, ex_4_5_ideal, ex_4_9_ideal
 from gor3.fields import RationalField
-from gor3.ideals import NotArtinianError
+from gor3.ideals import (NotArtinianError, pure_power_index, variable_lines,
+                         variable_power_ideal)
 from gor3.linalg import normal_form
 from gor3.monomials import deglex_key, monomials_of_degree
-from gor3.parsing import PolyParseError, _tokenize
+from gor3.parsing import PolyParseError, _tokenize, parse_poly
 from gor3.pfaffians import (
     SkewPolyMatrix,
     _composite_images,
@@ -316,6 +319,36 @@ def colon_by_kernel(base, f, t_max=None):
     return GradedIdeal.from_pieces(
         base.n, (base._colon_piece(t, f, e) for t in range(t_max + 1)),
         base.field, truncated_at=truncated)
+
+
+def registry_colons(field):
+    """(label, build) for every colon the case registry takes, build()
+    returning a fresh ideal over field: the four examples, the
+    non-equigenerated one, the colons of sum-power by powers of x + y + z,
+    and the colons of duality-roundtrip by directrix forms."""
+    names = ["x", "y", "z"]
+    examples = [("ex-2-5", ex_2_5_ideal), ("ex-3-7", ex_3_7_ideal),
+                ("ex-4-5", ex_4_5_ideal), ("ex-4-9", ex_4_9_ideal)]
+    out = [(name, lambda build=build: build(field)) for name, build in examples]
+    cubes = parse_poly("x^3 + y^3 + z^3", names, field)
+    out.append(("non-equigen-xyz",
+                lambda: variable_power_ideal(3, 4, field).colon(cubes)))
+    ell = parse_poly("x + y + z", names, field)
+    for m in range(1, 6):
+        for e in range(7):
+            s = 3 * (m - 1) - e
+            if s >= 0 and s % 2 == 0 and m >= s // 2 + 1:
+                out.append((f"sum-power m={m} e={e}",
+                            lambda m=m, e=e: variable_power_ideal(3, m, field)
+                            .colon(ell ** e)))
+    for name, build in examples:
+        I = build(field)
+        s = I.socle_report().socle_degree
+        for m in sorted({pure_power_index(I, variable_lines(3, field)), s + 1}):
+            f = directrix_form(I, m)
+            out.append((f"{name} directrix m={m}",
+                        lambda m=m, f=f: variable_power_ideal(3, m, field).colon(f)))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,24 @@
-"""The module-level operation names are the public API surface; keep them
-working even if the method-based internals move around."""
+"""The public API surface: GradedIdeal methods for the ideal operations,
+module-level names for the rest."""
 
 import gor3
 
 
-def test_operation_aliases():
+def test_ideal_operations_are_methods():
     I = gor3.GradedIdeal.from_strings(["x^2", "y^2", "z^2"])
-    assert gor3.ideal_graded_piece(I, 2).dim == 3
-    assert gor3.hilbert_function(I, 2) == 3
-    assert gor3.minimal_generator_profile(I) == {2: 3}
-    assert gor3.socle_report(I).socle_degree == 3
-    assert gor3.virtual_datum(I).as_tuple() == (2, 3, 2)
-    assert gor3.ideal_power_piece(I, 2, 4).dim == 6
+    assert I.graded_piece(2).dim == 3
+    assert I.hilbert_function(2) == 3
+    assert I.minimal_generator_profile() == {2: 3}
+    assert I.socle_report().socle_degree == 3
+    assert I.virtual_datum().as_tuple() == (2, 3, 2)
+    assert I.power_piece(2, 4).dim == 6
     f = gor3.parse_poly("x*y", ["x", "y", "z"])
-    colon = gor3.colon_form(I, f)
+    colon = I.colon(f)
     assert colon.contains(gor3.parse_poly("x", ["x", "y", "z"]))
+    for alias in ("ideal_graded_piece", "hilbert_function",
+                  "minimal_generator_profile", "colon_form", "socle_report",
+                  "virtual_datum", "ideal_power_piece", "substitute"):
+        assert not hasattr(gor3, alias)
 
 
 def test_linalg_aliases():

@@ -192,15 +192,15 @@ def test_power_check_builds_each_product_piece_once(capsys, monkeypatch):
     """power_piece keeps (I^k)_t on the ideal, so check_reduction_two reads
     the (I^2)_4 that the table of pieces built."""
     builds = []
-    product_piece = gor3.ideals._product_piece
+    product_rows = gor3.ideals._product_rows
 
     def counted(n, t, field, combos):
         # the combos are kept, so the ids of their factors stay unique
         combos = list(combos)
         builds.append((len(combos[0]), t, combos))
-        return product_piece(n, t, field, combos)
+        return product_rows(n, t, field, combos)
 
-    monkeypatch.setattr(gor3.ideals, "_product_piece", counted)
+    monkeypatch.setattr(gor3.ideals, "_product_rows", counted)
     code, report, _ = run_json(
         capsys, "power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2",
         "--k", "2", "--seed", "1")

@@ -4,19 +4,26 @@
 which seeds the piece cache with the pieces it read and, once a full piece
 was read, the Artinian bound.  Every seeded piece must be the piece of the
 ideal the returned generators generate, so the generators are checked
-against the pieces here.
+against the pieces here.  The generators are derived from the seeded
+pieces on first read; they must be the list that deriving them on
+construction gave, and the questions that never read them must derive
+nothing.
 """
 
 import random
 
 import pytest
 
-from gor3 import GradedIdeal, InverseForm, MultiPoly, annihilator, parse_poly
+import gor3.ideals
+import gor3.pieces
+from gor3 import (GradedIdeal, InverseForm, MultiPoly, annihilator, macaulay_inverse,
+                  parse_poly)
 from gor3.fields import GF, QQ
 from gor3.ideals import variable_power_ideal
 from gor3.monomials import monomials_of_degree
+from gor3.pieces import fresh_generators
 
-from oracles import colon_by_kernel
+from oracles import colon_by_kernel, registry_colons
 
 FIELDS = [QQ, GF(32003)]
 VARS = ["x", "y", "z"]
@@ -120,3 +127,82 @@ def test_kernel_route_reads_no_piece_above_the_first_full(monkeypatch):
         assert J.truncated_at is None
         assert top < base.artinian_bound()
         assert read == list(range(top + 1))
+
+
+def _eager_generators(seeded):
+    """The generators from_pieces built on construction from the pieces it
+    seeded: the fresh rows of each piece over the one below, up to and
+    including the first full piece."""
+    gens, below = [], None
+    for piece in seeded:
+        gens.extend(fresh_generators(piece, below))
+        if piece.is_full:
+            break
+        below = piece
+    return gens
+
+
+def _assert_lazy_generators_match_eager(J):
+    assert J._gens is None, "generators derived on construction"
+    seeded = [J._pieces[t] for t in sorted(J._pieces)]
+    eager = _eager_generators(seeded)
+    assert J.generators == eager
+    assert [str(g) for g in J.generators] == [str(g) for g in eager]
+    assert J._gen_data == GradedIdeal(J.n, eager, J.field)._gen_data
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_registry_generators_are_the_eager_list(field):
+    for label, build in registry_colons(field):
+        I = build()
+        F = macaulay_inverse(I)
+        _assert_lazy_generators_match_eager(build())
+        _assert_lazy_generators_match_eager(annihilator(F))
+    base = variable_power_ideal(3, 4, field)
+    f = parse_poly("x^3 + y^3 + z^3", VARS, field)
+    for t_max in range(5):
+        _assert_lazy_generators_match_eager(base.colon(f, t_max=t_max))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_questions_on_pieces_derive_no_generators(field, monkeypatch):
+    calls = []
+
+    def counted(module):
+        original = module.fresh_rows
+
+        def fresh_rows(piece, below):
+            calls.append(piece.t)
+            return original(piece, below)
+
+        return fresh_rows
+
+    for module in (gor3.pieces, gor3.ideals):
+        monkeypatch.setattr(module, "fresh_rows", counted(module))
+    for label, build in registry_colons(field):
+        calls.clear()
+        I = build()
+        s = I.socle_report().socle_degree
+        F = macaulay_inverse(I)
+        assert annihilator(F).equals(I), label
+        assert I.contains(MultiPoly.variable(0, 3, field) ** (s + 1)), label
+        assert calls == [], label
+        assert I._gens is None, label
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_truncated_colon_pieces_above_the_truncation(field):
+    """(x^4, y^4, z^4) : (x^3 + y^3 + z^3) has minimal generators in degrees
+    3 and 4; truncated at 3 it is generated by xyz alone, and its pieces
+    above 3 are those of (xyz), as when the generators were built eagerly."""
+    base = variable_power_ideal(3, 4, field)
+    f = parse_poly("x^3 + y^3 + z^3", VARS, field)
+    J = base.colon(f, t_max=3)
+    seeded = [J._pieces[t] for t in range(4)]
+    assert J._gens is None
+    eager = GradedIdeal(3, _eager_generators(seeded), field)
+    assert [str(g) for g in eager.generators] == ["x*y*z"]
+    for t in range(4, 9):
+        assert J.graded_piece(t) == eager.graded_piece(t)
+    assert J.generators == eager.generators
+    assert J.graded_piece(4) != base.colon(f).graded_piece(4)

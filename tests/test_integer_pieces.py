@@ -21,10 +21,10 @@ from gor3 import GradedIdeal, InverseForm, MultiPoly, annihilator, parse_poly
 from gor3.betti import betti_table
 from gor3.cases import ex_2_5_ideal, five_gen_monomial_ideal
 from gor3.fields import GF, QQ
-from gor3.ideals import _product_piece
+from gor3.ideals import _product_rows
 from gor3.linalg import CERTIFICATE_PRIME, kernel_rows, normal_form, row_rank
 from gor3.monomials import monomial_count, monomials_of_degree
-from gor3.pieces import GradedPiece, degree_one_multiples, integer_terms
+from gor3.pieces import GradedPiece, degree_one_multiples, integer_span, integer_terms
 
 from oracles import (Span, colon_by_kernel, fraction_rref, piece_rows, reduce_vector,
                      span_of_vectors)
@@ -119,7 +119,8 @@ def test_power_pieces_and_product_spans():
         products = [_product(combo, range(len(combo))) for combo in combos]
         data = [tuple((g.homogeneous_degree(), integer_terms(g)) for g in combo)
                 for combo in combos]
-        _assert_canonical(_product_piece(I.n, t, I.field, data),
+        rows = _product_rows(I.n, t, I.field, data)
+        _assert_canonical(integer_span(I.n, t, rows, I.field),
                           [p.to_vector(t) for p in products if not p.is_zero()])
 
 
