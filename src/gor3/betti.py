@@ -123,16 +123,16 @@ def betti_table(I: GradedIdeal) -> BettiTable:
     return BettiTable(n=n, entries=table)
 
 
-def has_linear_resolution(I: GradedIdeal) -> bool:
+def has_linear_resolution(table: BettiTable) -> bool:
     """Linear resolution: syzygies in degree d+i-1 and a single top twist
-    at 2d+n-2, for an ideal equigenerated in degree d."""
-    eq = I.is_equigenerated()
-    if eq is None:
+    at 2d+n-2, for an ideal equigenerated in degree d, the one shift of
+    column 1 (the minimal generators)."""
+    shifts = table.column_shifts(1)
+    if len(shifts) != 1:
         raise NotEquigeneratedError(
             "linear resolution is defined for equigenerated ideals")
-    d, _ = eq
-    n = I.n
-    table = betti_table(I)
+    d, = shifts
+    n = table.n
     for (i, j), v in table.entries.items():
         if i == 0:
             continue
@@ -143,7 +143,6 @@ def has_linear_resolution(I: GradedIdeal) -> bool:
     return table.beta(n, 2 * d + n - 2) == 1
 
 
-def socle_decomposition_from_betti(I: GradedIdeal) -> dict:
+def socle_decomposition_from_betti(table: BettiTable) -> dict:
     """Socle degrees with multiplicities, read off the top Betti shifts."""
-    table = betti_table(I)
-    return {j - I.n: v for (i, j), v in table.entries.items() if i == I.n}
+    return {j - table.n: v for (i, j), v in table.entries.items() if i == table.n}

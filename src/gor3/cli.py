@@ -188,10 +188,10 @@ def cmd_betti(args, field, names):
         "field": field.name,
         "betti": table.as_dict(),
     }
-    eq = I.is_equigenerated()
-    if eq is not None:
-        report["equigenerated_degree"] = eq[0]
-        report["linear_resolution"] = has_linear_resolution(I)
+    shifts = table.column_shifts(1)
+    if len(shifts) == 1:
+        report["equigenerated_degree"] = next(iter(shifts))
+        report["linear_resolution"] = has_linear_resolution(table)
     _emit(args, report)
     if not args.json:
         print(table.staircase())

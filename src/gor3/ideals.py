@@ -15,8 +15,8 @@ when H(1) >= 2, without a profile of the degree above it.
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
 has built (the _pieces, _power_pieces, _profiles and _hilbert caches) and
-asks them questions.  An ideal made from its pieces (colons, Ann(F)) derives
-its minimal generators only when they are read.
+asks them questions.  Minimal generators are read off them once per ideal;
+an ideal made from its pieces (colons, Ann(F)) reads them on first use.
 The rows of products of generators (powers of I, J * I, J * I^2) come from
 one builder, _product_rows, which multiplies integer term maps with
 poly._term_product, the one product of the package; a power is kept as a
@@ -27,15 +27,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import kernel_rows, normal_form, row_profile, row_rank, rref_rows
+from .linalg import kernel_rref, normal_form, row_profile, row_rank, rref_rows
 from .monomials import monomial_count, product_table
 from .parsing import parse_poly
 from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_vector,
-                     fresh_generators, fresh_rows, full_piece, integer_span,
-                     integer_terms, shifted_vectors, zero_piece)
+                     fresh_generators, full_piece, integer_span, integer_terms,
+                     shifted_vectors)
 from .poly import MultiPoly, _term_product
 
 
@@ -90,8 +91,10 @@ class GradedIdeal:
                 raise ValueError(f"generator {g} is not homogeneous")
             gens.append(g)
         self._gens = gens
-        # the last degree from_pieces seeded, whose pieces give _gens
+        # the last degree from_pieces seeded, the top of its minimal generators
         self._seeded_top = None
+        # minimal_generators, once derived
+        self._minimal = None
         self.truncated_at = truncated_at
         self._pieces = {}
         # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
@@ -106,14 +109,9 @@ class GradedIdeal:
 
     @property
     def generators(self):
-        """The generators as given, or for a from_pieces ideal the minimal
-        generators of its seeded pieces, derived on first read: the rows of
-        each piece outside R_1 times the piece below."""
-        if self._gens is None:
-            pieces = self._pieces
-            self._gens = [g for t in range(self._seeded_top + 1)
-                          for g in fresh_generators(pieces[t], pieces.get(t - 1))]
-        return self._gens
+        """The generators as given, or for a from_pieces ideal its minimal
+        generators, derived on first read."""
+        return self.minimal_generators() if self._gens is None else self._gens
 
     @property
     def _gen_data(self):
@@ -301,27 +299,20 @@ class GradedIdeal:
             t_max = self.artinian_bound() - 1
         return [self.hilbert_function(t) for t in range(t_max + 1)]
 
-    def minimal_generator_profile(self, t_max=None) -> dict:
-        """degree -> number of minimal generators in that degree."""
-        if t_max is None:
-            t_max = self.max_generator_degree
-        profile = {}
-        for t in range(t_max + 1):
-            fresh = len(fresh_rows(self.graded_piece(t),
-                                    self.graded_piece(t - 1) if t else None))
-            if fresh:
-                profile[t] = fresh
-        return profile
+    def minimal_generators(self):
+        """The minimal generators, read off the graded pieces once: the rows
+        of each piece outside R_1 times the piece below, through the top
+        generator degree (for a from_pieces ideal, its last seeded piece)."""
+        if self._minimal is None:
+            top = (self.max_generator_degree if self._seeded_top is None
+                   else self._seeded_top)
+            self._minimal = [g for t in range(top + 1) for g in fresh_generators(
+                self.graded_piece(t), self.graded_piece(t - 1) if t else None)]
+        return self._minimal
 
-    def minimal_generators(self, t_max=None):
-        """A minimal generating set extracted from the graded pieces."""
-        if t_max is None:
-            t_max = self.max_generator_degree
-        gens = []
-        for t in range(t_max + 1):
-            gens.extend(fresh_generators(
-                self.graded_piece(t), self.graded_piece(t - 1) if t else None))
-        return gens
+    def minimal_generator_profile(self) -> dict:
+        """degree -> number of minimal generators in that degree."""
+        return dict(Counter(g.homogeneous_degree() for g in self.minimal_generators()))
 
     def is_equigenerated(self):
         profile = self.minimal_generator_profile()
@@ -333,22 +324,15 @@ class GradedIdeal:
     # colon ideals
 
     def _colon_piece(self, t, f, e) -> GradedPiece:
-        """(I : f)_t as the kernel of multiplication by f into (R/I)_{t+e}."""
+        """(I : f)_t = {g in R_t : g * f in I_{t+e}}: the left kernel of the
+        residuals of the rows x^gamma * f modulo I_{t+e}, from one elimination
+        (linalg.kernel_rref).  A full I_{t+e} leaves zero-width residuals, so
+        all of R_t; a zero one leaves the independent rows of f, so 0."""
         n, field = self.n, self.field
-        target = self.graded_piece(t + e)
-        if target.is_full:
-            return full_piece(n, t, field)
-        if target.dim == 0:
-            # multiplication by a nonzero form is injective on R_t
-            return zero_piece(n, t, field)
-        # the columns x^gamma * f for the monomials gamma of degree t, then
-        # the rows of the target; a kernel vector restricted to its first
-        # dim_t entries is an element of (I : f)_t, and every one arises so
-        dim_t = monomial_count(n, t)
-        cols = (shifted_vectors(n, t + e, [(e, integer_terms(f))])
-                + target.int_rows)
-        kernel, _ = kernel_rows(field, [list(r) for r in zip(*cols)], len(cols))
-        return integer_span(n, t, [v[:dim_t] for v in kernel], field)
+        rows = shifted_vectors(n, t + e, [(e, integer_terms(f))])
+        residuals = self.graded_piece(t + e).residuals(rows)
+        return GradedPiece(n, t, field, *kernel_rref(field, list(zip(*residuals)),
+                                                     monomial_count(n, t)))
 
     def _pure_power_exponents(self):
         """(m_1, ..., m_n) when the generators are c_i * x_i^{m_i}, exactly
@@ -374,8 +358,8 @@ class GradedIdeal:
         Ann(f o X^[m-1]) (annihilator_pieces): the term of f at alpha sends
         X^[m-1] to X^[m-1-alpha], and drops out unless alpha <= m - 1 in
         every coordinate.  Every other base goes through the kernel of
-        multiplication by f into R/I, degree by degree.  Both give the
-        canonical RREF of each piece and so the same generators.
+        multiplication by f into R/I, one elimination per degree.  Both give
+        the canonical RREF of each piece and so the same generators.
 
         t_max only truncates: the pieces of degree above it are not read, and
         the result is marked as truncated at t_max when t_max is below the

@@ -5,16 +5,16 @@ generators, degree-one multiples and catalecticants.
 Pieces, the rows built from them and the multiplication maps between them
 are integer rows on both fields: the field turns each generator into an
 integer term map once (integer_terms), a piece keeps the integer RREF of
-linalg.rref_rows, and residuals are read off its linalg.normal_form.  Field
-scalars cross only at GradedPiece.contains_vector/contains_poly and
-vector_to_poly.
+linalg.rref_rows, and GradedPiece.residuals reads residuals off its
+linalg.normal_form.  Field scalars cross only at
+GradedPiece.contains_vector/contains_poly and vector_to_poly.
 
 Macaulay duality lives here alone: catalecticant is the one builder of
 catalecticant rows, whose ranks the Gorenstein certificate of ideals reads,
 and whose kernels annihilator_pieces yields as the pieces of Ann(F) for
 colons of pure powers and apolarity.annihilator, each in one elimination
 (linalg.kernel_rref).  fresh_generators, the minimal generators of a piece
-over the one below, is run only when an ideal's generators are read.
+over the one below, runs once per ideal, when its generators are read.
 """
 
 from __future__ import annotations
@@ -61,13 +61,24 @@ class GradedPiece:
         pivots = set(self.pivots)
         return [c for c in range(self.ambient_dim) if c not in pivots]
 
+    def residuals(self, rows):
+        """lcm times the residual of each integer row of R_t modulo the piece,
+        on its standard columns (linalg.normal_form): zero exactly for the
+        rows in the span, zero-width for a full piece."""
+        dim = self.ambient_dim
+        _, free, nf = normal_form(self.pivots, self.int_rows, dim)
+        for row in rows:
+            if len(row) != dim:
+                raise ValueError(f"a vector of length {len(row)} in R_{self.t}, "
+                                 f"which has dimension {dim}")
+        return [_residual(row, nf, len(free)) for row in rows]
+
     def contains_vector(self, vec) -> bool:
         """Whether the vector of field scalars lies in the span: its integer
-        row has a zero residual on the normal form of the piece."""
+        row has a zero residual."""
         ints, _ = self.field.integer_row(vec)
-        _, free, nf = normal_form(self.pivots, self.int_rows, len(ints))
         is_zero = self.field.is_zero
-        return all(is_zero(v) for v in _residual(ints, nf, len(free)))
+        return all(is_zero(v) for v in self.residuals([ints])[0])
 
     def contains_poly(self, f) -> bool:
         if f.is_zero():

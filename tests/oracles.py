@@ -448,6 +448,32 @@ def field_rref(rows, field):
     return pivots, m[:r]
 
 
+def colon_piece_by_field_rref(base, f, t):
+    """(base : f)_t = {g in R_t : g * f in base_{t+e}}, e = deg f, in field
+    arithmetic: the kernel of the matrix whose columns are the vectors
+    x^gamma * f, gamma of degree t, then a basis of base_{t+e}, all built by
+    exponent-tuple arithmetic and reduced by field_rref.  A kernel vector
+    restricted to its first dim R_t entries lies in the colon, and every
+    element arises so.  Returns the (pivots, leading-1 rows) of their span:
+    no integer row, no normal form and no library elimination."""
+    n, field = base.n, base.field
+    e = f.homogeneous_degree()
+    gens = [(g.homogeneous_degree(), dict(g.terms)) for g in base.generators]
+    _, target = field_rref(shifted_rows_by_tuples(n, t + e, gens), field)
+    cols = shifted_rows_by_tuples(n, t + e, [(e, dict(f.terms))]) + target
+    pivots, red = field_rref([list(r) for r in zip(*cols)], field)
+    dim_t = len(monomials_of_degree(n, t))
+    kernel = []
+    for c in range(len(cols)):
+        if c in pivots:
+            continue
+        vec = [field.one if x == c else field.zero for x in range(len(cols))]
+        for p, row in zip(pivots, red):
+            vec[p] = field.neg(row[c])
+        kernel.append(vec[:dim_t])
+    return field_rref(kernel, field)
+
+
 def socle_by_field_rref(I):
     """(bound, hilbert, socle) of R/I from a Gauss-Jordan of every piece in
     field arithmetic, degree by degree up to the first full one, and the

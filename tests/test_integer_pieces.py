@@ -214,6 +214,19 @@ def test_pieces_read_one_normal_form(field):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_contains_vector_refuses_a_vector_of_another_length(field):
+    """The degree-2 piece of (x^2, y^2) lies in R_2 of dimension 6: a vector
+    of 4, 7 or 3 entries is refused with both lengths, never truncated."""
+    piece = GradedIdeal.from_strings(["x^2", "y^2"], VARS, field).graded_piece(2)
+    assert piece.ambient_dim == 6
+    for vec in ([0, 0, 0, 1], [0] * 7, [1, 0, 0]):
+        with pytest.raises(ValueError, match=rf"length {len(vec)} .* dimension 6"):
+            piece.contains_vector([field.of(v) for v in vec])
+    assert piece.contains_vector([field.of(v) for v in [0, 0, 0, 1, 0, 0]])
+    assert not piece.contains_vector([field.of(v) for v in [0, 0, 0, 0, 0, 1]])
+
+
 def _scalar_maps(I, t):
     """x_k : (R/I)_t -> (R/I)_{t+1} in field scalars: the residual of x_k m
     by oracles.reduce_vector, read on the standard columns of degree t + 1."""
