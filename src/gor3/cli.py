@@ -90,9 +90,17 @@ def _ideal_from_arg(text, names, field) -> GradedIdeal:
     return GradedIdeal(len(names), gens, field)
 
 
-def _ideal_report(I: GradedIdeal):
+def _dual_names(names):
+    dual = [v.upper() for v in names]
+    if len(set(dual)) < len(dual):
+        raise CliError(f"--vars {','.join(names)!r}: dual forms are written in "
+                       f"the names upper-cased, and two of them then coincide")
+    return dual
+
+
+def _ideal_report(I: GradedIdeal, names=None):
     report = {
-        "generators": [str(g) for g in I.generators],
+        "generators": [g.format(names) for g in I.generators],
         "minimal_profile": {str(k): v
                             for k, v in sorted(I.minimal_generator_profile().items())},
     }
@@ -160,10 +168,13 @@ def _common(parser, seed=False):
 def cmd_colon(args, field, names):
     base = _ideal_from_arg(args.ci, names, field)
     f = parse_poly(_read_source(args.f), names, field)
+    if args.t_max is not None and args.t_max < 0:
+        raise CliError(f"--t-max {args.t_max} is below 0, the least degree of "
+                       f"a piece: no piece to report")
     result = base.colon(f, args.t_max)
-    report = {"field": field.name, "base": [str(g) for g in base.generators],
-              "form": str(f)}
-    report.update(_ideal_report(result))
+    report = {"field": field.name, "base": [g.format(names) for g in base.generators],
+              "form": f.format(names)}
+    report.update(_ideal_report(result, names))
     _emit(args, report)
     return 0
 
@@ -173,7 +184,7 @@ def cmd_socle(args, field, names):
     socle = I.socle_report()
     report = {
         "field": field.name,
-        "generators": [str(g) for g in I.generators],
+        "generators": [g.format(names) for g in I.generators],
         "hilbert_function": I.hilbert_series_table(socle.artinian_bound),
         "socle": socle.as_dict(),
     }
@@ -227,14 +238,14 @@ def cmd_pfaffian(args, field, names):
     A = _parse_matrix(_read_source(args.matrix), names, field)
     report = {"field": field.name, "size": A.r}
     if A.r % 2 == 0:
-        report["pfaffian"] = str(pfaffian(A))
+        report["pfaffian"] = pfaffian(A).format(names)
     else:
         pfs = maximal_pfaffians(A)
-        report["maximal_pfaffians"] = [str(p) for p in pfs]
+        report["maximal_pfaffians"] = [p.format(names) for p in pfs]
         gens = [p for p in pfs if not p.is_zero()]
         if gens:
             ideal = GradedIdeal(A.n, gens, field)
-            report.update(_ideal_report(ideal))
+            report.update(_ideal_report(ideal, names))
     _emit(args, report)
     return 0
 
@@ -246,29 +257,32 @@ def cmd_model(args, field, names):
         raise CliError(str(exc), code=1)
     report = {"field": field.name, "seed": args.seed,
               "r": args.r, "entry_degree": args.dp, "variables": args.n}
+    # the model's own ring of --n variables, in its default names
     report.update(_ideal_report(I))
     _emit(args, report)
     return 0
 
 
 def cmd_inverse(args, field, names):
+    dual_names = _dual_names(names)
     I = _ideal_from_arg(args.ideal, names, field)
     F = macaulay_inverse(I)
     _emit(args, {
         "field": field.name,
         "kind": "inverse-system element (divided powers)",
         "dual_degree": F.degree(),
-        "generator": str(F),
+        "generator": F.format(dual_names),
     })
     return 0
 
 
 def cmd_ann(args, field, names):
-    proxy = parse_poly(_read_source(args.dual), [v.upper() for v in names], field)
+    dual_names = _dual_names(names)
+    proxy = parse_poly(_read_source(args.dual), dual_names, field)
     F = InverseForm(proxy.n, dict(proxy.terms), field)
     ideal = annihilator(F)
-    report = {"field": field.name, "dual_form": str(F)}
-    report.update(_ideal_report(ideal))
+    report = {"field": field.name, "dual_form": F.format(dual_names)}
+    report.update(_ideal_report(ideal, names))
     _emit(args, report)
     return 0
 
@@ -276,14 +290,15 @@ def cmd_ann(args, field, names):
 def cmd_newton_dual(args, field, names):
     f = parse_poly(_read_source(args.f), names, field)
     if args.socle_m is None:
-        _emit(args, {"field": field.name, "dual": str(newton_dual(f))})
+        _emit(args, {"field": field.name, "dual": newton_dual(f).format(names)})
         return 0
+    dual_names = _dual_names(names)
     F = socle_newton_dual(f, args.socle_m)
     _emit(args, {
         "field": field.name,
         "kind": "inverse-system element (divided powers)",
         "directrix_exponent": args.socle_m,
-        "dual": str(F),
+        "dual": F.format(dual_names),
     })
     return 0
 
@@ -295,7 +310,7 @@ def cmd_directrix(args, field, names):
     report = {
         "field": field.name,
         "m": args.m,
-        "directrix": str(f),
+        "directrix": f.format(names),
         "degree": f.homogeneous_degree(),
         "colon_identity_verified": colon.equals(I),
     }
@@ -306,7 +321,7 @@ def cmd_directrix(args, field, names):
 def cmd_linres_test(args, field, names):
     f = parse_poly(_read_source(args.f), names, field)
     rep = is_equigen_linres(f, args.m)
-    report = {"field": field.name, "form": str(f), "m": args.m}
+    report = {"field": field.name, "form": f.format(names), "m": args.m}
     report.update(rep.as_dict())
     if field.characteristic != 0:
         report["warning"] = ("sum-of-powers guarantees hold in characteristic "
@@ -331,12 +346,14 @@ def cmd_certify_quadrics(args, field, names):
     if args.forms:
         quadrics = parse_poly_list(_read_source(args.forms), names, field)
     else:
+        # seeded quadrics in their own ring of three variables, default names
         quadrics = random_quadrics(args.seed, field)
+        names = None
     rep = five_quadrics_certificate(quadrics)
     report = {
         "field": field.name,
         "seed": args.seed if not args.forms else None,
-        "quadrics": [str(q) for q in quadrics],
+        "quadrics": [q.format(names) for q in quadrics],
     }
     report.update(rep.as_dict())
     if rep.verdict == "GORENSTEIN":
@@ -356,7 +373,7 @@ def cmd_gap(args, field, names):
     socle = I.socle_report()
     report = {
         "field": field.name,
-        "lines": [str(l) for l in lines],
+        "lines": [l.format(names) for l in lines],
         "socle_degree": socle.socle_degree,
         "pure_power_index": m,
         "gap": socle.socle_degree + 1 - m,

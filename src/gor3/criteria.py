@@ -24,9 +24,6 @@ class SpansReport:
     target_dim: int
     shape: tuple
 
-    def __bool__(self):
-        return self.spans
-
     def as_dict(self):
         return {
             "spans": self.spans,
@@ -93,9 +90,6 @@ class LinresReport:
     reason: str
     # (rows, cols) of the membership matrix at e' = s/2; not in as_dict
     matrix_shape: tuple | None = None
-
-    def __bool__(self):
-        return self.verdict == "YES"
 
     def as_dict(self):
         return {

@@ -76,7 +76,7 @@ def _generator_data(gens, field):
 class GradedIdeal:
     """Homogeneous ideal given by generators, queried per degree."""
 
-    def __init__(self, n, generators, field=QQ, truncated_at=None):
+    def __init__(self, n, generators, field=QQ):
         self.n = n
         self.field = field
         gens = []
@@ -91,11 +91,10 @@ class GradedIdeal:
                 raise ValueError(f"generator {g} is not homogeneous")
             gens.append(g)
         self._gens = gens
-        # the last degree from_pieces seeded, the top of its minimal generators
-        self._seeded_top = None
         # minimal_generators, once derived
         self._minimal = None
-        self.truncated_at = truncated_at
+        # the last degree from_pieces read, when no piece it read was full
+        self.truncated_at = None
         self._pieces = {}
         # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
         self._power_pieces = {}
@@ -122,17 +121,18 @@ class GradedIdeal:
         return self._gen_data_list
 
     @classmethod
-    def from_pieces(cls, n, pieces, field, truncated_at=None):
+    def from_pieces(cls, n, pieces, field):
         """The ideal whose degree-t piece is the t-th of pieces, t = 0, 1, ...
 
-        Pieces are read up to and including the first full one; every piece
-        read seeds the cache, and a full piece also fixes the Artinian bound.
+        Pieces are read up to and including the first full one, whose degree
+        is then the Artinian bound; pieces that run out first leave the ideal
+        truncated_at the last degree read.  Every piece read seeds the cache.
         The minimal generators (generators, _gen_data) are derived from the
         seeded pieces on first read.  equals, contains, socle_report and the
         seeded pieces never read them; a piece above the seeded ones, which
         only a truncated ideal builds, does.
         """
-        ideal = cls(n, [], field, truncated_at=truncated_at)
+        ideal = cls(n, [], field)
         top = -1
         for top, piece in enumerate(pieces):
             ideal._pieces[top] = piece
@@ -140,7 +140,8 @@ class GradedIdeal:
                 # R_1 * R_{t-1} = R_t: nothing new can appear from here on
                 ideal._artinian_bound = top
                 break
-        ideal._seeded_top = top
+        else:
+            ideal.truncated_at = top
         ideal._gens = ideal._gen_data_list = None
         return ideal
 
@@ -302,10 +303,11 @@ class GradedIdeal:
     def minimal_generators(self):
         """The minimal generators, read off the graded pieces once: the rows
         of each piece outside R_1 times the piece below, through the top
-        generator degree (for a from_pieces ideal, its last seeded piece)."""
+        generator degree (for a from_pieces ideal, truncated_at or its bound)."""
         if self._minimal is None:
-            top = (self.max_generator_degree if self._seeded_top is None
-                   else self._seeded_top)
+            top = (self.max_generator_degree if self._gens is not None
+                   else self._artinian_bound if self.truncated_at is None
+                   else self.truncated_at)
             self._minimal = [g for t in range(top + 1) for g in fresh_generators(
                 self.graded_piece(t), self.graded_piece(t - 1) if t else None)]
         return self._minimal
@@ -361,9 +363,9 @@ class GradedIdeal:
         multiplication by f into R/I, one elimination per degree.  Both give
         the canonical RREF of each piece and so the same generators.
 
-        t_max only truncates: the pieces of degree above it are not read, and
-        the result is marked as truncated at t_max when t_max is below the
-        Artinian bound of I.  For non-Artinian I it is required.
+        t_max only truncates: no piece above it is read, and from_pieces
+        labels the result truncated unless a piece through t_max is full.
+        Only without t_max is I walked; for non-Artinian I it is required.
         """
         if f.is_zero():
             raise ValueError("colon by the zero form")
@@ -372,27 +374,22 @@ class GradedIdeal:
         n, field, e = self.n, self.field, f.homogeneous_degree()
         m = self._pure_power_exponents()
         if m is None:
+            if t_max is None:
+                self.artinian_bound()   # a non-Artinian I raises here
             # from_pieces reads no piece above the first full one
             pieces = (self._colon_piece(t, f, e) for t in itertools.count())
-            # without t_max a non-Artinian I raises here
-            bound = (self.artinian_bound() if t_max is None or self.is_artinian()
-                     else None)
         else:
-            bound = sum(m) - n + 1
             terms = {tuple(k - 1 - a for k, a in zip(m, alpha)): c
                      for alpha, c in integer_terms(f).items()
                      if all(a < k for a, k in zip(alpha, m))}
             if terms:
-                pieces = annihilator_pieces(n, bound - 1 - e, terms, field)
+                pieces = annihilator_pieces(n, sum(m) - n - e, terms, field)
             else:
                 # f lies in the pure powers
                 pieces = [full_piece(n, 0, field)]
-        truncated = None
         if t_max is not None:
             pieces = itertools.islice(pieces, max(t_max + 1, 0))
-            if bound is None or t_max < bound:
-                truncated = t_max
-        return GradedIdeal.from_pieces(n, pieces, field, truncated_at=truncated)
+        return GradedIdeal.from_pieces(n, pieces, field)
 
     # ------------------------------------------------------------------
     # socle
@@ -494,14 +491,13 @@ class GradedIdeal:
             raise ValueError("membership is tested degree by degree")
         return self.graded_piece(f.homogeneous_degree()).contains_poly(f)
 
-    def equals(self, other: "GradedIdeal", t_max=None) -> bool:
-        """Graded-piece equality through the joint Artinian bound (or t_max)."""
+    def equals(self, other: "GradedIdeal") -> bool:
+        """Graded-piece equality through the joint Artinian bound."""
         if self.n != other.n or self.field != other.field:
             return False
-        if t_max is None:
-            t_max = max(self.artinian_bound(), other.artinian_bound())
+        top = max(self.artinian_bound(), other.artinian_bound())
         return all(self.graded_piece(t) == other.graded_piece(t)
-                   for t in range(t_max + 1))
+                   for t in range(top + 1))
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -545,9 +541,6 @@ class ReductionReport:
     seed: int
     attempts: int
 
-    def __bool__(self):
-        return self.reduction_number_is_two
-
     def as_dict(self):
         return {
             "reduction_number_is_two": self.reduction_number_is_two,
@@ -558,17 +551,14 @@ class ReductionReport:
         }
 
 
-def pure_power_ideal(lines, exponents, field=None) -> GradedIdeal:
+def pure_power_ideal(lines, exponents) -> GradedIdeal:
     """(l_1^{m_1}, ..., l_n^{m_n}) for independent linear forms."""
     lines = list(lines)
-    n = lines[0].n
-    if field is None:
-        field = lines[0].field
     _check_independent_lines(lines)
     if len(exponents) != len(lines):
         raise ValueError("one exponent per linear form")
     gens = [ell ** m for ell, m in zip(lines, exponents)]
-    return GradedIdeal(n, gens, field)
+    return GradedIdeal(lines[0].n, gens, lines[0].field)
 
 
 def variable_lines(n, field=QQ):
@@ -577,7 +567,7 @@ def variable_lines(n, field=QQ):
 
 def variable_power_ideal(n, m, field=QQ) -> GradedIdeal:
     """(x_1^m, ..., x_n^m)."""
-    return pure_power_ideal(variable_lines(n, field), [m] * n, field)
+    return pure_power_ideal(variable_lines(n, field), [m] * n)
 
 
 def _line_rows(lines, n):

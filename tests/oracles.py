@@ -307,18 +307,15 @@ def colon_by_kernel(base, f, t_max=None):
     """(base : f) through the kernel of multiplication by f into R/base,
     degree by degree (GradedIdeal._colon_piece), whatever the base: the
     route GradedIdeal.colon takes for every base but pure powers, with its
-    rule for t_max (truncated there when below the Artinian bound of the
-    Artinian base)."""
+    rule for t_max (the pieces through t_max, or through the Artinian bound
+    of the Artinian base; from_pieces labels the result truncated unless
+    one of them is full)."""
     e = f.homogeneous_degree()
-    bound = base.artinian_bound()
-    truncated = None
     if t_max is None:
-        t_max = bound
-    elif t_max < bound:
-        truncated = t_max
+        t_max = base.artinian_bound()
     return GradedIdeal.from_pieces(
         base.n, (base._colon_piece(t, f, e) for t in range(t_max + 1)),
-        base.field, truncated_at=truncated)
+        base.field)
 
 
 def registry_colons(field):

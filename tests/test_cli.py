@@ -40,6 +40,21 @@ def test_colon_into_the_unit_ideal(capsys):
     assert "socle" not in report and "datum" not in report
 
 
+def test_colon_cut_at_its_own_bound_is_complete(capsys):
+    # the colon's degree-5 piece is all of R_5, although the base's bound is 7
+    args = ("colon", "--ci", "x^3,y^3,z^3", "--f", "x^2+y^2+z^2", "--t-max")
+    code, report, _ = run_json(capsys, *args, "5")
+    assert code == 0
+    assert report["complete"] is True and "through_degree" not in report
+    assert report["socle"]["socle_dims"] == {"4": 1}
+    assert report["datum"] == {"d": 3, "r": 7, "d_prime": 1}
+    code, cut, _ = run_json(capsys, *args, "4")
+    assert code == 0
+    assert (cut["complete"], cut["through_degree"]) == (False, 4)
+    assert "socle" not in cut and "datum" not in cut
+    assert cut["generators"] == report["generators"]
+
+
 def test_colon_reports_are_deterministic(capsys):
     args = ("colon", "--ci", "x^3,y^3,z^3", "--f", "x^2*y^2+x^2*z^2+y^2*z^2")
     _, first, _ = run(capsys, *args)
@@ -123,6 +138,22 @@ def test_inverse_and_ann_round_trip(capsys):
     code, back, _ = run_json(capsys, "ann", "--dual", report["generator"])
     assert code == 0
     assert back["minimal_profile"] == {"2": 5}
+
+
+def test_pfaffian_square_matrix_matches_its_upper_triangle(capsys):
+    square = run_json(capsys, "pfaffian", "--matrix", "0,x,y\n-x,0,z\n-y,-z,0")
+    upper = run_json(capsys, "pfaffian", "--matrix", "x,y\nz")
+    assert square == upper
+    assert square[0] == 0 and square[1]["size"] == 3
+
+
+def test_pfaffian_of_a_non_artinian_ideal_reports_the_socle_error(capsys):
+    code, report, err = run_json(capsys, "pfaffian", "--matrix", "x,y\n0")
+    assert code == 0 and err == ""
+    assert report["maximal_pfaffians"] == ["0", "-y", "x"]
+    assert report["complete"] is True
+    assert "not Artinian" in report["socle"]["error"]
+    assert "datum" not in report
 
 
 def test_newton_dual_subcommand(capsys):
@@ -301,6 +332,31 @@ def test_bad_input_exits_with_a_message(capsys, argv):
     assert err.strip()
 
 
+DUAL_CLASH = "dual forms are written in the names upper-cased, and two of them then coincide"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["colon", "--ci", "x^3,y^3,z^3", "--f", "x", "--t-max", "-1"],
+     "--t-max -1 is below 0, the least degree of a piece: no piece to report"),
+    (["socle", "--ideal", "@no/such/file"], "cannot read 'no/such/file': "),
+    (["socle", "--ideal", ", ,"], "empty generator list"),
+    (["power-check", "--ideal", "x^2,y^3,z^3"],
+     "power check needs an equigenerated ideal"),
+    (["ann", "--dual", "A^2", "--vars", "a,A"],
+     f"--vars 'a,A': {DUAL_CLASH}"),
+    (["inverse", "--ideal", "A,a^2", "--vars", "a,A"],
+     f"--vars 'a,A': {DUAL_CLASH}"),
+    (["newton-dual", "--f", "b*B", "--socle-m", "2", "--vars", "B,b"],
+     f"--vars 'B,b': {DUAL_CLASH}"),
+], ids=["negative-t-max", "unreadable-file", "empty-list", "not-equigenerated",
+        "ann-dual-names", "inverse-dual-names", "newton-dual-names"])
+def test_usage_error_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_power_check_t_max_below_dk_is_a_usage_error(capsys):
     # the quadrics have d = 2, so I^2 starts in degree 4 and no piece of
     # degree <= 1 could be compared
@@ -462,3 +518,47 @@ def test_list_option_from_a_file_with_one_item_per_line(tmp_path, capsys, option
     from_file = run(capsys, *head, f"@{path}", *tail)
     assert inline[0] == 0 and inline[2] == ""
     assert from_file == inline
+
+
+def test_colon_prints_in_the_user_variables(capsys):
+    code, report, _ = run_json(capsys, "colon", "--ci", "a^3,b^3,c^3",
+                               "--f", "a^2+b^2+c^2", "--vars", "a,b,c")
+    assert code == 0
+    _, default, _ = run_json(capsys, "colon", "--ci", "x^3,y^3,z^3",
+                             "--f", "x^2+y^2+z^2")
+    rename = str.maketrans("xyz", "abc")
+    assert report["base"] == ["a^3", "b^3", "c^3"]
+    assert report["form"] == "a^2 + b^2 + c^2"
+    assert report["generators"] == [g.translate(rename) for g in default["generators"]]
+    # the printed generators read back in the same variables
+    code, back, _ = run_json(capsys, "socle", "--ideal", ",".join(report["generators"]),
+                             "--vars", "a,b,c")
+    assert code == 0
+    assert back["generators"] == report["generators"]
+    assert back["hilbert_function"] == report["hilbert_function"]
+
+
+def test_inverse_and_ann_round_trip_in_the_user_variables(capsys):
+    ideal = "a*b,a*c,b*c,a^2-c^2,b^2-c^2"
+    code, inverse, _ = run_json(capsys, "inverse", "--ideal", ideal, "--vars", "a,b,c")
+    assert code == 0
+    assert inverse["generator"] == "A^2 + B^2 + C^2"
+    code, ann, _ = run_json(capsys, "ann", "--dual", inverse["generator"],
+                            "--vars", "a,b,c")
+    assert code == 0
+    assert ann["dual_form"] == inverse["generator"]
+    assert ann["minimal_profile"] == {"2": 5}
+    code, again, _ = run_json(capsys, "inverse", "--ideal", ",".join(ann["generators"]),
+                              "--vars", "a,b,c")
+    assert code == 0
+    assert again["generator"] == inverse["generator"]
+
+
+@pytest.mark.parametrize("flags, dual", [
+    (["--f", "a^2*b + b*c^2"], "a^2 + c^2"),
+    (["--f", "a^2*b^2+a^2*c^2+b^2*c^2", "--socle-m", "3"], "A^2 + B^2 + C^2"),
+], ids=["newton", "socle"])
+def test_newton_dual_prints_in_the_user_variables(capsys, flags, dual):
+    code, report, _ = run_json(capsys, "newton-dual", *flags, "--vars", "a,b,c")
+    assert code == 0
+    assert report["dual"] == dual

@@ -202,3 +202,43 @@ def test_truncated_colon_pieces_above_the_truncation(field):
         assert J.graded_piece(t) == eager.graded_piece(t)
     assert J.generators == eager.generators
     assert J.graded_piece(4) != base.colon(f).graded_piece(4)
+
+
+# (base, f): two on the pure-power route and one on the kernel route
+CUT_COLONS = {
+    "cubes": (["x^3", "y^3", "z^3"], "x^2 + y^2 + z^2"),
+    "fourths": (["x^4", "y^4", "z^4"], "x^3 + y^3 + z^3"),
+    "cubes-xyz": (["x^3", "y^3", "z^3", "x*y*z"], "x^2 + y^2 + z^2"),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("label", CUT_COLONS)
+def test_a_cut_colon_is_truncated_only_below_its_own_bound(field, label):
+    """A colon cut at t_max is complete exactly when t_max reaches the
+    Artinian bound of the complete colon, not that of the base; a complete
+    cut is the complete colon."""
+    gens, form = CUT_COLONS[label]
+    base = GradedIdeal.from_strings(gens, field=field)
+    f = parse_poly(form, VARS, field)
+    full = base.colon(f)
+    own = full.artinian_bound()
+    assert own < base.artinian_bound()
+    for t_max in range(base.artinian_bound() + 1):
+        for J in (base.colon(f, t_max), colon_by_kernel(base, f, t_max)):
+            assert J.truncated_at == (t_max if t_max < own else None), t_max
+            if J.truncated_at is None:
+                assert J.equals(full), t_max
+                assert J.generators == full.generators, t_max
+
+
+def test_a_cut_colon_never_walks_its_base(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the base was walked")
+
+    monkeypatch.setattr(GradedIdeal, "artinian_bound", refuse)
+    monkeypatch.setattr(GradedIdeal, "is_artinian", refuse)
+    base = GradedIdeal.from_strings(["x^3", "y^3"])
+    J = base.colon(parse_poly("x*y", VARS), t_max=5)
+    assert J.truncated_at == 5
+    assert [str(g) for g in J.generators] == ["x^2", "y^2"]

@@ -1,7 +1,8 @@
 """The layering of the package: every import of a gor3 module sits at the
 top of its module, the graph of those imports has no cycle, pieces sits
 below ideals, poly below linalg, no module takes a private name from
-ideals or pieces, and the row-reduction kernels import nothing but math.
+ideals or pieces, the row-reduction kernels import nothing but math, and
+no module but __init__ imports a name it never reads.
 
 An import inside a function hides a dependency from the reader and is the
 usual way a cycle gets in, so both are checked on the source with ``ast``,
@@ -155,3 +156,33 @@ def test_the_private_import_finder_finds_one():
 def test_the_cycle_finder_finds_a_cycle():
     graph = {"a": ({"b"}, []), "b": ({"c"}, []), "c": ({"a"}, []), "d": (set(), [])}
     assert _cycle(graph) == ["a", "b", "c", "a"]
+
+
+def _unused_imports(source):
+    """The names an import in source binds that no line reads as a Name
+    (the base of an attribute included); __future__ imports bind none."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export
+    unused = {path.stem: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_the_unused_import_finder_finds_one():
+    source = ("from __future__ import annotations\nimport os.path\nimport json\n"
+              "from .ideals import GradedIdeal, NotArtinianError as NA\n"
+              "from .poly import MultiPoly\n"
+              "def f(x) -> GradedIdeal:\n    return os.path.join(x)\n")
+    assert _unused_imports(source) == ["json", "NA", "MultiPoly"]
