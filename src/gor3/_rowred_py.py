@@ -4,7 +4,10 @@ The reduced forms below are canonical (unique for a given row space), which
 makes every result bit-for-bit deterministic.  rank_profile_mod is the
 forward-only pass: it names the rows a reduction keeps and reduces nothing
 above a pivot, for callers that need a rank or a choice of rows and no
-reduced form.  Both forward passes are lazy.  In _bareiss a row holds
+reduced form.  It can hand its echelon form to the caller, and rref_mod,
+given that echelon form, finishes the RREF by back-substitution alone, so
+rows whose profile was taken are eliminated forward once over GF(p), not
+twice.  Both forward passes are lazy.  In _bareiss a row holds
 minors at its own level, the pivot of the step that last updated it, and
 is divided by that level's pivot when it is next updated; a row with a zero
 in the pivot column is left as it is, and a pivot row is brought up to date
@@ -114,12 +117,20 @@ def rref_int(rows):
     return pivots, out
 
 
-def rref_mod(rows, p):
+def rref_mod(rows, p, basis=None):
     """Reduced row echelon form over GF(p), rows with leading 1s.
 
     rows: sequences of int, reduced mod p on entry.  Returns (pivots, out)
     with out fully reduced (zeros above and below pivots).
+
+    basis, when given, is the echelon form rank_profile_mod kept in the
+    pass that chose these rows as its profile, so it spans them.  Their
+    RREF is then finished from it by back-substitution (_back_substitute):
+    no forward elimination, and no entry of rows is read.  Without it the
+    rows go through one Gauss-Jordan pass.
     """
+    if basis is not None:
+        return _back_substitute(basis, len(rows[0]) if rows else 0, p)
     work = [[v % p for v in r] for r in rows]
     nr = len(work)
     nc = len(work[0]) if nr else 0
@@ -156,7 +167,40 @@ def rref_mod(rows, p):
     return pivots, [work[k] for k in range(len(pivots))]
 
 
-def rank_profile_mod(rows, p, limit):
+def _back_substitute(basis, nc, p):
+    """The RREF over GF(p), as rref_mod returns it, of the row echelon form
+    basis (pivot column -> the pivot row after its leading 1, mod p) of rows
+    with nc columns.
+
+    As in rref_int only the free columns are solved, last pivot first:
+    reduced row k is echelon row k minus u_j times reduced row j for every
+    later pivot j, u_j being echelon row k's entry at pivot j, which no
+    reduced row changes, since each is 0 at every other pivot.  That is
+    O(rank^2 * free) updates; entries are reduced mod p once per row.
+    """
+    pivots = sorted(basis)
+    free = [c for c in range(nc) if c not in basis]
+    solved = {}
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        tail = basis[c]
+        acc = [tail[f - c - 1] if f > c else 0 for f in free]
+        for j in pivots[k + 1:]:
+            u = tail[j - c - 1]
+            if u:
+                acc = [a - u * x for a, x in zip(acc, solved[j])]
+        solved[c] = [a % p for a in acc]
+    out = []
+    for c in pivots:
+        line = [0] * nc
+        line[c] = 1
+        for f, v in zip(free, solved[c]):
+            line[f] = v
+        out.append(line)
+    return pivots, out
+
+
+def rank_profile_mod(rows, p, limit, skip=(), basis=None):
     """Row rank profile over GF(p): the indices, in order, of the rows that
     are independent mod p of the rows before them, at most limit of them.
 
@@ -166,16 +210,26 @@ def rank_profile_mod(rows, p, limit):
     kept and never reduces above a pivot.  The result equals the pivots of
     rref_mod on the transposed rows.
 
+    skip holds indices of rows the caller knows to depend mod p on the rows
+    before them; they are passed over unread, which changes neither the
+    profile nor the echelon form.  basis, when the caller passes a dict,
+    keeps that echelon form: pivot column -> the pivot row after its
+    leading 1, mod p, which rref_mod finishes into the RREF of the profile
+    rows.
+
     Entries are reduced mod p only when they are read: a pivot row is
     stored reduced and without its leading 1, and the update of the row
     being reduced takes no remainder, so its entries stay below about
     ncols * p^2 in absolute value.
     """
-    basis = {}      # pivot column -> the pivot row after its leading 1, mod p
+    if basis is None:
+        basis = {}
     profile = []
     for i, row in enumerate(rows):
         if len(profile) == limit:
             break
+        if i in skip:
+            continue
         v = [x % p for x in row]
         for c in range(len(v)):
             x = v[c] % p

@@ -10,7 +10,10 @@ is Artinian exactly when its degree n(D-1)+1 piece is full.  It is walked on
 row rank profiles mod p, and a Gorenstein ideal is certified to be Ann(F),
 by Macaulay duality, from the one exact piece in its socle degree; every
 Hilbert value and the socle then follow without the pieces below it, and,
-when H(1) >= 2, without a profile of the degree above it.
+when H(1) >= 2, without a profile of the degree above it.  The walk reduces
+each row forward once: the echelon form its profile pass keeps finishes a
+GF(p) piece by back-substitution, and rows that are multiples of rows found
+dependent one degree down are never read (_upper_hilbert).
 
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
@@ -36,7 +39,7 @@ from .monomials import monomial_count, product_table
 from .parsing import parse_poly
 from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_vector,
                      fresh_generators, full_piece, integer_span, integer_terms,
-                     shifted_vectors)
+                     shifted_multiples, shifted_vectors)
 from .poly import MultiPoly, _term_product
 
 
@@ -98,9 +101,13 @@ class GradedIdeal:
         self._pieces = {}
         # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
         self._power_pieces = {}
-        # t -> (shifted generator rows, their row_profile), as the Artinian
-        # walk left them for the exact piece of degree t to reuse
+        # t -> (shifted generator rows, their row_profile, the echelon form
+        # it kept), as the Artinian walk left them for the exact piece of
+        # degree t to reuse
         self._profiles = {}
+        # t -> the indices of the degree-t rows outside the walk's profile,
+        # whose multiples the profile of degree t + 1 passes over
+        self._outside = {}
         self._artinian_bound = None
         # the Hilbert values H(0..s) once I = Ann(F) is certified
         self._hilbert = None
@@ -165,10 +172,10 @@ class GradedIdeal:
                 # R_1 * R_{t-1} = R_t above a full piece
                 piece = full_piece(self.n, t, self.field)
             else:
-                rows, profile = self._profiles.pop(t, (None, None))
+                rows, profile, basis = self._profiles.pop(t, (None, None, None))
                 if rows is None:
                     rows = shifted_vectors(self.n, t, self._gen_data)
-                piece = integer_span(self.n, t, rows, self.field, profile)
+                piece = integer_span(self.n, t, rows, self.field, profile, basis)
             self._pieces[t] = piece
         return piece
 
@@ -183,18 +190,38 @@ class GradedIdeal:
         """dim R_t minus the rank mod p of the degree-t rows (the exact
         piece's rank once it is built): H(t) over GF(p), and over QQ an
         upper bound for H(t), since reduction mod CERTIFICATE_PRIME never
-        raises a rank.  The rows and their profile stay cached for
-        graded_piece; over QQ the rows come lightest generator first (see
-        _generator_data), so the profile keeps the rows of least height for
-        the exact elimination."""
+        raises a rank.
+
+        The one forward pass over the rows (linalg.row_profile) keeps its
+        echelon form, cached with the rows and the profile for graded_piece:
+        over GF(p) the piece is then finished by back-substitution, and over
+        QQ the rows come lightest generator first (see _generator_data), so
+        the profile keeps the rows of least height for the exact elimination.
+
+        The pass never reads a row x_k * x^alpha * g when x^alpha * g fell
+        outside the profile one degree down.  The rows run generator by
+        generator, in _gen_data order, and within a generator by multiplier
+        in descending lex order, which multiplying by x_k preserves.  So x_k
+        times a dependency of x^alpha * g on the rows before it is a
+        dependency of x_k * x^alpha * g on the rows before that one, and the
+        profile and echelon form are those of all the rows, over either
+        field.  Over QQ the skipped rows stay in the cached rows, and the
+        exact elimination checks them with every other row outside the
+        profile."""
         dim = monomial_count(self.n, t)
         piece = self._pieces.get(t)
         if piece is not None:
             return dim - piece.dim
         entry = self._profiles.get(t)
         if entry is None:
-            rows = shifted_vectors(self.n, t, self._gen_data)
-            entry = self._profiles[t] = rows, row_profile(self.field, rows, dim)
+            n, gen_data = self.n, self._gen_data
+            rows = shifted_vectors(n, t, gen_data)
+            below = self._outside.pop(t - 1, None)
+            skip = shifted_multiples(n, t, gen_data, below) if below else ()
+            basis = {}
+            profile = row_profile(self.field, rows, dim, skip, basis)
+            entry = self._profiles[t] = rows, profile, basis
+            self._outside[t] = set(range(len(rows))).difference(profile)
         return dim - len(entry[1])
 
     def _certify(self, upper) -> bool:
@@ -239,7 +266,11 @@ class GradedIdeal:
         search that stopped at 4Dn; no value up to there vanishes either.
 
         The degrees are walked first on row rank profiles mod p alone
-        (_upper_hilbert).  The Macaulay dual certificate (_certify) proves
+        (_upper_hilbert): one forward pass per degree, which keeps its
+        echelon form for the exact piece of that degree (finished by
+        back-substitution over GF(p)) and passes over the rows that are
+        variable multiples of rows outside the profile one degree down.
+        The Macaulay dual certificate (_certify) proves
         every Hilbert value from one exact piece, the socle-degree one, and
         is tried where the walk meets a value 1: at once, in degree s >= 2,
         when upper[1] >= 2, and otherwise at the first piece full mod p

@@ -21,9 +21,12 @@ CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
 rank), which rows the exact kernel sees.  A caller that has the profile
 already (row_profile, the profile modulo the field's own prime or, over QQ,
 CERTIFICATE_PRIME) passes it to rref_rows, which then never runs a second
-one.  A rank alone never builds a reduced form: it is the length of that
-profile, or over QQ, when the profile falls short of full rank, the pivot
-count of the exact forward elimination.
+one.  Over GF(p) the caller can pass the echelon form that profile pass
+kept as well, and rref_mod then finishes the RREF of the profile rows by
+back-substitution, with no second forward pass.  A rank alone never builds
+a reduced form: it is the length of that profile, or over QQ, when the
+profile falls short of full rank, the pivot count of the exact forward
+elimination.
 """
 
 from __future__ import annotations
@@ -95,12 +98,13 @@ def _modulus(field):
     raise TypeError(f"unsupported field {field!r}")
 
 
-def row_profile(field, rows, limit):
+def row_profile(field, rows, limit, skip=(), basis=None):
     """The row rank profile of integer rows modulo the prime of field, at
-    most limit rows (rank_profile_mod).  Over GF(p) its length is the rank;
-    over QQ it is a lower bound for the rank, which never drops under
-    reduction mod CERTIFICATE_PRIME."""
-    return rank_profile_mod(rows, _modulus(field), limit)
+    most limit rows (rank_profile_mod, which passes over the rows in skip
+    unread and keeps its echelon form in the dict basis when one is given).
+    Over GF(p) its length is the rank; over QQ it is a lower bound for the
+    rank, which never drops under reduction mod CERTIFICATE_PRIME."""
+    return rank_profile_mod(rows, _modulus(field), limit, skip, basis)
 
 
 def _rref_rational(rows, nc, profile=None):
@@ -133,7 +137,7 @@ def _rref_rational(rows, nc, profile=None):
     return rref_int(rows)
 
 
-def rref_rows(field, rows, nc, profile=None):
+def rref_rows(field, rows, nc, profile=None, basis=None):
     """Canonical RREF (pivots, rows) of integer rows with nc columns.
 
     Over QQ the rows are primitive with a positive pivot, as rref_int
@@ -141,7 +145,10 @@ def rref_rows(field, rows, nc, profile=None):
     are the leading-1 rows of rref_mod.  Either form is unique for the row
     space.  profile, when given, is row_profile(field, rows, nc) of these
     rows: over GF(p) only its rows are reduced (none when it is full), over
-    QQ it replaces the front end's own profile.
+    QQ it replaces the front end's own profile.  basis, the echelon form
+    that profile pass kept, goes with the profile rows to rref_mod over
+    GF(p), which back-substitutes it instead of eliminating them a second
+    time; over QQ it is a form mod CERTIFICATE_PRIME and is not read.
     """
     if profile is not None and len(profile) == nc:
         return list(range(nc)), _identity_rows(nc)
@@ -150,7 +157,7 @@ def rref_rows(field, rows, nc, profile=None):
     if isinstance(field, PrimeField):
         if profile is not None:
             rows = [rows[i] for i in profile]
-        return rref_mod(rows, field.p)
+        return rref_mod(rows, field.p, basis)
     raise TypeError(f"unsupported field {field!r}")
 
 

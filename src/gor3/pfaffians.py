@@ -10,6 +10,7 @@ columns counted from 1.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .fields import QQ
 from .ideals import GradedIdeal
@@ -159,6 +160,15 @@ def generic_skew_matrix(r, d_prime, field=QQ) -> SkewPolyMatrix:
     return SkewPolyMatrix.from_upper(n, upper, field)
 
 
+@lru_cache(maxsize=None)
+def _generic_pfaffians(r, d_prime, field):
+    """The maximal Pfaffians of generic_skew_matrix(r, d_prime, field), which
+    do not depend on the seed: built once per (r, d', field) and shared by
+    every generic_power_model call.  Nothing may mutate them; substitute
+    returns new polynomials."""
+    return tuple(maximal_pfaffians(generic_skew_matrix(r, d_prime, field)))
+
+
 def _composite_images(big_n, n, field, rng):
     """Images of the original variables under the chain of substitutions
     eliminating the last variable one at a time.
@@ -212,7 +222,7 @@ def generic_power_model(r, d_prime, n, seed, field=QQ) -> GradedIdeal:
     if not 3 <= n <= big_n:
         raise ValueError(f"target variable count must lie in [3, {big_n}]")
     rng = random.Random(seed)
-    base = maximal_pfaffians(generic_skew_matrix(r, d_prime, field))
+    base = _generic_pfaffians(r, d_prime, field)
     for _ in range(MODEL_RETRIES):
         images = _composite_images(big_n, n, field, rng)
         polys = [p.substitute(images) for p in base]

@@ -15,6 +15,9 @@ and whose kernels annihilator_pieces yields as the pieces of Ann(F) for
 colons of pure powers and apolarity.annihilator, each in one elimination
 (linalg.kernel_rref).  fresh_generators, the minimal generators of a piece
 over the one below, runs once per ideal, when its generators are read.
+The row layout of shifted_vectors is known here alone: shifted_multiples
+names the rows that are variable multiples of given rows one degree down,
+which the Artinian walk of ideals passes over.
 """
 
 from __future__ import annotations
@@ -109,14 +112,15 @@ def vector_to_poly(n, t, vec, field):
     return MultiPoly.from_vector(n, t, vec, field)
 
 
-def integer_span(n, t, rows, field, profile=None) -> GradedPiece:
+def integer_span(n, t, rows, field, profile=None, basis=None) -> GradedPiece:
     """The piece spanned by integer rows: over QQ scaled rows, over GF(p)
     any integers standing for their residues.  profile is their row rank
-    profile when the caller has it (linalg.rref_rows)."""
+    profile and basis the echelon form that pass kept, when the caller has
+    them (linalg.rref_rows)."""
     if not rows:
         return zero_piece(n, t, field)
-    return GradedPiece(n, t, field,
-                       *rref_rows(field, rows, monomial_count(n, t), profile))
+    return GradedPiece(n, t, field, *rref_rows(field, rows, monomial_count(n, t),
+                                               profile, basis))
 
 
 def full_piece(n, t, field) -> GradedPiece:
@@ -227,4 +231,25 @@ def shifted_vectors(n, t, gens_with_terms):
             for j, c in placed:
                 vec[row[j]] = c
             out.append(vec)
+    return out
+
+
+def shifted_multiples(n, t, gens_with_terms, below):
+    """Indices of the rows of shifted_vectors(n, t, gens_with_terms) that
+    are a variable times a row of shifted_vectors(n, t - 1, gens_with_terms)
+    whose index is in the set below: x^beta * g for every x^alpha * g
+    listed there and beta = alpha + e_k, k = 1..n."""
+    out = set()
+    lo = hi = 0     # where the rows of the current generator start
+    for deg_g, _ in gens_with_terms:
+        if deg_g > t:
+            continue
+        if deg_g < t:
+            # x^alpha * x_k sits at table[alpha][k] among the multipliers
+            table = product_table(n, t - 1 - deg_g, 1)
+            for i, row in enumerate(table, lo):
+                if i in below:
+                    out.update(hi + j for j in row)
+            lo += len(table)
+        hi += monomial_count(n, t - deg_g)
     return out

@@ -93,10 +93,10 @@ def _profile_shapes(monkeypatch):
     shapes = []
     profile = gor3.linalg.rank_profile_mod
 
-    def recorded(rows, p, limit):
+    def recorded(rows, p, limit, *rest):
         if rows:
             shapes.append((len(rows), len(rows[0])))
-        return profile(rows, p, limit)
+        return profile(rows, p, limit, *rest)
 
     monkeypatch.setattr(gor3.linalg, "rank_profile_mod", recorded)
     return shapes

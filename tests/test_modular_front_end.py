@@ -40,13 +40,13 @@ def kernel_calls(monkeypatch):
         calls.append(("int", [list(r) for r in rows]))
         return rref_int(rows)
 
-    def counted_profile(rows, p, limit):
+    def counted_profile(rows, p, limit, *rest):
         calls.append(("mod", p))
-        return rank_profile_mod(rows, p, limit)
+        return rank_profile_mod(rows, p, limit, *rest)
 
-    def counted_mod(rows, p):
+    def counted_mod(rows, p, *rest):
         calls.append(("rref_mod", p))
-        return rref_mod(rows, p)
+        return rref_mod(rows, p, *rest)
 
     monkeypatch.setattr(gor3.linalg, "rref_int", counted_int)
     monkeypatch.setattr(gor3.linalg, "rank_profile_mod", counted_profile)
