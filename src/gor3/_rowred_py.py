@@ -1,20 +1,19 @@
-"""Row-reduction kernels.
+"""Row-reduction kernels: one elimination over QQ and one over GF(p).
 
 The reduced forms below are canonical (unique for a given row space), which
-makes every result bit-for-bit deterministic.  rank_profile_mod is the
-forward-only pass: it names the rows a reduction keeps and reduces nothing
-above a pivot, for callers that need a rank or a choice of rows and no
-reduced form.  It can hand its echelon form to the caller, and rref_mod,
-given that echelon form, finishes the RREF by back-substitution alone, so
-rows whose profile was taken are eliminated forward once over GF(p), not
-twice.  Both forward passes are lazy.  In _bareiss a row holds
-minors at its own level, the pivot of the step that last updated it, and
-is divided by that level's pivot when it is next updated; a row with a zero
-in the pivot column is left as it is, and a pivot row is brought up to date
-when it is chosen.  In rank_profile_mod entries are reduced mod p only when
-they are read.  The kernels live in a module of their own, apart from
-``linalg``, so that the perfbench tracer times them as the kernel layer and
-not as ``linalg`` functions.
+makes every result bit-for-bit deterministic.  Each field has one forward
+pass, finished into an RREF by back-substituting the free columns: _bareiss
+and rref_int over QQ, rank_profile_mod and rref_mod over GF(p).
+rank_profile_mod names the rows a reduction keeps and reduces nothing above
+a pivot; rref_mod back-substitutes the echelon form it kept, so a rank, a
+profile and an RREF mod p all come from one pass.  Both forward passes are
+lazy.  In _bareiss a row holds minors at its own level, the pivot of the
+step that last updated it, and is divided by that level's pivot when it is
+next updated; a row with a zero in the pivot column is left as it is, and a
+pivot row is brought up to date when it is chosen.  In rank_profile_mod
+entries are reduced mod p only when they are read.  The kernels live in a
+module of their own, apart from ``linalg``, so that the perfbench tracer
+times them as the kernel layer and not as ``linalg`` functions.
 """
 
 from math import gcd
@@ -118,53 +117,19 @@ def rref_int(rows):
 
 
 def rref_mod(rows, p, basis=None):
-    """Reduced row echelon form over GF(p), rows with leading 1s.
+    """Reduced row echelon form over GF(p): (pivots, out), out the rows
+    with leading 1s and zeros above and below each pivot.
 
-    rows: sequences of int, reduced mod p on entry.  Returns (pivots, out)
-    with out fully reduced (zeros above and below pivots).
-
-    basis, when given, is the echelon form rank_profile_mod kept in the
-    pass that chose these rows as its profile, so it spans them.  Their
-    RREF is then finished from it by back-substitution (_back_substitute):
-    no forward elimination, and no entry of rows is read.  Without it the
-    rows go through one Gauss-Jordan pass.
+    rows: sequences of int, reduced mod p as they are read.  The forward
+    pass is rank_profile_mod's, finished by _back_substitute.  basis, when
+    given, is the echelon form that pass kept when it chose these rows as
+    its profile, and no entry of rows is read.
     """
-    if basis is not None:
-        return _back_substitute(basis, len(rows[0]) if rows else 0, p)
-    work = [[v % p for v in r] for r in rows]
-    nr = len(work)
-    nc = len(work[0]) if nr else 0
-    pivots = []
-    piv = 0
-    for col in range(nc):
-        sel = -1
-        for i in range(piv, nr):
-            if work[i][col]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != piv:
-            work[piv], work[sel] = work[sel], work[piv]
-        prow = work[piv]
-        inv = pow(prow[col], p - 2, p)
-        if inv != 1:
-            for c in range(col, nc):
-                prow[c] = prow[c] * inv % p
-        for r in range(nr):
-            if r == piv:
-                continue
-            row = work[r]
-            b = row[col]
-            if b == 0:
-                continue
-            for c in range(col, nc):
-                row[c] = (row[c] - b * prow[c]) % p
-        pivots.append(col)
-        piv += 1
-        if piv == nr:
-            break
-    return pivots, [work[k] for k in range(len(pivots))]
+    nc = len(rows[0]) if rows else 0
+    if basis is None:
+        basis = {}
+        rank_profile_mod(rows, p, nc, (), basis)
+    return _back_substitute(basis, nc, p)
 
 
 def _back_substitute(basis, nc, p):
@@ -207,8 +172,8 @@ def rank_profile_mod(rows, p, limit, skip=(), basis=None):
     Each row is reduced mod p against the pivot rows kept so far, the
     earliest pivot column first; a row that stays nonzero is kept and its
     leading entry becomes a new pivot.  The pass stops once limit rows are
-    kept and never reduces above a pivot.  The result equals the pivots of
-    rref_mod on the transposed rows.
+    kept and never reduces above a pivot.  The result equals the pivot
+    columns of the RREF of the transposed rows.
 
     skip holds indices of rows the caller knows to depend mod p on the rows
     before them; they are passed over unread, which changes neither the

@@ -16,15 +16,14 @@ converts the rows on the way in and the RREF on the way out.  Its
 determinant is one fraction-free Bareiss pass over those integer rows for
 both fields.
 
-Over QQ a modular front end decides, from the row rank profile modulo
-CERTIFICATE_PRIME (rank_profile_mod, a forward-only pass that stops at full
-rank), which rows the exact kernel sees.  A caller that has the profile
-already (row_profile, the profile modulo the field's own prime or, over QQ,
-CERTIFICATE_PRIME) passes it to rref_rows, which then never runs a second
-one.  Over GF(p) the caller can pass the echelon form that profile pass
-kept as well, and rref_mod then finishes the RREF of the profile rows by
-back-substitution, with no second forward pass.  A rank alone never builds
-a reduced form: it is the length of that profile, or over QQ, when the
+Over GF(p) every rank, profile, RREF and kernel runs one forward pass,
+rank_profile_mod, which stops at full rank; an RREF adds rref_mod's
+back-substitution of the free columns.  Over QQ a modular front end
+decides, from the row rank profile modulo CERTIFICATE_PRIME, which rows the
+exact kernel sees.  A caller that has the profile already (row_profile)
+passes it to rref_rows, which then never runs a second one, and over GF(p)
+the echelon form that pass kept goes with it.  A rank alone never builds a
+reduced form: it is the length of that profile, or over QQ, when the
 profile falls short of full rank, the pivot count of the exact forward
 elimination.
 """

@@ -298,6 +298,16 @@ def test_model_specialization_failure_is_an_error(capsys):
     assert err.startswith("error: specialization failed")
 
 
+def test_power_check_without_a_reduction_is_an_error(capsys):
+    # over GF(2) no seeded draw of linear forms gives a height-3 reduction;
+    # the RuntimeError ends in one error line, not a traceback
+    code, out, err = run(capsys, "power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2",
+                         "--field", "fp:2", "--seed", "8")
+    assert code == 1
+    assert out == ""
+    assert err == "error: could not find a height-3 reduction in 5 seeded attempts\n"
+
+
 BAD_INPUTS = [
     ["socle", "--ideal", "1"],
     ["betti", "--ideal", "1"],
@@ -342,6 +352,10 @@ DUAL_CLASH = "dual forms are written in the names upper-cased, and two of them t
     (["socle", "--ideal", ", ,"], "empty generator list"),
     (["power-check", "--ideal", "x^2,y^3,z^3"],
      "power check needs an equigenerated ideal"),
+    (["power-check", "--ideal", "x^2,y^2,z^2", "--k", "0"],
+     "--k 0 is below 1: I^k is compared for k >= 1"),
+    (["power-check", "--ideal", "x^2,y^2,z^2", "--k", "-2"],
+     "--k -2 is below 1: I^k is compared for k >= 1"),
     (["ann", "--dual", "A^2", "--vars", "a,A"],
      f"--vars 'a,A': {DUAL_CLASH}"),
     (["inverse", "--ideal", "A,a^2", "--vars", "a,A"],
@@ -349,6 +363,7 @@ DUAL_CLASH = "dual forms are written in the names upper-cased, and two of them t
     (["newton-dual", "--f", "b*B", "--socle-m", "2", "--vars", "B,b"],
      f"--vars 'B,b': {DUAL_CLASH}"),
 ], ids=["negative-t-max", "unreadable-file", "empty-list", "not-equigenerated",
+        "zero-k", "negative-k",
         "ann-dual-names", "inverse-dual-names", "newton-dual-names"])
 def test_usage_error_exits_2_with_its_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -2,9 +2,9 @@
 
 ``rank_profile_mod(rows, p, limit)`` keeps, row by row, the rows that are
 independent mod p of the rows before them and stops at limit of them.  It
-must equal the pivots of ``rref_mod`` on the transposed rows and the
-profile of ``oracles.row_rank_profile``, which reduces against whole rows
-and reads every row.  ``row_rank`` must equal the pivot count of the
+must equal the pivots of the Gauss-Jordan oracle ``oracles.field_rref`` on
+the transposed rows and the profile of ``oracles.row_rank_profile``, which
+reduces against whole rows and reads every row.  ``row_rank`` must equal the pivot count of the
 canonical RREF over QQ and GF(32003), also where the prime is unlucky.
 """
 
@@ -14,12 +14,12 @@ from fractions import Fraction
 import pytest
 
 import gor3.linalg
-from gor3._rowred_py import rank_profile_mod, rref_mod
+from gor3._rowred_py import rank_profile_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
 from gor3.linalg import ExactMatrix, row_rank, rref_rows
 
-from oracles import random_product, row_rank_profile
+from oracles import field_rref, random_product, row_rank_profile
 
 # rows 0 and 1 agree mod P, so the profile mod P misses rank 3 over QQ
 UNLUCKY = [[1, 0, 2], [1 + P, P, 2], [0, 1, 1], [1, 1, 3]]
@@ -62,7 +62,7 @@ def test_profile_equals_transposed_pivots_and_oracle():
     seen_deficient = 0
     for rows, p in _matrices(random.Random(2026)):
         nc = len(rows[0]) if rows else 0
-        transposed = rref_mod(list(zip(*rows)), p)[0] if rows else []
+        transposed = field_rref(list(zip(*rows)), GF(p))[0]
         profile = rank_profile_mod(rows, p, nc)
         assert profile == transposed == row_rank_profile(rows, p)
         assert rank_profile_mod(rows, p, min(len(rows), nc)) == profile
@@ -139,7 +139,7 @@ def test_dense_rows_with_unreduced_growth(p):
     """rank_profile_mod reduces an entry mod p only when it reads it, so on
     dense rows of 124 columns an entry takes up to about a hundred updates
     before it is read.  The profile still equals the transposed pivots of
-    rref_mod and the oracle, also on rows that vanish mod p only after those
+    the Gauss-Jordan oracle and row_rank_profile, also on rows that vanish mod p only after those
     updates and on entries far outside [0, p), and every limit keeps a
     prefix of it."""
     rng = random.Random(p)
@@ -150,6 +150,6 @@ def test_dense_rows_with_unreduced_growth(p):
     rng.shuffle(rows)
     full = rank_profile_mod(rows, p, 124)
     assert len(full) == 104
-    assert full == rref_mod(list(zip(*rows)), p)[0] == row_rank_profile(rows, p)
+    assert full == field_rref(list(zip(*rows)), GF(p))[0] == row_rank_profile(rows, p)
     for k in (0, 1, 51, 103, 104):
         assert rank_profile_mod(rows, p, k) == full[:k]

@@ -2,10 +2,13 @@
 
 rank_profile_mod keeps its echelon form in the dict basis, and rref_mod,
 given that form with the profile rows, finishes their RREF by
-back-substitution alone.  It must equal rref_mod's own Gauss-Jordan pass
-over those rows: on seeded wide, tall, rank-0, rank-deficient and full-rank
-matrices over GF(2), GF(3), GF(7) and GF(32003), and on every degree the
-walk profiles for the registry's ideals over those fields.
+back-substitution alone.  It must equal the Gauss-Jordan pass of
+``oracles.field_rref`` over those rows: on seeded wide, tall, rank-0,
+rank-deficient and full-rank matrices over GF(2), GF(3), GF(7) and
+GF(32003), and on every degree the walk profiles for the registry's ideals
+over those fields.  Without an echelon form rref_mod takes the pass itself,
+and must equal the same oracle on seeded empty, zero, wide, tall,
+rank-deficient and full-rank matrices with entries outside [0, p).
 
 The walk passes over every x_k multiple of a row that fell outside the
 profile one degree down.  The profile and the echelon form must equal
@@ -32,7 +35,7 @@ from gor3.ideals import NotArtinianError
 from gor3.monomials import monomials_of_degree
 from gor3.pfaffians import generic_power_model
 
-from oracles import random_product
+from oracles import field_rref, random_product
 
 PRIMES = [2, 3, 7, 32003]
 
@@ -67,9 +70,61 @@ def test_back_substitution_equals_gauss_jordan(p):
     for label, rows in _matrices(rng, p):
         nc = len(rows[0])
         profile = rank_profile_mod(rows, p, nc)
-        expected = rref_mod([rows[i] for i in profile], p)
+        expected = field_rref([rows[i] for i in profile], GF(p))
         assert _back_substituted(rows, p) == expected == rref_mod(rows, p), label
         seen.add((label, len(profile) == min(len(rows), nc)))
+    assert ("rank deficient", False) in seen and ("full rank", True) in seen
+
+
+def _unreduced(rng, p, rows):
+    """rows with every entry moved by a random multiple of p in [-3p, 3p],
+    so many entries are negative or at least p."""
+    return [[v + rng.randint(-3, 3) * p for v in row] for row in rows]
+
+
+def _unit_triangular(rng, n, lower):
+    """A random n x n unit lower (or upper) triangular integer matrix: its
+    determinant is 1, so it is invertible mod every prime."""
+    return [[1 if i == j else (rng.randint(-9, 9) if (j < i) == lower else 0)
+             for j in range(n)] for i in range(n)]
+
+
+def _profile_less_matrices(rng, p):
+    """(label, rows, rank): seeded empty, zero, wide, tall, rank-deficient
+    and full-rank matrices, entries outside [0, p) throughout; rank is the
+    rank mod p where the construction fixes it, else None."""
+    yield "empty", [], 0
+    yield "no columns", [[], [], []], 0
+    for _ in range(10):
+        nc = rng.randint(1, 9)
+        yield "all zero", _unreduced(rng, p, [[0] * nc] * rng.randint(1, 5)), 0
+        yield "wide", _unreduced(rng, p, [[rng.randrange(p) for _ in range(nc)]
+                                          for _ in range(rng.randint(1, nc))]), None
+        yield "tall", _unreduced(rng, p, [[rng.randrange(p) for _ in range(nc)]
+                                          for _ in range(nc + rng.randint(1, 6))]), None
+        rank = rng.randint(1, max(nc - 1, 1))
+        yield "rank deficient", _unreduced(rng, p, random_product(rng, nc + 2, nc, rank, 3)), None
+        lower, upper = _unit_triangular(rng, nc, True), _unit_triangular(rng, nc, False)
+        square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)]
+                  for row in lower]
+        yield "full rank", _unreduced(rng, p, square), nc
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_without_an_echelon_form_equals_gauss_jordan(p):
+    """rref_mod given rows alone takes rank_profile_mod's forward pass
+    itself and back-substitutes it; it must equal the Gauss-Jordan oracle
+    and leave its input as it was."""
+    rng = random.Random(3600 + p)
+    seen = set()
+    for label, rows, rank in _profile_less_matrices(rng, p):
+        before = [list(row) for row in rows]
+        got = rref_mod(rows, p)
+        assert got == field_rref(rows, GF(p)), label
+        assert rows == before, label
+        assert rank is None or len(got[0]) == rank, label
+        nc = len(rows[0]) if rows else 0
+        seen.add((label, len(got[0]) == min(len(rows), nc)))
     assert ("rank deficient", False) in seen and ("full rank", True) in seen
 
 
@@ -114,7 +169,7 @@ def _fresh(I):
 def _checked_walk(monkeypatch):
     """Check every profile taken from now on against a pass over every row
     (same profile, same echelon form) and every rref_mod given an echelon
-    form against rref_mod's own pass over the same rows.  Returns a
+    form against the Gauss-Jordan oracle over the same rows.  Returns a
     counter of the rows skipped and the back-substitutions checked."""
     seen = {"skipped": 0, "back_substituted": 0}
     profile_mod = gor3.linalg.rank_profile_mod
@@ -132,7 +187,7 @@ def _checked_walk(monkeypatch):
     def checked_kernel(rows, p, basis=None):
         got = kernel(rows, p, basis)
         if basis is not None:
-            assert got == kernel(rows, p)
+            assert got == field_rref(rows, GF(p))
             seen["back_substituted"] += 1
         return got
 
