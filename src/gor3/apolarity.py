@@ -81,7 +81,7 @@ def macaulay_inverse(I: GradedIdeal) -> InverseForm:
     # F is annihilated by I exactly when every x^alpha * g of degree s
     # contracts it to zero, i.e. when its coefficient vector is orthogonal to
     # the piece I_s: one free column of that piece, the vector the Gorenstein
-    # certificate of GradedIdeal.artinian_bound reads
+    # certificate (GradedIdeal._certify) reads
     piece = I.graded_piece(s)
     kernel_dim = piece.ambient_dim - piece.dim
     if kernel_dim != 1:

@@ -7,12 +7,13 @@ coefficient vectors over the canonical monomial basis.  Equality of ideals
 always means equality of graded pieces through the relevant Artinian bound.
 That bound is exact, with no search cap: an ideal generated in degrees <= D
 is Artinian exactly when its degree n(D-1)+1 piece is full.  It is walked on
-row rank profiles mod p, and a Gorenstein ideal is certified to be Ann(F),
-by Macaulay duality, from the one exact piece in its socle degree; every
-Hilbert value and the socle then follow without the pieces below it, and,
-when H(1) >= 2, without a profile of the degree above it.  The walk reduces
-each row forward once: the echelon form its profile pass keeps finishes a
-GF(p) piece by back-substitution, and rows that are multiples of rows found
+row rank profiles mod p.  A Gorenstein ideal is certified to be Ann(F), by
+Macaulay duality, from the one exact piece in its socle degree (_certify):
+by the walk at a value 1 when H(1) >= 2, with no piece below it and no
+profile above it, and by socle_report on the exact values of any other
+complete ideal, with no multiplication map.  The walk reduces each row
+forward once: the echelon form its profile pass keeps finishes a GF(p)
+piece by back-substitution, and rows that are multiples of rows found
 dependent one degree down are never read (_upper_hilbert).
 
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
@@ -226,9 +227,9 @@ class GradedIdeal:
 
     def _certify(self, upper) -> bool:
         """Whether I = Ann(F) for a dual form F of degree s = len(upper) - 1,
-        upper[t] >= H(t) for t <= s and I_{s+1} full, the last either seen
-        in the walk or, when upper[1] >= 2, implied by the rest (see
-        artinian_bound).
+        upper[t] >= H(t) for t <= s and I_{s+1} full: the walk's values at
+        its early exit, where upper[1] >= 2 implies the last (artinian_bound),
+        or in socle_report the exact values of a complete ideal.
 
         A Gorenstein h-vector is symmetric, so an upper with upper[s] != 1
         or upper[t] != upper[s-t] fails before any elimination.  Otherwise
@@ -270,14 +271,13 @@ class GradedIdeal:
         echelon form for the exact piece of that degree (finished by
         back-substitution over GF(p)) and passes over the rows that are
         variable multiples of rows outside the profile one degree down.
-        The Macaulay dual certificate (_certify) proves
-        every Hilbert value from one exact piece, the socle-degree one, and
-        is tried where the walk meets a value 1: at once, in degree s >= 2,
-        when upper[1] >= 2, and otherwise at the first piece full mod p
-        (full over either field) when the value below it is 1.  If it
-        fails (an asymmetric or larger value, a rank that falls short, an
-        unlucky prime, no full piece), the exact pieces are built degree by
-        degree, reusing the walk's profiles.
+        The Macaulay dual certificate (_certify) proves every Hilbert value
+        from one exact piece, the socle-degree one.  The walk tries it only
+        where that skips the profile of degree s + 1: at a value 1 in degree
+        s >= 2 when upper[1] >= 2.  Otherwise (no such value, a failed try,
+        or a first piece full mod p, which is full over either field) the
+        exact pieces are built degree by degree, reusing the walk's
+        profiles, and socle_report tries the certificate on the exact values.
 
         The early try needs no profile of degree s+1, because a certified
         I_s with H(1) >= 2 gives R_1 * I_s = R_{s+1} over any field: Ann(F)
@@ -294,19 +294,13 @@ class GradedIdeal:
             return self._artinian_bound
         D = max(self.max_generator_degree, 1)
         top = self.n * (D - 1) + 1
-        upper, tried = [], None
+        upper = []
         for t in range(top + 1):
             h = self._upper_hilbert(t)
             if h == 0:
-                self.graded_piece(t)    # full by its profile: no elimination
-                # the same upper already failed one degree below
-                if tried != t - 1 and self._certify(upper):
-                    self._artinian_bound = t
-                    return t
                 break
             upper.append(h)
             if t >= 2 and h == 1 and upper[1] >= 2:
-                tried = t
                 if self._certify(upper):
                     # R_1 * I_t = R_{t+1} (see above): no profile of t + 1
                     self._pieces[t + 1] = full_piece(self.n, t + 1, self.field)
@@ -446,14 +440,14 @@ class GradedIdeal:
         """Socle dimensions of R/I: in degree t, H(t) minus the rank of
         x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n.
 
-        When artinian_bound certified I = Ann(F), the socle is one copy of
-        k in degree s = deg F, and no multiplication map is built.
+        When I = Ann(F), certified by the walk or here on the exact Hilbert
+        values, the socle is {s: 1}, s = deg F, and no map is built.
         """
         bound = self.artinian_bound()
         if bound == 0:
             raise ValueError("the unit ideal has no socle (R/I = 0)")
-        if self._hilbert is not None:
-            s = bound - 1
+        s = bound - 1
+        if self._hilbert is not None or self._certify(self.hilbert_series_table(s)):
             return SocleReport(socle_dims={s: 1}, socle_degree=s,
                                is_gorenstein=True, artinian_bound=bound)
         dims = {}

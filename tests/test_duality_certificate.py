@@ -1,4 +1,4 @@
-"""The Macaulay dual certificate of GradedIdeal.artinian_bound.
+"""The Macaulay dual certificate GradedIdeal._certify.
 
 artinian_bound walks the degrees on row rank profiles mod p (the field's
 own prime, or CERTIFICATE_PRIME over QQ).  Where the walk meets a value 1
@@ -7,11 +7,13 @@ gives the dual form F, and catalecticant ranks mod p prove I = Ann(F):
 every Hilbert value and the socle {s: 1}.  Degree s + 1 is then full by a
 theorem (R_1 * Ann(F)_s = R_{s+1} unless F is a divided power of a linear
 form), so no profile or piece above s is built.  With H(1) = 1, or when
-that try fails, the walk goes on to the first piece full mod p and tries
-the certificate there if it has not tried the same values.  Any miss falls
-back to exact pieces degree by degree.  The answers must equal those of
-the exact route (the library's own with the certificate switched off) and
-of oracles.socle_by_field_rref, over every field and modulo any prime.
+that try fails, the walk goes on to the first piece full mod p and falls
+back to exact pieces degree by degree.  socle_report tries the certificate
+once more on the exact Hilbert values of any complete ideal the walk did
+not certify (colons, annihilators, walks that fell back), so a Gorenstein
+one builds no multiplication map.  The answers must equal those of the
+exact route (the library's own with the certificate switched off) and of
+oracles.socle_by_field_rref, over every field and modulo any prime.
 """
 
 import random
@@ -19,11 +21,11 @@ import random
 import pytest
 
 import gor3.linalg
-from gor3 import GradedIdeal, MultiPoly
+from gor3 import GradedIdeal, MultiPoly, parse_poly
 from gor3.apolarity import InverseForm, NotGorensteinError, annihilator, macaulay_inverse
 from gor3.cases import monomial_tower_ideal, random_quadrics
 from gor3.fields import GF, QQ
-from gor3.ideals import NotArtinianError
+from gor3.ideals import NotArtinianError, pure_power_ideal, variable_power_ideal
 from gor3.monomials import monomial_count, monomials_of_degree
 from gor3.pfaffians import generic_power_model
 from gor3.pieces import vector_to_poly
@@ -103,9 +105,13 @@ def _profile_shapes(monkeypatch):
 
 
 def _answers(I):
-    """(answers, certified) of a fresh copy of I: the Artinian bound, the
-    Hilbert table and the socle report, or the NotArtinianError text."""
-    J = _fresh(I)
+    """(answers, certified) of a fresh copy of I (_report_answers)."""
+    return _report_answers(_fresh(I))
+
+
+def _report_answers(J):
+    """(answers, certified) of J: the Artinian bound, the Hilbert table and
+    the socle report, or the NotArtinianError text."""
     try:
         bound = J.artinian_bound()
     except NotArtinianError as e:
@@ -219,24 +225,95 @@ def test_a_line_is_not_artinian_though_its_degree_two_piece_certifies(field):
     assert I._hilbert is None
 
 
+def _no_maps(self, t):
+    raise AssertionError("a multiplication map was built")
+
+
+def _report_and_oracle(I):
+    """The answers of I from its socle report (taken first) and from
+    oracles.socle_by_field_rref."""
+    report = I.socle_report().as_dict()
+    return (I.artinian_bound(), I.hilbert_series_table(), report), _oracle_answers(I)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_a_divided_power_is_certified_at_the_full_piece(field, monkeypatch):
     """(y, z, x^5) = Ann(X^[4]) has H(1) = 1 and a generator in degree
-    s + 1 = 5: the walk profiles degree 5, finds it full and certifies there."""
+    s + 1 = 5, so the walk does not try the certificate: it profiles degree
+    5, finds it full and builds the exact pieces below it.  socle_report
+    then certifies the exact values, with the full piece I_5 as the bound,
+    and builds no multiplication map."""
     shapes = _profile_shapes(monkeypatch)
     I = GradedIdeal.from_strings(["y", "z", "x^5"], field=field)
     assert I.artinian_bound() == 5
-    assert I._hilbert == [1, 1, 1, 1, 1]
-    assert sorted(I._pieces) == [4, 5] and I._pieces[5].is_full
+    assert I._hilbert is None
     assert max(cols for _, cols in shapes) == monomial_count(3, 5)
-    assert I.socle_report().socle_dims == {4: 1}
+    monkeypatch.setattr(GradedIdeal, "multiplication_maps", _no_maps)
+    got, oracle = _report_and_oracle(I)
+    assert got[2]["socle_dims"] == {"4": 1} and got[2]["is_gorenstein"]
+    assert I._hilbert == [1, 1, 1, 1, 1]
+    assert got == oracle
+
+
+def _form(text, field):
+    return parse_poly(text, ["x", "y", "z"], field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_complete_gorenstein_ideals_build_no_multiplication_map(field, monkeypatch):
+    """Colons and annihilators are Ann(F) and never walked: socle_report
+    certifies them from their exact Hilbert values and the one piece I_s."""
+    cubic = _form("x^3 + y^3 + z^3", field)
+    lines = [_form(t, field) for t in ("x", "x + y", "x + y + z")]
+    ideals = [
+        # pure-power colons, Ann(f o X^[m-1]); the second is the registry's
+        # non-equigen-xyz colon, with H = 1, 3, 6, 9, 6, 3, 1
+        variable_power_ideal(3, 4, field).colon(_form("x*y + y*z - z^2", field)),
+        variable_power_ideal(3, 4, field).colon(cubic),
+        # the annihilator of a dual quadric, H = 1, 3, 1
+        annihilator(InverseForm(3, {(2, 0, 0): field.one, (0, 1, 1): field.one},
+                                field)),
+        # a kernel-route colon of a Gorenstein base that is no pure powers
+        pure_power_ideal(lines, [3, 3, 3]).colon(_form("x*y + z^2", field)),
+    ]
+    monkeypatch.setattr(GradedIdeal, "multiplication_maps", _no_maps)
+    for I in ideals:
+        got, oracle = _report_and_oracle(I)
+        assert got == oracle, I
+        assert got[2]["is_gorenstein"] and I._hilbert == got[1], I
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_complete_non_gorenstein_ideals_reach_the_maps(field, monkeypatch):
+    """A complete ideal the certificate fails on, walked or not, gets its
+    socle from the multiplication maps: the NOT_GORENSTEIN ideals, copies
+    of them made from their pieces (the first with the symmetric values
+    1, 3, 1, so its catalecticant rank falls short) and a kernel-route
+    colon of the monomial tower."""
+    ideals = []
+    for texts in NOT_GORENSTEIN:
+        I = GradedIdeal.from_strings(texts, field=field)
+        ideals.append(I)
+        pieces = [I.graded_piece(t) for t in range(I.artinian_bound() + 1)]
+        ideals.append(GradedIdeal.from_pieces(3, pieces, field))
+    tower = GradedIdeal.from_strings(NOT_GORENSTEIN[2], field=field)
+    ideals.append(tower.colon(_form("z", field)))
+    calls, maps = [], GradedIdeal.multiplication_maps
+    monkeypatch.setattr(GradedIdeal, "multiplication_maps",
+                        lambda self, t: calls.append(t) or maps(self, t))
+    for I in ideals:
+        before = len(calls)
+        got, oracle = _report_and_oracle(I)
+        assert got == oracle, I
+        assert not got[2]["is_gorenstein"] and I._hilbert is None, I
+        assert len(calls) > before, I
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_an_asymmetric_walk_builds_no_exact_piece(field, monkeypatch):
     """The quartic ideal's walk reads 1, 3, 6, 10, 1: the certificate tried
-    at s = 4 fails on the asymmetric values before any elimination, and it
-    is not tried again at the full piece of degree 5 with the same values."""
+    at s = 4 fails on the asymmetric values before any elimination, and the
+    walk does not try it again at the full piece of degree 5."""
     tries = []
     certify = GradedIdeal._certify
 
@@ -256,10 +333,21 @@ def test_an_asymmetric_walk_builds_no_exact_piece(field, monkeypatch):
 def test_no_certified_answer_depends_on_the_prime(prime, monkeypatch):
     """Over QQ with CERTIFICATE_PRIME patched to a tiny prime, some walks
     see ranks drop and some catalecticant ranks fall short: those fall back,
-    and every answer stays the one at the default prime."""
+    and every answer stays the one at the default prime.  The colon and the
+    annihilator below are Ann(F) for F = 2X^[2] + 3Y^[2] + 5Z^[2], whose
+    Cat_1 = diag(2, 3, 5) has rank 2 mod 2, 3 and 5: socle_report's
+    certificate falls short on them, and the maps give the same answer."""
     ideals = [I for _, I in _gorenstein_candidates(QQ)] + [
         GradedIdeal.from_strings(texts) for texts in NOT_GORENSTEIN]
+    built = [
+        lambda: variable_power_ideal(3, 3).colon(
+            _form("5*x^2*y^2 + 3*x^2*z^2 + 2*y^2*z^2", QQ)),
+        lambda: annihilator(InverseForm(3, {(2, 0, 0): 2, (0, 2, 0): 3,
+                                            (0, 0, 2): 5})),
+    ]
     expected = [_answers(I)[0] for I in ideals]
+    built_expected = [_report_answers(build()) for build in built]
+    assert all(certified for _, certified in built_expected)
     monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", prime)
     missed = 0
     for I, answer in zip(ideals, expected):
@@ -267,6 +355,8 @@ def test_no_certified_answer_depends_on_the_prime(prime, monkeypatch):
         assert got == answer, I
         missed += answer[2]["is_gorenstein"] and not was_certified
     assert missed >= 1
+    for build, (answer, _) in zip(built, built_expected):
+        assert _report_answers(build()) == (answer, False)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
