@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .fields import QQ
 from .linalg import kernel_rref, normal_form, row_profile, row_rank, rref_rows
@@ -555,7 +555,7 @@ class VirtualDatum:
         return (self.d, self.r, self.d_prime)
 
     def as_dict(self):
-        return {"d": self.d, "r": self.r, "d_prime": self.d_prime}
+        return asdict(self)
 
 
 @dataclass
@@ -567,13 +567,7 @@ class ReductionReport:
     attempts: int
 
     def as_dict(self):
-        return {
-            "reduction_number_is_two": self.reduction_number_is_two,
-            "ji_equals_i2": self.ji_equals_i2,
-            "ji2_equals_i3": self.ji2_equals_i3,
-            "seed": self.seed,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
 
 def pure_power_ideal(lines, exponents) -> GradedIdeal:

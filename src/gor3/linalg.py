@@ -16,16 +16,15 @@ converts the rows on the way in and the RREF on the way out.  Its
 determinant is one fraction-free Bareiss pass over those integer rows for
 both fields.
 
-Over GF(p) every rank, profile, RREF and kernel runs one forward pass,
-rank_profile_mod, which stops at full rank; an RREF adds rref_mod's
-back-substitution of the free columns.  Over QQ a modular front end
-decides, from the row rank profile modulo CERTIFICATE_PRIME, which rows the
-exact kernel sees.  A caller that has the profile already (row_profile)
-passes it to rref_rows, which then never runs a second one, and over GF(p)
-the echelon form that pass kept goes with it.  A rank alone never builds a
-reduced form: it is the length of that profile, or over QQ, when the
-profile falls short of full rank, the pivot count of the exact forward
-elimination.
+Every rank, profile and RREF starts from one forward pass,
+rank_profile_mod, modulo the field's own p over GF(p) and modulo
+CERTIFICATE_PRIME over QQ (row_profile); it stops at full rank.  rref_rows
+takes that pass once, or reads it from a caller that has it, for every
+matrix: a full profile is the identity, over GF(p) rref_mod back-substitutes
+the echelon form the pass kept, and over QQ the profile decides which rows
+the exact kernel sees.  A rank alone never builds a reduced form: it is the
+length of that profile, or over QQ, when the profile falls short of full
+rank, the pivot count of the exact forward elimination.
 """
 
 from __future__ import annotations
@@ -106,58 +105,36 @@ def row_profile(field, rows, limit, skip=(), basis=None):
     return rank_profile_mod(rows, _modulus(field), limit, skip, basis)
 
 
-def _rref_rational(rows, nc, profile=None):
-    """Integer RREF of rows (the contract of rref_int), rows having nc
-    columns.
-
-    The row rank profile S modulo CERTIFICATE_PRIME comes first: the rows
-    independent mod p of the rows before them, found row by row until nc of
-    them are kept.  It is taken here when there are at least as many rows
-    as columns, unless the caller passes it as profile; with fewer rows and
-    no profile, all rows go to rref_int.  The rank over QQ is never below
-    the rank mod p, so |S| = nc proves the identity RREF.  Otherwise only
-    the rows in S are eliminated exactly and every other row is checked
-    against the result; if one lies outside (an unlucky prime), all rows
-    are eliminated.  Either way the output is the canonical RREF of the row
-    space.
-    """
-    if profile is None:
-        if len(rows) < nc:
-            return rref_int(rows)
-        profile = rank_profile_mod(rows, CERTIFICATE_PRIME, nc)
-    if len(profile) == nc:
-        return list(range(nc)), _identity_rows(nc)
-    chosen = set(profile)
-    pivots, red = rref_int([rows[i] for i in profile])
-    _, free, nf = normal_form(pivots, red, nc)
-    if not any(any(_residual(r, nf, len(free)))
-               for i, r in enumerate(rows) if i not in chosen):
-        return pivots, red
-    return rref_int(rows)
-
-
 def rref_rows(field, rows, nc, profile=None, basis=None):
     """Canonical RREF (pivots, rows) of integer rows with nc columns.
 
     Over QQ the rows are primitive with a positive pivot, as rref_int
-    returns them, and come through the modular front end; over GF(p) they
-    are the leading-1 rows of rref_mod.  Either form is unique for the row
-    space.  profile, when given, is row_profile(field, rows, nc) of these
-    rows: over GF(p) only its rows are reduced (none when it is full), over
-    QQ it replaces the front end's own profile.  basis, the echelon form
-    that profile pass kept, goes with the profile rows to rref_mod over
-    GF(p), which back-substitutes it instead of eliminating them a second
-    time; over QQ it is a form mod CERTIFICATE_PRIME and is not read.
+    returns them; over GF(p) they are the leading-1 rows of rref_mod.
+    Either form is unique for the row space.  One route serves both fields
+    and every shape.  profile is row_profile(field, rows, nc) of these rows
+    and basis the echelon form that pass kept (read over GF(p) only); a
+    caller that has them passes them, otherwise the pass is taken here.
+    The rank over QQ is never below the rank mod CERTIFICATE_PRIME, so a
+    profile of nc rows proves the identity RREF with no kernel call.
+    Otherwise over GF(p) rref_mod back-substitutes basis into the RREF of
+    the profile rows.  Over QQ only the profile rows are eliminated
+    exactly and every other row is checked against the result; if one lies
+    outside (an unlucky prime), all rows are eliminated.
     """
-    if profile is not None and len(profile) == nc:
+    if profile is None:
+        basis = {}
+        profile = row_profile(field, rows, nc, (), basis)
+    if len(profile) == nc:
         return list(range(nc)), _identity_rows(nc)
-    if isinstance(field, RationalField):
-        return _rref_rational(rows, nc, profile)
     if isinstance(field, PrimeField):
-        if profile is not None:
-            rows = [rows[i] for i in profile]
-        return rref_mod(rows, field.p, basis)
-    raise TypeError(f"unsupported field {field!r}")
+        return rref_mod([rows[i] for i in profile], field.p, basis)
+    chosen = set(profile)
+    pivots, red = rref_int([rows[i] for i in profile])
+    _, free, nf = normal_form(pivots, red, nc)
+    if any(any(_residual(r, nf, len(free)))
+           for i, r in enumerate(rows) if i not in chosen):
+        return rref_int(rows)
+    return pivots, red
 
 
 def row_rank(field, rows, nc):

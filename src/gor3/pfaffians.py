@@ -189,16 +189,7 @@ def _composite_images(big_n, n, field, rng):
                 for j in range(m - 1):
                     v[j] = field.add(v[j], field.mul(c, coeffs[j]))
             del v[m - 1]
-    images = []
-    for v in vecs:
-        terms = {}
-        for j, c in enumerate(v):
-            if not field.is_zero(c):
-                e = [0] * n
-                e[j] = 1
-                terms[tuple(e)] = c
-        images.append(MultiPoly(n, terms, field))
-    return images
+    return [MultiPoly.from_vector(n, 1, v, field) for v in vecs]
 
 
 def generic_power_model(r, d_prime, n, seed, field=QQ) -> GradedIdeal:

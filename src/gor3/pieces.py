@@ -9,11 +9,13 @@ linalg.rref_rows, and GradedPiece.residuals reads residuals off its
 linalg.normal_form.  Field scalars cross only at
 GradedPiece.contains_vector/contains_poly and vector_to_poly.
 
-Macaulay duality lives here alone: catalecticant is the one builder of
-catalecticant rows, whose ranks the Gorenstein certificate of ideals reads,
-and whose kernels annihilator_pieces yields as the pieces of Ann(F) for
-colons of pure powers and apolarity.annihilator, each in one elimination
-(linalg.kernel_rref).  fresh_generators, the minimal generators of a piece
+Macaulay duality lives here: catalecticant builds the rows of Cat_t(F),
+whose ranks the Gorenstein certificate of ideals reads, and whose kernels
+annihilator_pieces yields as the pieces of Ann(F) for colons of pure powers
+and apolarity.annihilator, each in one elimination (linalg.kernel_rref).
+criteria.linres_matrix builds one more catalecticant from shifted
+generator rows: Cat_e'(f o X^[m-1]), its rows kept where every exponent
+is below m and in reversed order.  fresh_generators, the minimal generators of a piece
 over the one below, runs once per ideal, when its generators are read.
 The row layout of shifted_vectors is known here alone: shifted_multiples
 names the rows that are variable multiples of given rows one degree down,

@@ -84,6 +84,12 @@ def test_datum_subcommand(capsys):
     assert report["datum"] == {"d": 3, "r": 3, "d_prime": 3}
 
 
+def test_readme_datum_example(capsys):
+    code, out, _ = run(capsys, "datum", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2")
+    assert code == 0
+    assert out.endswith("datum:\n  d: 2\n  r: 5\n  d_prime: 1\n")
+
+
 def test_ideal_from_file(tmp_path, capsys):
     path = tmp_path / "ideal.txt"
     path.write_text("x^3\ny^3\nz^3\n")

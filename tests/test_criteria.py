@@ -13,9 +13,9 @@ from gor3.criteria import (
 from gor3.fields import GF, QQ
 from gor3.ideals import variable_power_ideal
 from gor3.linalg import kernel_rows
-from gor3.monomials import monomials_of_degree
+from gor3.monomials import monomial_count, monomial_index, monomials_of_degree
 from gor3.parsing import parse_poly, parse_poly_list
-from gor3.pieces import integer_span
+from gor3.pieces import catalecticant, integer_span, integer_terms
 from oracles import five_quadrics_by_cofactors
 
 VARS = ["x", "y", "z"]
@@ -98,6 +98,35 @@ def test_linres_kernel_matches_colon_on_seeds():
         kernel_span = integer_span(3, ep, kernel, QQ)
         assert kernel_span.dim == colon_piece.dim
         assert kernel_span == colon_piece
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_linres_matrix_is_a_catalecticant(field):
+    """The colon of the pure powers by f is Ann(G), G = f o X^[m-1] of
+    degree s = n(m-1) - e, so the membership matrix at e' is Cat_e'(G): its
+    rows are those of the catalecticant whose monomial gamma has every
+    exponent below m, the row of gamma being that of (m-1, ..., m-1) -
+    gamma, which reverses their order."""
+    rng = random.Random(3811)
+    for _ in range(30):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        s_max = n * (m - 1)
+        e = rng.randint(1, s_max)
+        ep = rng.randint(0, s_max - e)
+        s = s_max - e
+        terms = {a: field.of(rng.randint(-5, 5)) for a in monomials_of_degree(n, e)
+                 if rng.random() < 0.5}
+        terms[rng.choice(monomials_of_degree(n, e))] = field.one
+        f = MultiPoly(n, terms, field)
+        idx = monomial_index(n, s)
+        G = [0] * len(idx)
+        for alpha, c in integer_terms(f).items():
+            if all(a < m for a in alpha):
+                G[idx[tuple(m - 1 - a for a in alpha)]] = c
+        kept = [row for row, gamma in zip(catalecticant(n, s, G, ep),
+                                          monomials_of_degree(n, s - ep))
+                if all(g < m for g in gamma)]
+        assert linres_matrix(f, m, ep) == (kept[::-1], monomial_count(n, ep))
 
 
 def test_linres_verdicts():

@@ -1,12 +1,14 @@
-"""The modular front end of QQ elimination, against oracles that never take it.
+"""One RREF route for every matrix, against oracles that never take it.
 
-With at least as many rows as columns, ``rref_rows`` over QQ takes
-the row rank profile modulo CERTIFICATE_PRIME (``rank_profile_mod``) first:
-full rank there proves the identity RREF with no exact elimination;
-otherwise ``rref_int`` sees the profile rows only, every other row is
-checked against its result, and an unlucky prime falls back to all rows.
-Every route must give the canonical RREF that ``oracles.gcd_rref_int`` and
-``oracles.fraction_rref`` compute, whichever prime the front end uses.
+``rref_rows`` takes the row rank profile (``rank_profile_mod``) of every
+matrix first, modulo CERTIFICATE_PRIME over QQ and modulo p over GF(p),
+whatever its shape: full rank there proves the identity RREF with no
+kernel call.  Otherwise over GF(p) ``rref_mod`` back-substitutes the
+echelon form of the profile rows, and over QQ ``rref_int`` sees the profile
+rows only, every other row is checked against its result, and an unlucky
+prime falls back to all rows.  Every route must give the canonical RREF
+that ``oracles.gcd_rref_int``, ``oracles.fraction_rref`` and
+``oracles.field_rref`` compute, whichever prime the front end uses.
 """
 
 import random
@@ -22,15 +24,15 @@ from gor3.linalg import CERTIFICATE_PRIME as P
 from gor3.linalg import kernel_rows, row_profile, row_rank, rref_rows
 from gor3.monomials import monomials_of_degree
 
-from oracles import (catalecticant_rows_by_tuples, fraction_rref, gcd_rref_int,
-                     random_product, row_rank_profile)
+from oracles import (catalecticant_rows_by_tuples, field_rref, fraction_rref,
+                     gcd_rref_int, random_product, row_rank_profile)
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The calls of the kernels behind gor3.linalg, in order: ("int", rows)
     for rref_int, ("mod", p) for the row rank profile rank_profile_mod and
-    ("rref_mod", p) for rref_mod, which no QQ elimination should reach."""
+    ("rref_mod", rows) for rref_mod, which no QQ elimination reaches."""
     calls = []
     rref_int = gor3.linalg.rref_int
     rank_profile_mod = gor3.linalg.rank_profile_mod
@@ -45,7 +47,7 @@ def kernel_calls(monkeypatch):
         return rank_profile_mod(rows, p, limit, *rest)
 
     def counted_mod(rows, p, *rest):
-        calls.append(("rref_mod", p))
+        calls.append(("rref_mod", [list(r) for r in rows]))
         return rref_mod(rows, p, *rest)
 
     monkeypatch.setattr(gor3.linalg, "rref_int", counted_int)
@@ -134,11 +136,71 @@ def test_column_profile_mismatch(kernel_calls):
     assert _exact_calls(kernel_calls) == [[[P, 1]]]
 
 
-def test_wide_matrices_skip_the_front_end(kernel_calls):
+def test_wide_matrices_take_the_front_end(kernel_calls):
+    """A matrix with fewer rows than columns takes the profile like any
+    other: of full row rank, all its rows are the profile rows; rank
+    deficient, rref_int sees the profile rows only; with rows that vanish
+    mod P, the empty profile fails the check and all rows are eliminated."""
     rows = [[1, 2, 3], [2, 4, 7]]
     del kernel_calls[:]
     assert _check(rows) == [0, 2]
-    assert kernel_calls == [("int", rows)]
+    assert kernel_calls == [("mod", P), ("int", rows)]
+    rows = [[1, 2, 3, 0], [2, 4, 6, 0], [0, 0, 1, 5]]
+    del kernel_calls[:]
+    assert _check(rows) == [0, 2]
+    assert kernel_calls == [("mod", P), ("int", [rows[0], rows[2]])]
+    rows = [[P, 2 * P, 0], [0, P, -3 * P]]
+    del kernel_calls[:]
+    assert _check(rows) == [0, 1]
+    assert kernel_calls == [("mod", P), ("int", []), ("int", rows)]
+
+
+def test_prime_field_rref_reduces_the_profile_rows_only(kernel_calls):
+    """Over GF(p) a full profile returns the identity with no rref_mod call;
+    a short one hands rref_mod its profile rows alone, once."""
+    field = GF(32003)
+    rng = random.Random(38)
+    for nr, nc in [(7, 4), (4, 4)]:
+        rows = [[rng.randint(0, 32002) for _ in range(nc)] for _ in range(nr)]
+        del kernel_calls[:]
+        assert rref_rows(field, rows, nc) == field_rref(rows, field)
+        assert kernel_calls == [("mod", 32003)]
+    for nr, nc, rank in [(7, 4, 3), (3, 6, 2), (6, 6, 1)]:
+        rows = [[v % 32003 for v in row] for row in random_product(rng, nr, nc, rank, 8)]
+        profile = row_rank_profile(rows, 32003)
+        assert len(profile) == rank
+        del kernel_calls[:]
+        assert rref_rows(field, rows, nc) == field_rref(rows, field)
+        assert kernel_calls == [("mod", 32003), ("rref_mod", [rows[i] for i in profile])]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=str)
+def test_seeded_wide_and_tall_matrices_of_every_rank(field, kernel_calls):
+    """Seeded wide and tall matrices, of full rank and rank deficient, give
+    field_rref's RREF over either field after one row profile, and over
+    GF(p) hand rref_mod their profile rows exactly when the profile is
+    short of nc rows."""
+    rng = random.Random(3838)
+    seen = set()
+    for _ in range(160):
+        nr, nc = rng.sample(range(1, 10), 2)
+        full = min(nr, nc)
+        rank = rng.randint(1, full)
+        rows = random_product(rng, nr, nc, rank, rng.choice([2, 30]))
+        if rng.random() < 0.2:
+            rows[rng.randrange(nr)] = [0] * nc
+        del kernel_calls[:]
+        pivots, red = rref_rows(field, rows, nc)
+        expected = field_rref(rows, field)
+        assert (pivots, field.scalar_rows(pivots, red)) == expected
+        assert [kind for kind, _ in kernel_calls].count("mod") == 1
+        reduced = [arg for kind, arg in kernel_calls if kind == "rref_mod"]
+        if field == QQ or len(pivots) == nc:
+            assert reduced == []
+        else:
+            assert reduced == [[rows[i] for i in row_rank_profile(rows, field.p)]]
+        seen.add((nr < nc, len(pivots) == full))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_seeded_tall_and_square_matrices(kernel_calls):
