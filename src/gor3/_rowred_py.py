@@ -116,26 +116,14 @@ def rref_int(rows):
     return pivots, out
 
 
-def rref_mod(rows, p, basis=None):
+def rref_mod(rows, p, basis):
     """Reduced row echelon form over GF(p): (pivots, out), out the rows
     with leading 1s and zeros above and below each pivot.
 
-    rows: sequences of int, reduced mod p as they are read.  The forward
-    pass is rank_profile_mod's, finished by _back_substitute.  basis, when
-    given, is the echelon form that pass kept when it chose these rows as
-    its profile, and no entry of rows is read.
-    """
-    nc = len(rows[0]) if rows else 0
-    if basis is None:
-        basis = {}
-        rank_profile_mod(rows, p, nc, (), basis)
-    return _back_substitute(basis, nc, p)
-
-
-def _back_substitute(basis, nc, p):
-    """The RREF over GF(p), as rref_mod returns it, of the row echelon form
-    basis (pivot column -> the pivot row after its leading 1, mod p) of rows
-    with nc columns.
+    rows: the rows rank_profile_mod chose as its profile, and basis the
+    echelon form that pass kept (pivot column -> the pivot row after its
+    leading 1, mod p).  No entry of rows is read, only their number of
+    columns: the echelon form is finished by back-substitution alone.
 
     As in rref_int only the free columns are solved, last pivot first:
     reduced row k is echelon row k minus u_j times reduced row j for every
@@ -143,6 +131,7 @@ def _back_substitute(basis, nc, p):
     reduced row changes, since each is 0 at every other pivot.  That is
     O(rank^2 * free) updates; entries are reduced mod p once per row.
     """
+    nc = len(rows[0]) if rows else 0
     pivots = sorted(basis)
     free = [c for c in range(nc) if c not in basis]
     solved = {}
@@ -165,7 +154,7 @@ def _back_substitute(basis, nc, p):
     return pivots, out
 
 
-def rank_profile_mod(rows, p, limit, skip=(), basis=None):
+def rank_profile_mod(rows, p, limit, basis=None):
     """Row rank profile over GF(p): the indices, in order, of the rows that
     are independent mod p of the rows before them, at most limit of them.
 
@@ -175,12 +164,9 @@ def rank_profile_mod(rows, p, limit, skip=(), basis=None):
     kept and never reduces above a pivot.  The result equals the pivot
     columns of the RREF of the transposed rows.
 
-    skip holds indices of rows the caller knows to depend mod p on the rows
-    before them; they are passed over unread, which changes neither the
-    profile nor the echelon form.  basis, when the caller passes a dict,
-    keeps that echelon form: pivot column -> the pivot row after its
-    leading 1, mod p, which rref_mod finishes into the RREF of the profile
-    rows.
+    basis, when the caller passes a dict, keeps the echelon form: pivot
+    column -> the pivot row after its leading 1, mod p, which rref_mod
+    finishes into the RREF of the profile rows.
 
     Entries are reduced mod p only when they are read: a pivot row is
     stored reduced and without its leading 1, and the update of the row
@@ -193,8 +179,6 @@ def rank_profile_mod(rows, p, limit, skip=(), basis=None):
     for i, row in enumerate(rows):
         if len(profile) == limit:
             break
-        if i in skip:
-            continue
         v = [x % p for x in row]
         for c in range(len(v)):
             x = v[c] % p

@@ -13,8 +13,7 @@ by the walk at a value 1 when H(1) >= 2, with no piece below it and no
 profile above it, and by socle_report on the exact values of any other
 complete ideal, with no multiplication map.  The walk reduces each row
 forward once: the echelon form its profile pass keeps finishes a GF(p)
-piece by back-substitution, and rows that are multiples of rows found
-dependent one degree down are never read (_upper_hilbert).
+piece by back-substitution (_upper_hilbert).
 
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
@@ -40,7 +39,7 @@ from .monomials import monomial_count, product_table
 from .parsing import parse_poly
 from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_vector,
                      fresh_generators, full_piece, integer_span, integer_terms,
-                     shifted_multiples, shifted_vectors)
+                     shifted_vectors)
 from .poly import MultiPoly, _term_product
 
 
@@ -106,9 +105,6 @@ class GradedIdeal:
         # it kept), as the Artinian walk left them for the exact piece of
         # degree t to reuse
         self._profiles = {}
-        # t -> the indices of the degree-t rows outside the walk's profile,
-        # whose multiples the profile of degree t + 1 passes over
-        self._outside = {}
         self._artinian_bound = None
         # the Hilbert values H(0..s) once I = Ann(F) is certified
         self._hilbert = None
@@ -197,32 +193,17 @@ class GradedIdeal:
         echelon form, cached with the rows and the profile for graded_piece:
         over GF(p) the piece is then finished by back-substitution, and over
         QQ the rows come lightest generator first (see _generator_data), so
-        the profile keeps the rows of least height for the exact elimination.
-
-        The pass never reads a row x_k * x^alpha * g when x^alpha * g fell
-        outside the profile one degree down.  The rows run generator by
-        generator, in _gen_data order, and within a generator by multiplier
-        in descending lex order, which multiplying by x_k preserves.  So x_k
-        times a dependency of x^alpha * g on the rows before it is a
-        dependency of x_k * x^alpha * g on the rows before that one, and the
-        profile and echelon form are those of all the rows, over either
-        field.  Over QQ the skipped rows stay in the cached rows, and the
-        exact elimination checks them with every other row outside the
-        profile."""
+        the profile keeps the rows of least height for the exact elimination."""
         dim = monomial_count(self.n, t)
         piece = self._pieces.get(t)
         if piece is not None:
             return dim - piece.dim
         entry = self._profiles.get(t)
         if entry is None:
-            n, gen_data = self.n, self._gen_data
-            rows = shifted_vectors(n, t, gen_data)
-            below = self._outside.pop(t - 1, None)
-            skip = shifted_multiples(n, t, gen_data, below) if below else ()
+            rows = shifted_vectors(self.n, t, self._gen_data)
             basis = {}
-            profile = row_profile(self.field, rows, dim, skip, basis)
+            profile = row_profile(self.field, rows, dim, basis)
             entry = self._profiles[t] = rows, profile, basis
-            self._outside[t] = set(range(len(rows))).difference(profile)
         return dim - len(entry[1])
 
     def _certify(self, upper) -> bool:
@@ -269,8 +250,7 @@ class GradedIdeal:
         The degrees are walked first on row rank profiles mod p alone
         (_upper_hilbert): one forward pass per degree, which keeps its
         echelon form for the exact piece of that degree (finished by
-        back-substitution over GF(p)) and passes over the rows that are
-        variable multiples of rows outside the profile one degree down.
+        back-substitution over GF(p)).
         The Macaulay dual certificate (_certify) proves every Hilbert value
         from one exact piece, the socle-degree one.  The walk tries it only
         where that skips the profile of degree s + 1: at a value 1 in degree

@@ -96,13 +96,13 @@ def _modulus(field):
     raise TypeError(f"unsupported field {field!r}")
 
 
-def row_profile(field, rows, limit, skip=(), basis=None):
+def row_profile(field, rows, limit, basis=None):
     """The row rank profile of integer rows modulo the prime of field, at
-    most limit rows (rank_profile_mod, which passes over the rows in skip
-    unread and keeps its echelon form in the dict basis when one is given).
-    Over GF(p) its length is the rank; over QQ it is a lower bound for the
-    rank, which never drops under reduction mod CERTIFICATE_PRIME."""
-    return rank_profile_mod(rows, _modulus(field), limit, skip, basis)
+    most limit rows (rank_profile_mod, which keeps its echelon form in the
+    dict basis when one is given).  Over GF(p) its length is the rank; over
+    QQ it is a lower bound for the rank, which never drops under reduction
+    mod CERTIFICATE_PRIME.  It is the one caller of rank_profile_mod."""
+    return rank_profile_mod(rows, _modulus(field), limit, basis)
 
 
 def rref_rows(field, rows, nc, profile=None, basis=None):
@@ -111,9 +111,10 @@ def rref_rows(field, rows, nc, profile=None, basis=None):
     Over QQ the rows are primitive with a positive pivot, as rref_int
     returns them; over GF(p) they are the leading-1 rows of rref_mod.
     Either form is unique for the row space.  One route serves both fields
-    and every shape.  profile is row_profile(field, rows, nc) of these rows
-    and basis the echelon form that pass kept (read over GF(p) only); a
-    caller that has them passes them, otherwise the pass is taken here.
+    and every shape, and it is the only way from rows to an RREF mod p.
+    profile is row_profile(field, rows, nc) of these rows and basis the
+    echelon form that pass kept (read over GF(p) only, where a caller that
+    passes a profile passes it too); otherwise the pass is taken here.
     The rank over QQ is never below the rank mod CERTIFICATE_PRIME, so a
     profile of nc rows proves the identity RREF with no kernel call.
     Otherwise over GF(p) rref_mod back-substitutes basis into the RREF of
@@ -123,7 +124,7 @@ def rref_rows(field, rows, nc, profile=None, basis=None):
     """
     if profile is None:
         basis = {}
-        profile = row_profile(field, rows, nc, (), basis)
+        profile = row_profile(field, rows, nc, basis)
     if len(profile) == nc:
         return list(range(nc)), _identity_rows(nc)
     if isinstance(field, PrimeField):

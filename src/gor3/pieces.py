@@ -17,9 +17,6 @@ criteria.linres_matrix builds one more catalecticant from shifted
 generator rows: Cat_e'(f o X^[m-1]), its rows kept where every exponent
 is below m and in reversed order.  fresh_generators, the minimal generators of a piece
 over the one below, runs once per ideal, when its generators are read.
-The row layout of shifted_vectors is known here alone: shifted_multiples
-names the rows that are variable multiples of given rows one degree down,
-which the Artinian walk of ideals passes over.
 """
 
 from __future__ import annotations
@@ -235,23 +232,3 @@ def shifted_vectors(n, t, gens_with_terms):
             out.append(vec)
     return out
 
-
-def shifted_multiples(n, t, gens_with_terms, below):
-    """Indices of the rows of shifted_vectors(n, t, gens_with_terms) that
-    are a variable times a row of shifted_vectors(n, t - 1, gens_with_terms)
-    whose index is in the set below: x^beta * g for every x^alpha * g
-    listed there and beta = alpha + e_k, k = 1..n."""
-    out = set()
-    lo = hi = 0     # where the rows of the current generator start
-    for deg_g, _ in gens_with_terms:
-        if deg_g > t:
-            continue
-        if deg_g < t:
-            # x^alpha * x_k sits at table[alpha][k] among the multipliers
-            table = product_table(n, t - 1 - deg_g, 1)
-            for i, row in enumerate(table, lo):
-                if i in below:
-                    out.update(hi + j for j in row)
-            lo += len(table)
-        hi += monomial_count(n, t - deg_g)
-    return out

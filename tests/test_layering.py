@@ -1,8 +1,9 @@
 """The layering of the package: every import of a gor3 module sits at the
 top of its module, the graph of those imports has no cycle, pieces sits
 below ideals, poly below linalg, no module takes a private name from
-ideals or pieces, the row-reduction kernels import nothing but math, and
-no module but __init__ imports a name it never reads.
+ideals or pieces, the row-reduction kernels import nothing but math, only
+linalg.row_profile calls the GF(p) forward pass, and no module but
+__init__ imports a name it never reads.
 
 An import inside a function hides a dependency from the reader and is the
 usual way a cycle gets in, so both are checked on the source with ``ast``,
@@ -151,6 +152,43 @@ def test_the_private_import_finder_finds_one():
               "from gor3.pieces import _helper\nfrom .linalg import _residual\n")
     assert _private_imports(source, {"ideals", "pieces"}) == [
         ("ideals", "_product_span"), ("pieces", "_helper")]
+
+
+def _callers(source, name):
+    """The names of the functions in source whose body calls name, as a
+    bare name or an attribute; a call at module level counts as "<module>"."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_row_profile_takes_the_forward_pass_mod_p():
+    # every rank, profile and RREF mod p starts from linalg.row_profile
+    callers = {(path.stem, fn) for path in sorted(PACKAGE.glob("*.py"))
+               for fn in _callers(path.read_text(encoding="utf-8"), "rank_profile_mod")}
+    assert callers == {("linalg", "row_profile")}
+
+
+def test_the_caller_finder_finds_one():
+    source = ("def rref_mod(rows, p):\n    return rank_profile_mod(rows, p, 3)\n"
+              "def row_profile(rows):\n    def inner():\n"
+              "        return _rowred_py.rank_profile_mod(rows, 2, 1)\n"
+              "    return inner()\nrank_profile_mod([], 2, 0)\n"
+              "def unrelated(rows):\n    return rank_profile_mod\n")
+    assert _callers(source, "rank_profile_mod") == {"rref_mod", "inner", "<module>"}
 
 
 def test_the_cycle_finder_finds_a_cycle():

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from gor3._rowred_py import _bareiss, rref_int, rref_mod
+from gor3._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
 from gor3.fields import GF, QQ
 from gor3.linalg import ExactMatrix, kernel_rows, normal_form, row_rank, rref_rows
 from oracles import Span, det_by_minors, fraction_rref, gcd_rref_int
@@ -201,7 +201,8 @@ def test_det_mod_p():
 def test_kernel_contract():
     """rref_int gives primitive rows with a positive pivot and zeros in the
     other pivot columns, equal to the rational RREF once divided through;
-    rref_mod gives that RREF mod p for a prime dividing no Bareiss pivot."""
+    rref_mod, back-substituting the echelon form rank_profile_mod keeps,
+    gives that RREF mod p for a prime dividing no Bareiss pivot."""
     primes = [101, 103, 107, 109, 113, 127, 131]
     rng = random.Random(3)
     for _ in range(40):
@@ -218,7 +219,10 @@ def test_kernel_contract():
             assert [Fraction(v, row[col]) for v in row] == expected
         _, bareiss_pivots = bareiss_rank_and_pivots(rows)
         p = next(p for p in primes if all(v % p for v in bareiss_pivots))
-        assert rref_mod([[v % p for v in r] for r in rows], p) == (
+        residues = [[v % p for v in r] for r in rows]
+        basis = {}
+        profile = rank_profile_mod(residues, p, nc, basis)
+        assert rref_mod([residues[i] for i in profile], p, basis) == (
             pivots,
             [[v.numerator * pow(v.denominator, -1, p) % p for v in r]
              for r in reduced])

@@ -311,8 +311,9 @@ def test_no_answer_depends_on_the_prime(monkeypatch):
 
 def test_a_profile_passed_in_gives_the_same_rref(monkeypatch):
     """rref_rows with the row profile the caller took (as the Artinian walk
-    passes it) equals rref_rows without one, over QQ modulo each prime and
-    over GF(p) from the profile rows alone, for tall and wide matrices."""
+    passes it, with the echelon form that pass kept) equals rref_rows
+    without one, over QQ modulo each prime and over GF(p) from the profile
+    rows alone, for tall and wide matrices."""
     rng = random.Random(8)
     matrices = [rows for rows, _ in _prime_free_matrices(rng)]
     matrices += [[list(col) for col in zip(*rows)] for rows in matrices]
@@ -321,8 +322,9 @@ def test_a_profile_passed_in_gives_the_same_rref(monkeypatch):
     for field in (GF(7), GF(32003)):
         for rows in matrices:
             nc = len(rows[0])
-            profile = row_profile(field, rows, nc)
-            assert rref_rows(field, rows, nc, profile) == rref_rows(field, rows, nc)
+            basis = {}
+            profile = row_profile(field, rows, nc, basis)
+            assert rref_rows(field, rows, nc, profile, basis) == rref_rows(field, rows, nc)
     for p in PRIMES:
         monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", p)
         for rows in matrices:

@@ -1,4 +1,5 @@
-"""The Artinian walk's one forward pass and the rows it passes over.
+"""The Artinian walk's one forward pass and the back-substitution that
+finishes it.
 
 rank_profile_mod keeps its echelon form in the dict basis, and rref_mod,
 given that form with the profile rows, finishes their RREF by
@@ -6,24 +7,22 @@ back-substitution alone.  It must equal the Gauss-Jordan pass of
 ``oracles.field_rref`` over those rows: on seeded wide, tall, rank-0,
 rank-deficient and full-rank matrices over GF(2), GF(3), GF(7) and
 GF(32003), and on every degree the walk profiles for the registry's ideals
-over those fields.  Without an echelon form rref_mod takes the pass itself,
-and must equal the same oracle on seeded empty, zero, wide, tall,
+over those fields.  Given rows alone, rref_rows takes the pass itself, and
+must equal the same oracle on seeded empty, zero, wide, tall,
 rank-deficient and full-rank matrices with entries outside [0, p).
 
-The walk passes over every x_k multiple of a row that fell outside the
-profile one degree down.  The profile and the echelon form must equal
-those of a pass that reads every row, at every degree, and the answers
-(the Artinian bound, the Hilbert table, the socle report) those of a walk
-with the skip switched off: on the registry's ideals and seeded random
-ideals over QQ and the same four prime fields, and over QQ modulo the tiny
-primes 2, 3 and 5 as well.
+The walk's answers (the Artinian bound, the Hilbert table, the socle
+report) and the pieces built from its cached profiles must equal those of
+a fresh ideal whose pieces are all eliminated from their rows before it is
+asked anything, so that it takes no profile: on the registry's ideals and
+seeded random ideals over QQ and the same four prime fields, and over QQ
+modulo the tiny primes 2, 3 and 5 as well.
 """
 
 import random
 
 import pytest
 
-import gor3.ideals
 import gor3.linalg
 from gor3 import GradedIdeal, MultiPoly
 from gor3._rowred_py import rank_profile_mod, rref_mod
@@ -32,6 +31,7 @@ from gor3.cases import (ex_2_5_ideal, ex_3_7_ideal, ex_4_5_ideal, ex_4_9_ideal,
                         monomial_tower_squared, random_quadrics)
 from gor3.fields import GF, QQ
 from gor3.ideals import NotArtinianError
+from gor3.linalg import rref_rows
 from gor3.monomials import monomials_of_degree
 from gor3.pfaffians import generic_power_model
 
@@ -59,7 +59,7 @@ def _back_substituted(rows, p):
     """rref_mod of the profile rows, from the echelon form of the pass."""
     nc = len(rows[0])
     basis = {}
-    profile = rank_profile_mod(rows, p, nc, (), basis)
+    profile = rank_profile_mod(rows, p, nc, basis)
     return rref_mod([rows[i] for i in profile], p, basis)
 
 
@@ -71,7 +71,7 @@ def test_back_substitution_equals_gauss_jordan(p):
         nc = len(rows[0])
         profile = rank_profile_mod(rows, p, nc)
         expected = field_rref([rows[i] for i in profile], GF(p))
-        assert _back_substituted(rows, p) == expected == rref_mod(rows, p), label
+        assert _back_substituted(rows, p) == expected == rref_rows(GF(p), rows, nc), label
         seen.add((label, len(profile) == min(len(rows), nc)))
     assert ("rank deficient", False) in seen and ("full rank", True) in seen
 
@@ -112,18 +112,18 @@ def _profile_less_matrices(rng, p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_rref_without_an_echelon_form_equals_gauss_jordan(p):
-    """rref_mod given rows alone takes rank_profile_mod's forward pass
-    itself and back-substitutes it; it must equal the Gauss-Jordan oracle
-    and leave its input as it was."""
+    """rref_rows given rows alone takes rank_profile_mod's forward pass
+    itself and has rref_mod back-substitute it; it must equal the
+    Gauss-Jordan oracle and leave its input as it was."""
     rng = random.Random(3600 + p)
     seen = set()
     for label, rows, rank in _profile_less_matrices(rng, p):
         before = [list(row) for row in rows]
-        got = rref_mod(rows, p)
+        nc = len(rows[0]) if rows else 0
+        got = rref_rows(GF(p), rows, nc)
         assert got == field_rref(rows, GF(p)), label
         assert rows == before, label
         assert rank is None or len(got[0]) == rank, label
-        nc = len(rows[0]) if rows else 0
         seen.add((label, len(got[0]) == min(len(rows), nc)))
     assert ("rank deficient", False) in seen and ("full rank", True) in seen
 
@@ -166,32 +166,18 @@ def _fresh(I):
     return GradedIdeal(I.n, I.generators, I.field)
 
 
-def _checked_walk(monkeypatch):
-    """Check every profile taken from now on against a pass over every row
-    (same profile, same echelon form) and every rref_mod given an echelon
-    form against the Gauss-Jordan oracle over the same rows.  Returns a
-    counter of the rows skipped and the back-substitutions checked."""
-    seen = {"skipped": 0, "back_substituted": 0}
-    profile_mod = gor3.linalg.rank_profile_mod
+def _checked_back_substitution(monkeypatch):
+    """Check every rref_mod call from now on against the Gauss-Jordan
+    oracle over the same rows.  Returns a counter of the calls checked."""
+    seen = {"back_substituted": 0}
     kernel = gor3.linalg.rref_mod
 
-    def checked_profile(rows, p, limit, skip=(), basis=None):
-        got = profile_mod(rows, p, limit, skip, basis)
-        if skip:
-            full = {}
-            assert profile_mod(rows, p, limit, (), full) == got
-            assert basis is None or basis == full
-            seen["skipped"] += len(skip)
-        return got
-
-    def checked_kernel(rows, p, basis=None):
+    def checked_kernel(rows, p, basis):
         got = kernel(rows, p, basis)
-        if basis is not None:
-            assert got == field_rref(rows, GF(p))
-            seen["back_substituted"] += 1
+        assert got == field_rref(rows, GF(p))
+        seen["back_substituted"] += 1
         return got
 
-    monkeypatch.setattr(gor3.linalg, "rank_profile_mod", checked_profile)
     monkeypatch.setattr(gor3.linalg, "rref_mod", checked_kernel)
     return seen
 
@@ -208,42 +194,44 @@ def _answers(I):
     return answers, [I.graded_piece(t) for t in range(bound)]
 
 
-def _compare_with_unskipped(ideals, monkeypatch):
-    """The answers and pieces of every ideal with the skip, each profile and
-    back-substitution checked, equal those with the skip switched off and
-    those of ideals whose pieces are eliminated from all their rows."""
-    expected = []
-    with monkeypatch.context() as m:
-        m.setattr(gor3.ideals, "shifted_multiples", lambda *args: set())
-        for I in ideals:
-            expected.append(_answers(_fresh(I)))
-    seen = _checked_walk(monkeypatch)
+def _answers_from_pieces(I):
+    """_answers of a fresh copy of I whose pieces in degrees 0..n(D-1)+1,
+    D the largest generator degree, are all built first, each eliminated
+    from all its rows: the walk then reads exact pieces and takes no
+    profile."""
+    J = _fresh(I)
+    for t in range(J.n * (max(J.max_generator_degree, 1) - 1) + 2):
+        if J.graded_piece(t).is_full:
+            break
+    return _answers(J)
+
+
+def _compare_with_pieces(ideals, monkeypatch):
+    """The answers and pieces of every ideal, each back-substitution of its
+    walk checked, equal those of a fresh ideal whose pieces are eliminated
+    from all their rows before it is asked anything."""
+    expected = [_answers_from_pieces(I) for I in ideals]
+    seen = _checked_back_substitution(monkeypatch)
     for I, answer in zip(ideals, expected):
-        got = _answers(_fresh(I))
-        assert got == answer, I
-        if not isinstance(got, str):
-            J = _fresh(I)
-            assert got[1] == [J.graded_piece(t) for t in range(len(got[1]))], I
+        assert _answers(_fresh(I)) == answer, I
     return seen
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(32003)], ids=str)
-def test_the_skip_changes_no_profile_and_no_answer(field, monkeypatch):
+def test_the_walk_gives_the_answers_of_exact_pieces(field, monkeypatch):
     ideals = _registry_ideals(field) + _random_ideals(field, 10, 3535)
-    seen = _compare_with_unskipped(ideals, monkeypatch)
-    assert seen["skipped"] >= 100
+    seen = _compare_with_pieces(ideals, monkeypatch)
     # over QQ the echelon form is one mod CERTIFICATE_PRIME and never read
     assert (seen["back_substituted"] > 0) == (field != QQ)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
-def test_the_skip_holds_modulo_any_prime(prime, monkeypatch):
+def test_the_walk_holds_modulo_any_prime(prime, monkeypatch):
     """Over QQ modulo a tiny prime, profiles fall short and the exact route
-    takes over; the skip must still change no profile and no answer."""
+    takes over; the walk must still give the answers of exact pieces."""
     ideals = _registry_ideals(QQ)[:10] + _random_ideals(QQ, 6, 3536)
     monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", prime)
-    seen = _compare_with_unskipped(ideals, monkeypatch)
-    assert seen["skipped"] >= 100
+    _compare_with_pieces(ideals, monkeypatch)
 
 
 def _read_counts(monkeypatch):
@@ -290,31 +278,31 @@ class _Unreadable:
     __getitem__ = __iter__
 
 
-@pytest.mark.parametrize("field, skipped", [(QQ, 13), (GF(32003), 11)], ids=str)
-def test_the_socle_degree_of_a_pfaffian_model(field, skipped, monkeypatch):
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_the_socle_degree_of_a_pfaffian_model(field, monkeypatch):
     """generic_power_model(5, 2, 3, 1) has socle degree 7, whose 50 rows
-    span a piece of dimension 35 in R_7 (36 columns): the walk reads only
-    the rows no degree-6 dependency forces, and over GF(p) the socle piece
-    is one rref_mod call that back-substitutes the walk's echelon form."""
+    span a piece of dimension 35 in R_7 (36 columns): the walk reads all
+    50 rows, and over GF(p) the socle piece is one rref_mod call that
+    back-substitutes the walk's echelon form without reading a row."""
     I = _fresh(generic_power_model(5, 2, 3, 1, field))
     counts = _read_counts(monkeypatch)
     calls = []
     kernel = gor3.linalg.rref_mod
 
-    def unread_rows(rows, p, *rest):
-        calls.append((len(rows), len(rows[0]), rest))
-        return kernel([_Unreadable(len(row)) for row in rows], p, *rest)
+    def unread_rows(rows, p, basis):
+        calls.append((len(rows), len(rows[0]), basis))
+        return kernel([_Unreadable(len(row)) for row in rows], p, basis)
 
     monkeypatch.setattr(gor3.linalg, "rref_mod", unread_rows)
     rep = I.socle_report()
     assert rep.socle_degree == 7 and rep.is_gorenstein
-    assert (50, 50 - skipped) in counts
+    assert (50, 50) in counts
     if field == QQ:
         assert calls == []
     else:
         # the 35 profile rows, as before, and an echelon form with them
         assert len(calls) == 1
-        nr, nc, (basis,) = calls[0]
+        nr, nc, basis = calls[0]
         assert (nr, nc) == (35, 36) and len(basis) == 35
     monkeypatch.undo()
     assert I.graded_piece(7) == _fresh(I).graded_piece(7)
