@@ -154,18 +154,17 @@ def rref_mod(rows, p, basis):
     return pivots, out
 
 
-def rank_profile_mod(rows, p, limit, basis=None):
-    """Row rank profile over GF(p): the indices, in order, of the rows that
-    are independent mod p of the rows before them, at most limit of them.
+def rank_profile_mod(rows, p, limit):
+    """(profile, basis): the row rank profile over GF(p), the indices, in
+    order, of the rows that are independent mod p of the rows before them,
+    at most limit of them, and the echelon form that pass kept.
 
     Each row is reduced mod p against the pivot rows kept so far, the
     earliest pivot column first; a row that stays nonzero is kept and its
     leading entry becomes a new pivot.  The pass stops once limit rows are
-    kept and never reduces above a pivot.  The result equals the pivot
-    columns of the RREF of the transposed rows.
-
-    basis, when the caller passes a dict, keeps the echelon form: pivot
-    column -> the pivot row after its leading 1, mod p, which rref_mod
+    kept and never reduces above a pivot.  The profile equals the pivot
+    columns of the RREF of the transposed rows.  basis maps each pivot
+    column to its pivot row after the leading 1, mod p, which rref_mod
     finishes into the RREF of the profile rows.
 
     Entries are reduced mod p only when they are read: a pivot row is
@@ -173,9 +172,8 @@ def rank_profile_mod(rows, p, limit, basis=None):
     being reduced takes no remainder, so its entries stay below about
     ncols * p^2 in absolute value.
     """
-    if basis is None:
-        basis = {}
     profile = []
+    basis = {}
     for i, row in enumerate(rows):
         if len(profile) == limit:
             break
@@ -191,4 +189,4 @@ def rank_profile_mod(rows, p, limit, basis=None):
                 profile.append(i)
                 break
             v[c + 1:] = [a - x * b for a, b in zip(v[c + 1:], tail)]
-    return profile
+    return profile, basis

@@ -52,6 +52,13 @@ class CliError(Exception):
         self.code = code
 
 
+def _at_least(option, value, least, reason):
+    """A usage error for an integer option below its least value, raised
+    before any input is read."""
+    if value is not None and value < least:
+        raise CliError(f"{option} {value} is below {least}: {reason}")
+
+
 def _read_source(text):
     if text.startswith("@"):
         try:
@@ -286,6 +293,7 @@ def cmd_ann(args, field, names):
 
 
 def cmd_newton_dual(args, field, names):
+    _at_least("--socle-m", args.socle_m, 1, "the directrix (m-1, ..., m-1) needs m >= 1")
     f = parse_poly(_read_source(args.f), names, field)
     if args.socle_m is None:
         _emit(args, {"field": field.name, "dual": newton_dual(f).format(names)})
@@ -302,6 +310,7 @@ def cmd_newton_dual(args, field, names):
 
 
 def cmd_directrix(args, field, names):
+    _at_least("--m", args.m, 1, "the pure powers x_i^m need m >= 1")
     I = _ideal_from_arg(args.ideal, names, field)
     f = directrix_form(I, args.m)
     colon = variable_power_ideal(I.n, args.m, field).colon(f)
@@ -317,6 +326,7 @@ def cmd_directrix(args, field, names):
 
 
 def cmd_linres_test(args, field, names):
+    _at_least("--m", args.m, 1, "the colon is by the pure powers x_i^m, m >= 1")
     f = parse_poly(_read_source(args.f), names, field)
     rep = is_equigen_linres(f, args.m)
     report = {"field": field.name, "form": f.format(names), "m": args.m}
@@ -332,6 +342,7 @@ def cmd_linres_test(args, field, names):
 
 
 def cmd_spans(args, field, names):
+    _at_least("--e", args.e, 0, "the forms are multiplied by R_e, e >= 0")
     forms = parse_poly_list(_read_source(args.forms), names, field)
     rep = spans_target(forms, args.e)
     report = {"field": field.name, "e": args.e}
@@ -381,8 +392,7 @@ def cmd_gap(args, field, names):
 
 
 def cmd_power_check(args, field, names):
-    if args.k < 1:
-        raise CliError(f"--k {args.k} is below 1: I^k is compared for k >= 1")
+    _at_least("--k", args.k, 1, "I^k is compared for k >= 1")
     I = _ideal_from_arg(args.ideal, names, field)
     eq = I.is_equigenerated()
     if eq is None:

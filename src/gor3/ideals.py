@@ -101,9 +101,9 @@ class GradedIdeal:
         self._pieces = {}
         # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
         self._power_pieces = {}
-        # t -> (shifted generator rows, their row_profile, the echelon form
-        # it kept), as the Artinian walk left them for the exact piece of
-        # degree t to reuse
+        # t -> (shifted generator rows, their row_profile: the profile and
+        # the echelon form its pass kept), as the Artinian walk left them for
+        # the exact piece of degree t to reuse
         self._profiles = {}
         self._artinian_bound = None
         # the Hilbert values H(0..s) once I = Ann(F) is certified
@@ -169,10 +169,10 @@ class GradedIdeal:
                 # R_1 * R_{t-1} = R_t above a full piece
                 piece = full_piece(self.n, t, self.field)
             else:
-                rows, profile, basis = self._profiles.pop(t, (None, None, None))
+                rows, echelon = self._profiles.pop(t, (None, None))
                 if rows is None:
                     rows = shifted_vectors(self.n, t, self._gen_data)
-                piece = integer_span(self.n, t, rows, self.field, profile, basis)
+                piece = integer_span(self.n, t, rows, self.field, echelon)
             self._pieces[t] = piece
         return piece
 
@@ -189,8 +189,8 @@ class GradedIdeal:
         upper bound for H(t), since reduction mod CERTIFICATE_PRIME never
         raises a rank.
 
-        The one forward pass over the rows (linalg.row_profile) keeps its
-        echelon form, cached with the rows and the profile for graded_piece:
+        The one forward pass over the rows (linalg.row_profile) returns the
+        profile with its echelon form, cached with the rows for graded_piece:
         over GF(p) the piece is then finished by back-substitution, and over
         QQ the rows come lightest generator first (see _generator_data), so
         the profile keeps the rows of least height for the exact elimination."""
@@ -201,10 +201,8 @@ class GradedIdeal:
         entry = self._profiles.get(t)
         if entry is None:
             rows = shifted_vectors(self.n, t, self._gen_data)
-            basis = {}
-            profile = row_profile(self.field, rows, dim, basis)
-            entry = self._profiles[t] = rows, profile, basis
-        return dim - len(entry[1])
+            entry = self._profiles[t] = rows, row_profile(self.field, rows, dim)
+        return dim - len(entry[1][0])
 
     def _certify(self, upper) -> bool:
         """Whether I = Ann(F) for a dual form F of degree s = len(upper) - 1,
@@ -232,7 +230,7 @@ class GradedIdeal:
         for t in range(s // 2 + 1):
             h = upper[t]
             cat = catalecticant(self.n, s, F, t)
-            if len(row_profile(self.field, cat, h)) != h:
+            if len(row_profile(self.field, cat, h)[0]) != h:
                 return False
         self._hilbert = upper
         return True
@@ -254,10 +252,13 @@ class GradedIdeal:
         The Macaulay dual certificate (_certify) proves every Hilbert value
         from one exact piece, the socle-degree one.  The walk tries it only
         where that skips the profile of degree s + 1: at a value 1 in degree
-        s >= 2 when upper[1] >= 2.  Otherwise (no such value, a failed try,
-        or a first piece full mod p, which is full over either field) the
-        exact pieces are built degree by degree, reusing the walk's
-        profiles, and socle_report tries the certificate on the exact values.
+        s >= 2 when upper[1] >= 2.  Otherwise (no such value or a failed
+        try) exact pieces, built from the walk's profiles, decide the bound
+        top down: from the walk's first degree with upper = 0, full over
+        either field, or else from n(D-1)+1, whose exact piece is full or
+        proves I not Artinian, the bound steps down while the exact value
+        one degree lower is 0, since H(t) = 0 forces H(t+1) = 0.
+        socle_report tries the certificate on the exact values.
 
         The early try needs no profile of degree s+1, because a certified
         I_s with H(1) >= 2 gives R_1 * I_s = R_{s+1} over any field: Ann(F)
@@ -286,12 +287,15 @@ class GradedIdeal:
                     self._pieces[t + 1] = full_piece(self.n, t + 1, self.field)
                     self._artinian_bound = t + 1
                     return t + 1
-        for t in range(top + 1):
-            if self.hilbert_function(t) == 0:
-                self._artinian_bound = t
-                return t
-        raise NotArtinianError(f"not Artinian within cap (no vanishing Hilbert "
-                               f"value up to t={4 * D * self.n})")
+        # step down from the walk's first zero, else from top (see above)
+        t = min(len(upper), top)
+        if self.hilbert_function(t):
+            raise NotArtinianError(f"not Artinian within cap (no vanishing Hilbert "
+                                   f"value up to t={4 * D * self.n})")
+        while t and self.hilbert_function(t - 1) == 0:
+            t -= 1
+        self._artinian_bound = t
+        return t
 
     def is_artinian(self) -> bool:
         try:

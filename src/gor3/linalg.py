@@ -18,11 +18,12 @@ both fields.
 
 Every rank, profile and RREF starts from one forward pass,
 rank_profile_mod, modulo the field's own p over GF(p) and modulo
-CERTIFICATE_PRIME over QQ (row_profile); it stops at full rank.  rref_rows
-takes that pass once, or reads it from a caller that has it, for every
-matrix: a full profile is the identity, over GF(p) rref_mod back-substitutes
-the echelon form the pass kept, and over QQ the profile decides which rows
-the exact kernel sees.  A rank alone never builds a reduced form: it is the
+CERTIFICATE_PRIME over QQ (row_profile); it stops at full rank and returns
+the profile with the echelon form it kept, one value.  rref_rows takes that
+pass once, or reads it whole from a caller that has it, for every matrix:
+a full profile is the identity, over GF(p) rref_mod back-substitutes the
+echelon form, and over QQ the profile decides which rows the exact kernel
+sees.  A rank alone never builds a reduced form: it is the
 length of that profile, or over QQ, when the profile falls short of full
 rank, the pivot count of the exact forward elimination.
 """
@@ -96,35 +97,34 @@ def _modulus(field):
     raise TypeError(f"unsupported field {field!r}")
 
 
-def row_profile(field, rows, limit, basis=None):
-    """The row rank profile of integer rows modulo the prime of field, at
-    most limit rows (rank_profile_mod, which keeps its echelon form in the
-    dict basis when one is given).  Over GF(p) its length is the rank; over
-    QQ it is a lower bound for the rank, which never drops under reduction
-    mod CERTIFICATE_PRIME.  It is the one caller of rank_profile_mod."""
-    return rank_profile_mod(rows, _modulus(field), limit, basis)
+def row_profile(field, rows, limit):
+    """(profile, basis): the row rank profile of integer rows modulo the
+    prime of field, at most limit rows, and the echelon form that pass
+    kept (rank_profile_mod).  Over GF(p) the length of the profile is the
+    rank; over QQ it is a lower bound for the rank, which never drops under
+    reduction mod CERTIFICATE_PRIME.  It is the one caller of
+    rank_profile_mod."""
+    return rank_profile_mod(rows, _modulus(field), limit)
 
 
-def rref_rows(field, rows, nc, profile=None, basis=None):
+def rref_rows(field, rows, nc, echelon=None):
     """Canonical RREF (pivots, rows) of integer rows with nc columns.
 
     Over QQ the rows are primitive with a positive pivot, as rref_int
     returns them; over GF(p) they are the leading-1 rows of rref_mod.
     Either form is unique for the row space.  One route serves both fields
     and every shape, and it is the only way from rows to an RREF mod p.
-    profile is row_profile(field, rows, nc) of these rows and basis the
-    echelon form that pass kept (read over GF(p) only, where a caller that
-    passes a profile passes it too); otherwise the pass is taken here.
+    echelon is row_profile(field, rows, nc) of these rows, the profile
+    with the echelon form its pass kept, when the caller has it; otherwise
+    the pass is taken here.
     The rank over QQ is never below the rank mod CERTIFICATE_PRIME, so a
     profile of nc rows proves the identity RREF with no kernel call.
-    Otherwise over GF(p) rref_mod back-substitutes basis into the RREF of
-    the profile rows.  Over QQ only the profile rows are eliminated
-    exactly and every other row is checked against the result; if one lies
-    outside (an unlucky prime), all rows are eliminated.
+    Otherwise over GF(p) rref_mod back-substitutes the echelon form into
+    the RREF of the profile rows.  Over QQ only the profile rows are
+    eliminated exactly and every other row is checked against the result;
+    if one lies outside (an unlucky prime), all rows are eliminated.
     """
-    if profile is None:
-        basis = {}
-        profile = row_profile(field, rows, nc, basis)
+    profile, basis = echelon or row_profile(field, rows, nc)
     if len(profile) == nc:
         return list(range(nc)), _identity_rows(nc)
     if isinstance(field, PrimeField):
@@ -148,7 +148,7 @@ def row_rank(field, rows, nc):
     an unlucky prime) gives way to the pivot count of a Bareiss elimination.
     """
     full = min(len(rows), nc)
-    rank = len(row_profile(field, rows, full))
+    rank = len(row_profile(field, rows, full)[0])
     if rank == full or isinstance(field, PrimeField):
         return rank
     return len(_bareiss(list(rows))[0])

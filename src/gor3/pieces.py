@@ -111,15 +111,15 @@ def vector_to_poly(n, t, vec, field):
     return MultiPoly.from_vector(n, t, vec, field)
 
 
-def integer_span(n, t, rows, field, profile=None, basis=None) -> GradedPiece:
+def integer_span(n, t, rows, field, echelon=None) -> GradedPiece:
     """The piece spanned by integer rows: over QQ scaled rows, over GF(p)
-    any integers standing for their residues.  profile is their row rank
-    profile and basis the echelon form that pass kept, when the caller has
-    them (linalg.rref_rows)."""
+    any integers standing for their residues.  echelon is their
+    linalg.row_profile, the profile with its echelon form, when the caller
+    has it (linalg.rref_rows)."""
     if not rows:
         return zero_piece(n, t, field)
     return GradedPiece(n, t, field, *rref_rows(field, rows, monomial_count(n, t),
-                                               profile, basis))
+                                               echelon))
 
 
 def full_piece(n, t, field) -> GradedPiece:

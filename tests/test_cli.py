@@ -362,6 +362,14 @@ DUAL_CLASH = "dual forms are written in the names upper-cased, and two of them t
      "--k 0 is below 1: I^k is compared for k >= 1"),
     (["power-check", "--ideal", "x^2,y^2,z^2", "--k", "-2"],
      "--k -2 is below 1: I^k is compared for k >= 1"),
+    (["spans", "--forms", "x^2,y^2,z^2", "--e", "-1"],
+     "--e -1 is below 0: the forms are multiplied by R_e, e >= 0"),
+    (["linres-test", "--f", "x*y*z", "--m", "0"],
+     "--m 0 is below 1: the colon is by the pure powers x_i^m, m >= 1"),
+    (["directrix", "--ideal", "x^2,y^2,z^2", "--m", "0"],
+     "--m 0 is below 1: the pure powers x_i^m need m >= 1"),
+    (["newton-dual", "--f", "x*y", "--socle-m", "0"],
+     "--socle-m 0 is below 1: the directrix (m-1, ..., m-1) needs m >= 1"),
     (["ann", "--dual", "A^2", "--vars", "a,A"],
      f"--vars 'a,A': {DUAL_CLASH}"),
     (["inverse", "--ideal", "A,a^2", "--vars", "a,A"],
@@ -369,7 +377,8 @@ DUAL_CLASH = "dual forms are written in the names upper-cased, and two of them t
     (["newton-dual", "--f", "b*B", "--socle-m", "2", "--vars", "B,b"],
      f"--vars 'B,b': {DUAL_CLASH}"),
 ], ids=["negative-t-max", "unreadable-file", "empty-list", "not-equigenerated",
-        "zero-k", "negative-k",
+        "zero-k", "negative-k", "negative-e", "linres-zero-m", "directrix-zero-m",
+        "zero-socle-m",
         "ann-dual-names", "inverse-dual-names", "newton-dual-names"])
 def test_usage_error_exits_2_with_its_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)

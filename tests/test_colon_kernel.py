@@ -81,9 +81,9 @@ def test_one_elimination_per_colon_degree(field, monkeypatch):
     original = gor3.linalg.rref_rows
     calls = []
 
-    def rref_rows(fld, rows, nc, profile=None):
+    def rref_rows(fld, rows, nc, echelon=None):
         calls.append((len(rows), nc, {len(row) for row in rows} <= {nc}))
-        return original(fld, rows, nc, profile)
+        return original(fld, rows, nc, echelon)
 
     for label, base, f in cases:
         e = f.homogeneous_degree()

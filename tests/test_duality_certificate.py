@@ -95,10 +95,10 @@ def _profile_shapes(monkeypatch):
     shapes = []
     profile = gor3.linalg.rank_profile_mod
 
-    def recorded(rows, p, limit, *rest):
+    def recorded(rows, p, limit):
         if rows:
             shapes.append((len(rows), len(rows[0])))
-        return profile(rows, p, limit, *rest)
+        return profile(rows, p, limit)
 
     monkeypatch.setattr(gor3.linalg, "rank_profile_mod", recorded)
     return shapes
@@ -217,12 +217,15 @@ def test_a_line_is_not_artinian_though_its_degree_two_piece_certifies(field):
     assert _fresh(I)._certify([1, 1, 1])
     with pytest.raises(NotArtinianError):
         I.artinian_bound()
+    # the only exact piece is the one in degree n(D-1)+1 = 1, the proof
+    assert sorted(I._pieces) == [1]
     # a redundant y^2 raises D, so the walk itself reads 1, 1, 1 up to
     # degree 2 and must not stop there
     I = GradedIdeal.from_strings(["y", "z", "y^2"], field=field)
     with pytest.raises(NotArtinianError):
         I.artinian_bound()
     assert I._hilbert is None
+    assert sorted(I._pieces) == [4]
 
 
 def _no_maps(self, t):
@@ -240,12 +243,14 @@ def _report_and_oracle(I):
 def test_a_divided_power_is_certified_at_the_full_piece(field, monkeypatch):
     """(y, z, x^5) = Ann(X^[4]) has H(1) = 1 and a generator in degree
     s + 1 = 5, so the walk does not try the certificate: it profiles degree
-    5, finds it full and builds the exact pieces below it.  socle_report
-    then certifies the exact values, with the full piece I_5 as the bound,
-    and builds no multiplication map."""
+    5, finds it full and builds only I_5, from that full profile, and the
+    exact piece I_4 below it.  socle_report then certifies the exact
+    values, with the full piece I_5 as the bound, and builds no
+    multiplication map."""
     shapes = _profile_shapes(monkeypatch)
     I = GradedIdeal.from_strings(["y", "z", "x^5"], field=field)
     assert I.artinian_bound() == 5
+    assert sorted(I._pieces) == [4, 5]
     assert I._hilbert is None
     assert max(cols for _, cols in shapes) == monomial_count(3, 5)
     monkeypatch.setattr(GradedIdeal, "multiplication_maps", _no_maps)

@@ -146,6 +146,13 @@ def test_not_artinian_detection():
     I = GradedIdeal.from_strings(["x^2", "y^3"])
     with pytest.raises(NotArtinianError):
         I.socle_report()
+    # the one exact piece is the nonzero one in degree n(D-1)+1
+    assert sorted(I._pieces) == [7]
+    for field in (QQ, GF(32003)):
+        I = GradedIdeal.from_strings(["x^3*y^2", "x^2*z^3+y^5", "y^4*z-x*z^4"],
+                                     field=field)
+        assert not I.is_artinian()
+        assert sorted(I._pieces) == [13]
 
 
 def test_artinian_hilbert_vanishing(ex_2_5, ex_3_7, ex_4_5):

@@ -220,8 +220,7 @@ def test_kernel_contract():
         _, bareiss_pivots = bareiss_rank_and_pivots(rows)
         p = next(p for p in primes if all(v % p for v in bareiss_pivots))
         residues = [[v % p for v in r] for r in rows]
-        basis = {}
-        profile = rank_profile_mod(residues, p, nc, basis)
+        profile, basis = rank_profile_mod(residues, p, nc)
         assert rref_mod([residues[i] for i in profile], p, basis) == (
             pivots,
             [[v.numerator * pow(v.denominator, -1, p) % p for v in r]

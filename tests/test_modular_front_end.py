@@ -42,13 +42,13 @@ def kernel_calls(monkeypatch):
         calls.append(("int", [list(r) for r in rows]))
         return rref_int(rows)
 
-    def counted_profile(rows, p, limit, *rest):
+    def counted_profile(rows, p, limit):
         calls.append(("mod", p))
-        return rank_profile_mod(rows, p, limit, *rest)
+        return rank_profile_mod(rows, p, limit)
 
-    def counted_mod(rows, p, *rest):
+    def counted_mod(rows, p, basis):
         calls.append(("rref_mod", [list(r) for r in rows]))
-        return rref_mod(rows, p, *rest)
+        return rref_mod(rows, p, basis)
 
     monkeypatch.setattr(gor3.linalg, "rref_int", counted_int)
     monkeypatch.setattr(gor3.linalg, "rank_profile_mod", counted_profile)
@@ -310,9 +310,9 @@ def test_no_answer_depends_on_the_prime(monkeypatch):
 
 
 def test_a_profile_passed_in_gives_the_same_rref(monkeypatch):
-    """rref_rows with the row profile the caller took (as the Artinian walk
-    passes it, with the echelon form that pass kept) equals rref_rows
-    without one, over QQ modulo each prime and over GF(p) from the profile
+    """rref_rows with the row profile and echelon form the caller took (as
+    the Artinian walk passes them, one value from one pass) equals rref_rows
+    without them, over QQ modulo each prime and over GF(p) from the profile
     rows alone, for tall and wide matrices."""
     rng = random.Random(8)
     matrices = [rows for rows, _ in _prime_free_matrices(rng)]
@@ -322,12 +322,11 @@ def test_a_profile_passed_in_gives_the_same_rref(monkeypatch):
     for field in (GF(7), GF(32003)):
         for rows in matrices:
             nc = len(rows[0])
-            basis = {}
-            profile = row_profile(field, rows, nc, basis)
-            assert rref_rows(field, rows, nc, profile, basis) == rref_rows(field, rows, nc)
+            echelon = row_profile(field, rows, nc)
+            assert rref_rows(field, rows, nc, echelon) == rref_rows(field, rows, nc)
     for p in PRIMES:
         monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", p)
         for rows in matrices:
             nc = len(rows[0])
-            profile = row_profile(QQ, rows, nc)
-            assert rref_rows(QQ, rows, nc, profile) == gcd_rref_int(rows)
+            echelon = row_profile(QQ, rows, nc)
+            assert rref_rows(QQ, rows, nc, echelon) == gcd_rref_int(rows)

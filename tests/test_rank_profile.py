@@ -1,6 +1,6 @@
 """The forward-only row rank profile and the rank that reads it.
 
-``rank_profile_mod(rows, p, limit)`` keeps, row by row, the rows that are
+``rank_profile_mod(rows, p, limit)[0]`` keeps, row by row, the rows that are
 independent mod p of the rows before them and stops at limit of them.  It
 must equal the pivots of the Gauss-Jordan oracle ``oracles.field_rref`` on
 the transposed rows and the profile of ``oracles.row_rank_profile``, which
@@ -58,14 +58,14 @@ def _matrices(rng):
 
 
 def test_profile_equals_transposed_pivots_and_oracle():
-    assert len(rank_profile_mod(random_product(random.Random(5), 50, 36, 35, 25), P, 36)) == 35
+    assert len(rank_profile_mod(random_product(random.Random(5), 50, 36, 35, 25), P, 36)[0]) == 35
     seen_deficient = 0
     for rows, p in _matrices(random.Random(2026)):
         nc = len(rows[0]) if rows else 0
         transposed = field_rref(list(zip(*rows)), GF(p))[0]
-        profile = rank_profile_mod(rows, p, nc)
+        profile = rank_profile_mod(rows, p, nc)[0]
         assert profile == transposed == row_rank_profile(rows, p)
-        assert rank_profile_mod(rows, p, min(len(rows), nc)) == profile
+        assert rank_profile_mod(rows, p, min(len(rows), nc))[0] == profile
         seen_deficient += len(profile) < min(len(rows), nc)
     assert seen_deficient >= 40
 
@@ -77,11 +77,11 @@ def test_limit_stops_early_and_keeps_the_prefix():
                     (UNLUCKY, P)]:
         full = row_rank_profile(rows, p)
         for k in range(len(full) + 1):
-            assert rank_profile_mod(rows, p, k) == full[:k]
+            assert rank_profile_mod(rows, p, k)[0] == full[:k]
             # the rows after the k-th kept row are never read
             last = full[k - 1] + 1 if k else 0
-            assert rank_profile_mod(rows[:last] + [Unread()], p, k) == full[:k]
-    assert rank_profile_mod([[1, 0], [0, 1], Unread()], P, 2) == [0, 1]
+            assert rank_profile_mod(rows[:last] + [Unread()], p, k)[0] == full[:k]
+    assert rank_profile_mod([[1, 0], [0, 1], Unread()], P, 2)[0] == [0, 1]
 
 
 def _qq(rows, rng):
@@ -148,8 +148,8 @@ def test_dense_rows_with_unreduced_growth(p):
              for _ in range(10)]
     rows += [[rng.randrange(p) for _ in range(124)] for _ in range(4)]
     rng.shuffle(rows)
-    full = rank_profile_mod(rows, p, 124)
+    full = rank_profile_mod(rows, p, 124)[0]
     assert len(full) == 104
     assert full == field_rref(list(zip(*rows)), GF(p))[0] == row_rank_profile(rows, p)
     for k in (0, 1, 51, 103, 104):
-        assert rank_profile_mod(rows, p, k) == full[:k]
+        assert rank_profile_mod(rows, p, k)[0] == full[:k]

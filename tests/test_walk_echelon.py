@@ -1,8 +1,8 @@
 """The Artinian walk's one forward pass and the back-substitution that
 finishes it.
 
-rank_profile_mod keeps its echelon form in the dict basis, and rref_mod,
-given that form with the profile rows, finishes their RREF by
+rank_profile_mod returns its profile with the echelon form it kept, and
+rref_mod, given that form with the profile rows, finishes their RREF by
 back-substitution alone.  It must equal the Gauss-Jordan pass of
 ``oracles.field_rref`` over those rows: on seeded wide, tall, rank-0,
 rank-deficient and full-rank matrices over GF(2), GF(3), GF(7) and
@@ -19,6 +19,7 @@ seeded random ideals over QQ and the same four prime fields, and over QQ
 modulo the tiny primes 2, 3 and 5 as well.
 """
 
+import inspect
 import random
 
 import pytest
@@ -31,9 +32,10 @@ from gor3.cases import (ex_2_5_ideal, ex_3_7_ideal, ex_4_5_ideal, ex_4_9_ideal,
                         monomial_tower_squared, random_quadrics)
 from gor3.fields import GF, QQ
 from gor3.ideals import NotArtinianError
-from gor3.linalg import rref_rows
+from gor3.linalg import row_profile, rref_rows
 from gor3.monomials import monomials_of_degree
 from gor3.pfaffians import generic_power_model
+from gor3.pieces import integer_span
 
 from oracles import field_rref, random_product
 
@@ -57,9 +59,7 @@ def _matrices(rng, p):
 
 def _back_substituted(rows, p):
     """rref_mod of the profile rows, from the echelon form of the pass."""
-    nc = len(rows[0])
-    basis = {}
-    profile = rank_profile_mod(rows, p, nc, basis)
+    profile, basis = rank_profile_mod(rows, p, len(rows[0]))
     return rref_mod([rows[i] for i in profile], p, basis)
 
 
@@ -69,11 +69,25 @@ def test_back_substitution_equals_gauss_jordan(p):
     seen = set()
     for label, rows in _matrices(rng, p):
         nc = len(rows[0])
-        profile = rank_profile_mod(rows, p, nc)
+        profile = rank_profile_mod(rows, p, nc)[0]
         expected = field_rref([rows[i] for i in profile], GF(p))
         assert _back_substituted(rows, p) == expected == rref_rows(GF(p), rows, nc), label
         seen.add((label, len(profile) == min(len(rows), nc)))
     assert ("rank deficient", False) in seen and ("full rank", True) in seen
+
+
+def test_the_pass_travels_as_one_value():
+    """The forward pass returns its profile with its echelon form, and the
+    layers above take that pair whole: no function takes a dict to fill,
+    and no profile can be passed without the echelon form of its pass."""
+    expected = {rank_profile_mod: ["rows", "p", "limit"],
+                row_profile: ["field", "rows", "limit"],
+                rref_rows: ["field", "rows", "nc", "echelon=None"],
+                integer_span: ["n", "t", "rows", "field", "echelon=None"],
+                rref_mod: ["rows", "p", "basis"]}
+    for fn, params in expected.items():
+        assert [str(q) for q in inspect.signature(fn).parameters.values()] == params
+    assert rank_profile_mod([[2, 4], [1, 2], [0, 3]], 7, 2) == ([0, 2], {0: [2], 1: []})
 
 
 def _unreduced(rng, p, rows):
@@ -234,15 +248,27 @@ def test_the_walk_holds_modulo_any_prime(prime, monkeypatch):
     _compare_with_pieces(ideals, monkeypatch)
 
 
+def test_the_bound_steps_down_past_an_unlucky_prime(monkeypatch):
+    """(x^2, y^2, 3z^2 + xy, z^5) over QQ is a complete intersection of
+    quadrics with bound 4, but modulo 3 its third quadric is xy and the
+    walk first reads 0 in degree 6: the bound steps down two degrees on
+    exact pieces and stops at the nonzero H(3)."""
+    monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", 3)
+    I = GradedIdeal.from_strings(["x^2", "y^2", "3*z^2 + x*y", "z^5"])
+    assert I.artinian_bound() == 4
+    assert sorted(I._pieces) == [3, 4, 5, 6]
+    assert I.hilbert_series_table() == [1, 3, 3, 1]
+
+
 def _read_counts(monkeypatch):
     """(rows, rows read) of every nonempty rank_profile_mod call from now on."""
     counts = []
     profile_mod = gor3.linalg.rank_profile_mod
 
-    def counted(rows, p, limit, *rest):
+    def counted(rows, p, limit):
         read = set()
         wrapped = [_ReadRow(row, i, read) for i, row in enumerate(rows)]
-        got = profile_mod(wrapped, p, limit, *rest)
+        got = profile_mod(wrapped, p, limit)
         if rows:
             counts.append((len(rows), len(read)))
         return got
