@@ -2,16 +2,19 @@
 
 These are point tests: given concrete forms, build the relevant
 multiplication or membership matrix (rows of shifted forms from
-pieces.shifted_vectors) and decide by its exact rank.  The
-five-quadrics certificate is one-sided; a failed certificate never
-disproves the Gorenstein property.
+pieces.shifted_vectors) and decide by its exact rank.  The five-quadrics
+certificate reads the dual quadric F of five quadrics off the maximal
+minors of their coefficient matrix, one elimination, and det Cat_1(F);
+when both of its determinants are nonzero the degree-3 span is a theorem,
+not a rank.  It is one-sided; a failed certificate never disproves the
+Gorenstein property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, row_rank
+from .linalg import ExactMatrix, maximal_minors, row_rank
 from .monomials import monomial_count, monomials_of_degree
 from .pieces import integer_terms, shifted_vectors
 from .poly import MultiPoly
@@ -151,15 +154,24 @@ class QuadricsReport:
 def five_quadrics_certificate(quadrics) -> QuadricsReport:
     """Open-set certificate for five ternary quadrics.
 
-    Builds the 6 x 5 coefficient matrix, takes the determinant of the top
-    5 x 5 block and the determinant of the symmetric 3 x 3 arrangement of
-    the entries of last-row * adj(top).  Entry i comes by Cramer's rule as
-    the determinant of the top block with row i replaced by the last row,
-    singular top block included, so the certificate takes seven
-    determinants and no adjugate.  If both determinants are nonzero and the
-    degree-1 multiples of the quadrics fill R_3, the ideal they generate is
-    a codimension-3 Gorenstein ideal.  Any failure is INCONCLUSIVE, not a
-    disproof.
+    The coefficient vectors of the quadrics, over x^2, xy, xz, y^2, yz,
+    z^2, are the rows of a 5 x 6 matrix Q, and its six maximal minors come
+    from one elimination (linalg.maximal_minors): minor_j deletes column j.
+    delta is minor_5, the determinant of the first five columns.  The
+    vector (-1)^j minor_j = (d_1, ..., d_5, -delta) lies in the kernel of
+    Q, so it holds the coefficients of a dual quadric F with I_2 o F = 0.
+    The symmetric 3 x 3 arrangement of d_1..d_5 and -delta is Cat_1(F), and
+    dee is det Cat_1(F).
+
+    If both determinants are nonzero and the degree-1 multiples of the
+    quadrics fill R_3, the ideal they generate is a codimension-3 Gorenstein
+    ideal.  The span follows from the determinants, over every field:
+    delta != 0 makes the quadrics a basis of F^perp in degree 2, and
+    rank Cat_1(F) = 3 >= 2 then gives R_1 * I_2 = R_3
+    (GradedIdeal.artinian_bound).  So the report's spans takes a rank
+    (spans_target) only when delta * dee = 0, and the verdict is
+    GORENSTEIN exactly when delta * dee != 0.  Any failure is
+    INCONCLUSIVE, not a disproof.
     """
     quadrics = list(quadrics)
     if len(quadrics) != 5:
@@ -170,27 +182,20 @@ def five_quadrics_certificate(quadrics) -> QuadricsReport:
             raise ValueError("quadrics must live in three variables")
         if q.is_zero() or q.homogeneous_degree() != 2:
             raise ValueError("inputs must be nonzero quadrics")
-    theta_cols = [q.to_vector(2) for q in quadrics]
-    top = [[theta_cols[j][i] for j in range(5)] for i in range(5)]
-    last = [theta_cols[j][5] for j in range(5)]
-    delta = ExactMatrix(field, top).det()
-    # entry i of last * adj(top) is det(top with row i replaced by last), by
-    # Laplace expansion along row i; this holds for a singular top as well
-    d1, d2, d3, d4, d5 = (
-        ExactMatrix(field, top[:i] + [last] + top[i + 1:]).det()
-        for i in range(5))
+    minors = maximal_minors(field, [q.to_vector(2) for q in quadrics])
+    delta = minors[5]
+    d1, d2, d3, d4, d5 = (m if i % 2 == 0 else field.neg(m)
+                          for i, m in enumerate(minors[:5]))
     sym = ExactMatrix(field, [
         [d1, d2, d3],
         [d2, d4, d5],
         [d3, d5, field.neg(delta)],
     ])
     dee = sym.det()
-    spans = spans_target(quadrics, 1).spans
-    certified = (not field.is_zero(delta) and not field.is_zero(dee)
-                 and spans)
+    nonzero = not field.is_zero(delta) and not field.is_zero(dee)
     return QuadricsReport(
         delta=delta,
         dee=dee,
-        spans=spans,
-        verdict="GORENSTEIN" if certified else "INCONCLUSIVE",
+        spans=nonzero or spans_target(quadrics, 1).spans,
+        verdict="GORENSTEIN" if nonzero else "INCONCLUSIVE",
     )

@@ -253,12 +253,15 @@ class GradedIdeal:
         from one exact piece, the socle-degree one.  The walk tries it only
         where that skips the profile of degree s + 1: at a value 1 in degree
         s >= 2 when upper[1] >= 2.  Otherwise (no such value or a failed
-        try) exact pieces, built from the walk's profiles, decide the bound
-        top down: from the walk's first degree with upper = 0, full over
-        either field, or else from n(D-1)+1, whose exact piece is full or
-        proves I not Artinian, the bound steps down while the exact value
-        one degree lower is 0, since H(t) = 0 forces H(t+1) = 0.
-        socle_report tries the certificate on the exact values.
+        try) over GF(p), where the walk's values are the Hilbert values
+        themselves, its first zero is the bound, and a walk with no zero
+        through n(D-1)+1 proves I not Artinian; no exact piece is built.
+        Over QQ exact pieces, built from the walk's profiles, decide the
+        bound top down: from the walk's first degree with upper = 0, full,
+        or else from n(D-1)+1, whose exact piece is full or proves I not
+        Artinian, the bound steps down while the exact value one degree
+        lower is 0, since H(t) = 0 forces H(t+1) = 0.  socle_report tries
+        the certificate on the exact values.
 
         The early try needs no profile of degree s+1, because a certified
         I_s with H(1) >= 2 gives R_1 * I_s = R_{s+1} over any field: Ann(F)
@@ -287,12 +290,13 @@ class GradedIdeal:
                     self._pieces[t + 1] = full_piece(self.n, t + 1, self.field)
                     self._artinian_bound = t + 1
                     return t + 1
-        # step down from the walk's first zero, else from top (see above)
         t = min(len(upper), top)
-        if self.hilbert_function(t):
+        exact = self.field != QQ    # over GF(p) the walk's values are H
+        if len(upper) > top if exact else self.hilbert_function(t):
             raise NotArtinianError(f"not Artinian within cap (no vanishing Hilbert "
                                    f"value up to t={4 * D * self.n})")
-        while t and self.hilbert_function(t - 1) == 0:
+        # over QQ step down from the walk's first zero, else from top (see above)
+        while not exact and t and self.hilbert_function(t - 1) == 0:
             t -= 1
         self._artinian_bound = t
         return t

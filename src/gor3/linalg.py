@@ -1,5 +1,5 @@
-"""Exact dense linear algebra: RREF, rank, kernels, normal forms and
-determinants.
+"""Exact dense linear algebra: RREF, rank, kernels, normal forms, maximal
+minors and determinants.
 
 Everything here is exact; there is no floating point and no tolerance
 anywhere.  Only integer rows are reduced (over QQ any scaling of the rows,
@@ -14,7 +14,8 @@ costs one elimination, not a second one of the kernel basis.  ExactMatrix
 holds field scalars (int or Fraction over QQ, int over GF(p)); its field
 converts the rows on the way in and the RREF on the way out.  Its
 determinant is one fraction-free Bareiss pass over those integer rows for
-both fields.
+both fields, and maximal_minors reads all k + 1 maximal minors of k rows
+of field scalars off one such pass.
 
 Every rank, profile and RREF starts from one forward pass,
 rank_profile_mod, modulo the field's own p over GF(p) and modulo
@@ -189,13 +190,64 @@ def kernel_rref(field, rows, nc):
     return [nc - 1 - c for c in reversed(free)], basis
 
 
+def _integer_rows(field, entries):
+    """Clear denominators row by row; row scaling preserves the row space,
+    so RREF and kernels are unaffected.  Returns (rows, scale), scale being
+    the product of the row multipliers (1 over GF(p), whose residues are
+    ints already)."""
+    out = []
+    scale = 1
+    for row in entries:
+        ints, lcm = field.integer_row(row)
+        scale *= lcm
+        out.append(ints)
+    return out, scale
+
+
+def maximal_minors(field, rows):
+    """The k x k minors of k >= 1 rows of k + 1 field scalars, as a list:
+    entry j is the determinant with column j deleted, a field quotient as
+    ExactMatrix.det returns it.
+
+    One Bareiss pass over the integer rows.  Rank below k gives all zeros.
+    Otherwise one column f is free and the pivot columns P form a block A
+    with det A the last pivot times the swap sign, the minor of f.  The
+    kernel vector (-1)^c minor_c of the rows is then (-1)^(f+1) times
+    (det A_j at p_j, -det A at f), A_j being A with its column j replaced
+    by column f (Cramer's rule), and det A_j is sign times the last pivot
+    times the RREF entry of row j at f: the fraction-free back-substitution
+    of rref_int, run on the one free column.  Each minor is divided by the
+    product of the row multipliers.
+    """
+    k = len(rows)
+    work, scale = _integer_rows(field, rows)
+    pivots, sign = _bareiss(work)
+    minors = [0] * (k + 1)
+    if len(pivots) == k:
+        f = next(c for c in range(k + 1) if c not in pivots)
+        d = work[k - 1][pivots[-1]]
+        solved = [0] * k        # solved[j]: d times RREF row j at column f
+        for j in range(k - 1, -1, -1):
+            row = work[j]
+            acc = d * row[f]
+            for i in range(j + 1, k):
+                acc -= row[pivots[i]] * solved[i]
+            solved[j] = acc // row[pivots[j]]
+        minors[f] = sign * d
+        for p, s in zip(pivots, solved):
+            minors[p] = sign * s if (p + f) % 2 else -sign * s
+    return [field.div(m, scale) for m in minors]
+
+
 class ExactMatrix:
     """Dense matrix over an exact field.
 
-    In the package only the five-quadrics certificate uses it, for its
-    determinants.  rref, kernel_basis, minor and adjugate have no caller,
-    but perfbench/run.py reads its linalg.* metrics off these methods, so
-    they leave with the class once the benchmark reads them elsewhere.
+    In the package only the five-quadrics certificate uses it, for one
+    3 x 3 determinant, det Cat_1(F); its other determinants are maximal
+    minors (maximal_minors).  rref, kernel_basis, minor and adjugate have
+    no caller, but perfbench/run.py reads its linalg.* metrics off these
+    methods, so they leave with the class once the benchmark reads them
+    elsewhere.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -212,19 +264,6 @@ class ExactMatrix:
         else:
             self.cols = 0 if cols is None else cols
 
-    def _integer_rows(self):
-        """Clear denominators row by row; row scaling preserves the row
-        space, so RREF and kernels are unaffected.  Returns (rows, scale),
-        scale being the product of the row multipliers (1 over GF(p), whose
-        residues are ints already)."""
-        out = []
-        scale = 1
-        for row in self.entries:
-            ints, lcm = self.field.integer_row(row)
-            scale *= lcm
-            out.append(ints)
-        return out, scale
-
     def rref(self):
         """Canonical reduced row echelon form.
 
@@ -232,7 +271,8 @@ class ExactMatrix:
         zeros above and below every pivot.  Zero rows are dropped.  The
         result is unique for the row space.
         """
-        pivots, rows = rref_rows(self.field, self._integer_rows()[0], self.cols)
+        pivots, rows = rref_rows(self.field, _integer_rows(self.field, self.entries)[0],
+                                  self.cols)
         return pivots, self.field.scalar_rows(pivots, rows)
 
     def kernel_basis(self):
@@ -242,7 +282,7 @@ class ExactMatrix:
         free columns of the other vectors, so the basis is canonical.
         """
         field = self.field
-        basis, lcm = kernel_rows(field, self._integer_rows()[0], self.cols)
+        basis, lcm = kernel_rows(field, _integer_rows(field, self.entries)[0], self.cols)
         inv, zero = field.inv(lcm), field.zero
         return [[field.mul(v, inv) if v else zero for v in vec] for vec in basis]
 
@@ -257,7 +297,7 @@ class ExactMatrix:
         n = self.rows
         if n == 0:
             return self.field.one
-        rows, scale = self._integer_rows()
+        rows, scale = _integer_rows(self.field, self.entries)
         _, sign = _bareiss(rows)
         # a singular matrix leaves its last row zero
         return self.field.div(sign * rows[n - 1][n - 1], scale)

@@ -9,14 +9,16 @@ grammar up to term order.
 The evaluator works on one term map, {exponent tuple: nonzero scalar}, per
 subexpression, combined by the same term-map sum, product and power that
 MultiPoly's own +, * and ** use, and builds one MultiPoly per text at the
-end: no polynomial objects while parsing.
+end: no polynomial objects while parsing.  A coefficient the field refuses
+(a denominator divisible by p) is reported only once the whole text has
+parsed, so malformed text is a parse error in every field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ
+from .fields import QQ, FieldError
 from .poly import MultiPoly, _add_terms, _term_power, _term_product
 
 
@@ -71,6 +73,7 @@ class _Parser:
         self.n = len(var_names)
         self.vars = {name: i for i, name in enumerate(var_names)}
         self.field = field
+        self.field_error = None     # the first coefficient the field refused
 
     def peek(self):
         return self.tokens[self.pos]
@@ -91,6 +94,8 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
+        if self.field_error is not None:
+            raise self.field_error
         return MultiPoly(self.n, terms, self.field)
 
     def expr(self):
@@ -134,7 +139,12 @@ class _Parser:
                 den = self.expect("int")
                 if den[1] == 0:
                     raise PolyParseError("zero denominator", den[2])
-                coeff = self.field.of(Fraction(value, den[1]))
+                try:
+                    coeff = self.field.of(Fraction(value, den[1]))
+                except FieldError as exc:
+                    # a syntax error later in the text is reported first
+                    self.field_error = self.field_error or exc
+                    coeff = self.field.zero
             else:
                 coeff = self.field.of(value)
             if self.field.is_zero(coeff):

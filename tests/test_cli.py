@@ -444,6 +444,23 @@ def test_non_decimal_digit_is_a_parse_error(capsys):
     assert err == "parse error: unexpected character '²' (at position 2)\n"
 
 
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+def test_malformed_text_is_a_parse_error_in_every_field(capsys, field):
+    # 3/021 is 1/7, which GF(7) refuses; the syntax error after it comes first
+    code, out, err = run(capsys, "socle", "--ideal", "3/021e3 ^0(", "--field", field)
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: unexpected 'e3' (at position 5)\n"
+
+
+def test_denominator_divisible_by_p_in_well_formed_text_exits_1(capsys):
+    code, out, err = run(capsys, "socle", "--ideal", "x^2+3/021*y^2, y^2, z^2",
+                         "--field", "fp:7")
+    assert code == 1
+    assert out == ""
+    assert err == "error: denominator 7 is divisible by 7\n"
+
+
 def test_field_flag_is_respected(capsys):
     code, report, _ = run_json(
         capsys, "colon", "--ci", "x^3,y^3,z^3", "--f", "x^2+y^2+z^2",

@@ -227,11 +227,15 @@ def test_five_quadrics_matches_cofactor_reference(field):
     assert singular_with_dee == 3
 
 
-def test_five_quadrics_takes_seven_determinants_and_no_adjugate(monkeypatch):
+def test_five_quadrics_takes_one_determinant_and_no_adjugate(monkeypatch):
+    """delta and d_1..d_5 come from linalg.maximal_minors, so the only
+    ExactMatrix determinant is the 3 x 3 one, dee; the span takes a rank
+    only when delta * dee = 0."""
+    import gor3.criteria
     from gor3.linalg import ExactMatrix
 
-    calls = []
-    det = ExactMatrix.det
+    calls, ranks = [], []
+    det, rank = ExactMatrix.det, gor3.criteria.row_rank
 
     def counted(self):
         calls.append((self.rows, self.cols))
@@ -240,12 +244,41 @@ def test_five_quadrics_takes_seven_determinants_and_no_adjugate(monkeypatch):
     def no_adjugate(self):
         raise AssertionError("adjugate called")
 
+    def counted_rank(*args):
+        ranks.append(args[1:])
+        return rank(*args)
+
     monkeypatch.setattr(ExactMatrix, "det", counted)
     monkeypatch.setattr(ExactMatrix, "adjugate", no_adjugate)
-    for text in ("x^2+z^2, x*y+z^2, x*z, y^2, y*z", "x^2, y^2, z^2, x*y, x*z"):
+    monkeypatch.setattr(gor3.criteria, "row_rank", counted_rank)
+    for text, nonzero in (("x^2+z^2, x*y+z^2, x*z, y^2, y*z", True),
+                          ("x^2, y^2, z^2, x*y, x*z", False),
+                          ("x^2, x*y, x*z, y^2, y*z", False)):
         calls.clear()
+        ranks.clear()
         five_quadrics_certificate(parse_poly_list(text, VARS))
-        assert calls == [(5, 5)] * 6 + [(3, 3)]
+        assert calls == [(3, 3)]
+        assert len(ranks) == (0 if nonzero else 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(2), GF(3)], ids=str)
+def test_nonzero_certificate_determinants_give_the_span(field):
+    """delta * dee != 0 proves R_1 * I_2 = R_3 over every field (I_2 is
+    F^perp and rank Cat_1(F) = 3), so the certificate reports spans without
+    a rank; spans_target agrees on every seeded quintuple, and the report's
+    spans is its value on the others too."""
+    from gor3.cases import random_quadrics
+
+    nonzero = 0
+    for seed in range(200):
+        qs = random_quadrics(seed, field)
+        rep = five_quadrics_certificate(qs)
+        spans = spans_target(qs, 1).spans
+        assert rep.spans == spans, seed
+        if not field.is_zero(rep.delta) and not field.is_zero(rep.dee):
+            nonzero += 1
+            assert spans, seed
+    assert nonzero >= 20
 
 
 def test_five_quadrics_rejects_bad_input():
@@ -277,9 +310,12 @@ def test_non_gorenstein_artinian_quintuple_is_inconclusive():
 def test_monomial_complement_quintuple_is_inconclusive():
     """Five monomial quadrics spanning everything except z^2: not Artinian,
     so a GORENSTEIN verdict would be a false positive; the symmetric
-    determinant vanishes although the top block is the identity."""
+    determinant vanishes although the top block is the identity.  They are
+    F^perp for F = Z^[2], but rank Cat_1(F) = 1, so delta != 0 alone does
+    not give the span: their degree-1 multiples miss z^3."""
     qs = parse_poly_list("x^2, x*y, x*z, y^2, y*z", VARS)
     cert = five_quadrics_certificate(qs)
     assert cert.delta == 1
     assert cert.dee == 0
+    assert cert.spans is False
     assert cert.verdict == "INCONCLUSIVE"

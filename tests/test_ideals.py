@@ -152,7 +152,8 @@ def test_not_artinian_detection():
         I = GradedIdeal.from_strings(["x^3*y^2", "x^2*z^3+y^5", "y^4*z-x*z^4"],
                                      field=field)
         assert not I.is_artinian()
-        assert sorted(I._pieces) == [13]
+        # over GF(p) the walk's values are exact: no piece is built
+        assert sorted(I._pieces) == ([13] if field == QQ else [])
 
 
 def test_artinian_hilbert_vanishing(ex_2_5, ex_3_7, ex_4_5):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -7,7 +8,8 @@ import pytest
 
 from gor3._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
 from gor3.fields import GF, QQ
-from gor3.linalg import ExactMatrix, kernel_rows, normal_form, row_rank, rref_rows
+from gor3.linalg import (ExactMatrix, kernel_rows, maximal_minors, normal_form, row_rank,
+                         rref_rows)
 from oracles import Span, det_by_minors, fraction_rref, gcd_rref_int
 
 
@@ -196,6 +198,40 @@ def test_det_mod_p():
     assert ExactMatrix(QQ, rows).det() == 13
     assert ExactMatrix(F, rows).det() == 0
     assert ExactMatrix(GF(32003), rows).det() == 13
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(2), GF(3)], ids=str)
+def test_maximal_minors_equal_the_column_deleted_determinants(field):
+    """maximal_minors of k x (k+1) rows equals ExactMatrix.det of each block
+    with one column deleted, value and type (a Fraction over QQ), at full
+    rank, below it, and with a singular leading k x k block."""
+    rng = random.Random(41)
+
+    def entry():
+        if field == QQ:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return field.of(rng.randint(-4, 4))
+
+    shapes = Counter()
+    for _ in range(150):
+        k = rng.randint(1, 6)
+        rows = [[entry() if rng.random() < 0.8 else field.zero for _ in range(k + 1)]
+                for _ in range(k)]
+        if k > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])        # rank below k
+        elif rng.random() < 0.3:
+            j = rng.randrange(k)            # leading block singular
+            for row in rows:
+                row[j] = field.zero
+        want = [ExactMatrix(field, [[v for c, v in enumerate(row) if c != j]
+                                    for row in rows]).det() for j in range(k + 1)]
+        got = maximal_minors(field, rows)
+        assert got == want, rows
+        assert [type(v) for v in got] == [type(v) for v in want]
+        full = any(not field.is_zero(v) for v in got)
+        shapes["full" if full else "low"] += 1
+        shapes["singular lead"] += full and field.is_zero(got[k])
+    assert min(shapes.values()) >= 10, shapes
 
 
 def test_kernel_contract():

@@ -260,6 +260,20 @@ def test_the_bound_steps_down_past_an_unlucky_prime(monkeypatch):
     assert I.hilbert_series_table() == [1, 3, 3, 1]
 
 
+def test_the_bound_over_gf_p_builds_no_exact_piece():
+    """Over GF(p) the walk's values are the Hilbert values, so its first
+    zero is the bound and no exact piece is built for it; the pieces read
+    later come from the walk's cached profiles and give the same table."""
+    I = GradedIdeal.from_strings(["y", "z", "x^5"], field=GF(32003))
+    assert I.artinian_bound() == 5
+    assert I._pieces == {}
+    assert I.hilbert_series_table() == [1, 1, 1, 1, 1]
+    J = GradedIdeal.from_strings(["y", "z", "y^2"], field=GF(32003))
+    with pytest.raises(NotArtinianError):
+        J.artinian_bound()
+    assert J._pieces == {}
+
+
 def _read_counts(monkeypatch):
     """(rows, rows read) of every nonempty rank_profile_mod call from now on."""
     counts = []

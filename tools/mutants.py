@@ -2,13 +2,13 @@
 
 Every fast path in gor3 is exact only by an argument: the echelon form the
 GF(p) forward pass keeps, the back-substitution that finishes it, the
-modular front end of QQ elimination, the Gorenstein certificate and the
-descending Artinian bound.  Each entry of MUTANTS breaks one of them with
-one exact source edit and names the tests that must then fail.  For each
-mutant the script copies src/ to a temporary directory, applies the edit
-there (the working tree is never touched), runs the listed tests against
-the copy, and counts the mutant killed only when pytest reports failing
-tests.  A mutant whose tests pass, or cannot be run (a deleted test is
+modular front end of QQ elimination, the Gorenstein certificate, the
+descending Artinian bound and the five-quadrics certificate.  Each entry
+of MUTANTS breaks one of them with one exact source edit and names the
+tests that must then fail.  For each mutant the script copies src/ to a
+temporary directory, applies the edit there (the working tree is never
+touched), runs the listed tests against the copy, and counts the mutant
+killed only when pytest reports failing tests.  A mutant whose tests pass, or cannot be run (a deleted test is
 "not found"), survives.
 
 Usage, from anywhere (stdlib only; pytest must be importable):
@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL = "src/gor3/_rowred_py.py"
 LINALG = "src/gor3/linalg.py"
 IDEALS = "src/gor3/ideals.py"
+CRITERIA = "src/gor3/criteria.py"
 
 # (what the mutant breaks, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -77,9 +78,17 @@ MUTANTS = [
      "self._profiles.pop(t - 1, (None, None))",
      ["tests/test_walk_echelon.py::test_the_walk_gives_the_answers_of_exact_pieces"]),
     ("the descending Artinian bound steps down at most one degree",
-     IDEALS, "while t and self.hilbert_function(t - 1) == 0:",
-     "if t and self.hilbert_function(t - 1) == 0:",
+     IDEALS, "while not exact and t and self.hilbert_function(t - 1) == 0:",
+     "if not exact and t and self.hilbert_function(t - 1) == 0:",
      ["tests/test_walk_echelon.py::test_the_bound_steps_down_past_an_unlucky_prime"]),
+    ("the five-quadrics span shortcut tests delta only",
+     CRITERIA, "spans=nonzero or spans_target(quadrics, 1).spans,",
+     "spans=not field.is_zero(delta) or spans_target(quadrics, 1).spans,",
+     ["tests/test_criteria.py::test_monomial_complement_quintuple_is_inconclusive"]),
+    ("a maximal minor takes the wrong sign parity",
+     LINALG, "minors[p] = sign * s if (p + f) % 2 else -sign * s",
+     "minors[p] = sign * s if (p + f + 1) % 2 else -sign * s",
+     ["tests/test_criteria.py::test_five_quadrics_matches_cofactor_reference"]),
 ]
 
 
