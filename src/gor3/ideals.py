@@ -17,9 +17,9 @@ piece by back-substitution (_upper_hilbert).
 
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
-has built (the _pieces, _power_pieces, _profiles and _hilbert caches) and
-asks them questions.  Minimal generators are read off them once per ideal;
-an ideal made from its pieces (colons, Ann(F)) reads them on first use.
+has built (_pieces, _power_pieces) and what it knows short of them (_Walk),
+and asks them questions.  Minimal generators are read off them once per
+ideal; an ideal made from its pieces (colons, Ann(F)) reads them on first use.
 The rows of products of generators (powers of I, J * I, J * I^2) come from
 one builder, _product_rows, which multiplies integer term maps with
 poly._term_product, the one product of the package; a power is kept as a
@@ -76,6 +76,17 @@ def _generator_data(gens, field):
     return gen_data
 
 
+@dataclass
+class _Walk:
+    """What an ideal knows of H short of its pieces: rows, t -> (rows,
+    row_profile) the walk left for graded_piece, none at or above the bound;
+    values, H(0..bound-1) once exact; bound; tried, (values, answer) of _certify."""
+    rows: dict
+    values: list | None = None
+    bound: int | None = None
+    tried: tuple = (None, False)
+
+
 class GradedIdeal:
     """Homogeneous ideal given by generators, queried per degree."""
 
@@ -101,13 +112,7 @@ class GradedIdeal:
         self._pieces = {}
         # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
         self._power_pieces = {}
-        # t -> (shifted generator rows, their row_profile: the profile and
-        # the echelon form its pass kept), as the Artinian walk left them for
-        # the exact piece of degree t to reuse
-        self._profiles = {}
-        self._artinian_bound = None
-        # the Hilbert values H(0..s) once I = Ann(F) is certified
-        self._hilbert = None
+        self._walk = _Walk({})
         self._gen_data_list = _generator_data(gens, field)
 
     @property
@@ -142,7 +147,7 @@ class GradedIdeal:
             ideal._pieces[top] = piece
             if piece.is_full:
                 # R_1 * R_{t-1} = R_t: nothing new can appear from here on
-                ideal._artinian_bound = top
+                ideal._walk.bound = top
                 break
         else:
             ideal.truncated_at = top
@@ -164,12 +169,12 @@ class GradedIdeal:
             raise ValueError("degree must be non-negative")
         piece = self._pieces.get(t)
         if piece is None:
-            below = self._pieces.get(t - 1)
-            if below is not None and below.is_full:
-                # R_1 * R_{t-1} = R_t above a full piece
+            below, bound = self._pieces.get(t - 1), self._walk.bound
+            if bound is not None and t >= bound or below is not None and below.is_full:
+                # R_1 * R_{t-1} = R_t at the bound and above a full piece
                 piece = full_piece(self.n, t, self.field)
             else:
-                rows, echelon = self._profiles.pop(t, (None, None))
+                rows, echelon = self._walk.rows.pop(t, (None, None))
                 if rows is None:
                     rows = shifted_vectors(self.n, t, self._gen_data)
                 piece = integer_span(self.n, t, rows, self.field, echelon)
@@ -179,8 +184,8 @@ class GradedIdeal:
     def hilbert_function(self, t) -> int:
         if t < 0:
             return 0
-        if self._hilbert is not None:
-            return self._hilbert[t] if t < len(self._hilbert) else 0
+        if self._walk.values is not None:
+            return self._walk.values[t] if t < len(self._walk.values) else 0
         return monomial_count(self.n, t) - self.graded_piece(t).dim
 
     def _upper_hilbert(self, t) -> int:
@@ -190,7 +195,7 @@ class GradedIdeal:
         raises a rank.
 
         The one forward pass over the rows (linalg.row_profile) returns the
-        profile with its echelon form, cached with the rows for graded_piece:
+        profile with its echelon form, kept with the rows (_Walk) for graded_piece:
         over GF(p) the piece is then finished by back-substitution, and over
         QQ the rows come lightest generator first (see _generator_data), so
         the profile keeps the rows of least height for the exact elimination."""
@@ -198,10 +203,10 @@ class GradedIdeal:
         piece = self._pieces.get(t)
         if piece is not None:
             return dim - piece.dim
-        entry = self._profiles.get(t)
+        entry = self._walk.rows.get(t)
         if entry is None:
             rows = shifted_vectors(self.n, t, self._gen_data)
-            entry = self._profiles[t] = rows, row_profile(self.field, rows, dim)
+            entry = self._walk.rows[t] = rows, row_profile(self.field, rows, dim)
         return dim - len(entry[1][0])
 
     def _certify(self, upper) -> bool:
@@ -217,9 +222,12 @@ class GradedIdeal:
         of the catalecticant Cat_t(F) is at most H(t) <= upper[t].  Cat_t
         and Cat_{s-t} are transposes, so ranks equal to upper[t] for every
         t <= s/2 prove every Hilbert value and I_t = Ann(F)_t for t <= s:
-        with I_{s+1} full, R/I is Gorenstein with socle {s: 1}.  The values
-        are then kept in _hilbert.
+        with I_{s+1} full, R/I is Gorenstein with socle {s: 1}.  _Walk keeps
+        the values then, and the last answer with its values for a repeat call.
         """
+        if self._walk.tried[0] == upper:
+            return self._walk.tried[1]
+        self._walk.tried = upper[:], False    # the walk appends to upper
         s = len(upper) - 1
         if s < 0 or upper[s] != 1 or upper != upper[::-1]:
             return False
@@ -232,7 +240,7 @@ class GradedIdeal:
             cat = catalecticant(self.n, s, F, t)
             if len(row_profile(self.field, cat, h)[0]) != h:
                 return False
-        self._hilbert = upper
+        self._walk.values, self._walk.tried = upper, (upper, True)
         return True
 
     def artinian_bound(self) -> int:
@@ -261,7 +269,8 @@ class GradedIdeal:
         or else from n(D-1)+1, whose exact piece is full or proves I not
         Artinian, the bound steps down while the exact value one degree
         lower is 0, since H(t) = 0 forces H(t+1) = 0.  socle_report tries
-        the certificate on the exact values.
+        the certificate on the exact values.  _Walk keeps the bound, over
+        GF(p) the values, and no rows at or above the bound.
 
         The early try needs no profile of degree s+1, because a certified
         I_s with H(1) >= 2 gives R_1 * I_s = R_{s+1} over any field: Ann(F)
@@ -274,8 +283,8 @@ class GradedIdeal:
         rank Cat_1(F) <= 1, a contradiction.  So c = 0, and a form of
         degree s+1 that every x_j annihilates is 0.
         """
-        if self._artinian_bound is not None:
-            return self._artinian_bound
+        if self._walk.bound is not None:
+            return self._walk.bound
         D = max(self.max_generator_degree, 1)
         top = self.n * (D - 1) + 1
         upper = []
@@ -284,12 +293,10 @@ class GradedIdeal:
             if h == 0:
                 break
             upper.append(h)
-            if t >= 2 and h == 1 and upper[1] >= 2:
-                if self._certify(upper):
-                    # R_1 * I_t = R_{t+1} (see above): no profile of t + 1
-                    self._pieces[t + 1] = full_piece(self.n, t + 1, self.field)
-                    self._artinian_bound = t + 1
-                    return t + 1
+            if t >= 2 and h == 1 and upper[1] >= 2 and self._certify(upper):
+                # R_1 * I_t = R_{t+1} (see above): no profile of t + 1
+                self._walk.bound = t + 1
+                return t + 1
         t = min(len(upper), top)
         exact = self.field != QQ    # over GF(p) the walk's values are H
         if len(upper) > top if exact else self.hilbert_function(t):
@@ -298,7 +305,9 @@ class GradedIdeal:
         # over QQ step down from the walk's first zero, else from top (see above)
         while not exact and t and self.hilbert_function(t - 1) == 0:
             t -= 1
-        self._artinian_bound = t
+        self._walk.values = upper if exact else None
+        self._walk.bound = t
+        self._walk.rows = {u: rows for u, rows in self._walk.rows.items() if u < t}
         return t
 
     def is_artinian(self) -> bool:
@@ -319,7 +328,7 @@ class GradedIdeal:
         generator degree (for a from_pieces ideal, truncated_at or its bound)."""
         if self._minimal is None:
             top = (self.max_generator_degree if self._gens is not None
-                   else self._artinian_bound if self.truncated_at is None
+                   else self._walk.bound if self.truncated_at is None
                    else self.truncated_at)
             self._minimal = [g for t in range(top + 1) for g in fresh_generators(
                 self.graded_piece(t), self.graded_piece(t - 1) if t else None)]
@@ -380,6 +389,8 @@ class GradedIdeal:
         labels the result truncated unless a piece through t_max is full.
         Only without t_max is I walked; for non-Artinian I it is required.
         """
+        if f.n != self.n or f.field != self.field:
+            raise ValueError("colon by a form in a different ring")
         if f.is_zero():
             raise ValueError("colon by the zero form")
         if not f.is_homogeneous():
@@ -429,13 +440,14 @@ class GradedIdeal:
         x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n.
 
         When I = Ann(F), certified by the walk or here on the exact Hilbert
-        values, the socle is {s: 1}, s = deg F, and no map is built.
+        values (_certify recalls a try on the same values), the socle is
+        {s: 1}, s = deg F, and no map is built.
         """
         bound = self.artinian_bound()
         if bound == 0:
             raise ValueError("the unit ideal has no socle (R/I = 0)")
         s = bound - 1
-        if self._hilbert is not None or self._certify(self.hilbert_series_table(s)):
+        if self._certify(self.hilbert_series_table(s)):
             return SocleReport(socle_dims={s: 1}, socle_degree=s,
                                is_gorenstein=True, artinian_bound=bound)
         dims = {}
@@ -498,6 +510,8 @@ class GradedIdeal:
     # equality and membership
 
     def contains(self, f: MultiPoly) -> bool:
+        if f.n != self.n or f.field != self.field:
+            raise ValueError("membership of a form in a different ring")
         if f.is_zero():
             return True
         if not f.is_homogeneous():

@@ -125,7 +125,7 @@ def test_truncated_pure_power_colons_match_the_kernel_route(field, m):
             assert _ideal_report(fast) == _ideal_report(slow), (text, t_max)
             assert fast._pieces == slow._pieces
             assert fast.truncated_at == slow.truncated_at
-            assert fast._artinian_bound == slow._artinian_bound
+            assert fast._walk.bound == slow._walk.bound
             seen_unit |= [str(g) for g in fast.generators] == ["1"]
     assert seen_unit == (m in {(3, 3, 3), (2, 3, 4)})
 

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+import gor3.ideals
 import gor3.linalg
 from gor3 import GradedIdeal, MultiPoly, parse_poly
 from gor3.apolarity import InverseForm, NotGorensteinError, annihilator, macaulay_inverse
@@ -28,7 +29,7 @@ from gor3.fields import GF, QQ
 from gor3.ideals import NotArtinianError, pure_power_ideal, variable_power_ideal
 from gor3.monomials import monomial_count, monomials_of_degree
 from gor3.pfaffians import generic_power_model
-from gor3.pieces import vector_to_poly
+from gor3.pieces import catalecticant, vector_to_poly
 
 from oracles import macaulay_inverse_by_tuples, socle_by_field_rref
 
@@ -104,6 +105,11 @@ def _profile_shapes(monkeypatch):
     return shapes
 
 
+def _certified(I):
+    """The Hilbert values of I once _certify has held, else None."""
+    return I._walk.tried[0] if I._walk.tried[1] else None
+
+
 def _answers(I):
     """(answers, certified) of a fresh copy of I (_report_answers)."""
     return _report_answers(_fresh(I))
@@ -115,9 +121,9 @@ def _report_answers(J):
     try:
         bound = J.artinian_bound()
     except NotArtinianError as e:
-        return str(e), J._hilbert is not None
+        return str(e), _certified(J) is not None
     return (bound, J.hilbert_series_table(), J.socle_report().as_dict()), \
-        J._hilbert is not None
+        _certified(J) is not None
 
 
 def _exact_answers(I, monkeypatch):
@@ -199,11 +205,11 @@ def test_certified_ideals_build_nothing_above_the_socle_degree(field, monkeypatc
             bound = I.artinian_bound()
         except NotArtinianError:
             continue
-        if I._hilbert is None:
+        if _certified(I) is None:
             continue
         s = bound - 1
-        assert I._hilbert[1] >= 2, I
-        assert sorted(I._pieces) == [s, s + 1] and I._pieces[s + 1].is_full, I
+        assert _certified(I)[1] >= 2, I
+        assert sorted(I._pieces) == [s] and I.graded_piece(s + 1).is_full, I
         assert max(cols for _, cols in shapes) == monomial_count(3, s), I
         certified += 1
     assert certified >= 6
@@ -225,7 +231,7 @@ def test_a_line_is_not_artinian_though_its_degree_two_piece_certifies(field):
     I = GradedIdeal.from_strings(["y", "z", "y^2"], field=field)
     with pytest.raises(NotArtinianError):
         I.artinian_bound()
-    assert I._hilbert is None
+    assert _certified(I) is None
     assert sorted(I._pieces) == ([4] if field == QQ else [])
 
 
@@ -253,12 +259,12 @@ def test_a_divided_power_is_certified_at_the_full_piece(field, monkeypatch):
     I = GradedIdeal.from_strings(["y", "z", "x^5"], field=field)
     assert I.artinian_bound() == 5
     assert sorted(I._pieces) == ([4, 5] if field == QQ else [])
-    assert I._hilbert is None
+    assert _certified(I) is None
     assert max(cols for _, cols in shapes) == monomial_count(3, 5)
     monkeypatch.setattr(GradedIdeal, "multiplication_maps", _no_maps)
     got, oracle = _report_and_oracle(I)
     assert got[2]["socle_dims"] == {"4": 1} and got[2]["is_gorenstein"]
-    assert I._hilbert == [1, 1, 1, 1, 1]
+    assert _certified(I) == [1, 1, 1, 1, 1]
     assert got == oracle
 
 
@@ -287,7 +293,7 @@ def test_complete_gorenstein_ideals_build_no_multiplication_map(field, monkeypat
     for I in ideals:
         got, oracle = _report_and_oracle(I)
         assert got == oracle, I
-        assert got[2]["is_gorenstein"] and I._hilbert == got[1], I
+        assert got[2]["is_gorenstein"] and _certified(I) == got[1], I
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -312,8 +318,29 @@ def test_complete_non_gorenstein_ideals_reach_the_maps(field, monkeypatch):
         before = len(calls)
         got, oracle = _report_and_oracle(I)
         assert got == oracle, I
-        assert not got[2]["is_gorenstein"] and I._hilbert is None, I
+        assert not got[2]["is_gorenstein"] and _certified(I) is None, I
         assert len(calls) > before, I
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_socle_report_repeats_no_failed_walk_try(field, monkeypatch):
+    """(x^2, xy, xz, y^2, z^2) has H = 1, 3, 1 and is not Gorenstein: the
+    walk's try at s = 2 fails on Cat_1, and socle_report's try on the same
+    exact values is answered from the walk record with no catalecticant."""
+    degrees = []
+    monkeypatch.setattr(gor3.ideals, "catalecticant",
+                        lambda n, s, F, t: degrees.append(t) or catalecticant(n, s, F, t))
+    report = GradedIdeal.from_strings(NOT_GORENSTEIN[0], field=field).socle_report()
+    assert report.socle_dims == {1: 1, 2: 1} and not report.is_gorenstein
+    assert degrees == [0, 1]
+
+
+def test_certify_remembers_an_answer_only_for_its_values():
+    """Ann(X^[2] + Y^[2] + Z^[2]) has H = 1, 3, 1: a failed try on other
+    values does not answer for these."""
+    I = GradedIdeal.from_strings(["x*y", "x*z", "y*z", "x^2 - y^2", "x^2 - z^2"])
+    assert not I._certify([1, 3, 2])
+    assert I._certify([1, 3, 1]) and _certified(I) == [1, 3, 1]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -376,10 +403,10 @@ def test_one_exact_piece_for_a_certified_ideal(field, monkeypatch):
     I = generic_power_model(5, 2, 3, 1, field)
     rep = I.socle_report()
     s = rep.socle_degree
-    assert rep.is_gorenstein and I._hilbert is not None
+    assert rep.is_gorenstein and _certified(I) is not None
     # the socle-degree piece is exact, the one above it full by the
-    # certificate (H(1) = 3), without a profile
-    assert sorted(I._pieces) == [s, s + 1]
+    # certificate (H(1) = 3), without a profile or a piece
+    assert sorted(I._pieces) == [s]
     assert len(calls) == 1
     # macaulay_inverse reads the cached piece: no elimination at all
     F = macaulay_inverse(I)
@@ -389,7 +416,7 @@ def test_one_exact_piece_for_a_certified_ideal(field, monkeypatch):
     # the exact ones
     for t in range(s):
         assert I.graded_piece(t) == _fresh(I).graded_piece(t)
-    assert I._profiles == {}
+    assert I._walk.rows == {}
 
 
 def test_macaulay_inverse_error_text_is_unchanged():

@@ -47,8 +47,8 @@ def _assert_seeded_pieces_match_generators(J):
     for t, piece in J._pieces.items():
         assert piece == ref.graded_piece(t)
     if J.truncated_at is None:
-        assert J._artinian_bound == max(J._pieces)
-        assert J._artinian_bound == ref.artinian_bound()
+        assert J._walk.bound == max(J._pieces)
+        assert J._walk.bound == ref.artinian_bound()
 
 
 def _colons(field):
@@ -79,7 +79,7 @@ def test_unit_colon_pieces_match_generators(field):
     f = parse_poly("x^3 - 2*y^3", VARS, field)
     for J in (base.colon(f), colon_by_kernel(base, f)):
         assert [str(g) for g in J.generators] == ["1"]
-        assert J._artinian_bound == 0
+        assert J._walk.bound == 0
         _assert_seeded_pieces_match_generators(J)
 
 
@@ -93,7 +93,7 @@ def test_annihilator_pieces_match_generators(field):
     for F in duals:
         J = annihilator(F)
         _assert_seeded_pieces_match_generators(J)
-        assert J._artinian_bound == F.degree() + 1
+        assert J._walk.bound == F.degree() + 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -101,7 +101,7 @@ def test_truncated_colon_keeps_truncation_and_sets_no_bound(field):
     base = GradedIdeal.from_strings(["x^3", "y^3"], field=field)
     J = base.colon(parse_poly("x*y", VARS, field), t_max=5)
     assert J.truncated_at == 5
-    assert J._artinian_bound is None
+    assert J._walk.bound is None
     assert sorted(J._pieces) == list(range(6))
     assert [str(g) for g in J.generators] == ["x^2", "y^2"]
     _assert_seeded_pieces_match_generators(J)

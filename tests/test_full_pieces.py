@@ -139,4 +139,4 @@ def test_not_artinian_is_decided_at_the_exact_degree(field):
         "not Artinian within cap (no vanishing Hilbert value up to t=36)")
     # n(D-1)+1 = 7 is the last degree searched: over QQ its exact piece is
     # the proof, over GF(p) the walk's profile of that degree
-    assert max(I._pieces if field == QQ else I._profiles) == 7
+    assert max(I._pieces if field == QQ else I._walk.rows) == 7

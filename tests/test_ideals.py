@@ -100,6 +100,20 @@ def test_colon_rejects_bad_forms(cubes):
         cubes.colon(P("x + y^2"))
 
 
+def test_colon_rejects_a_form_from_another_ring(cubes):
+    with pytest.raises(ValueError, match="different ring"):
+        cubes.colon(parse_poly("x", ["x", "y"], QQ))
+    with pytest.raises(ValueError, match="different ring"):
+        cubes.colon(P("x^2 + y*z", GF(7)))
+
+
+def test_contains_rejects_a_form_from_another_ring(cubes):
+    with pytest.raises(ValueError, match="different ring"):
+        cubes.contains(parse_poly("x^3", ["x", "y"], QQ))
+    with pytest.raises(ValueError, match="different ring"):
+        cubes.contains(P("x^3", GF(7)))
+
+
 def test_colon_by_member_gives_unit_ideal(cubes):
     C = cubes.colon(P("x^3"))
     assert C.graded_piece(0).dim == 1

@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+import gor3.ideals
 import gor3.linalg
 from gor3 import GradedIdeal, MultiPoly
 from gor3._rowred_py import rank_profile_mod, rref_mod
@@ -262,8 +263,8 @@ def test_the_bound_steps_down_past_an_unlucky_prime(monkeypatch):
 
 def test_the_bound_over_gf_p_builds_no_exact_piece():
     """Over GF(p) the walk's values are the Hilbert values, so its first
-    zero is the bound and no exact piece is built for it; the pieces read
-    later come from the walk's cached profiles and give the same table."""
+    zero is the bound and no exact piece is built for it, nor for the
+    Hilbert table read from those values."""
     I = GradedIdeal.from_strings(["y", "z", "x^5"], field=GF(32003))
     assert I.artinian_bound() == 5
     assert I._pieces == {}
@@ -272,6 +273,45 @@ def test_the_bound_over_gf_p_builds_no_exact_piece():
     with pytest.raises(NotArtinianError):
         J.artinian_bound()
     assert J._pieces == {}
+
+
+def _no_rows(n, t, gen_data):
+    raise AssertionError(f"the rows of degree {t} were shifted again")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_no_walk_rows_at_or_above_the_bound(field, monkeypatch):
+    """(y, z, x^5) = Ann(X^[4]): the walk profiles degrees 0..5 and finds
+    the bound 5.  No rows at or above it outlive the walk, and the pieces
+    there are full without rows; the rows below it stay, each until its
+    piece is built from them (over QQ the exact step built I_4 and I_5)."""
+    I = GradedIdeal.from_strings(["y", "z", "x^5"], field=field)
+    expected = [_fresh(I).graded_piece(t) for t in range(7)]
+    assert I.artinian_bound() == 5
+    assert sorted(I._walk.rows) == ([0, 1, 2, 3] if field == QQ else [0, 1, 2, 3, 4])
+    monkeypatch.setattr(gor3.ideals, "shifted_vectors", _no_rows)
+    assert [I.graded_piece(t) for t in range(7)] == expected
+    assert I._walk.rows == {}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), GF(32003)], ids=str)
+def test_the_hilbert_table_after_a_gf_p_walk_builds_no_piece(field):
+    """Over GF(p) the walk's values are the Hilbert values: once it has
+    found the bound, the Hilbert table reads them, builds no piece and
+    equals the table of exact pieces."""
+    checked = 0
+    for I in _registry_ideals(field) + _random_ideals(field, 6, 3537):
+        try:
+            bound = I.artinian_bound()
+        except NotArtinianError:
+            continue
+        built = dict(I._pieces)
+        table = I.hilbert_series_table()
+        assert I._pieces == built, I
+        J = _fresh(I)
+        assert table == [J.hilbert_function(t) for t in range(bound)], I
+        checked += 1
+    assert checked >= 10
 
 
 def _read_counts(monkeypatch):

@@ -2,8 +2,10 @@
 
 Every fast path in gor3 is exact only by an argument: the echelon form the
 GF(p) forward pass keeps, the back-substitution that finishes it, the
-modular front end of QQ elimination, the Gorenstein certificate, the
-descending Artinian bound and the five-quadrics certificate.  Each entry
+modular front end of QQ elimination, the Gorenstein certificate and the
+answer it remembers, the walk's rows and the full pieces at its bound, the
+descending Artinian bound, the lightest-first generator order over QQ,
+from_pieces' truncation rule and the five-quadrics certificate.  Each entry
 of MUTANTS breaks one of them with one exact source edit and names the
 tests that must then fail.  For each mutant the script copies src/ to a
 temporary directory, applies the edit there (the working tree is never
@@ -48,8 +50,8 @@ MUTANTS = [
      KERNEL, "x = v[c] % p", "x = v[c]",
      ["tests/test_rank_profile.py::test_dense_rows_with_unreduced_growth"]),
     ("socle_report takes the certified branch without _certify holding",
-     IDEALS, "or self._certify(self.hilbert_series_table(s)):",
-     "or self._certify(self.hilbert_series_table(s)) is not None:",
+     IDEALS, "if self._certify(self.hilbert_series_table(s)):",
+     "if self._certify(self.hilbert_series_table(s)) is not None:",
      ["tests/test_duality_certificate.py::test_non_gorenstein_ideals_fall_back"]),
     ("_certify without its symmetry check",
      IDEALS, "if s < 0 or upper[s] != 1 or upper != upper[::-1]:",
@@ -70,12 +72,12 @@ MUTANTS = [
      LINALG, "if len(profile) == nc:", "if len(profile) >= nc - 1:",
      ["tests/test_modular_front_end.py", "tests/test_rank_profile.py"]),
     ("the walk caches an empty echelon form with its profile",
-     IDEALS, "entry = self._profiles[t] = rows, row_profile(self.field, rows, dim)",
-     "entry = self._profiles[t] = rows, (row_profile(self.field, rows, dim)[0], {})",
+     IDEALS, "entry = self._walk.rows[t] = rows, row_profile(self.field, rows, dim)",
+     "entry = self._walk.rows[t] = rows, (row_profile(self.field, rows, dim)[0], {})",
      ["tests/test_walk_echelon.py::test_the_walk_gives_the_answers_of_exact_pieces"]),
-    ("graded_piece takes the walk's profile of degree t - 1",
-     IDEALS, "self._profiles.pop(t, (None, None))",
-     "self._profiles.pop(t - 1, (None, None))",
+    ("graded_piece takes the walk's rows of degree t - 1",
+     IDEALS, "self._walk.rows.pop(t, (None, None))",
+     "self._walk.rows.pop(t - 1, (None, None))",
      ["tests/test_walk_echelon.py::test_the_walk_gives_the_answers_of_exact_pieces"]),
     ("the descending Artinian bound steps down at most one degree",
      IDEALS, "while not exact and t and self.hilbert_function(t - 1) == 0:",
@@ -89,6 +91,28 @@ MUTANTS = [
      LINALG, "minors[p] = sign * s if (p + f) % 2 else -sign * s",
      "minors[p] = sign * s if (p + f + 1) % 2 else -sign * s",
      ["tests/test_criteria.py::test_five_quadrics_matches_cofactor_reference"]),
+    ("_certify's remembered answer answers for other values",
+     IDEALS, "if self._walk.tried[0] == upper:",
+     "if self._walk.tried[0] is not None:",
+     ["tests/test_duality_certificate.py::"
+      "test_certify_remembers_an_answer_only_for_its_values"]),
+    ("the walk drops its rows one degree below the bound too",
+     IDEALS, "self._walk.rows = {u: rows for u, rows in self._walk.rows.items() if u < t}",
+     "self._walk.rows = {u: rows for u, rows in self._walk.rows.items() if u < t - 1}",
+     ["tests/test_walk_echelon.py::test_no_walk_rows_at_or_above_the_bound"]),
+    ("graded_piece builds the piece at a known bound from rows",
+     IDEALS, "if bound is not None and t >= bound or",
+     "if bound is not None and t > bound or",
+     ["tests/test_walk_echelon.py::test_no_walk_rows_at_or_above_the_bound"]),
+    ("the QQ walk shifts the heaviest generators first",
+     IDEALS, "gen_data.sort(key=lambda gd: sum(c * c for c in gd[1].values()))",
+     "gen_data.sort(key=lambda gd: -sum(c * c for c in gd[1].values()))",
+     ["tests/test_generator_order.py::"
+      "test_qq_socle_elimination_gets_its_rows_lightest_first"]),
+    ("from_pieces labels an ideal truncated though a piece it read is full",
+     IDEALS, "        else:\n            ideal.truncated_at = top\n",
+     "        ideal.truncated_at = top\n",
+     ["tests/test_from_pieces.py::test_a_cut_colon_is_truncated_only_below_its_own_bound"]),
 ]
 
 
