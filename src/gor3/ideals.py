@@ -23,7 +23,9 @@ ideal; an ideal made from its pieces (colons, Ann(F)) reads them on first use.
 The rows of products of generators (powers of I, J * I, J * I^2) come from
 one builder, _product_rows, which multiplies integer term maps with
 poly._term_product, the one product of the package; a power is kept as a
-piece, and J * I and J * I^2 only as ranks.
+piece, full with no product above a full one, and J * I as a rank.  J * I^2
+is the rank of its rows only when (I^2)_{2d} is not full; when it is,
+(J * I^2)_{3d} = J_d * R_{2d} = J_{3d} is read off J's own piece.
 """
 
 from __future__ import annotations
@@ -493,16 +495,22 @@ class GradedIdeal:
     # powers
 
     def power_piece(self, k, t) -> GradedPiece:
-        """Graded piece (I^k)_t, built once per ideal."""
+        """Graded piece (I^k)_t, built once per ideal.  Above a full
+        (I^k)_{t-1} it is full with no product, since R_1 * R_{t-1} = R_t,
+        as graded_piece reads R_t above a full I_{t-1}."""
         if k < 1:
             raise ValueError("power must be >= 1")
-        if k == 1:
-            return self.graded_piece(t)
+        if k == 1 or t < 0:
+            return self.graded_piece(t)     # t < 0 raises there
         piece = self._power_pieces.get((k, t))
         if piece is None:
-            combos = itertools.combinations_with_replacement(self._gen_data, k)
-            rows = _product_rows(self.n, t, self.field, combos)
-            piece = integer_span(self.n, t, rows, self.field)
+            below = self._power_pieces.get((k, t - 1))
+            if below is not None and below.is_full:
+                piece = full_piece(self.n, t, self.field)
+            else:
+                combos = itertools.combinations_with_replacement(self._gen_data, k)
+                rows = _product_rows(self.n, t, self.field, combos)
+                piece = integer_span(self.n, t, rows, self.field)
             self._power_pieces[k, t] = piece
         return piece
 
@@ -668,7 +676,16 @@ def colon_iteration_check(lines, exponents, f: MultiPoly, i: int) -> bool:
 
 def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
     """Seeded check that three general combinations J of the generators
-    satisfy J*I^2 = I^3 while J*I != I^2."""
+    satisfy J*I^2 = I^3 while J*I != I^2.
+
+    Both products lie inside the power of I of their degree and are
+    generated where it is, so each is compared by its rank in degree 2d
+    or 3d.  (J*I^2)_{3d} = J_d * (I^2)_{2d}: when (I^2)_{2d} is full this
+    is J_d * R_{2d} = J_{3d}, read off J, whose Artinian bound as three
+    forms of degree d in three variables is 3d - 2 <= 3d, with no product
+    and no elimination.  Otherwise, and for J*I always, the product rows
+    are formed and their rank taken.
+    """
     eq = I.is_equigenerated()
     if eq is None:
         raise NotEquigeneratedError("reduction check needs an equigenerated ideal")
@@ -699,12 +716,16 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
                            itertools.product(J._gen_data, I._gen_data))
         ji_eq = (row_rank(I.field, ji, monomial_count(I.n, 2 * d))
                  == I.power_piece(2, 2 * d).dim)
-        # a list: every generator of J goes through all the pairs
-        pairs = list(itertools.combinations_with_replacement(I._gen_data, 2))
-        ji2 = _product_rows(I.n, 3 * d, I.field,
-                            ((j,) + pair for j in J._gen_data for pair in pairs))
-        ji2_eq = (row_rank(I.field, ji2, monomial_count(I.n, 3 * d))
-                  == I.power_piece(3, 3 * d).dim)
+        if I.power_piece(2, 2 * d).is_full:
+            # J_d * R_{2d} = J_{3d}, full at J's bound 3d - 2 (see above)
+            ji2_rank = J.graded_piece(3 * d).dim
+        else:
+            # a list: every generator of J goes through all the pairs
+            pairs = list(itertools.combinations_with_replacement(I._gen_data, 2))
+            ji2 = _product_rows(I.n, 3 * d, I.field,
+                                ((j,) + pair for j in J._gen_data for pair in pairs))
+            ji2_rank = row_rank(I.field, ji2, monomial_count(I.n, 3 * d))
+        ji2_eq = ji2_rank == I.power_piece(3, 3 * d).dim
         return ReductionReport(
             reduction_number_is_two=(ji2_eq and not ji_eq),
             ji_equals_i2=ji_eq,

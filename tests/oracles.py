@@ -4,6 +4,7 @@ These deliberately avoid the library's own elimination and Pfaffian
 recursions so that the checks stay dual-route.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -12,8 +13,8 @@ from gor3 import GradedIdeal, MultiPoly
 from gor3.apolarity import directrix_form
 from gor3.cases import ex_2_5_ideal, ex_3_7_ideal, ex_4_5_ideal, ex_4_9_ideal
 from gor3.fields import RationalField
-from gor3.ideals import (NotArtinianError, pure_power_index, variable_lines,
-                         variable_power_ideal)
+from gor3.ideals import (REDUCTION_RETRIES, NotArtinianError, pure_power_index,
+                         variable_lines, variable_power_ideal)
 from gor3.linalg import normal_form
 from gor3.monomials import deglex_key, monomials_of_degree
 from gor3.parsing import PolyParseError, _tokenize, parse_poly
@@ -443,6 +444,47 @@ def field_rref(rows, field):
         pivots.append(c)
         r += 1
     return pivots, m[:r]
+
+
+def reduction_by_products(I, seed):
+    """check_reduction_two's report as a dict, from MultiPoly products and
+    field_rref ranks.  J is redrawn with the same random.Random(seed) calls
+    and the same retry rule: a draw with a zero combination, or whose three
+    forms of degree d leave R_{3d-2} outside J, is drawn again.  J*I = I^2
+    and J*I^2 = I^3 are compared by the ranks of every product of
+    generators in degrees 2d and 3d."""
+    n, field, gens = I.n, I.field, I.generators
+    d = gens[0].homogeneous_degree()
+    rng = random.Random(seed)
+
+    def rank(products, t):
+        return len(field_rref([p.to_vector(t) for p in products], field)[0])
+
+    def products(*factor_lists):
+        return [a * b for a, b in itertools.product(*factor_lists)]
+
+    pairs = [g * h for g, h in itertools.combinations_with_replacement(gens, 2)]
+    triples = [f * g * h for f, g, h in itertools.combinations_with_replacement(gens, 3)]
+    for attempts in range(1, REDUCTION_RETRIES + 1):
+        combos = []
+        for _ in range(3):
+            combo = MultiPoly.zero(n, field)
+            for g in gens:
+                c = rng.randint(-10, 10)
+                if c:
+                    combo = combo + g.scale(c)
+            combos.append(combo)
+        if any(c.is_zero() for c in combos):
+            continue
+        top = n * (d - 1) + 1
+        shifts = [MultiPoly.monomial(a, 1, field) for a in monomials_of_degree(n, top - d)]
+        if rank(products(combos, shifts), top) < len(list(monomials_of_degree(n, top))):
+            continue
+        ji = rank(products(combos, gens), 2 * d) == rank(pairs, 2 * d)
+        ji2 = rank(products(combos, pairs), 3 * d) == rank(triples, 3 * d)
+        return {"reduction_number_is_two": ji2 and not ji, "ji_equals_i2": ji,
+                "ji2_equals_i3": ji2, "seed": seed, "attempts": attempts}
+    raise RuntimeError("no height-3 reduction in the seeded attempts")
 
 
 def colon_piece_by_field_rref(base, f, t):

@@ -106,10 +106,16 @@ def test_pieces_of_both_colon_routes_and_annihilators():
 def test_power_pieces_and_product_spans():
     I = ex_2_5_ideal()
     gens = I.generators
-    for k, t in ((2, 4), (2, 5), (3, 6)):
-        combos = itertools.combinations_with_replacement(range(len(gens)), k)
-        products = [_product(gens, combo) for combo in combos]
-        _assert_canonical(I.power_piece(k, t), _shifted_rows(I.n, t, products))
+    # asked in ascending t, so each piece above a full one is read as full;
+    # (I^2)_4 and (I^2)_5 of the complete intersection are not full
+    ci = GradedIdeal.from_strings(["x^2", "y^2", "z^2"])
+    for ideal in (I, ci):
+        for k in (2, 3):
+            combos = itertools.combinations_with_replacement(range(len(ideal.generators)), k)
+            products = [_product(ideal.generators, combo) for combo in combos]
+            for t in range(2 * k + 4):
+                _assert_canonical(ideal.power_piece(k, t),
+                                  _shifted_rows(ideal.n, t, products))
     rng = random.Random(5)
     J = [sum((g.scale(rng.randint(-4, 4)) for g in gens), MultiPoly.zero(3))
          for _ in range(3)]

@@ -5,13 +5,14 @@ GF(p) forward pass keeps, the back-substitution that finishes it, the
 modular front end of QQ elimination, the Gorenstein certificate and the
 answer it remembers, the walk's rows and the full pieces at its bound, the
 descending Artinian bound, the lightest-first generator order over QQ,
-from_pieces' truncation rule and the five-quadrics certificate.  Each entry
-of MUTANTS breaks one of them with one exact source edit and names the
-tests that must then fail.  For each mutant the script copies src/ to a
-temporary directory, applies the edit there (the working tree is never
-touched), runs the listed tests against the copy, and counts the mutant
-killed only when pytest reports failing tests.  A mutant whose tests pass, or cannot be run (a deleted test is
-"not found"), survives.
+from_pieces' truncation rule, the five-quadrics certificate, and the
+powers and J*I^2 read off full pieces.  Each entry of MUTANTS breaks one of
+them with one exact source edit and names the tests that must then fail.
+For each mutant the script copies src/ to a temporary directory, applies
+the edit there (the working tree is never touched), runs the listed tests
+against the copy, and counts the mutant killed only when pytest reports
+failing tests.  A mutant whose tests pass, or cannot be run (a deleted
+test is "not found"), survives.
 
 Usage, from anywhere (stdlib only; pytest must be importable):
 
@@ -113,6 +114,12 @@ MUTANTS = [
      IDEALS, "        else:\n            ideal.truncated_at = top\n",
      "        ideal.truncated_at = top\n",
      ["tests/test_from_pieces.py::test_a_cut_colon_is_truncated_only_below_its_own_bound"]),
+    ("power_piece reads (I^k)_t as full above any built (I^k)_{t-1}",
+     IDEALS, "if below is not None and below.is_full:", "if below is not None:",
+     ["tests/test_integer_pieces.py::test_power_pieces_and_product_spans"]),
+    ("J*I^2 is read off J's piece though (I^2)_{2d} is not full",
+     IDEALS, "if I.power_piece(2, 2 * d).is_full:", "if True:",
+     ["tests/test_power_reduction.py::test_complete_intersection_ji2_equals_i3"]),
 ]
 
 
