@@ -11,9 +11,13 @@ lazy.  In _bareiss a row holds minors at its own level, the pivot of the
 step that last updated it, and is divided by that level's pivot when it is
 next updated; a row with a zero in the pivot column is left as it is, and a
 pivot row is brought up to date when it is chosen.  In rank_profile_mod
-entries are reduced mod p only when they are read.  The kernels live in a
-module of their own, apart from ``linalg``, so that the perfbench tracer
-times them as the kernel layer and not as ``linalg`` functions.
+a row is one Python int with a slot per column (Kronecker substitution);
+a slot is reduced mod p only when it is read, and a row is updated at a
+pivot by one multiply-add of ints, with no per-entry loop and no
+remainder (delayed reduction, as in Dumas, Fousse and Salvy, J. Symb.
+Comput. 46, 2011).  The kernels live in a module of their own, apart
+from ``linalg``, so that the perfbench tracer times them as the kernel
+layer and not as ``linalg`` functions.
 """
 
 from math import gcd
@@ -162,31 +166,63 @@ def rank_profile_mod(rows, p, limit):
     Each row is reduced mod p against the pivot rows kept so far, the
     earliest pivot column first; a row that stays nonzero is kept and its
     leading entry becomes a new pivot.  The pass stops once limit rows are
-    kept and never reduces above a pivot.  The profile equals the pivot
-    columns of the RREF of the transposed rows.  basis maps each pivot
-    column to its pivot row after the leading 1, mod p, which rref_mod
-    finishes into the RREF of the profile rows.
+    kept, reading no row after the last of them, and never reduces above a
+    pivot.  The profile equals the pivot columns of the RREF of the
+    transposed rows.  basis maps each pivot column to its pivot row after
+    the leading 1, mod p, which rref_mod finishes into the RREF of the
+    profile rows.
 
-    Entries are reduced mod p only when they are read: a pivot row is
-    stored reduced and without its leading 1, and the update of the row
-    being reduced takes no remainder, so its entries stay below about
-    ncols * p^2 in absolute value.
+    A row is packed into one int v with a w-bit slot per column, column 0
+    in the top slot; nc and w are taken from the first row read.  The
+    leading column is read off v.bit_length(), so zero columns cost
+    nothing, and the leading slot is reduced mod p and masked off.  A
+    pivot row is stored twice: in basis, and packed negated as neg[c],
+    p - a in the slot of each nonzero tail entry a, so that one
+    multiply-add v += y * neg[c] updates the whole row.  Every term it adds
+    is nonnegative, so no slot borrows.  A slot starts below p and gains
+    less than p^2 per update, at most once per pivot column left of it, so
+    it stays below nc * p^2 + p < 2^w and never carries into its neighbour.
     """
     profile = []
     basis = {}
+    neg = {}
     for i, row in enumerate(rows):
         if len(profile) == limit:
             break
-        v = [x % p for x in row]
-        for c in range(len(v)):
-            x = v[c] % p
-            if not x:
+        if not i:
+            nc = len(row)
+            w = (nc * p * p + p).bit_length()
+        v = 0
+        for x in row:
+            v <<= w
+            if x:
+                v |= x % p
+        while v:
+            s = (v.bit_length() - 1) // w     # the slot of the leading column
+            off = s * w
+            y = (v >> off) % p
+            v &= (1 << off) - 1
+            if not y:
                 continue
-            tail = basis.get(c)
-            if tail is None:
-                inv = pow(x, -1, p)
-                basis[c] = [y * inv % p for y in v[c + 1:]]
+            c = nc - 1 - s
+            negated = neg.get(c)
+            if negated is None:
+                # a new pivot: unpack the nonzero slots of the rest of v
+                inv = pow(y, -1, p)
+                scaled = [0] * s
+                packed = 0
+                while v:
+                    k = (v.bit_length() - 1) // w
+                    o = k * w
+                    a = (v >> o) % p
+                    v &= (1 << o) - 1
+                    if a:
+                        a = a * inv % p
+                        scaled[s - 1 - k] = a
+                        packed |= (p - a) << o
+                basis[c] = scaled
+                neg[c] = packed
                 profile.append(i)
                 break
-            v[c + 1:] = [a - x * b for a, b in zip(v[c + 1:], tail)]
+            v += y * negated
     return profile, basis

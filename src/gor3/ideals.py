@@ -23,7 +23,8 @@ ideal; an ideal made from its pieces (colons, Ann(F)) reads them on first use.
 The rows of products of generators (powers of I, J * I, J * I^2) come from
 one builder, _product_rows, which multiplies integer term maps with
 poly._term_product, the one product of the package; a power is kept as a
-piece, full with no product above a full one, and J * I as a rank.  J * I^2
+piece, full with no product above a full one and, for I generated in one
+degree, I's own piece over a full lower power, and J * I as a rank.  J * I^2
 is the rank of its rows only when (I^2)_{2d} is not full; when it is,
 (J * I^2)_{3d} = J_d * R_{2d} = J_{3d} is read off J's own piece.
 """
@@ -497,7 +498,10 @@ class GradedIdeal:
     def power_piece(self, k, t) -> GradedPiece:
         """Graded piece (I^k)_t, built once per ideal.  Above a full
         (I^k)_{t-1} it is full with no product, since R_1 * R_{t-1} = R_t,
-        as graded_piece reads R_t above a full I_{t-1}."""
+        as graded_piece reads R_t above a full I_{t-1}.  When every
+        generator has one degree d, (I^k)_t = I_d * (I^{k-1})_{t-d}, so a
+        built and full (I^{k-1})_{t-d} makes it I_d * R_{t-d} = I_t, read
+        off graded_piece with no product."""
         if k < 1:
             raise ValueError("power must be >= 1")
         if k == 1 or t < 0:
@@ -505,8 +509,15 @@ class GradedIdeal:
         piece = self._power_pieces.get((k, t))
         if piece is None:
             below = self._power_pieces.get((k, t - 1))
+            degrees = {d for d, _ in self._gen_data}
+            lower = None
+            if len(degrees) == 1:
+                u = t - degrees.pop()
+                lower = self._pieces.get(u) if k == 2 else self._power_pieces.get((k - 1, u))
             if below is not None and below.is_full:
                 piece = full_piece(self.n, t, self.field)
+            elif lower is not None and lower.is_full:
+                piece = self.graded_piece(t)
             else:
                 combos = itertools.combinations_with_replacement(self._gen_data, k)
                 rows = _product_rows(self.n, t, self.field, combos)
@@ -683,7 +694,8 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
     or 3d.  (J*I^2)_{3d} = J_d * (I^2)_{2d}: when (I^2)_{2d} is full this
     is J_d * R_{2d} = J_{3d}, read off J, whose Artinian bound as three
     forms of degree d in three variables is 3d - 2 <= 3d, with no product
-    and no elimination.  Otherwise, and for J*I always, the product rows
+    and no elimination, and (I^3)_{3d} = I_d * (I^2)_{2d} is I_{3d}, read
+    off I (power_piece).  Otherwise, and for J*I always, the product rows
     are formed and their rank taken.
     """
     eq = I.is_equigenerated()

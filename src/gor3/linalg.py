@@ -19,9 +19,10 @@ of field scalars off one such pass.
 
 Every rank, profile and RREF starts from one forward pass,
 rank_profile_mod, modulo the field's own p over GF(p) and modulo
-CERTIFICATE_PRIME over QQ (row_profile); it stops at full rank and returns
-the profile with the echelon form it kept, one value.  rref_rows takes that
-pass once, or reads it whole from a caller that has it, for every matrix:
+CERTIFICATE_PRIME over QQ (row_profile), on rows packed one int each; it
+stops at full rank and returns the profile with the echelon form it kept,
+one value.  rref_rows takes that pass once, or reads it whole from a
+caller that has it, for every matrix:
 a full profile is the identity, over GF(p) rref_mod back-substitutes the
 echelon form, and over QQ the profile decides which rows the exact kernel
 sees.  A rank alone never builds a reduced form: it is the
@@ -37,7 +38,9 @@ from ._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
 from .fields import PrimeField, RationalField
 
 # The prime of the modular front end of QQ elimination, the largest below
-# 2^15: residues and their products then fit one 30-bit CPython int digit.
+# 2^15.  Small residues keep the packed slots of rank_profile_mod narrow
+# (about 30 bits plus log2 of the column count); any prime gives the same
+# answers, since an unlucky one only sends QQ to the exact elimination.
 CERTIFICATE_PRIME = 32749
 
 

@@ -229,6 +229,32 @@ def row_rank_profile(rows, p):
     return profile
 
 
+
+def rank_profile_by_lists(rows, p, limit):
+    """The GF(p) forward pass on list rows, as the kernel took it before
+    its rows were packed into ints: (profile, basis) of the same contract
+    as _rowred_py.rank_profile_mod.  Entries are reduced mod p only when
+    read as a pivot candidate, and a row is updated at a pivot by one list
+    comprehension over the pivot row's tail."""
+    profile = []
+    basis = {}
+    for i, row in enumerate(rows):
+        if len(profile) == limit:
+            break
+        v = [x % p for x in row]
+        for c in range(len(v)):
+            x = v[c] % p
+            if not x:
+                continue
+            tail = basis.get(c)
+            if tail is None:
+                inv = pow(x, -1, p)
+                basis[c] = [y * inv % p for y in v[c + 1:]]
+                profile.append(i)
+                break
+            v[c + 1:] = [a - x * b for a, b in zip(v[c + 1:], tail)]
+    return profile, basis
+
 class Span:
     """Incremental echelon span: the greedy gor3 used for minimal-generator
     extraction before it read fresh generators off one coordinate RREF."""

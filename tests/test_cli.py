@@ -228,8 +228,8 @@ def test_power_check_subcommand(capsys):
 def test_power_check_builds_each_product_piece_once(capsys, monkeypatch):
     """power_piece keeps (I^k)_t on the ideal, so check_reduction_two reads
     the (I^2)_4 that the table of pieces built; above that full piece the
-    table's (I^2)_5 and (I^2)_6 are full with no product, and J*I^2 is read
-    off J's piece of degree 6."""
+    table's (I^2)_5 and (I^2)_6 are full with no product, J*I^2 is read
+    off J's piece of degree 6, and (I^3)_6 = I_2 * (I^2)_4 off I's."""
     builds = []
     product_rows = gor3.ideals._product_rows
 
@@ -244,8 +244,8 @@ def test_power_check_builds_each_product_piece_once(capsys, monkeypatch):
         capsys, "power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2",
         "--k", "2", "--seed", "1")
     assert code == 0 and report["reduction"]["reduction_number_is_two"] is True
-    # (I^2)_4 for the table, then J*I and (I^3)_6 for the reduction
-    assert sorted(k_t for *k_t, _ in builds) == [[2, 4], [2, 4], [3, 6]]
+    # (I^2)_4 for the table, then J*I for the reduction
+    assert sorted(k_t for *k_t, _ in builds) == [[2, 4], [2, 4]]
     signatures = {(t, tuple(tuple(map(id, c)) for c in combos))
                   for _, t, combos in builds}
     assert len(signatures) == len(builds)

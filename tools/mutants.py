@@ -1,13 +1,14 @@
 """Re-run the hand-made mutants of gor3's fast paths and report survivors.
 
-Every fast path in gor3 is exact only by an argument: the echelon form the
-GF(p) forward pass keeps, the back-substitution that finishes it, the
-modular front end of QQ elimination, the Gorenstein certificate and the
-answer it remembers, the walk's rows and the full pieces at its bound, the
-descending Artinian bound, the lightest-first generator order over QQ,
-from_pieces' truncation rule, the five-quadrics certificate, and the
-powers and J*I^2 read off full pieces.  Each entry of MUTANTS breaks one of
-them with one exact source edit and names the tests that must then fail.
+Every fast path in gor3 is exact only by an argument: the packed rows of
+the GF(p) forward pass and the echelon form it keeps, the back-substitution
+that finishes it, the modular front end of QQ elimination, the Gorenstein
+certificate and the answer it remembers, the walk's rows and the full
+pieces at its bound, the descending Artinian bound, the lightest-first
+generator order over QQ, from_pieces' truncation rule, the five-quadrics
+certificate, and the powers and J*I^2 read off full pieces.  Each entry of
+MUTANTS breaks one of them with one exact source edit and names the tests
+that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
 against the copy, and counts the mutant killed only when pytest reports
@@ -48,7 +49,7 @@ MUTANTS = [
      KERNEL, "solved[c] = [a % p for a in acc]", "solved[c] = acc",
      ["tests/test_walk_echelon.py::test_back_substitution_equals_gauss_jordan"]),
     ("the forward pass reads an entry without reducing it mod p",
-     KERNEL, "x = v[c] % p", "x = v[c]",
+     KERNEL, "y = (v >> off) % p", "y = v >> off",
      ["tests/test_rank_profile.py::test_dense_rows_with_unreduced_growth"]),
     ("socle_report takes the certified branch without _certify holding",
      IDEALS, "if self._certify(self.hilbert_series_table(s)):",
@@ -120,6 +121,15 @@ MUTANTS = [
     ("J*I^2 is read off J's piece though (I^2)_{2d} is not full",
      IDEALS, "if I.power_piece(2, 2 * d).is_full:", "if True:",
      ["tests/test_power_reduction.py::test_complete_intersection_ji2_equals_i3"]),
+    ("power_piece reads (I^k)_t as I_t over any built (I^{k-1})_{t-d}",
+     IDEALS, "elif lower is not None and lower.is_full:", "elif lower is not None:",
+     ["tests/test_integer_pieces.py::test_power_pieces_and_product_spans"]),
+    ("the packed slots are one term short of their growth, so they carry",
+     KERNEL, "w = (nc * p * p + p).bit_length()", "w = (p * p).bit_length()",
+     ["tests/test_packed_rows.py::test_slots_at_their_maximal_lazy_growth"]),
+    ("a pivot's tail is packed unnegated",
+     KERNEL, "(p - a) << o", "a << o",
+     ["tests/test_packed_rows.py::test_packed_pass_equals_the_list_pass"]),
 ]
 
 
