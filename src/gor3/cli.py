@@ -259,6 +259,15 @@ def cmd_pfaffian(args, field, names):
 
 
 def cmd_model(args, field, names):
+    _at_least("--r", args.r, 3, "the alternating matrix has odd size r >= 3")
+    if args.r % 2 == 0:
+        raise CliError(f"--r {args.r} is even: the alternating matrix has odd size")
+    _at_least("--dp", args.dp, 1, "the entries x_ij^d' need d' >= 1")
+    _at_least("--n", args.n, 3, "the model is specialized to n >= 3 variables")
+    big_n = args.r * (args.r - 1) // 2
+    if args.n > big_n:
+        raise CliError(f"--n {args.n} is above C({args.r},2) = {big_n}, the variable "
+                       f"count of the generic {args.r}x{args.r} alternating matrix")
     I = generic_power_model(args.r, args.dp, args.n, args.seed, field)
     report = {"field": field.name, "seed": args.seed,
               "r": args.r, "entry_degree": args.dp, "variables": args.n}

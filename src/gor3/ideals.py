@@ -20,13 +20,11 @@ the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
 has built (_pieces, _power_pieces) and what it knows short of them (_Walk),
 and asks them questions.  Minimal generators are read off them once per
 ideal; an ideal made from its pieces (colons, Ann(F)) reads them on first use.
-The rows of products of generators (powers of I, J * I, J * I^2) come from
-one builder, _product_rows, which multiplies integer term maps with
-poly._term_product, the one product of the package; a power is kept as a
-piece, full with no product above a full one and, for I generated in one
-degree, I's own piece over a full lower power, and J * I as a rank.  J * I^2
-is the rank of its rows only when (I^2)_{2d} is not full; when it is,
-(J * I^2)_{3d} = J_d * R_{2d} = J_{3d} is read off J's own piece.
+Powers of I, J * I and J * I^2 follow one product rule (_rows_times):
+(I * B)_t = sum of g * B_{t - deg g} over the generators g, which is I's
+own piece I_t when every B_{t - deg g} is full; else its rows g * b come
+from poly._term_product, the one product of the package.  A power is kept
+as a piece, J * I and J * I^2 as ranks.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 from .fields import QQ
 from .linalg import kernel_rref, normal_form, row_profile, row_rank, rref_rows
-from .monomials import monomial_count, product_table
+from .monomials import monomial_count, monomials_of_degree, product_table
 from .parsing import parse_poly
 from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_vector,
                      fresh_generators, full_piece, integer_span, integer_terms,
@@ -498,10 +496,8 @@ class GradedIdeal:
     def power_piece(self, k, t) -> GradedPiece:
         """Graded piece (I^k)_t, built once per ideal.  Above a full
         (I^k)_{t-1} it is full with no product, since R_1 * R_{t-1} = R_t,
-        as graded_piece reads R_t above a full I_{t-1}.  When every
-        generator has one degree d, (I^k)_t = I_d * (I^{k-1})_{t-d}, so a
-        built and full (I^{k-1})_{t-d} makes it I_d * R_{t-d} = I_t, read
-        off graded_piece with no product."""
+        as graded_piece reads R_t above a full I_{t-1}; otherwise it is
+        (I * I^{k-1})_t, I's own piece I_t when _rows_times says so."""
         if k < 1:
             raise ValueError("power must be >= 1")
         if k == 1 or t < 0:
@@ -509,21 +505,34 @@ class GradedIdeal:
         piece = self._power_pieces.get((k, t))
         if piece is None:
             below = self._power_pieces.get((k, t - 1))
-            degrees = {d for d, _ in self._gen_data}
-            lower = None
-            if len(degrees) == 1:
-                u = t - degrees.pop()
-                lower = self._pieces.get(u) if k == 2 else self._power_pieces.get((k - 1, u))
             if below is not None and below.is_full:
                 piece = full_piece(self.n, t, self.field)
-            elif lower is not None and lower.is_full:
-                piece = self.graded_piece(t)
             else:
-                combos = itertools.combinations_with_replacement(self._gen_data, k)
-                rows = _product_rows(self.n, t, self.field, combos)
-                piece = integer_span(self.n, t, rows, self.field)
+                rows = self._rows_times(t, lambda u: self.power_piece(k - 1, u))
+                piece = (self.graded_piece(t) if rows is None
+                         else integer_span(self.n, t, rows, self.field))
             self._power_pieces[k, t] = piece
         return piece
+
+    def _rows_times(self, t, lower):
+        """The rows of (I * B)_t = sum of g * B_{t-d} over the generators g
+        of I, d = deg g <= t, for the pieces B_u = lower(u): g * b for
+        every row b of B_{t-d}, multiplied with poly._term_product.  None
+        when every such B_{t-d} is full, for then the sum is I_t."""
+        lowers = {}
+        for d, _ in self._gen_data:
+            if d <= t and d not in lowers:
+                lowers[d] = lower(t - d)
+        if all(B.is_full for B in lowers.values()):
+            return None
+        products = []
+        for d, terms in self._gen_data:
+            if d <= t:
+                monos = monomials_of_degree(self.n, t - d)
+                for b in lowers[d].int_rows:
+                    b_terms = {monos[j]: c for j, c in enumerate(b) if c}
+                    products.append((t, _term_product(terms, b_terms, self.field)))
+        return shifted_vectors(self.n, t, products)
 
     # ------------------------------------------------------------------
     # equality and membership
@@ -691,12 +700,10 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
 
     Both products lie inside the power of I of their degree and are
     generated where it is, so each is compared by its rank in degree 2d
-    or 3d.  (J*I^2)_{3d} = J_d * (I^2)_{2d}: when (I^2)_{2d} is full this
-    is J_d * R_{2d} = J_{3d}, read off J, whose Artinian bound as three
-    forms of degree d in three variables is 3d - 2 <= 3d, with no product
-    and no elimination, and (I^3)_{3d} = I_d * (I^2)_{2d} is I_{3d}, read
-    off I (power_piece).  Otherwise, and for J*I always, the product rows
-    are formed and their rank taken.
+    or 3d.  Each rank follows the product rule of _rows_times: (J * B)_t
+    is J_t, with no product, when B_{t-d} is full.  For J * I^2 that is
+    the common case of a full (I^2)_{2d}, and J_{3d} is then full with no
+    elimination, as J's Artinian bound is 3d - 2.
     """
     eq = I.is_equigenerated()
     if eq is None:
@@ -707,6 +714,14 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
     I.artinian_bound()
     rng = random.Random(seed)
     gens = I.generators
+
+    def rank(J, t, lower):
+        """dim (J * B)_t for the pieces B_u = lower(u)."""
+        rows = J._rows_times(t, lower)
+        if rows is None:
+            return J.graded_piece(t).dim
+        return row_rank(I.field, rows, monomial_count(I.n, t))
+
     attempts = 0
     while attempts < REDUCTION_RETRIES:
         attempts += 1
@@ -724,20 +739,9 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
         if not J.is_artinian():
             continue
         # J*I and J*I^2 lie inside I^2 and I^3: equal exactly when the ranks are
-        ji = _product_rows(I.n, 2 * d, I.field,
-                           itertools.product(J._gen_data, I._gen_data))
-        ji_eq = (row_rank(I.field, ji, monomial_count(I.n, 2 * d))
-                 == I.power_piece(2, 2 * d).dim)
-        if I.power_piece(2, 2 * d).is_full:
-            # J_d * R_{2d} = J_{3d}, full at J's bound 3d - 2 (see above)
-            ji2_rank = J.graded_piece(3 * d).dim
-        else:
-            # a list: every generator of J goes through all the pairs
-            pairs = list(itertools.combinations_with_replacement(I._gen_data, 2))
-            ji2 = _product_rows(I.n, 3 * d, I.field,
-                                ((j,) + pair for j in J._gen_data for pair in pairs))
-            ji2_rank = row_rank(I.field, ji2, monomial_count(I.n, 3 * d))
-        ji2_eq = ji2_rank == I.power_piece(3, 3 * d).dim
+        ji_eq = rank(J, 2 * d, I.graded_piece) == I.power_piece(2, 2 * d).dim
+        ji2_eq = (rank(J, 3 * d, lambda u: I.power_piece(2, u))
+                  == I.power_piece(3, 3 * d).dim)
         return ReductionReport(
             reduction_number_is_two=(ji2_eq and not ji_eq),
             ji_equals_i2=ji_eq,
@@ -748,17 +752,3 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
     raise RuntimeError(
         f"could not find a height-3 reduction in {REDUCTION_RETRIES} seeded attempts")
 
-
-def _product_rows(n, t, field, combos):
-    """The rows x^alpha * p of degree t for the products p of the combos,
-    tuples of (degree, integer term map) factors as in
-    GradedIdeal._gen_data; a product above degree t is not formed."""
-    products = []
-    for combo in combos:
-        degree = sum(d for d, _ in combo)
-        if degree <= t:
-            terms = combo[0][1]
-            for _, factor in combo[1:]:
-                terms = _term_product(terms, factor, field)
-            products.append((degree, terms))
-    return shifted_vectors(n, t, products)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import gor3.cases
-import gor3.ideals
+from gor3 import GradedIdeal
 from gor3.cases import case_ids
 from gor3.cli import build_parser, main
 
@@ -230,25 +230,25 @@ def test_power_check_builds_each_product_piece_once(capsys, monkeypatch):
     the (I^2)_4 that the table of pieces built; above that full piece the
     table's (I^2)_5 and (I^2)_6 are full with no product, J*I^2 is read
     off J's piece of degree 6, and (I^3)_6 = I_2 * (I^2)_4 off I's."""
-    builds = []
-    product_rows = gor3.ideals._product_rows
+    calls = []
+    rows_times = GradedIdeal._rows_times
 
-    def counted(n, t, field, combos):
-        # the combos are kept, so the ids of their factors stay unique
-        combos = list(combos)
-        builds.append((len(combos[0]), t, combos))
-        return product_rows(n, t, field, combos)
+    def counted(self, t, lower):
+        rows = rows_times(self, t, lower)
+        calls.append((self, t, rows is not None))
+        return rows
 
-    monkeypatch.setattr(gor3.ideals, "_product_rows", counted)
+    monkeypatch.setattr(GradedIdeal, "_rows_times", counted)
     code, report, _ = run_json(
         capsys, "power-check", "--ideal", "x*y,x*z,y*z,x^2-z^2,y^2-z^2",
         "--k", "2", "--seed", "1")
     assert code == 0 and report["reduction"]["reduction_number_is_two"] is True
-    # (I^2)_4 for the table, then J*I for the reduction
-    assert sorted(k_t for *k_t, _ in builds) == [[2, 4], [2, 4]]
-    signatures = {(t, tuple(tuple(map(id, c)) for c in combos))
-                  for _, t, combos in builds}
-    assert len(signatures) == len(builds)
+    # (I^2)_4 for the table and J*I for the reduction form rows; J*I^2 and
+    # (I^3)_6 read J_6 and I_6
+    assert [(t, formed) for _, t, formed in calls] == [
+        (4, True), (4, True), (6, False), (6, False)]
+    I, J = calls[0][0], calls[1][0]
+    assert [ideal for ideal, *_ in calls] == [I, J, J, I] and I is not J
 
 
 def test_reproduce_single_case(capsys):
@@ -377,10 +377,23 @@ DUAL_CLASH = "dual forms are written in the names upper-cased, and two of them t
      f"--vars 'a,A': {DUAL_CLASH}"),
     (["newton-dual", "--f", "b*B", "--socle-m", "2", "--vars", "B,b"],
      f"--vars 'B,b': {DUAL_CLASH}"),
+    (["model", "--r", "4", "--dp", "1"],
+     "--r 4 is even: the alternating matrix has odd size"),
+    (["model", "--r", "1", "--dp", "1"],
+     "--r 1 is below 3: the alternating matrix has odd size r >= 3"),
+    (["model", "--r", "5", "--dp", "0"],
+     "--dp 0 is below 1: the entries x_ij^d' need d' >= 1"),
+    (["model", "--r", "5", "--dp", "1", "--n", "2"],
+     "--n 2 is below 3: the model is specialized to n >= 3 variables"),
+    (["model", "--r", "5", "--dp", "1", "--n", "11"],
+     "--n 11 is above C(5,2) = 10, the variable count of the generic 5x5 "
+     "alternating matrix"),
 ], ids=["negative-t-max", "unreadable-file", "empty-list", "not-equigenerated",
         "zero-k", "negative-k", "negative-e", "linres-zero-m", "directrix-zero-m",
         "zero-socle-m",
-        "ann-dual-names", "inverse-dual-names", "newton-dual-names"])
+        "ann-dual-names", "inverse-dual-names", "newton-dual-names",
+        "model-even-r", "model-r-below-3", "model-zero-dp", "model-n-below-3",
+        "model-n-above-pairs"])
 def test_usage_error_exits_2_with_its_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

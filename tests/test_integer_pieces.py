@@ -21,10 +21,9 @@ from gor3 import GradedIdeal, InverseForm, MultiPoly, annihilator, parse_poly
 from gor3.betti import betti_table
 from gor3.cases import ex_2_5_ideal, five_gen_monomial_ideal
 from gor3.fields import GF, QQ
-from gor3.ideals import _product_rows
 from gor3.linalg import CERTIFICATE_PRIME, kernel_rows, normal_form, row_rank
 from gor3.monomials import monomial_count, monomials_of_degree
-from gor3.pieces import GradedPiece, degree_one_multiples, integer_span, integer_terms
+from gor3.pieces import GradedPiece, degree_one_multiples, integer_span
 
 from oracles import (Span, colon_by_kernel, fraction_rref, piece_rows, reduce_vector,
                      span_of_vectors)
@@ -107,9 +106,11 @@ def test_power_pieces_and_product_spans():
     I = ex_2_5_ideal()
     gens = I.generators
     # asked in ascending t, so each piece above a full one is read as full;
-    # (I^2)_4 and (I^2)_5 of the complete intersection are not full
+    # (I^2)_4 and (I^2)_5 of the complete intersection are not full, and
+    # (x, y^2, z^2) is generated in two degrees
     ci = GradedIdeal.from_strings(["x^2", "y^2", "z^2"])
-    for ideal in (I, ci):
+    mixed = GradedIdeal.from_strings(["x", "y^2", "z^2"])
+    for ideal in (I, ci, mixed):
         for k in (2, 3):
             combos = itertools.combinations_with_replacement(range(len(ideal.generators)), k)
             products = [_product(ideal.generators, combo) for combo in combos]
@@ -117,17 +118,18 @@ def test_power_pieces_and_product_spans():
                 _assert_canonical(ideal.power_piece(k, t),
                                   _shifted_rows(ideal.n, t, products))
     rng = random.Random(5)
-    J = [sum((g.scale(rng.randint(-4, 4)) for g in gens), MultiPoly.zero(3))
-         for _ in range(3)]
+    J = GradedIdeal(3, [sum((g.scale(rng.randint(-4, 4)) for g in gens), MultiPoly.zero(3))
+                        for _ in range(3)])
     pairs = list(itertools.combinations_with_replacement(gens, 2))
-    for factors, t in (([(g,) for g in gens], 4), (pairs, 6)):
-        combos = [(j, *f) for j in J for f in factors]
+    # J * I in degree 4 takes rows; J * I^2 in degree 6, over a full (I^2)_4, is J_6
+    for factors, t, lower in (([(g,) for g in gens], 4, I.graded_piece),
+                              (pairs, 6, lambda u: I.power_piece(2, u))):
+        combos = [(j, *f) for j in J.generators for f in factors]
         products = [_product(combo, range(len(combo))) for combo in combos]
-        data = [tuple((g.homogeneous_degree(), integer_terms(g)) for g in combo)
-                for combo in combos]
-        rows = _product_rows(I.n, t, I.field, data)
-        _assert_canonical(integer_span(I.n, t, rows, I.field),
-                          [p.to_vector(t) for p in products if not p.is_zero()])
+        rows = J._rows_times(t, lower)
+        assert (rows is None) == (t == 6)
+        piece = J.graded_piece(t) if rows is None else integer_span(I.n, t, rows, I.field)
+        _assert_canonical(piece, [p.to_vector(t) for p in products if not p.is_zero()])
 
 
 def _product(gens, combo):

@@ -1,9 +1,9 @@
 """Powers of an ideal and the reduction-number-two check, against products.
 
-``power_piece`` reads (I^k)_t as full above a full (I^k)_{t-1}, and as I_t
-when I is generated in one degree d and the built (I^{k-1})_{t-d} is full;
-``check_reduction_two`` reads J*I^2 off J's own piece of degree 3d when
-(I^2)_{2d} is full.  ``oracles.reduction_by_products`` redraws the same J
+``power_piece`` reads (I^k)_t as full above a full (I^k)_{t-1}; otherwise
+it and ``check_reduction_two`` follow one product rule,
+(I * B)_t = sum of g * B_{t - deg g}, which is I's own piece I_t when every
+B_{t - deg g} is full.  ``oracles.reduction_by_products`` redraws the same J
 and takes every rank from MultiPoly products through ``oracles.field_rref``;
 the complete intersection (x^2, y^2, z^2), whose (I^2)_4 is not full, keeps
 the product rows.
@@ -47,17 +47,26 @@ def test_complete_intersection_ji2_equals_i3(field):
         assert check_reduction_two(ci, seed).ji2_equals_i3 is True
 
 
+def _count_products(monkeypatch):
+    """The degree t of each GradedIdeal._rows_times call that forms product
+    rows, in the order the calls return; a call that reads I_t is left out."""
+    builds = []
+    rows_times = GradedIdeal._rows_times
+
+    def counted(self, t, lower):
+        rows = rows_times(self, t, lower)
+        if rows is not None:
+            builds.append(t)
+        return rows
+
+    monkeypatch.setattr(GradedIdeal, "_rows_times", counted)
+    return builds
+
+
 def test_powers_above_a_full_piece_make_no_products(monkeypatch):
     I = ex_2_5_ideal()
     assert I.power_piece(2, 4).is_full
-    calls = []
-    product_rows = gor3.ideals._product_rows
-
-    def counted(*args):
-        calls.append(args[1])
-        return product_rows(*args)
-
-    monkeypatch.setattr(gor3.ideals, "_product_rows", counted)
+    calls = _count_products(monkeypatch)
     for t in range(5, 10):
         assert I.power_piece(2, t).is_full
     assert calls == []
@@ -65,18 +74,11 @@ def test_powers_above_a_full_piece_make_no_products(monkeypatch):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_a_power_over_a_full_lower_power_is_the_ideal_piece(field, monkeypatch):
-    """(I^k)_t = I_d * (I^{k-1})_{t-d} = I_t once (I^{k-1})_{t-d} is built
-    and full: (I^3)_6 of the README ideal and (I^2)_6 of the complete
-    intersection, whose I_4 is full, take no product; (I^3)_6 of the
-    complete intersection, over a (I^2)_4 that is not full, does."""
-    calls = []
-    product_rows = gor3.ideals._product_rows
-
-    def counted(*args):
-        calls.append(args[1])
-        return product_rows(*args)
-
-    monkeypatch.setattr(gor3.ideals, "_product_rows", counted)
+    """(I^k)_t = I_d * (I^{k-1})_{t-d} = I_t once (I^{k-1})_{t-d} is full:
+    (I^3)_6 of the README ideal and (I^2)_6 of the complete intersection,
+    whose I_4 is full, take no product; (I^3)_6 of the complete
+    intersection, over a (I^2)_4 that is not full, does."""
+    calls = _count_products(monkeypatch)
     readme, ci = IDEALS["readme"](field), IDEALS["ci"](field)
     assert readme.power_piece(2, 4).is_full and calls == [4]
     assert readme.power_piece(3, 6) is readme.graded_piece(6)
@@ -85,6 +87,21 @@ def test_a_power_over_a_full_lower_power_is_the_ideal_piece(field, monkeypatch):
     assert calls == [4]
     assert ci.power_piece(2, 4).dim == 6 and ci.power_piece(3, 6).dim == 10
     assert calls == [4, 4, 6]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_a_mixed_degree_power_over_full_pieces_is_the_ideal_piece(field, monkeypatch):
+    """(x, y^2, z^2) has H = 1, 2, 1, 0, so I_4 and I_3 are full and
+    (I^2)_5 = x * I_4 + y^2 * I_3 + z^2 * I_3 is I_5, with no product of
+    forms, though I is generated in two degrees."""
+    I = GradedIdeal.from_strings(["x", "y^2", "z^2"], field=field)
+    products = []
+    term_product = gor3.ideals._term_product
+    monkeypatch.setattr(gor3.ideals, "_term_product",
+                        lambda *args: products.append(args) or term_product(*args))
+    assert I.power_piece(2, 5) is I.graded_piece(5)
+    assert products == []
+    assert [I.hilbert_function(t) for t in range(5)] == [1, 2, 1, 0, 0]
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -6,9 +6,9 @@ that finishes it, the modular front end of QQ elimination, the Gorenstein
 certificate and the answer it remembers, the walk's rows and the full
 pieces at its bound, the descending Artinian bound, the lightest-first
 generator order over QQ, from_pieces' truncation rule, the five-quadrics
-certificate, and the powers and J*I^2 read off full pieces.  Each entry of
-MUTANTS breaks one of them with one exact source edit and names the tests
-that must then fail.
+certificate, and the product rule that reads I's own piece for a power,
+J*I or J*I^2.  Each entry of MUTANTS breaks one of them with one exact
+source edit and names the tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
 against the copy, and counts the mutant killed only when pytest reports
@@ -118,12 +118,14 @@ MUTANTS = [
     ("power_piece reads (I^k)_t as full above any built (I^k)_{t-1}",
      IDEALS, "if below is not None and below.is_full:", "if below is not None:",
      ["tests/test_integer_pieces.py::test_power_pieces_and_product_spans"]),
-    ("J*I^2 is read off J's piece though (I^2)_{2d} is not full",
-     IDEALS, "if I.power_piece(2, 2 * d).is_full:", "if True:",
-     ["tests/test_power_reduction.py::test_complete_intersection_ji2_equals_i3"]),
-    ("power_piece reads (I^k)_t as I_t over any built (I^{k-1})_{t-d}",
-     IDEALS, "elif lower is not None and lower.is_full:", "elif lower is not None:",
+    ("the product rule reads I_t when any one B_{t-d} is full",
+     IDEALS, "if all(B.is_full for B in lowers.values()):",
+     "if any(B.is_full for B in lowers.values()):",
      ["tests/test_integer_pieces.py::test_power_pieces_and_product_spans"]),
+    ("the product rule reads I_t over B_{t-d} that are nonzero, not full",
+     IDEALS, "if all(B.is_full for B in lowers.values()):",
+     "if all(B.dim for B in lowers.values()):",
+     ["tests/test_power_reduction.py::test_reduction_check_matches_products"]),
     ("the packed slots are one term short of their growth, so they carry",
      KERNEL, "w = (nc * p * p + p).bit_length()", "w = (p * p).bit_length()",
      ["tests/test_packed_rows.py::test_slots_at_their_maximal_lazy_growth"]),
