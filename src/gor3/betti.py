@@ -1,19 +1,24 @@
 """Graded Betti numbers of Artinian quotients via Koszul homology.
 
-beta_{i,j} is the degree-j dimension of the i-th homology of the Koszul
-complex on the variables tensored with R/I; the quotient is handled through
-its standard monomials per degree.  The differentials are integer rows
-built from the integer multiplication maps of ``ideals`` (one common scale
-per degree), and each rank is one linalg.row_rank call.  Everything is
-bounded because the quotient is Artinian: the top twist is socle degree +
-n.  The exterior basis is ordered lexicographically on index subsets,
-frozen for determinism.
+beta_{i,j} = dim Tor_i(k, R/I)_j is the degree-j homology of the Koszul
+complex on the variables tensored with R/I (Eisenbud, Commutative Algebra,
+17.4): dim K_i(j) - rank d_i(j) - rank d_{i+1}(j), dim K_i(j) = C(n, i)
+H(j - i).  In every characteristic rank d_1(j) = H(j) - [j = 0], the image
+being m(R/I); rank d_2(j) = dim K_1(j) - rank d_1(j) - beta_{1,j}, beta_{1,j}
+counting the minimal generators of degree j; and rank d_n(j) = dim K_n(j) -
+beta_{n,j}, the top homology being the socle shifted by n (socle_report
+builds no map for a certified Gorenstein ideal).  So for n <= 3 no
+differential is built.  For n >= 4 the middle ranks d_3 .. d_{n-1} come
+from integer rows over the multiplication maps of ``ideals`` (one scale per
+degree, exterior basis in lex order on index subsets), one linalg.row_rank
+call each.  The top twist is socle degree + n.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from math import comb
 
 from .ideals import GradedIdeal, NotEquigeneratedError
 from .linalg import row_rank
@@ -68,54 +73,45 @@ def betti_table(I: GradedIdeal) -> BettiTable:
     bound = I.artinian_bound()
     if bound == 0:
         raise ValueError("the unit ideal has no socle (R/I = 0)")
-    top = bound - 1 + n
-    # standard-monomial dimensions through top + 1, and the maps x_k :
-    # (R/I)_t -> (R/I)_{t+1} as column lists; R/I is 0 from the bound on,
-    # so no piece above it is built
+    # H(t) through the top twist + 1; R/I is 0 from the bound on
     dims = [I.hilbert_function(t) for t in range(bound)] + [0] * (n + 1)
-    mult = [I.multiplication_maps(t) for t in range(bound - 1)]
-    subsets = {i: list(itertools.combinations(range(n), i))
-               for i in range(n + 1)}
+    generators = I.minimal_generator_profile()
+    socle = I.socle_report().socle_dims
+    # the maps x_k : (R/I)_t -> (R/I)_{t+1} as column lists, for d_3 .. d_{n-1}
+    mult = [I.multiplication_maps(t) for t in range(bound - 1)] if n > 3 else []
 
     def chain_dim(i, j):
-        t = j - i
-        if i < 0 or i > n or t < 0 or t > top:
-            return 0
-        return len(subsets[i]) * dims[t]
+        return comb(n, i) * dims[j - i] if j >= i else 0
 
-    def differential_rank(i, j):
-        """Rank of K_i(j) -> K_{i-1}(j)."""
+    def koszul_rank(i, j):
+        """Rank of d_i(j) from its dense matrix, one row per basis vector
+        of K_{i-1}(j); zero unless (R/I)_t and (R/I)_{t+1} are nonzero."""
         t = j - i
-        if i < 1 or i > n or t < 0 or t + 1 > top:
+        if not 0 <= t < len(mult):
             return 0
-        rows_dim = chain_dim(i - 1, j)
-        cols_dim = chain_dim(i, j)
-        if rows_dim == 0 or cols_dim == 0:
-            return 0
-        src = subsets[i]
-        tgt_pos = {S: a for a, S in enumerate(subsets[i - 1])}
-        d_src = dims[t]
-        d_tgt = dims[t + 1]
-        rows = [[0] * cols_dim for _ in range(rows_dim)]
-        for b, S in enumerate(src):
+        target = {S: a for a, S in enumerate(itertools.combinations(range(n), i - 1))}
+        rows = [[0] * chain_dim(i, j) for _ in range(chain_dim(i - 1, j))]
+        for b, S in enumerate(itertools.combinations(range(n), i)):
             for pos, k in enumerate(S):
-                T = tuple(x for x in S if x != k)
-                a = tgt_pos[T]
-                block = mult[t][k]
-                negate = pos % 2 == 1
-                for cc in range(d_src):
-                    col_vals = block[cc]
-                    col_index = b * d_src + cc
-                    base = a * d_tgt
-                    for rr in range(d_tgt):
-                        v = col_vals[rr]
+                base, sign = target[S[:pos] + S[pos + 1:]] * dims[t + 1], (-1) ** pos
+                for c, image in enumerate(mult[t][k]):
+                    for r, v in enumerate(image):
                         if v:
-                            rows[base + rr][col_index] = -v if negate else v
-        return row_rank(field, rows, cols_dim)
+                            rows[base + r][b * dims[t] + c] = sign * v
+        return row_rank(field, rows, chain_dim(i, j))
 
     table = {}
-    for j in range(top + 1):
-        ranks = [differential_rank(i, j) for i in range(n + 2)]
+    for j in range(bound + n):
+        # the ranks of d_0 = 0, d_1, d_2, d_3 .. d_{n-1}, d_n and d_{n+1} = 0
+        ranks = [0, dims[j] - (j == 0)]
+        ranks.append(chain_dim(1, j) - ranks[1] - generators.get(j, 0))
+        ranks += [koszul_rank(i, j) for i in range(3, n)]
+        last = chain_dim(n, j) - socle.get(j - n, 0)
+        if n >= 3:
+            ranks.append(last)
+        else:   # d_n is d_1 or d_2: both identities must give its rank
+            assert ranks[n] == last, (j, ranks, last)
+        ranks.append(0)
         for i in range(n + 1):
             beta = chain_dim(i, j) - ranks[i] - ranks[i + 1]
             if beta:

@@ -11,11 +11,12 @@ from math import gcd
 
 from gor3 import GradedIdeal, MultiPoly
 from gor3.apolarity import directrix_form
+from gor3.betti import BettiTable
 from gor3.cases import ex_2_5_ideal, ex_3_7_ideal, ex_4_5_ideal, ex_4_9_ideal
 from gor3.fields import RationalField
 from gor3.ideals import (REDUCTION_RETRIES, NotArtinianError, pure_power_index,
                          variable_lines, variable_power_ideal)
-from gor3.linalg import normal_form
+from gor3.linalg import normal_form, row_rank
 from gor3.monomials import deglex_key, monomials_of_degree
 from gor3.parsing import PolyParseError, _tokenize, parse_poly
 from gor3.pfaffians import (
@@ -761,6 +762,69 @@ def leading_monomial(f):
     if not f.terms:
         raise ValueError("zero polynomial has no leading monomial")
     return max(f.terms, key=deglex_key)
+
+
+def betti_table_by_koszul(I):
+    """Graded Betti numbers of R/I (I Artinian) from every Koszul
+    differential K_i(j) -> K_{i-1}(j), each built as a dense integer matrix
+    from the multiplication maps and ranked by linalg.row_rank."""
+    n, field = I.n, I.field
+    bound = I.artinian_bound()
+    if bound == 0:
+        raise ValueError("the unit ideal has no socle (R/I = 0)")
+    top = bound - 1 + n
+    # standard-monomial dimensions through top + 1, and the maps x_k :
+    # (R/I)_t -> (R/I)_{t+1} as column lists; R/I is 0 from the bound on,
+    # so no piece above it is built
+    dims = [I.hilbert_function(t) for t in range(bound)] + [0] * (n + 1)
+    mult = [I.multiplication_maps(t) for t in range(bound - 1)]
+    subsets = {i: list(itertools.combinations(range(n), i))
+               for i in range(n + 1)}
+
+    def chain_dim(i, j):
+        t = j - i
+        if i < 0 or i > n or t < 0 or t > top:
+            return 0
+        return len(subsets[i]) * dims[t]
+
+    def differential_rank(i, j):
+        """Rank of K_i(j) -> K_{i-1}(j)."""
+        t = j - i
+        if i < 1 or i > n or t < 0 or t + 1 > top:
+            return 0
+        rows_dim = chain_dim(i - 1, j)
+        cols_dim = chain_dim(i, j)
+        if rows_dim == 0 or cols_dim == 0:
+            return 0
+        src = subsets[i]
+        tgt_pos = {S: a for a, S in enumerate(subsets[i - 1])}
+        d_src = dims[t]
+        d_tgt = dims[t + 1]
+        rows = [[0] * cols_dim for _ in range(rows_dim)]
+        for b, S in enumerate(src):
+            for pos, k in enumerate(S):
+                T = tuple(x for x in S if x != k)
+                a = tgt_pos[T]
+                block = mult[t][k]
+                negate = pos % 2 == 1
+                for cc in range(d_src):
+                    col_vals = block[cc]
+                    col_index = b * d_src + cc
+                    base = a * d_tgt
+                    for rr in range(d_tgt):
+                        v = col_vals[rr]
+                        if v:
+                            rows[base + rr][col_index] = -v if negate else v
+        return row_rank(field, rows, cols_dim)
+
+    table = {}
+    for j in range(top + 1):
+        ranks = [differential_rank(i, j) for i in range(n + 2)]
+        for i in range(n + 1):
+            beta = chain_dim(i, j) - ranks[i] - ranks[i + 1]
+            if beta:
+                table[(i, j)] = beta
+    return BettiTable(n=n, entries=table)
 
 
 def is_gorenstein_symmetric(table):

@@ -28,19 +28,23 @@ from gor3 import (
 )
 from gor3.betti import betti_table
 from gor3.cases import (
+    ex_2_5_ideal,
+    ex_3_7_ideal,
     five_gen_expected_betti,
+    five_gen_monomial_ideal,
+    monomial_tower_ideal,
     monomial_tower_squared,
     random_quadrics,
     tower_expected_betti,
     tower_expected_socle,
 )
-from gor3.fields import QQ
+from gor3.fields import QQ, PrimeField
 from gor3.linalg import kernel_rows
 from gor3.monomials import monomial_count, monomials_of_degree
 from gor3.parsing import parse_poly, parse_poly_list
 from gor3.pfaffians import generic_power_model, pfaffian
 from gor3.pieces import integer_span
-from oracles import det_by_minors, random_alternating
+from oracles import betti_table_by_koszul, det_by_minors, random_alternating
 
 VARS = ["x", "y", "z"]
 
@@ -295,9 +299,16 @@ def test_c14d_hilbert_symmetry(ex_2_5, ex_3_7, ex_4_5, ex_4_9):
 def test_c14e_betti_socle_cross_validation(
         ex_2_5, ex_3_7, tower_d3, tower_d4, five_gen_dp2):
     with criterion("C14e Betti-vs-socle cross validation on all Artinian cases"):
+        # betti_table reads its top column off socle_report; the Koszul
+        # route builds every differential, so it checks the whole table
+        fp = PrimeField(32003)
         squared = monomial_tower_squared(3)
         ci = GradedIdeal.from_strings(["x^2", "y^2", "z^2"])
-        for I in (ex_2_5, ex_3_7, tower_d3, tower_d4, five_gen_dp2,
-                  squared, ci):
-            assert socle_decomposition_from_betti(betti_table(I)) == \
-                I.socle_report().socle_dims
+        for I in (ex_2_5, ex_3_7, tower_d3, tower_d4, five_gen_dp2, squared, ci,
+                  ex_2_5_ideal(fp), ex_3_7_ideal(fp), monomial_tower_ideal(3, fp),
+                  monomial_tower_ideal(4, fp), five_gen_monomial_ideal(2, fp),
+                  monomial_tower_squared(3, fp),
+                  GradedIdeal.from_strings(["x^2", "y^2", "z^2"], field=fp)):
+            table = betti_table(I)
+            assert socle_decomposition_from_betti(table) == I.socle_report().socle_dims
+            assert table.entries == betti_table_by_koszul(I).entries

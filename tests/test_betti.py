@@ -2,6 +2,9 @@ from math import comb
 
 import pytest
 
+import gor3.betti
+import gor3.ideals
+import gor3.linalg
 from gor3 import GradedIdeal
 from gor3.betti import betti_table, has_linear_resolution, socle_decomposition_from_betti
 from gor3.cases import (
@@ -9,13 +12,15 @@ from gor3.cases import (
     ex_3_7_ideal,
     five_gen_expected_betti,
     five_gen_expected_socle,
+    five_gen_monomial_ideal,
     monomial_tower_ideal,
     monomial_tower_squared,
     tower_expected_betti,
     tower_expected_socle,
 )
+from gor3.fields import QQ, PrimeField
 from gor3.ideals import NotEquigeneratedError
-from oracles import is_gorenstein_symmetric
+from oracles import betti_table_by_koszul, is_gorenstein_symmetric
 
 
 def test_koszul_complete_intersection():
@@ -101,9 +106,17 @@ def test_linear_resolution_cases(ex_3_7, tower_d3):
 
 
 def test_socle_cross_validation(ex_2_5, ex_3_7, tower_d3, tower_d4, five_gen_dp2):
-    """Top Betti shifts and the colon-based socle must agree everywhere."""
-    for I in (ex_2_5, ex_3_7, tower_d3, tower_d4, five_gen_dp2):
-        assert socle_decomposition_from_betti(betti_table(I)) == I.socle_report().socle_dims
+    """Top Betti shifts and the colon-based socle must agree everywhere.
+    betti_table reads its top column off socle_report, so the whole table
+    is also checked against the Koszul route, which builds every
+    differential from the multiplication maps, over QQ and GF(32003)."""
+    fp = PrimeField(32003)
+    for I in (ex_2_5, ex_3_7, tower_d3, tower_d4, five_gen_dp2,
+              ex_2_5_ideal(fp), ex_3_7_ideal(fp), monomial_tower_ideal(3, fp),
+              monomial_tower_ideal(4, fp), five_gen_monomial_ideal(2, fp)):
+        table = betti_table(I)
+        assert socle_decomposition_from_betti(table) == I.socle_report().socle_dims
+        assert table.entries == betti_table_by_koszul(I).entries
 
 
 def test_gorenstein_symmetry(ex_2_5, ex_3_7, ex_4_5):
@@ -163,11 +176,7 @@ def test_triples_serialization(ex_2_5):
     assert rebuilt == table.entries
 
 
-def test_betti_table_reads_the_socle_degree_off_the_bound(monkeypatch, tower_d3):
-    def no_socle_report(self):
-        raise AssertionError("socle_report called")
-
-    monkeypatch.setattr(GradedIdeal, "socle_report", no_socle_report)
+def test_betti_table_reads_the_top_column_off_the_socle(tower_d3):
     # socle {1: 1, 2: 1}: the top twists are the socle degrees + 3
     I = GradedIdeal.from_strings(["x^2", "x*y", "x*z", "y^2", "z^2"])
     assert betti_table(I).column_shifts(3) == {4: 1, 5: 1}
@@ -175,6 +184,33 @@ def test_betti_table_reads_the_socle_degree_off_the_bound(monkeypatch, tower_d3)
         s + 3: v for s, v in tower_expected_socle(3).items()}
     with pytest.raises(ValueError, match="unit ideal"):
         betti_table(GradedIdeal.from_strings(["x", "y", "z", "1"]))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF(32003)"])
+@pytest.mark.parametrize("gens", [
+    ["x*y", "x*z", "y*z", "x^2-z^2", "y^2-z^2"],
+    ["x^2", "y^2", "z^2"],
+], ids=["readme", "squares"])
+def test_a_certified_gorenstein_table_builds_no_map_and_no_rank(monkeypatch, gens, field):
+    # in three variables the ranks of d_1, d_2 and d_3 come from H, the
+    # minimal generators and the socle, and a certified socle builds no map
+    calls = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GradedIdeal, "multiplication_maps",
+                        record("multiplication_maps", GradedIdeal.multiplication_maps))
+    for module in (gor3.linalg, gor3.betti, gor3.ideals):
+        monkeypatch.setattr(module, "row_rank", record("row_rank", gor3.linalg.row_rank))
+    I = GradedIdeal.from_strings(gens, field=field)
+    table = betti_table(I)
+    assert calls == []
+    assert I.socle_report().is_gorenstein
+    assert table.entries == betti_table_by_koszul(I).entries
 
 
 @pytest.mark.parametrize("make,entries", [

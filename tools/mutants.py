@@ -6,8 +6,9 @@ that finishes it, the modular front end of QQ elimination, the Gorenstein
 certificate and the answer it remembers, the walk's rows and the full
 pieces at its bound, the descending Artinian bound, the lightest-first
 generator order over QQ, from_pieces' truncation rule, the five-quadrics
-certificate, and the product rule that reads I's own piece for a power,
-J*I or J*I^2.  Each entry of MUTANTS breaks one of them with one exact
+certificate, the product rule that reads I's own piece for a power,
+J*I or J*I^2, and the Betti ranks of d_2 and d_n read off the minimal
+generators and the socle.  Each entry of MUTANTS breaks one of them with one exact
 source edit and names the tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
@@ -38,6 +39,7 @@ KERNEL = "src/gor3/_rowred_py.py"
 LINALG = "src/gor3/linalg.py"
 IDEALS = "src/gor3/ideals.py"
 CRITERIA = "src/gor3/criteria.py"
+BETTI = "src/gor3/betti.py"
 
 # (what the mutant breaks, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -132,6 +134,15 @@ MUTANTS = [
     ("a pivot's tail is packed unnegated",
      KERNEL, "(p - a) << o", "a << o",
      ["tests/test_packed_rows.py::test_packed_pass_equals_the_list_pass"]),
+    ("rank d_n leaves out the socle",
+     BETTI, "last = chain_dim(n, j) - socle.get(j - n, 0)", "last = chain_dim(n, j)",
+     ["tests/test_betti.py::test_koszul_complete_intersection",
+      "tests/test_betti_oracle.py::test_betti_table_equals_the_koszul_route"]),
+    ("rank d_2 leaves out the minimal generators",
+     BETTI, "ranks.append(chain_dim(1, j) - ranks[1] - generators.get(j, 0))",
+     "ranks.append(chain_dim(1, j) - ranks[1])",
+     ["tests/test_betti.py::test_koszul_complete_intersection",
+      "tests/test_betti_oracle.py::test_betti_table_equals_the_koszul_route"]),
 ]
 
 
