@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -86,16 +87,9 @@ def run(argv):
     import gor3.cli
 
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = gor3.cli.main(list(argv))
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = gor3.cli.main(list(argv))
     return {"argv": list(argv), "exit": code,
             "stdout": out.getvalue().splitlines(keepends=True),
             "stderr": err.getvalue().splitlines(keepends=True)}
