@@ -9,7 +9,9 @@ ends, so that joining them gives the bytes printed.  The cases are
   fp:7, each as text and with --json;
 - README examples with one defect each, which exit 2;
 - a non-Artinian ideal asked of socle and of gap over q and fp:32003, as
-  text and with --json, which exits 1.
+  text and with --json, which exits 1;
+- reproduce --all over q, fp:32003 and fp:7, as text and with --json, so
+  that every check label and detail of the case registry is pinned.
 
 argparse wraps usage and help text to the terminal width, so every case
 runs with COLUMNS=80.
@@ -78,6 +80,9 @@ def cases():
             for fmt, flags in (("text", []), ("json", ["--json"])):
                 out[f"not-artinian-{sub}-{FIELDS[field]}-{fmt}"] = \
                     [sub, NOT_ARTINIAN, f"--field={field}"] + flags
+    for field, tag in FIELDS.items():
+        for fmt, flags in (("text", []), ("json", ["--json"])):
+            out[f"registry-{tag}-{fmt}"] = ["reproduce", "--all", f"--field={field}"] + flags
     return out
 
 
