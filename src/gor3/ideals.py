@@ -603,7 +603,7 @@ class ReductionReport:
 def pure_power_ideal(lines, exponents) -> GradedIdeal:
     """(l_1^{m_1}, ..., l_n^{m_n}) for independent linear forms."""
     lines = list(lines)
-    _check_independent_lines(lines)
+    _line_inverse(lines, lines[0].n, lines[0].field)
     if len(exponents) != len(lines):
         raise ValueError("one exponent per linear form")
     gens = [ell ** m for ell, m in zip(lines, exponents)]
@@ -619,48 +619,43 @@ def variable_power_ideal(n, m, field=QQ) -> GradedIdeal:
     return pure_power_ideal(variable_lines(n, field), [m] * n)
 
 
-def _line_rows(lines, n):
-    """(ints, scale) for each of n nonzero linear forms: its coefficient
-    vector made an integer row by the field and the multiplier it took."""
+def _line_inverse(lines, n, field):
+    """The rows of A^-1 as field scalars, A having row i the coefficients of
+    l_i: row i writes x_i in the l-coordinates.  Raises unless lines are n
+    independent nonzero linear forms; the one proof of their independence."""
     if len(lines) != n:
         raise ValueError(f"need exactly {n} linear forms")
     rows = []
-    for ell in lines:
+    for i, ell in enumerate(lines):
         if ell.is_zero() or ell.homogeneous_degree() != 1:
             raise ValueError("expected nonzero linear forms")
-        rows.append(ell.field.integer_row(ell.to_vector(1)))
-    return rows
-
-
-def _check_independent_lines(lines):
-    n = lines[0].n
-    rows = [ints for ints, _ in _line_rows(lines, n)]
-    if row_rank(lines[0].field, rows, n) != n:
+        # row i of [A | I], scaled as the field scaled row i of A
+        ints, scale = ell.field.integer_row(ell.to_vector(1))
+        rows.append(ints + [0] * i + [scale] + [0] * (n - 1 - i))
+    # [A | I] reduces to [I | A^-1] exactly when the forms are independent
+    pivots, red = rref_rows(field, rows, 2 * n)
+    if pivots != list(range(n)):
         raise ValueError("linear forms are not independent")
+    return [row[n:] for row in field.scalar_rows(pivots, red)]
 
 
 def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
     """Express f as a polynomial in n independent linear forms.
 
-    Returns g with g(l_1, ..., l_n) = f; raises if the forms are dependent.
+    Returns g with g(l_1, ..., l_n) = f; raises if the forms are dependent
+    or not in f's ring.
     """
     n, field = f.n, f.field
-    # row i of [A | I], scaled as the field scaled row i of A
-    rows = [ints + [0] * i + [scale] + [0] * (n - 1 - i)
-            for i, (ints, scale) in enumerate(_line_rows(lines, n))]
-    # [A | I] reduces to [I | A^-1] exactly when the forms are independent;
-    # row i of A^-1 writes x_i in the l-coordinates
-    pivots, red = rref_rows(field, rows, 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("linear forms are not independent")
-    images = [MultiPoly.from_vector(n, 1, row[n:], field)
-              for row in field.scalar_rows(pivots, red)]
+    if any(ell.n != n or ell.field != field for ell in lines):
+        raise ValueError("rewrite by linear forms in a different ring")
+    images = [MultiPoly.from_vector(n, 1, row, field)
+              for row in _line_inverse(lines, n, field)]
     return f.substitute(images)
 
 
 def pure_power_index(I: GradedIdeal, lines) -> int:
     """Least m with every l_i^m in I."""
-    _check_independent_lines(lines)
+    _line_inverse(lines, lines[0].n, lines[0].field)
     bound = I.artinian_bound()
     result = 1
     for ell in lines:

@@ -200,6 +200,17 @@ def test_rewrite_rejects_dependent_lines():
         rewrite_in_linear_forms(P("x^2", F), [P("x + 32003*y", F), P("x", F), P("z", F)])
 
 
+def test_rewrite_rejects_linear_forms_of_another_ring():
+    """Forms over another field than f, or in more variables, are refused,
+    not read in f's ring."""
+    F = GF(7)
+    with pytest.raises(ValueError, match="different ring"):
+        rewrite_in_linear_forms(P("x"), [P("3*x", F), P("y", F), P("z", F)])
+    four = ["x", "y", "z", "w"]
+    with pytest.raises(ValueError, match="different ring"):
+        rewrite_in_linear_forms(P("x"), [parse_poly(t, four, QQ) for t in VARS])
+
+
 def test_scale_and_pow():
     f = P("x - y")
     assert f.scale(0).is_zero()
