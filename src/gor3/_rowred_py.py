@@ -3,7 +3,8 @@
 The reduced forms below are canonical (unique for a given row space), which
 makes every result bit-for-bit deterministic.  Each field has one forward
 pass, finished into an RREF by back-substituting the free columns: _bareiss
-and rref_int over QQ, rank_profile_mod and rref_mod over GF(p).
+and rref_int over QQ, whose _back_substitute also gives linalg its maximal
+minors, and rank_profile_mod and rref_mod over GF(p).
 rank_profile_mod names the rows a reduction keeps and reduces nothing above
 a pivot; rref_mod back-substitutes the echelon form it kept, so a rank, a
 profile and an RREF mod p all come from one pass.  Both forward passes are
@@ -76,6 +77,29 @@ def _bareiss(work):
     return pivots, sign
 
 
+def _back_substitute(work, pivots, free, d):
+    """Fraction-free back-substitution (Nakos, Turner and Williams 1997) of
+    the echelon rows work[:len(pivots)] that _bareiss leaves, pivots their
+    pivot columns.  Returns solved, solved[k] the list of d times RREF row
+    k at the columns free, worked out last row first.  d is the last pivot
+    or its negative, the determinant of the pivot block up to sign, so
+    every entry is integral by Cramer's rule and each division by a pivot
+    is exact.
+    """
+    rank = len(pivots)
+    solved = [None] * rank
+    for k in range(rank - 1, -1, -1):
+        row = work[k]
+        acc = [d * row[f] for f in free]
+        for j in range(k + 1, rank):
+            u = row[pivots[j]]
+            if u:
+                acc = [s - u * x for s, x in zip(acc, solved[j])]
+        pk = row[pivots[k]]
+        solved[k] = [s // pk for s in acc]
+    return solved
+
+
 def rref_int(rows):
     """Integer reduced row echelon form.
 
@@ -88,29 +112,18 @@ def rref_int(rows):
     out[k][pivots[k]] gives the canonical rational RREF.
 
     Bareiss forward elimination, then fraction-free back-substitution of the
-    free columns against d = |last pivot| (Nakos, Turner and Williams 1997):
-    row k becomes d times the RREF row, which is integral by Cramer's rule.
+    free columns against d = |last pivot| (_back_substitute): row k becomes
+    d times the RREF row.
     """
     work = list(rows)
     pivots, _ = _bareiss(work)
-    rank = len(pivots)
-    if not rank:
+    if not pivots:
         return [], []
     nc = len(work[0])
     free = [c for c in range(nc) if c not in pivots]
-    d = abs(work[rank - 1][pivots[-1]])
-    solved = [None] * rank     # solved[k]: d * RREF row k on the free columns
-    for k in range(rank - 1, -1, -1):
-        row = work[k]
-        acc = [d * row[f] for f in free]
-        for j in range(k + 1, rank):
-            u = row[pivots[j]]
-            if u:
-                acc = [s - u * x for s, x in zip(acc, solved[j])]
-        pk = row[pivots[k]]
-        solved[k] = [s // pk for s in acc]
+    d = abs(work[len(pivots) - 1][pivots[-1]])
     out = []
-    for col, vals in zip(pivots, solved):
+    for col, vals in zip(pivots, _back_substitute(work, pivots, free, d)):
         g = gcd(d, *vals)
         line = [0] * nc
         line[col] = d // g

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
+from ._rowred_py import _back_substitute, _bareiss, rank_profile_mod, rref_int, rref_mod
 from .fields import PrimeField, RationalField
 
 # The prime of the modular front end of QQ elimination, the largest below
@@ -219,8 +219,8 @@ def maximal_minors(field, rows):
     (det A_j at p_j, -det A at f), A_j being A with its column j replaced
     by column f (Cramer's rule), and det A_j is sign times the last pivot
     times the RREF entry of row j at f: the fraction-free back-substitution
-    of rref_int, run on the one free column.  Each minor is divided by the
-    product of the row multipliers.
+    of rref_int, _back_substitute, run on the one free column.  Each minor
+    is divided by the product of the row multipliers.
     """
     k = len(rows)
     work, scale = _integer_rows(field, rows)
@@ -229,15 +229,8 @@ def maximal_minors(field, rows):
     if len(pivots) == k:
         f = next(c for c in range(k + 1) if c not in pivots)
         d = work[k - 1][pivots[-1]]
-        solved = [0] * k        # solved[j]: d times RREF row j at column f
-        for j in range(k - 1, -1, -1):
-            row = work[j]
-            acc = d * row[f]
-            for i in range(j + 1, k):
-                acc -= row[pivots[i]] * solved[i]
-            solved[j] = acc // row[pivots[j]]
         minors[f] = sign * d
-        for p, s in zip(pivots, solved):
+        for p, (s,) in zip(pivots, _back_substitute(work, pivots, [f], d)):
             minors[p] = sign * s if (p + f) % 2 else -sign * s
     return [field.div(m, scale) for m in minors]
 

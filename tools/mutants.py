@@ -7,7 +7,8 @@ certificate and the answer it remembers, the walk's rows and the full
 pieces at its bound, the descending Artinian bound, the lightest-first
 generator order over QQ, from_pieces' truncation rule, the five-quadrics
 certificate, the product rule that reads I's own piece for a power,
-J*I or J*I^2, and the Betti ranks of d_2 and d_n read off the minimal
+J*I or J*I^2, the fraction-free back-substitution that rref_int and
+maximal_minors share, and the Betti ranks of d_2 and d_n read off the minimal
 generators and the socle.  Each entry of MUTANTS breaks one of them with one exact
 source edit and names the tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
@@ -143,6 +144,11 @@ MUTANTS = [
      "ranks.append(chain_dim(1, j) - ranks[1])",
      ["tests/test_betti.py::test_koszul_complete_intersection",
       "tests/test_betti_oracle.py::test_betti_table_equals_the_koszul_route"]),
+    ("the fraction-free back-substitution adds the later rows",
+     KERNEL, "acc = [s - u * x for s, x in zip(acc, solved[j])]",
+     "acc = [s + u * x for s, x in zip(acc, solved[j])]",
+     ["tests/test_linalg.py::test_kernel_against_both_oracles",
+      "tests/test_linalg.py::test_maximal_minors_equal_the_column_deleted_determinants"]),
 ]
 
 
