@@ -65,6 +65,13 @@ class _Checker:
     def equal(self, label, got, expected):
         self.add(label, got == expected, f"got {got!r}, expected {expected!r}")
 
+    def shifts(self, table, expected):
+        """The shifts of the three Betti columns of table against expected,
+        their dicts in column order."""
+        for i, label in enumerate(("generator shifts", "first syzygy shifts",
+                                   "last shifts")):
+            self.equal(label, table.column_shifts(i + 1), expected[i])
+
     def result(self, case_id, note=""):
         passed = all(ok for _, ok, _ in self.checks)
         return CaseResult(case_id, passed, self.checks, note=note)
@@ -73,25 +80,26 @@ class _Checker:
 # ----------------------------------------------------------------------
 # shared builders
 
+def _link(m, f, field) -> GradedIdeal:
+    """(x^m, y^m, z^m) : f, the form f given as text."""
+    base = GradedIdeal.from_strings([f"x^{m}", f"y^{m}", f"z^{m}"], _VARS, field)
+    return base.colon(parse_poly(f, _VARS, field))
+
+
 def ex_2_5_ideal(field=QQ) -> GradedIdeal:
-    base = GradedIdeal.from_strings(["x^3", "y^3", "z^3"], _VARS, field)
-    f = parse_poly("x^2*y^2 + x^2*z^2 + y^2*z^2", _VARS, field)
-    return base.colon(f)
+    return _link(3, "x^2*y^2 + x^2*z^2 + y^2*z^2", field)
 
 
 def ex_3_7_ideal(field=QQ) -> GradedIdeal:
-    base = GradedIdeal.from_strings(["x^3", "y^3", "z^3"], _VARS, field)
-    return base.colon(parse_poly("x^2 + y^2 + z^2", _VARS, field))
+    return _link(3, "x^2 + y^2 + z^2", field)
 
 
 def ex_4_5_ideal(field=QQ) -> GradedIdeal:
-    base = GradedIdeal.from_strings(["x^5", "y^5", "z^5"], _VARS, field)
-    return base.colon(parse_poly("(x+y+z)^5", _VARS, field))
+    return _link(5, "(x+y+z)^5", field)
 
 
 def ex_4_9_ideal(field=QQ) -> GradedIdeal:
-    base = GradedIdeal.from_strings(["x^5", "y^5", "z^5"], _VARS, field)
-    return base.colon(parse_poly("(x+y+z)^6", _VARS, field))
+    return _link(5, "(x+y+z)^6", field)
 
 
 def monomial_tower_ideal(d, field=QQ) -> GradedIdeal:
@@ -272,26 +280,20 @@ def _case_ex_3_7(field, seed):
     return c.result("ex-3-7")
 
 
-def _case_ex_4_5(field, seed):
-    c = _Checker()
-    I = ex_4_5_ideal(field)
-    c.equal("datum", I.virtual_datum().as_tuple(), (4, 5, 2))
-    c.equal("socle degree", I.socle_report().socle_degree, 7)
-    return c.result("ex-4-5")
+def _datum_case(case_id, build, datum, socle_degree):
+    def runner(field, seed):
+        c = _Checker()
+        I = build(field)
+        c.equal("datum", I.virtual_datum().as_tuple(), datum)
+        c.equal("socle degree", I.socle_report().socle_degree, socle_degree)
+        return c.result(case_id)
 
-
-def _case_ex_4_9(field, seed):
-    c = _Checker()
-    I = ex_4_9_ideal(field)
-    c.equal("datum", I.virtual_datum().as_tuple(), (4, 9, 1))
-    c.equal("socle degree", I.socle_report().socle_degree, 6)
-    return c.result("ex-4-9")
+    return runner
 
 
 def _case_non_equigen(field, seed):
     c = _Checker()
-    base = GradedIdeal.from_strings(["x^4", "y^4", "z^4"], _VARS, field)
-    I = base.colon(parse_poly("x^3 + y^3 + z^3", _VARS, field))
+    I = _link(4, "x^3 + y^3 + z^3", field)
     profile = I.minimal_generator_profile()
     c.add("profile includes degree 3", 3 in profile, f"profile {profile}")
     c.add("xyz lies in the colon", I.contains(parse_poly("x*y*z", _VARS, field)))
@@ -303,11 +305,8 @@ def _tower_case(d):
     def runner(field, seed):
         c = _Checker()
         I = monomial_tower_ideal(d, field)
-        b1, b2, b3 = tower_expected_betti(d)
         table = betti_table(I)
-        c.equal("generator shifts", table.column_shifts(1), b1)
-        c.equal("first syzygy shifts", table.column_shifts(2), b2)
-        c.equal("last shifts", table.column_shifts(3), b3)
+        c.shifts(table, tower_expected_betti(d))
         expected_socle = tower_expected_socle(d)
         c.equal("socle decomposition (Betti route)",
                 socle_decomposition_from_betti(table), expected_socle)
@@ -323,10 +322,7 @@ def _tower_case(d):
 def _case_tower_squared(field, seed):
     c = _Checker()
     I = monomial_tower_squared(3, field)
-    table = betti_table(I)
-    c.equal("generator shifts", table.column_shifts(1), {6: 7})
-    c.equal("first syzygy shifts", table.column_shifts(2), {8: 6, 10: 4})
-    c.equal("last shifts", table.column_shifts(3), {10: 1, 12: 3})
+    c.shifts(betti_table(I), ({6: 7}, {8: 6, 10: 4}, {10: 1, 12: 3}))
     c.equal("socle decomposition", I.socle_report().socle_dims, {7: 1, 9: 3})
     return c.result("monomial-tower-d3-squared")
 
@@ -335,11 +331,7 @@ def _case_five_gen(field, seed):
     c = _Checker()
     dp = 2
     I = five_gen_monomial_ideal(dp, field)
-    b1, b2, b3 = five_gen_expected_betti(dp)
-    table = betti_table(I)
-    c.equal("generator shifts", table.column_shifts(1), b1)
-    c.equal("first syzygy shifts", table.column_shifts(2), b2)
-    c.equal("last shifts", table.column_shifts(3), b3)
+    c.shifts(betti_table(I), five_gen_expected_betti(dp))
     c.equal("socle decomposition", I.socle_report().socle_dims,
             five_gen_expected_socle(dp))
     c.add("degree 3d'-3 multiples fill the target",
@@ -536,8 +528,8 @@ def _case_model(field, seed):
 _CASES = {
     "ex-2-5": _case_ex_2_5,
     "ex-3-7": _case_ex_3_7,
-    "ex-4-5": _case_ex_4_5,
-    "ex-4-9": _case_ex_4_9,
+    "ex-4-5": _datum_case("ex-4-5", ex_4_5_ideal, (4, 5, 2), 7),
+    "ex-4-9": _datum_case("ex-4-9", ex_4_9_ideal, (4, 9, 1), 6),
     "non-equigen-xyz": _case_non_equigen,
     "monomial-tower-d3": _tower_case(3),
     "monomial-tower-d4": _tower_case(4),

@@ -5,11 +5,12 @@ parsed options, the field and the variable names.  Every polynomial or
 matrix option may be given as @file, and polynomial lists (--ideal, --ci,
 --forms, --lines) all go through parsing.parse_poly_list: items separated
 by commas or newlines.  Every subcommand builds one structured report (a
-plain dict) and hands it to _emit, the one switch between --json, which
-prints it verbatim, and a human rendering of the same structure.
+plain dict) and hands it to _emit with the field, which writes the field's
+name as the report's first key and is the one switch between --json, which
+prints the report verbatim, and a human rendering of the same structure.
 Exit codes: 0 on success, 1 when an assertion-style check fails (reproduce,
 verification mismatches) or the input has no answer (not Artinian, no
-seeded draw that works), 2 on parse or usage errors.
+seeded draw that works), 2 on parse or usage errors (CliError).
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ from .pfaffians import SkewPolyMatrix, generic_power_model, maximal_pfaffians, p
 
 
 class CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+    """A usage error: main prints the message and exits 2."""
 
 
 def _at_least(option, value, least, reason):
@@ -155,7 +154,8 @@ def _render(value, indent=0):
     return lines
 
 
-def _emit(args, report) -> None:
+def _emit(args, field, report) -> None:
+    report = {"field": field.name, **report}
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -180,10 +180,10 @@ def cmd_colon(args, field, names):
         raise CliError(f"--t-max {args.t_max} is below 0, the least degree of "
                        f"a piece: no piece to report")
     result = base.colon(f, args.t_max)
-    report = {"field": field.name, "base": [g.format(names) for g in base.generators],
+    report = {"base": [g.format(names) for g in base.generators],
               "form": f.format(names)}
     report.update(_ideal_report(result, names))
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -191,27 +191,23 @@ def cmd_socle(args, field, names):
     I = _ideal_from_arg(args.ideal, names, field)
     socle = I.socle_report()
     report = {
-        "field": field.name,
         "generators": [g.format(names) for g in I.generators],
         "hilbert_function": I.hilbert_series_table(socle.artinian_bound),
         "socle": socle.as_dict(),
     }
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
 def cmd_betti(args, field, names):
     I = _ideal_from_arg(args.ideal, names, field)
     table = betti_table(I)
-    report = {
-        "field": field.name,
-        "betti": table.as_dict(),
-    }
+    report = {"betti": table.as_dict()}
     shifts = table.column_shifts(1)
     if len(shifts) == 1:
         report["equigenerated_degree"] = next(iter(shifts))
         report["linear_resolution"] = has_linear_resolution(table)
-    _emit(args, report)
+    _emit(args, field, report)
     if not args.json:
         print(table.staircase())
     return 0
@@ -222,9 +218,9 @@ def cmd_datum(args, field, names):
     try:
         datum = I.virtual_datum()
     except (NotEquigeneratedError, DatumViolationError) as exc:
-        _emit(args, {"field": field.name, "error": str(exc)})
+        _emit(args, field, {"error": str(exc)})
         return 1
-    _emit(args, {"field": field.name, "datum": datum.as_dict()})
+    _emit(args, field, {"datum": datum.as_dict()})
     return 0
 
 
@@ -244,7 +240,7 @@ def _parse_matrix(text, names, field) -> SkewPolyMatrix:
 
 def cmd_pfaffian(args, field, names):
     A = _parse_matrix(_read_source(args.matrix), names, field)
-    report = {"field": field.name, "size": A.r}
+    report = {"size": A.r}
     if A.r % 2 == 0:
         report["pfaffian"] = pfaffian(A).format(names)
     else:
@@ -254,7 +250,7 @@ def cmd_pfaffian(args, field, names):
         if gens:
             ideal = GradedIdeal(A.n, gens, field)
             report.update(_ideal_report(ideal, names))
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -269,11 +265,11 @@ def cmd_model(args, field, names):
         raise CliError(f"--n {args.n} is above C({args.r},2) = {big_n}, the variable "
                        f"count of the generic {args.r}x{args.r} alternating matrix")
     I = generic_power_model(args.r, args.dp, args.n, args.seed, field)
-    report = {"field": field.name, "seed": args.seed,
-              "r": args.r, "entry_degree": args.dp, "variables": args.n}
+    report = {"seed": args.seed, "r": args.r, "entry_degree": args.dp,
+              "variables": args.n}
     # the model's own ring of --n variables, in its default names
     report.update(_ideal_report(I))
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -281,8 +277,7 @@ def cmd_inverse(args, field, names):
     dual_names = _dual_names(names)
     I = _ideal_from_arg(args.ideal, names, field)
     F = macaulay_inverse(I)
-    _emit(args, {
-        "field": field.name,
+    _emit(args, field, {
         "kind": "inverse-system element (divided powers)",
         "dual_degree": F.degree(),
         "generator": F.format(dual_names),
@@ -295,9 +290,9 @@ def cmd_ann(args, field, names):
     proxy = parse_poly(_read_source(args.dual), dual_names, field)
     F = InverseForm(proxy.n, dict(proxy.terms), field)
     ideal = annihilator(F)
-    report = {"field": field.name, "dual_form": F.format(dual_names)}
+    report = {"dual_form": F.format(dual_names)}
     report.update(_ideal_report(ideal, names))
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -305,12 +300,11 @@ def cmd_newton_dual(args, field, names):
     _at_least("--socle-m", args.socle_m, 1, "the directrix (m-1, ..., m-1) needs m >= 1")
     f = parse_poly(_read_source(args.f), names, field)
     if args.socle_m is None:
-        _emit(args, {"field": field.name, "dual": newton_dual(f).format(names)})
+        _emit(args, field, {"dual": newton_dual(f).format(names)})
         return 0
     dual_names = _dual_names(names)
     F = socle_newton_dual(f, args.socle_m)
-    _emit(args, {
-        "field": field.name,
+    _emit(args, field, {
         "kind": "inverse-system element (divided powers)",
         "directrix_exponent": args.socle_m,
         "dual": F.format(dual_names),
@@ -324,13 +318,12 @@ def cmd_directrix(args, field, names):
     f = directrix_form(I, args.m)
     colon = variable_power_ideal(I.n, args.m, field).colon(f)
     report = {
-        "field": field.name,
         "m": args.m,
         "directrix": f.format(names),
         "degree": f.homogeneous_degree(),
         "colon_identity_verified": colon.equals(I),
     }
-    _emit(args, report)
+    _emit(args, field, report)
     return 0 if report["colon_identity_verified"] else 1
 
 
@@ -338,7 +331,7 @@ def cmd_linres_test(args, field, names):
     _at_least("--m", args.m, 1, "the colon is by the pure powers x_i^m, m >= 1")
     f = parse_poly(_read_source(args.f), names, field)
     rep = is_equigen_linres(f, args.m)
-    report = {"field": field.name, "form": f.format(names), "m": args.m}
+    report = {"form": f.format(names), "m": args.m}
     report.update(rep.as_dict())
     if field.characteristic != 0:
         report["warning"] = ("sum-of-powers guarantees hold in characteristic "
@@ -346,7 +339,7 @@ def cmd_linres_test(args, field, names):
                              f"{field.characteristic}")
     if rep.matrix_shape is not None:
         report["matrix_shape"] = list(rep.matrix_shape)
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -354,9 +347,9 @@ def cmd_spans(args, field, names):
     _at_least("--e", args.e, 0, "the forms are multiplied by R_e, e >= 0")
     forms = parse_poly_list(_read_source(args.forms), names, field)
     rep = spans_target(forms, args.e)
-    report = {"field": field.name, "e": args.e}
+    report = {"e": args.e}
     report.update(rep.as_dict())
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -369,7 +362,6 @@ def cmd_certify_quadrics(args, field, names):
         names = None
     rep = five_quadrics_certificate(quadrics)
     report = {
-        "field": field.name,
         "seed": args.seed if not args.forms else None,
         "quadrics": [q.format(names) for q in quadrics],
     }
@@ -377,7 +369,7 @@ def cmd_certify_quadrics(args, field, names):
     if rep.verdict == "GORENSTEIN":
         report["socle_confirms"] = \
             GradedIdeal(3, quadrics, field).socle_report().is_gorenstein
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -390,13 +382,12 @@ def cmd_gap(args, field, names):
     m = pure_power_index(I, lines)
     socle = I.socle_report()
     report = {
-        "field": field.name,
         "lines": [l.format(names) for l in lines],
         "socle_degree": socle.socle_degree,
         "pure_power_index": m,
         "gap": socle.socle_degree + 1 - m,
     }
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -422,14 +413,13 @@ def cmd_power_check(args, field, names):
         all_match = all_match and dim == full
     rep = check_reduction_two(I, args.seed)
     report = {
-        "field": field.name,
         "seed": args.seed,
         "k": k,
         "pieces": rows,
         "power_equals_max_ideal_power": all_match,
         "reduction": rep.as_dict(),
     }
-    _emit(args, report)
+    _emit(args, field, report)
     return 0
 
 
@@ -463,8 +453,8 @@ def cmd_reproduce(args, field, names):
                 if not ok:
                     print(f"     failed: {label} -- {detail}")
     if args.json:
-        _emit(args, {"field": field.name, "seed": args.seed,
-                     "results": [r.as_dict() for r in results]})
+        _emit(args, field, {"seed": args.seed,
+                            "results": [r.as_dict() for r in results]})
     else:
         print(f"{len(results)} case(s), {failures} failure(s)")
     return 1 if failures else 0
@@ -605,7 +595,7 @@ def main(argv=None) -> int:
         return args.func(args, _field(args), _vars(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except PolyParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
