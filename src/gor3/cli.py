@@ -8,6 +8,8 @@ by commas or newlines.  Every subcommand builds one structured report (a
 plain dict) and hands it to _emit with the field, which writes the field's
 name as the report's first key and is the one switch between --json, which
 prints the report verbatim, and a human rendering of the same structure.
+In text mode reproduce prints its own header and PASS/FAIL lines, and
+betti its staircase after the report, without _emit.
 Exit codes: 0 on success, 1 when an assertion-style check fails (reproduce,
 verification mismatches) or the input has no answer (not Artinian, no
 seeded draw that works), 2 on parse or usage errors (CliError).

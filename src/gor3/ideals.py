@@ -620,9 +620,9 @@ def variable_power_ideal(n, m, field=QQ) -> GradedIdeal:
 
 
 def _line_inverse(lines, n, field):
-    """The rows of A^-1 as field scalars, A having row i the coefficients of
-    l_i: row i writes x_i in the l-coordinates.  Raises unless lines are n
-    independent nonzero linear forms; the one proof of their independence."""
+    """[A | I] reduced to [I | A^-1] as (pivots, integer rows), A having row
+    i the coefficients of l_i.  Raises unless lines are n independent
+    nonzero linear forms; the one proof of their independence."""
     if len(lines) != n:
         raise ValueError(f"need exactly {n} linear forms")
     rows = []
@@ -636,7 +636,7 @@ def _line_inverse(lines, n, field):
     pivots, red = rref_rows(field, rows, 2 * n)
     if pivots != list(range(n)):
         raise ValueError("linear forms are not independent")
-    return [row[n:] for row in field.scalar_rows(pivots, red)]
+    return pivots, red
 
 
 def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
@@ -648,8 +648,9 @@ def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
     n, field = f.n, f.field
     if any(ell.n != n or ell.field != field for ell in lines):
         raise ValueError("rewrite by linear forms in a different ring")
-    images = [MultiPoly.from_vector(n, 1, row, field)
-              for row in _line_inverse(lines, n, field)]
+    # row i of A^-1 writes x_i in the l-coordinates
+    images = [MultiPoly.from_vector(n, 1, row[n:], field)
+              for row in field.scalar_rows(*_line_inverse(lines, n, field))]
     return f.substitute(images)
 
 

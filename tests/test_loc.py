@@ -41,7 +41,7 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
 
 def test_every_module_of_the_package_is_counted():
     loc = _loc()
-    counts = loc.count(ROOT / "src" / "gor3")
+    counts = loc.count()
     assert set(counts) == {p.name for p in (ROOT / "src" / "gor3").glob("*.py")}
     assert all(n > 0 for n in counts.values())
-    assert loc.main([]) == 0
+    assert loc.main() == 0

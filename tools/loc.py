@@ -8,8 +8,7 @@ and docstrings from ast, both stdlib.
 
 Usage, from anywhere:
 
-    python3 tools/loc.py               # the modules of src/gor3
-    python3 tools/loc.py DIR           # the *.py files of DIR
+    python3 tools/loc.py
 """
 
 import ast
@@ -46,17 +45,14 @@ def code_lines(text) -> int:
     return len(lines - _docstring_lines(ast.parse(text)))
 
 
-def count(directory):
-    """file name -> code lines, for every *.py file of directory, sorted."""
+def count():
+    """file name -> code lines, for every module of src/gor3, sorted."""
     return {p.name: code_lines(p.read_text(encoding="utf-8"))
-            for p in sorted(Path(directory).glob("*.py"))}
+            for p in sorted((ROOT / "src" / "gor3").glob("*.py"))}
 
 
-def main(argv):
-    if len(argv) > 1:
-        print("usage: python3 tools/loc.py [DIR]", file=sys.stderr)
-        return 2
-    counts = count(argv[0] if argv else ROOT / "src" / "gor3")
+def main():
+    counts = count()
     for name, n in counts.items():
         print(f"{name:20} {n:6}")
     print(f"{'total':20} {sum(counts.values()):6}")
@@ -64,4 +60,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
