@@ -17,17 +17,28 @@ call each.  The top twist is socle degree + n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .ideals import GradedIdeal, NotEquigeneratedError
 from .linalg import row_rank
 
 
-@dataclass
 class BettiTable:
-    n: int
-    entries: dict = dc_field(default_factory=dict)
+    """beta_{i,j} of R/I over n variables: entries maps (i, j) to each
+    nonzero beta_{i,j}."""
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n, entries=None):
+        self.n = n
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.entries) == (other.n, other.entries)
+
+    def __repr__(self):
+        return f"BettiTable(n={self.n!r}, entries={self.entries!r})"
 
     def beta(self, i, j) -> int:
         return self.entries.get((i, j), 0)

@@ -10,7 +10,7 @@ registry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .apolarity import annihilator, directrix_form, macaulay_inverse
 from .betti import betti_table, has_linear_resolution, socle_decomposition_from_betti
@@ -36,13 +36,14 @@ from .poly import MultiPoly, power_substitution
 _VARS = ["x", "y", "z"]
 
 
-@dataclass
-class CaseResult:
-    case_id: str
-    passed: bool
-    checks: list = dc_field(default_factory=list)
-    skipped: bool = False
-    note: str = ""
+class CaseResult(namedtuple("CaseResult", "case_id passed checks skipped note")):
+    """checks holds (label, ok, detail) triples."""
+    __slots__ = ()
+
+    def __new__(cls, case_id, passed, checks=None, skipped=False, note=""):
+        # a fresh list per result, as one default list would be shared
+        return super().__new__(cls, case_id, passed,
+                               [] if checks is None else checks, skipped, note)
 
     def as_dict(self):
         return {
@@ -86,20 +87,29 @@ def _link(m, f, field) -> GradedIdeal:
     return base.colon(parse_poly(f, _VARS, field))
 
 
+# The worked examples (x^m, y^m, z^m) : f, as case id -> (m, f).
+_EXAMPLES = {
+    "ex-2-5": (3, "x^2*y^2 + x^2*z^2 + y^2*z^2"),
+    "ex-3-7": (3, "x^2 + y^2 + z^2"),
+    "ex-4-5": (5, "(x+y+z)^5"),
+    "ex-4-9": (5, "(x+y+z)^6"),
+}
+
+
 def ex_2_5_ideal(field=QQ) -> GradedIdeal:
-    return _link(3, "x^2*y^2 + x^2*z^2 + y^2*z^2", field)
+    return _link(*_EXAMPLES["ex-2-5"], field)
 
 
 def ex_3_7_ideal(field=QQ) -> GradedIdeal:
-    return _link(3, "x^2 + y^2 + z^2", field)
+    return _link(*_EXAMPLES["ex-3-7"], field)
 
 
 def ex_4_5_ideal(field=QQ) -> GradedIdeal:
-    return _link(5, "(x+y+z)^5", field)
+    return _link(*_EXAMPLES["ex-4-5"], field)
 
 
 def ex_4_9_ideal(field=QQ) -> GradedIdeal:
-    return _link(5, "(x+y+z)^6", field)
+    return _link(*_EXAMPLES["ex-4-9"], field)
 
 
 def monomial_tower_ideal(d, field=QQ) -> GradedIdeal:
@@ -213,15 +223,16 @@ def _frequencies_hold(field):
     return p == 0 or p >= FREQUENCY_MIN_FIELD
 
 
-# The worked examples (x^m, y^m, z^m) : (x+y+z)^e, by their m.  R/I has the
-# Hilbert function the paper computes when multiplication by (x+y+z)^e has
-# maximal rank on A = k[x,y,z]/(x^m, y^m, z^m) in every degree.  It does
-# when A has the strong Lefschetz property, which monomial complete
-# intersections have in characteristic 0 and in characteristic p above their
-# socle degree 3(m-1) (Harima et al., The Lefschetz Properties, LNM 2080,
-# ch. 3).  Below that bound the colon can change: over GF(5) the colon by
-# (x+y+z)^5 = x^5 + y^5 + z^5 is the unit ideal.
-LEFSCHETZ_BASES = {"ex-3-7": 3, "ex-4-5": 5, "ex-4-9": 5}
+# The worked examples that need a hypothesis on the field, by their m (from
+# _EXAMPLES); ex-2-5 holds over every field.  R/I has the Hilbert function
+# the paper computes when multiplication by (x+y+z)^e has maximal rank on
+# A = k[x,y,z]/(x^m, y^m, z^m) in every degree.  It does when A has the
+# strong Lefschetz property, which monomial complete intersections have in
+# characteristic 0 and in characteristic p above their socle degree 3(m-1)
+# (Harima et al., The Lefschetz Properties, LNM 2080, ch. 3).  Below that
+# bound the colon can change: over GF(5) the colon by (x+y+z)^5 = x^5 + y^5
+# + z^5 is the unit ideal.
+LEFSCHETZ_BASES = {cid: _EXAMPLES[cid][0] for cid in ("ex-3-7", "ex-4-5", "ex-4-9")}
 
 
 def _example_holds(case_id, field):
@@ -272,8 +283,8 @@ def _case_ex_3_7(field, seed):
     c.add("Gorenstein", rep.is_gorenstein)
     c.equal("datum", I.virtual_datum().as_tuple(), (3, 7, 1))
     by_betti = has_linear_resolution(betti_table(I))
-    by_rank = is_equigen_linres(
-        parse_poly("x^2 + y^2 + z^2", _VARS, field), 3)
+    m, f = _EXAMPLES["ex-3-7"]
+    by_rank = is_equigen_linres(parse_poly(f, _VARS, field), m)
     c.add("linear resolution via Betti table", by_betti)
     c.equal("linear resolution via rank criterion", by_rank.verdict, "YES")
     c.equal("criterion degree", by_rank.d, 3)
@@ -433,18 +444,12 @@ def _case_power_max(field, seed):
 
 def _case_duality(field, seed):
     c = _Checker()
-    builders = [
-        ("ex-2-5", ex_2_5_ideal),
-        ("ex-3-7", ex_3_7_ideal),
-        ("ex-4-5", ex_4_5_ideal),
-        ("ex-4-9", ex_4_9_ideal),
-    ]
-    left_out = [name for name, _ in builders if not _example_holds(name, field)]
+    left_out = [name for name in _EXAMPLES if not _example_holds(name, field)]
     lines = variable_lines(3, field)
-    for name, build in builders:
+    for name, link in _EXAMPLES.items():
         if name in left_out:
             continue
-        I = build(field)
+        I = _link(*link, field)
         s = I.socle_report().socle_degree
         F = macaulay_inverse(I)
         c.add(f"{name}: annihilator round trip", annihilator(F).equals(I))
@@ -475,7 +480,7 @@ def _case_gap(field, seed):
     c.add("divisible by (xyz)^2", all(min(e) >= 2 for e in f.terms))
     quotient = MultiPoly(3, {tuple(v - 2 for v in e): cf
                              for e, cf in f.terms.items()}, field)
-    target = parse_poly("x^2 + y^2 + z^2", _VARS, field)
+    target = parse_poly(_EXAMPLES["ex-3-7"][1], _VARS, field)
     ok = False
     if quotient.terms and target.terms:
         e0 = next(iter(target.terms))

@@ -12,7 +12,7 @@ Gorenstein property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linalg import ExactMatrix, maximal_minors, row_rank
 from .monomials import monomial_count, monomials_of_degree
@@ -20,12 +20,8 @@ from .pieces import integer_terms, shifted_vectors
 from .poly import MultiPoly
 
 
-@dataclass
-class SpansReport:
-    spans: bool
-    rank: int
-    target_dim: int
-    shape: tuple
+class SpansReport(namedtuple("SpansReport", "spans rank target_dim shape")):
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -83,16 +79,11 @@ def linres_matrix(f: MultiPoly, m: int, e_prime: int):
     return rows, len(cols)
 
 
-@dataclass
-class LinresReport:
-    verdict: str  # "YES" or "NO"
-    s: int
-    d: int | None
-    rank: int | None
-    required_rank: int | None
-    reason: str
-    # (rows, cols) of the membership matrix at e' = s/2; not in as_dict
-    matrix_shape: tuple | None = None
+class LinresReport(namedtuple("LinresReport", "verdict s d rank required_rank "
+                              "reason matrix_shape", defaults=(None,))):
+    """verdict is "YES" or "NO"; matrix_shape, (rows, cols) of the
+    membership matrix at e' = s/2, is not in as_dict."""
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -135,12 +126,9 @@ def is_equigen_linres(f: MultiPoly, m: int) -> LinresReport:
                         f"membership matrix rank {rank} is below {required}", shape)
 
 
-@dataclass
-class QuadricsReport:
-    delta: object
-    dee: object
-    spans: bool
-    verdict: str  # "GORENSTEIN" or "INCONCLUSIVE"
+class QuadricsReport(namedtuple("QuadricsReport", "delta dee spans verdict")):
+    """verdict is "GORENSTEIN" or "INCONCLUSIVE"."""
+    __slots__ = ()
 
     def as_dict(self):
         return {

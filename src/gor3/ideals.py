@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 
 from .fields import QQ
 from .linalg import kernel_rref, normal_form, row_profile, row_rank, rref_rows
@@ -77,15 +76,17 @@ def _generator_data(gens, field):
     return gen_data
 
 
-@dataclass
 class _Walk:
     """What an ideal knows of H short of its pieces: rows, t -> (rows,
     row_profile) the walk left for graded_piece, none at or above the bound;
     values, H(0..bound-1) once exact; bound; tried, (values, answer) of _certify."""
-    rows: dict
-    values: list | None = None
-    bound: int | None = None
-    tried: tuple = (None, False)
+    __slots__ = ("rows", "values", "bound", "tried")
+
+    def __init__(self):
+        self.rows = {}
+        self.values = None
+        self.bound = None
+        self.tried = (None, False)
 
 
 class GradedIdeal:
@@ -113,7 +114,7 @@ class GradedIdeal:
         self._pieces = {}
         # (k, t) -> (I^k)_t for k >= 2, as power_piece built it
         self._power_pieces = {}
-        self._walk = _Walk({})
+        self._walk = _Walk()
         self._gen_data_list = _generator_data(gens, field)
 
     @property
@@ -559,12 +560,9 @@ class GradedIdeal:
         return f"GradedIdeal({gens})"
 
 
-@dataclass
-class SocleReport:
-    socle_dims: dict
-    socle_degree: int
-    is_gorenstein: bool
-    artinian_bound: int
+class SocleReport(namedtuple("SocleReport",
+                             "socle_dims socle_degree is_gorenstein artinian_bound")):
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -575,29 +573,22 @@ class SocleReport:
         }
 
 
-@dataclass
-class VirtualDatum:
-    d: int
-    r: int
-    d_prime: int
+class VirtualDatum(namedtuple("VirtualDatum", "d r d_prime")):
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.d, self.r, self.d_prime)
+        return tuple(self)
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class ReductionReport:
-    reduction_number_is_two: bool
-    ji_equals_i2: bool
-    ji2_equals_i3: bool
-    seed: int
-    attempts: int
+class ReductionReport(namedtuple("ReductionReport", "reduction_number_is_two "
+                                  "ji_equals_i2 ji2_equals_i3 seed attempts")):
+    __slots__ = ()
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def pure_power_ideal(lines, exponents) -> GradedIdeal:

@@ -2,8 +2,9 @@
 top of its module, the graph of those imports has no cycle, pieces sits
 below ideals, poly below linalg, no module takes a private name from
 ideals or pieces, the row-reduction kernels import nothing but math, only
-linalg.row_profile calls the GF(p) forward pass, and no module but
-__init__ imports a name it never reads.
+linalg.row_profile calls the GF(p) forward pass, no module but
+__init__ imports a name it never reads, and a bare start of the CLI loads
+neither dataclasses, inspect nor typing.
 
 An import inside a function hides a dependency from the reader and is the
 usual way a cycle gets in, so both are checked on the source with ``ast``,
@@ -11,6 +12,8 @@ function-level imports included in the graph.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gor3"
@@ -224,3 +227,24 @@ def test_the_unused_import_finder_finds_one():
               "from .poly import MultiPoly\n"
               "def f(x) -> GradedIdeal:\n    return os.path.join(x)\n")
     assert _unused_imports(source) == ["json", "NA", "MultiPoly"]
+
+
+# Imports a bare interpreter, without site and its .pth files (which may
+# preload typing), to start the CLI, and prints which of the heavy stdlib
+# modules that loaded.
+BARE_START = """
+import sys
+sys.path.insert(0, {src!r})
+import gor3, gor3.cli
+gor3.cli.build_parser()
+print(" ".join(name for name in ("dataclasses", "inspect", "typing")
+               if name in sys.modules))
+"""
+
+
+def test_a_bare_start_loads_no_dataclasses_inspect_or_typing():
+    # each costs milliseconds of every one-query process (README, Layout)
+    code = BARE_START.format(src=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []
