@@ -230,8 +230,8 @@ def _frequencies_hold(field):
 # strong Lefschetz property, which monomial complete intersections have in
 # characteristic 0 and in characteristic p above their socle degree 3(m-1)
 # (Harima et al., The Lefschetz Properties, LNM 2080, ch. 3).  Below that
-# bound the colon can change: over GF(5) the colon by (x+y+z)^5 = x^5 + y^5
-# + z^5 is the unit ideal.
+# bound the colon can change: over GF(5) the colon by
+# (x+y+z)^5 = x^5 + y^5 + z^5 is the unit ideal.
 LEFSCHETZ_BASES = {cid: _EXAMPLES[cid][0] for cid in ("ex-3-7", "ex-4-5", "ex-4-9")}
 
 
