@@ -61,7 +61,8 @@ def annihilator(F: InverseForm) -> GradedIdeal:
 
     Its pieces are catalecticant kernels through deg(F) and all of R from
     deg(F) + 1 on (pieces.annihilator_pieces), so every minimal generator
-    has degree at most deg(F) + 1.
+    has degree at most deg F unless F is a divided power of one linear form
+    (GradedIdeal.minimal_generators).
     """
     if F.is_zero():
         raise ValueError("annihilator of the zero dual form")

@@ -10,16 +10,18 @@ is Artinian exactly when its degree n(D-1)+1 piece is full.  It is walked on
 row rank profiles mod p.  A Gorenstein ideal is certified to be Ann(F), by
 Macaulay duality, from the one exact piece in its socle degree (_certify):
 by the walk at a value 1 when H(1) >= 2, with no piece below it and no
-profile above it, and by socle_report on the exact values of any other
-complete ideal, with no multiplication map.  The walk reduces each row
-forward once: the echelon form its profile pass keeps finishes a GF(p)
-piece by back-substitution (_upper_hilbert).
+profile above it, by minimal_generators on the exact values of a complete
+colon or Ann(F), with no degree-one multiples of I_s, and by socle_report on
+those of any other complete ideal, with no multiplication map.  The walk
+reduces each row forward once: the echelon form its profile pass keeps
+finishes a GF(p) piece by back-substitution (_upper_hilbert).
 
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
 has built (_pieces, _power_pieces) and what it knows short of them (_Walk),
 and asks them questions.  Minimal generators are read off them once per
-ideal; an ideal made from its pieces (colons, Ann(F)) reads them on first use.
+ideal; an ideal made from its pieces (colons, Ann(F)) reads them on first use,
+through its socle degree when the certificate holds there.
 Powers of I, J * I and J * I^2 follow one product rule (_rows_times):
 (I * B)_t = sum of g * B_{t - deg g} over the generators g, which is I's
 own piece I_t when every B_{t - deg g} is full; else its rows g * b come
@@ -215,7 +217,8 @@ class GradedIdeal:
         """Whether I = Ann(F) for a dual form F of degree s = len(upper) - 1,
         upper[t] >= H(t) for t <= s and I_{s+1} full: the walk's values at
         its early exit, where upper[1] >= 2 implies the last (artinian_bound),
-        or in socle_report the exact values of a complete ideal.
+        or in socle_report and minimal_generators the exact values of a
+        complete ideal.
 
         A Gorenstein h-vector is symmetric, so an upper with upper[s] != 1
         or upper[t] != upper[s-t] fails before any elimination.  Otherwise
@@ -327,11 +330,26 @@ class GradedIdeal:
     def minimal_generators(self):
         """The minimal generators, read off the graded pieces once: the rows
         of each piece outside R_1 times the piece below, through the top
-        generator degree (for a from_pieces ideal, truncated_at or its bound)."""
+        generator degree (for a from_pieces ideal, truncated_at or its bound).
+
+        A complete from_pieces ideal stops one degree below its bound, at its
+        socle degree s, when H(1) >= 2 and _certify proves I = Ann(F) on the
+        Hilbert values: then R_1 * I_s = R_{s+1} (proved in artinian_bound),
+        so the piece at the bound holds no generator and the degree-one
+        multiples of I_s are never formed.  socle_report recalls that try.
+        Ann(X^[s]) has H(1) = 1 and a generator x^{s+1} at its bound; a
+        colon that is not Gorenstein may have generators there too."""
         if self._minimal is None:
-            top = (self.max_generator_degree if self._gens is not None
-                   else self._walk.bound if self.truncated_at is None
-                   else self.truncated_at)
+            if self._gens is not None:
+                top = self.max_generator_degree
+            elif self.truncated_at is not None:
+                top = self.truncated_at
+            else:
+                top = self._walk.bound
+                # the unit ideal, top 0, has no piece of degree 1 to read
+                if (top and self.hilbert_function(1) >= 2
+                        and self._certify(self.hilbert_series_table(top - 1))):
+                    top -= 1    # R_1 * I_s = R_{s+1}: no generator at the bound
             self._minimal = [g for t in range(top + 1) for g in fresh_generators(
                 self.graded_piece(t), self.graded_piece(t - 1) if t else None)]
         return self._minimal

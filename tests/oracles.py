@@ -25,7 +25,7 @@ from gor3.pfaffians import (
     generic_skew_matrix,
     maximal_pfaffians,
 )
-from gor3.pieces import degree_one_multiples, integer_span
+from gor3.pieces import degree_one_multiples, fresh_generators, integer_span
 
 
 def piece_rows(piece):
@@ -329,6 +329,18 @@ def greedy_fresh_generators(piece, below):
             span.add(vec)
     return [primitive_poly(piece.n, piece.t, row, field)
             for row in piece_rows(piece) if span.add(row)]
+
+
+def minimal_generators_through_the_bound(ideal):
+    """The minimal generators read off every piece through the top generator
+    degree, for a from_pieces ideal truncated_at or its bound, whatever the
+    Hilbert function: GradedIdeal.minimal_generators' loop before it
+    stopped at the socle degree of a certified Gorenstein ideal."""
+    top = (ideal.max_generator_degree if ideal._gens is not None
+           else ideal._walk.bound if ideal.truncated_at is None
+           else ideal.truncated_at)
+    return [g for t in range(top + 1) for g in fresh_generators(
+        ideal.graded_piece(t), ideal.graded_piece(t - 1) if t else None)]
 
 
 def colon_by_kernel(base, f, t_max=None):

@@ -10,6 +10,9 @@ ends, so that joining them gives the bytes printed.  The cases are
 - README examples with one defect each, which exit 2;
 - a non-Artinian ideal asked of socle and of gap over q and fp:32003, as
   text and with --json, which exits 1;
+- ideals with minimal generators in their bound degree, Ann(X^[3]) and the
+  non-Gorenstein (x^2, xy, y^2, z^2) : z, over q, fp:32003 and fp:7, as text
+  and with --json;
 - reproduce --all over q, fp:32003 and fp:7, as text and with --json, so
   that every check label and detail of the case registry is pinned.
 
@@ -55,6 +58,12 @@ USAGE_ERRORS = [
 # four quadrics with the common zero (0, 1, 0): exit 1
 NOT_ARTINIAN = "--ideal=x*y,x*z,y*z,x^2-z^2"
 
+# a minimal generator in the bound degree: H(1) = 1, and not Gorenstein
+AT_THE_BOUND = [
+    ["ann", "--dual=X^3"],
+    ["colon", "--ci=x^2,x*y,y^2,z^2", "--f=z"],
+]
+
 
 def _readme_examples():
     sys.path.insert(0, str(ROOT / "tests"))
@@ -80,6 +89,11 @@ def cases():
             for fmt, flags in (("text", []), ("json", ["--json"])):
                 out[f"not-artinian-{sub}-{FIELDS[field]}-{fmt}"] = \
                     [sub, NOT_ARTINIAN, f"--field={field}"] + flags
+    for k, argv in enumerate(AT_THE_BOUND):
+        for field, tag in FIELDS.items():
+            for fmt, flags in (("text", []), ("json", ["--json"])):
+                out[f"bound-{k:02d}-{argv[0]}-{tag}-{fmt}"] = \
+                    argv + [f"--field={field}"] + flags
     for field, tag in FIELDS.items():
         for fmt, flags in (("text", []), ("json", ["--json"])):
             out[f"registry-{tag}-{fmt}"] = ["reproduce", "--all", f"--field={field}"] + flags

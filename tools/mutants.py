@@ -8,9 +8,11 @@ pieces at its bound, the descending Artinian bound, the lightest-first
 generator order over QQ, from_pieces' truncation rule, the five-quadrics
 certificate, the product rule that reads I's own piece for a power,
 J*I or J*I^2, the fraction-free back-substitution that rref_int and
-maximal_minors share, and the Betti ranks of d_2 and d_n read off the minimal
-generators and the socle.  Each entry of MUTANTS breaks one of them with one exact
-source edit and names the tests that must then fail.
+maximal_minors share, the Betti ranks of d_2 and d_n read off the minimal
+generators and the socle, and minimal generators that stop at the socle
+degree of a certified Gorenstein colon or Ann(F).  Each entry of MUTANTS
+breaks one of them with one exact source edit and names the tests that
+must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
 against the copy, and counts the mutant killed only when pytest reports
@@ -149,6 +151,13 @@ MUTANTS = [
      "acc = [s + u * x for s, x in zip(acc, solved[j])]",
      ["tests/test_linalg.py::test_kernel_against_both_oracles",
       "tests/test_linalg.py::test_maximal_minors_equal_the_column_deleted_determinants"]),
+    ("minimal generators stop at the socle degree though H(1) = 1",
+     IDEALS, "if (top and self.hilbert_function(1) >= 2\n", "if (top\n",
+     ["tests/test_socle_degree_generators.py"]),
+    ("minimal generators stop at the socle degree of an uncertified ideal",
+     IDEALS, "and self._certify(self.hilbert_series_table(top - 1))):",
+     "):",
+     ["tests/test_socle_degree_generators.py"]),
 ]
 
 
