@@ -7,7 +7,9 @@ characteristic-free.  Annihilators of dual forms are read off
 pieces.annihilator_pieces, the catalecticant kernels that colons of pure
 powers use too.  A dual form stores its terms like a polynomial (the
 sparse-form base of poly) but has no ring operations: R acts on it only by
-contraction.
+contraction.  A Gorenstein ideal is Ann(F) for its Macaulay inverse F, so
+directrix_form reads which pure powers x_i^m it holds off the exponents of
+F, with no membership test.
 """
 
 from __future__ import annotations
@@ -141,7 +143,10 @@ def directrix_form(I: GradedIdeal, m: int) -> MultiPoly:
     Requires I Artinian Gorenstein with socle degree s, the pure powers
     x_i^m inside I, and n(m-1) >= s; the result has degree n(m-1) - s and
     no term inside the pure-power ideal.  It is recovered as the socle-like
-    Newton dual of the Macaulay inverse generator.
+    Newton dual of the Macaulay inverse generator F.  A Gorenstein I is
+    Ann(F) (Macaulay duality), so x_i^m lies in I exactly when x_i^m
+    contracts F to zero, when no term of F has exponent m or more in x_i:
+    membership is read off F, with no piece of degree m.
     """
     n, field = I.n, I.field
     report = I.socle_report()
@@ -151,12 +156,11 @@ def directrix_form(I: GradedIdeal, m: int) -> MultiPoly:
     if n * (m - 1) < s:
         raise ValueError(
             f"n(m-1) = {n * (m - 1)} is below the socle degree {s}")
+    F = macaulay_inverse(I)
     for i in range(n):
-        power = MultiPoly.variable(i, n, field) ** m
-        if not I.contains(power):
+        if any(beta[i] >= m for beta in F.terms):
             raise ValueError(
                 f"pure power x_{i + 1}^{m} does not lie in the ideal")
-    F = macaulay_inverse(I)
     f = socle_newton_dual(F, m)
     vec = f.to_vector()
     return vector_to_poly(n, f.homogeneous_degree(), vec, field)

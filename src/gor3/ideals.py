@@ -65,7 +65,7 @@ def _generator_data(gens, field):
     """(degree, integer term map) of each generator, in the order the walk
     shifts them."""
     gen_data = [(g.homogeneous_degree(), integer_terms(g)) for g in gens]
-    if field == QQ:
+    if not field.characteristic:
         # Lightest generators first, by the squared norm of their integer
         # coefficients, which every row they shift shares.  The walk's row
         # profile is a greedy pass, so over rows in this order it keeps a
@@ -173,9 +173,9 @@ class GradedIdeal:
             raise ValueError("degree must be non-negative")
         piece = self._pieces.get(t)
         if piece is None:
-            below, bound = self._pieces.get(t - 1), self._walk.bound
-            if bound is not None and t >= bound or below is not None and below.is_full:
-                # R_1 * R_{t-1} = R_t at the bound and above a full piece
+            bound = self._walk.bound
+            if bound is not None and t >= bound:
+                # R_1 * R_{t-1} = R_t from the Artinian bound on
                 piece = full_piece(self.n, t, self.field)
             else:
                 rows, echelon = self._walk.rows.pop(t, (None, None))
@@ -303,7 +303,7 @@ class GradedIdeal:
                 self._walk.bound = t + 1
                 return t + 1
         t = min(len(upper), top)
-        exact = self.field != QQ    # over GF(p) the walk's values are H
+        exact = self.field.characteristic > 0    # over GF(p) the walk's values are H
         if len(upper) > top if exact else self.hilbert_function(t):
             raise NotArtinianError(f"not Artinian within cap (no vanishing Hilbert "
                                    f"value up to t={4 * D * self.n})")
@@ -515,8 +515,8 @@ class GradedIdeal:
     def power_piece(self, k, t) -> GradedPiece:
         """Graded piece (I^k)_t, built once per ideal.  Above a full
         (I^k)_{t-1} it is full with no product, since R_1 * R_{t-1} = R_t,
-        as graded_piece reads R_t above a full I_{t-1}; otherwise it is
-        (I * I^{k-1})_t, I's own piece I_t when _rows_times says so."""
+        as graded_piece reads R_t from the Artinian bound of I on; otherwise
+        it is (I * I^{k-1})_t, I's own piece I_t when _rows_times says so."""
         if k < 1:
             raise ValueError("power must be >= 1")
         if k == 1 or t < 0:
@@ -624,8 +624,9 @@ def variable_lines(n, field=QQ):
 
 
 def variable_power_ideal(n, m, field=QQ) -> GradedIdeal:
-    """(x_1^m, ..., x_n^m)."""
-    return pure_power_ideal(variable_lines(n, field), [m] * n)
+    """(x_1^m, ..., x_n^m).  The variables are independent by construction,
+    so no line is proved independent (pure_power_ideal)."""
+    return GradedIdeal(n, [x ** m for x in variable_lines(n, field)], field)
 
 
 def _line_inverse(lines, n, field):

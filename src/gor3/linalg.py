@@ -35,7 +35,6 @@ from __future__ import annotations
 from math import gcd
 
 from ._rowred_py import _back_substitute, _bareiss, rank_profile_mod, rref_int, rref_mod
-from .fields import PrimeField, RationalField
 
 # The prime of the modular front end of QQ elimination, the largest below
 # 2^15.  Small residues keep the packed slots of rank_profile_mod narrow
@@ -91,24 +90,15 @@ def _residual(row, nf, width):
     return out
 
 
-def _modulus(field):
-    """The prime of the row rank profiles over field: its own p over GF(p),
-    CERTIFICATE_PRIME over QQ."""
-    if isinstance(field, PrimeField):
-        return field.p
-    if isinstance(field, RationalField):
-        return CERTIFICATE_PRIME
-    raise TypeError(f"unsupported field {field!r}")
-
-
 def row_profile(field, rows, limit):
     """(profile, basis): the row rank profile of integer rows modulo the
-    prime of field, at most limit rows, and the echelon form that pass
-    kept (rank_profile_mod).  Over GF(p) the length of the profile is the
+    prime of field (its characteristic p over GF(p), CERTIFICATE_PRIME over
+    QQ, of characteristic 0), at most limit rows, and the echelon form that
+    pass kept (rank_profile_mod).  Over GF(p) the length of the profile is the
     rank; over QQ it is a lower bound for the rank, which never drops under
     reduction mod CERTIFICATE_PRIME.  It is the one caller of
     rank_profile_mod."""
-    return rank_profile_mod(rows, _modulus(field), limit)
+    return rank_profile_mod(rows, field.characteristic or CERTIFICATE_PRIME, limit)
 
 
 def rref_rows(field, rows, nc, echelon=None):
@@ -131,7 +121,7 @@ def rref_rows(field, rows, nc, echelon=None):
     profile, basis = echelon or row_profile(field, rows, nc)
     if len(profile) == nc:
         return list(range(nc)), _identity_rows(nc)
-    if isinstance(field, PrimeField):
+    if field.characteristic:
         return rref_mod([rows[i] for i in profile], field.p, basis)
     chosen = set(profile)
     pivots, red = rref_int([rows[i] for i in profile])
@@ -153,7 +143,7 @@ def row_rank(field, rows, nc):
     """
     full = min(len(rows), nc)
     rank = len(row_profile(field, rows, full)[0])
-    if rank == full or isinstance(field, PrimeField):
+    if rank == full or field.characteristic:
         return rank
     return len(_bareiss(list(rows))[0])
 
@@ -185,7 +175,7 @@ def kernel_rref(field, rows, nc):
     _, free, nf = normal_form(*rref_rows(field, [row[::-1] for row in rows], nc), nc)
     basis = []
     for vec in reversed(list(zip(*nf))):
-        if isinstance(field, PrimeField):
+        if field.characteristic:
             basis.append([v % field.p for v in reversed(vec)])
         else:
             g = gcd(*vec)

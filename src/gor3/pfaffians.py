@@ -64,20 +64,6 @@ class SkewPolyMatrix:
                 entries[j][i] = -value
         return cls(entries)
 
-    def uniform_entry_degree(self):
-        """Common homogeneous degree of the nonzero entries, if any."""
-        degs = set()
-        for i in range(self.r):
-            for j in range(self.r):
-                e = self.entries[i][j]
-                if not e.is_zero():
-                    if not e.is_homogeneous():
-                        return None
-                    degs.add(e.homogeneous_degree())
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
     def __repr__(self):
         return f"SkewPolyMatrix(r={self.r}, n={self.n})"
 
@@ -118,7 +104,9 @@ def maximal_pfaffians(A: SkewPolyMatrix):
     """The r signed sub-Pfaffians of an odd alternating matrix.
 
     Entry i is (-1)^(i) times the Pfaffian with row and column i removed
-    (0-based, matching the 1-based (-1)^(i+1) convention).
+    (0-based, matching the 1-based (-1)^(i+1) convention).  Entries that
+    are forms of one degree d' give nonzero entries of degree (r - 1)d'/2
+    (Buchsbaum-Eisenbud 1977).
     """
     if A.r % 2 == 0:
         raise ValueError("maximal Pfaffians need an odd matrix size")
@@ -130,13 +118,6 @@ def maximal_pfaffians(A: SkewPolyMatrix):
         if i % 2:
             pf = -pf
         out.append(pf)
-    degree = A.uniform_entry_degree()
-    if degree is not None:
-        expected = (A.r - 1) * degree // 2
-        for pf in out:
-            if not pf.is_zero() and pf.homogeneous_degree() != expected:
-                raise AssertionError(
-                    "maximal Pfaffian degree disagrees with the entry degree")
     return out
 
 

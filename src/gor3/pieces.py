@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from .fields import RationalField
 from .linalg import _identity_rows, _residual, kernel_rref, normal_form, rref_rows
 from .monomials import (monomial_count, monomial_index, monomials_of_degree,
                         product_table)
@@ -101,7 +100,7 @@ class GradedPiece:
 def vector_to_poly(n, t, vec, field):
     """Coefficient vector (field scalars, or integers over QQ) -> polynomial,
     scaled primitive over QQ."""
-    if isinstance(field, RationalField):
+    if not field.characteristic:
         ints, _ = field.integer_row(vec)
         g = gcd(*ints)
         if g:

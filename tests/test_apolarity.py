@@ -14,7 +14,7 @@ from gor3.apolarity import (
     socle_newton_dual,
 )
 from gor3.cli import main
-from gor3.fields import QQ
+from gor3.fields import GF, QQ
 from gor3.ideals import variable_power_ideal
 from gor3.monomials import monomial_count, monomials_of_degree
 from gor3.parsing import parse_poly
@@ -216,6 +216,37 @@ def test_directrix_precondition_errors(ex_3_7, tower_d3):
         directrix_form(ex_3_7, 2)  # x^2 is not inside the ideal
     with pytest.raises(NotGorensteinError):
         directrix_form(tower_d3, 4)
+
+
+# the ideal of the README's directrix example
+README_IDEAL = ["x*y", "x*z", "y*z", "x^2 - z^2", "y^2 - z^2"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_directrix_form_makes_no_membership_test(field, monkeypatch):
+    # I = Ann(F): the pure powers x_i^m in I are read off the exponents of F
+    def no_contains(*args):
+        raise AssertionError("GradedIdeal.contains called")
+
+    monkeypatch.setattr(GradedIdeal, "contains", no_contains)
+    I = GradedIdeal.from_strings(README_IDEAL, field=field)
+    for m, expected in ((3, "x^2*y^2 + x^2*z^2 + y^2*z^2"),
+                        (5, "x^4*y^4*z^2 + x^4*y^2*z^4 + x^2*y^4*z^4")):
+        assert directrix_form(I, m) == parse_poly(expected, VARS, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_directrix_form_rejects_a_pure_power_outside(field):
+    # (y, z, x^4) = Ann(X^[3]): x^2 and x^3 lie outside, and at m = 3 the
+    # exponent of X^[3] reaches m exactly; x^4 lies inside
+    I = GradedIdeal.from_strings(["y", "z", "x^4"], field=field)
+    for m in (2, 3):
+        with pytest.raises(ValueError) as info:
+            directrix_form(I, m)
+        assert str(info.value) == f"pure power x_1^{m} does not lie in the ideal"
+    f = directrix_form(I, 4)
+    assert f == parse_poly("y^3*z^3", VARS, field)
+    assert variable_power_ideal(3, 4, field).colon(f).equals(I)
 
 
 def test_inverse_form_printing():

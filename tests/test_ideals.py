@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import gor3.linalg
 from gor3 import (
     GradedIdeal,
     MultiPoly,
@@ -239,6 +240,22 @@ def test_pure_power_index_and_gap(ex_2_5, ex_3_7):
     m = GradedIdeal.from_strings(["x", "y", "z"])
     assert pure_power_index(m, lines) == 1
     assert pure_power_gap(m, lines) == 0
+
+
+def _no_reduction(*args):
+    raise AssertionError("row reduction called")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_variable_powers_take_no_reduction(field, monkeypatch):
+    # the variables are independent by construction: no [A | I] reduction
+    expected = {m: pure_power_ideal(variable_lines(3, field), [m] * 3).generators
+                for m in range(1, 5)}
+    for name in ("rank_profile_mod", "rref_int", "rref_mod"):
+        monkeypatch.setattr(gor3.linalg, name, _no_reduction)
+    for m in range(1, 5):
+        I = variable_power_ideal(3, m, field)
+        assert (I.n, I.field, I.generators) == (3, field, expected[m])
 
 
 def test_pure_power_index_rejects_dependent_lines(ex_2_5):

@@ -3,8 +3,10 @@ top of its module, the graph of those imports has no cycle, pieces sits
 below ideals, poly below linalg, no module takes a private name from
 ideals or pieces, the row-reduction kernels import nothing but math, only
 linalg.row_profile calls the GF(p) forward pass, no module but
-__init__ imports a name it never reads, and a bare start of the CLI loads
-neither dataclasses, inspect nor typing.
+__init__ imports a name it never reads, no module but fields and __init__
+imports a field class (the others tell the fields apart by
+field.characteristic), and a bare start of the CLI loads neither
+dataclasses, inspect nor typing.
 
 An import inside a function hides a dependency from the reader and is the
 usual way a cycle gets in, so both are checked on the source with ``ast``,
@@ -227,6 +229,28 @@ def test_the_unused_import_finder_finds_one():
               "from .poly import MultiPoly\n"
               "def f(x) -> GradedIdeal:\n    return os.path.join(x)\n")
     assert _unused_imports(source) == ["json", "NA", "MultiPoly"]
+
+
+def _field_class_imports(source):
+    """The names PrimeField and RationalField wherever an import in source
+    takes them."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name in ("PrimeField", "RationalField"))
+
+
+def test_only_fields_and_init_import_the_field_classes():
+    # 0 over QQ, p over GF(p): every other module tests field.characteristic
+    taken = {path.stem: _field_class_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem not in ("fields", "__init__")}
+    assert {module: names for module, names in taken.items() if names} == {}
+
+
+def test_the_field_class_finder_finds_both():
+    source = ("from .fields import QQ, PrimeField\nfrom gor3 import RationalField\n"
+              "def f():\n    from gor3.fields import GF\n")
+    assert _field_class_imports(source) == ["PrimeField", "RationalField"]
 
 
 # Imports a bare interpreter, without site and its .pth files (which may

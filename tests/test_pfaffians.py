@@ -6,6 +6,7 @@ import pytest
 from gor3 import GradedIdeal, MultiPoly
 from gor3.fields import GF, QQ
 from gor3.ideals import NotArtinianError
+from gor3.monomials import monomials_of_degree
 from gor3.parsing import parse_poly, parse_poly_list
 from gor3.pfaffians import (
     SkewPolyMatrix,
@@ -140,12 +141,32 @@ def test_five_by_five_monomial_matrix():
     assert ci.colon(parse_poly("z^3", VARS)).equals(I)
 
 
+def _random_form(rng, n, d, field):
+    """A nonzero form of degree d with up to three terms."""
+    monos = list(monomials_of_degree(n, d))
+    return MultiPoly(n, {a: field.of(rng.choice([-3, -2, -1, 1, 2, 3]))
+                         for a in rng.sample(monos, min(3, len(monos)))}, field)
+
+
 def test_maximal_pfaffian_degrees_follow_entry_degree():
+    # entries of degree d' give maximal Pfaffians of degree (r-1)d'/2
+    # (Buchsbaum-Eisenbud 1977)
     for r, dp in ((3, 1), (5, 1), (5, 2), (7, 1)):
         A = generic_skew_matrix(r, dp)
         pfs = maximal_pfaffians(A)
         d = (r - 1) * dp // 2
         assert all(p.homogeneous_degree() == d for p in pfs if not p.is_zero())
+    rng = random.Random(50)
+    for field in (QQ, GF(32003)):
+        for r in (3, 5, 7):
+            for dp in (1, 2):
+                upper = [[_random_form(rng, 3, dp, field) for _ in range(r - 1 - i)]
+                         for i in range(r - 1)]
+                pfs = [p for p in maximal_pfaffians(SkewPolyMatrix.from_upper(3, upper, field))
+                       if not p.is_zero()]
+                assert pfs, (field, r, dp)
+                assert all(p.is_homogeneous() and p.homogeneous_degree() == (r - 1) * dp // 2
+                           for p in pfs), (field, r, dp)
 
 
 def test_generic_model_small_cases():

@@ -9,10 +9,11 @@ generator order over QQ, from_pieces' truncation rule, the five-quadrics
 certificate, the product rule that reads I's own piece for a power,
 J*I or J*I^2, the fraction-free back-substitution that rref_int and
 maximal_minors share, the Betti ranks of d_2 and d_n read off the minimal
-generators and the socle, and minimal generators that stop at the socle
-degree of a certified Gorenstein colon or Ann(F).  Each entry of MUTANTS
-breaks one of them with one exact source edit and names the tests that
-must then fail.
+generators and the socle, minimal generators that stop at the socle
+degree of a certified Gorenstein colon or Ann(F), the field test that
+sends GF(p) rows to rref_mod, and the pure powers directrix_form reads off
+the exponents of F.  Each entry of MUTANTS breaks one of them with one
+exact source edit and names the tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
 against the copy, and counts the mutant killed only when pytest reports
@@ -43,6 +44,7 @@ LINALG = "src/gor3/linalg.py"
 IDEALS = "src/gor3/ideals.py"
 CRITERIA = "src/gor3/criteria.py"
 BETTI = "src/gor3/betti.py"
+APOLARITY = "src/gor3/apolarity.py"
 
 # (what the mutant breaks, file, old text, new text, tests that must fail)
 MUTANTS = [
@@ -108,8 +110,8 @@ MUTANTS = [
      "self._walk.rows = {u: rows for u, rows in self._walk.rows.items() if u < t - 1}",
      ["tests/test_walk_echelon.py::test_no_walk_rows_at_or_above_the_bound"]),
     ("graded_piece builds the piece at a known bound from rows",
-     IDEALS, "if bound is not None and t >= bound or",
-     "if bound is not None and t > bound or",
+     IDEALS, "if bound is not None and t >= bound:",
+     "if bound is not None and t > bound:",
      ["tests/test_walk_echelon.py::test_no_walk_rows_at_or_above_the_bound"]),
     ("the QQ walk shifts the heaviest generators first",
      IDEALS, "gen_data.sort(key=lambda gd: sum(c * c for c in gd[1].values()))",
@@ -158,6 +160,14 @@ MUTANTS = [
      IDEALS, "and self._certify(self.hilbert_series_table(top - 1))):",
      "):",
      ["tests/test_socle_degree_generators.py"]),
+    ("rref_rows takes a QQ matrix for a GF(p) one",
+     LINALG, "    if field.characteristic:\n        return rref_mod(",
+     "    if not field.characteristic:\n        return rref_mod(",
+     ["tests/test_modular_front_end.py"]),
+    ("directrix_form takes x_i^m inside Ann(F) when F has a term x_i^[m]",
+     APOLARITY, "if any(beta[i] >= m for beta in F.terms):",
+     "if any(beta[i] > m for beta in F.terms):",
+     ["tests/test_apolarity.py::test_directrix_form_rejects_a_pure_power_outside"]),
 ]
 
 
