@@ -162,10 +162,11 @@ def test_maximal_pfaffian_degrees_follow_entry_degree():
             for dp in (1, 2):
                 upper = [[_random_form(rng, 3, dp, field) for _ in range(r - 1 - i)]
                          for i in range(r - 1)]
-                pfs = [p for p in maximal_pfaffians(SkewPolyMatrix.from_upper(3, upper, field))
-                       if not p.is_zero()]
+                A = SkewPolyMatrix.from_upper(3, upper, field)
+                pfs = [p for p in maximal_pfaffians(A) if not p.is_zero()]
+                d = (r - 1) * dp // 2
                 assert pfs, (field, r, dp)
-                assert all(p.is_homogeneous() and p.homogeneous_degree() == (r - 1) * dp // 2
+                assert all(p.is_homogeneous() and p.homogeneous_degree() == d
                            for p in pfs), (field, r, dp)
 
 
