@@ -48,13 +48,8 @@ def contract(f: MultiPoly, F: InverseForm) -> InverseForm:
     for alpha, a in f.terms.items():
         for beta, b in F.terms.items():
             e = mono_sub(alpha, beta)
-            if e is None:
-                continue
-            acc = field.add(terms.get(e, field.zero), field.mul(a, b))
-            if field.is_zero(acc):
-                terms.pop(e, None)
-            else:
-                terms[e] = acc
+            if e is not None:
+                terms[e] = field.add(terms.get(e, field.zero), field.mul(a, b))
     return InverseForm(f.n, terms, field)
 
 

@@ -87,7 +87,7 @@ def betti_table(I: GradedIdeal) -> BettiTable:
     # H(t) through the top twist + 1; R/I is 0 from the bound on
     dims = [I.hilbert_function(t) for t in range(bound)] + [0] * (n + 1)
     generators = I.minimal_generator_profile()
-    socle = I.socle_report().socle_dims
+    socle = I.socle_report().socle_dims if n >= 3 else {}
     # the maps x_k : (R/I)_t -> (R/I)_{t+1} as column lists, for d_3 .. d_{n-1}
     mult = [I.multiplication_maps(t) for t in range(bound - 1)] if n > 3 else []
 
@@ -117,11 +117,8 @@ def betti_table(I: GradedIdeal) -> BettiTable:
         ranks = [0, dims[j] - (j == 0)]
         ranks.append(chain_dim(1, j) - ranks[1] - generators.get(j, 0))
         ranks += [koszul_rank(i, j) for i in range(3, n)]
-        last = chain_dim(n, j) - socle.get(j - n, 0)
-        if n >= 3:
-            ranks.append(last)
-        else:   # d_n is d_1 or d_2: both identities must give its rank
-            assert ranks[n] == last, (j, ranks, last)
+        if n >= 3:  # for n <= 2, d_n is d_1 or d_2 above
+            ranks.append(chain_dim(n, j) - socle.get(j - n, 0))
         ranks.append(0)
         for i in range(n + 1):
             beta = chain_dim(i, j) - ranks[i] - ranks[i + 1]

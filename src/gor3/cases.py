@@ -155,12 +155,8 @@ def random_quadrics(seed, field=QQ):
     rng = random.Random(seed)
     out = []
     for _ in range(QUADRIC_COUNT):
-        terms = {}
-        for e in monomials_of_degree(3, 2):
-            c = field.of(rng.randint(-10, 10))
-            if not field.is_zero(c):
-                terms[e] = c
-        q = MultiPoly(3, terms, field)
+        q = MultiPoly(3, {e: field.of(rng.randint(-10, 10))
+                          for e in monomials_of_degree(3, 2)}, field)
         if q.is_zero():
             q = MultiPoly.monomial((2, 0, 0), 1, field)
         out.append(q)

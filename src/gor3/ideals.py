@@ -473,11 +473,11 @@ class GradedIdeal:
         dims = {}
         for t in range(bound):
             sdim = self.hilbert_function(t)
-            if not self.graded_piece(t + 1).is_full:
-                # the matrices of x_1..x_n stacked, one column per standard
-                # monomial: an injective map has an RREF with no free column
-                stacked = [row for m in self.multiplication_maps(t) for row in zip(*m)]
-                sdim -= row_rank(self.field, stacked, sdim)
+            # the matrices of x_1..x_n stacked, one column per standard
+            # monomial: an injective map has an RREF with no free column;
+            # into the full piece at the bound they have no rows at all
+            stacked = [row for m in self.multiplication_maps(t) for row in zip(*m)]
+            sdim -= row_rank(self.field, stacked, sdim)
             if sdim:
                 dims[t] = sdim
         total = sum(dims.values())
@@ -665,17 +665,20 @@ def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
 
 
 def pure_power_index(I: GradedIdeal, lines) -> int:
-    """Least m with every l_i^m in I."""
+    """Least m with every l_i^m in I.
+
+    Each loop ends by the Artinian bound: every piece from the bound on is
+    full, so l_i^bound lies in I.  artinian_bound is called first for its
+    NotArtinianError.
+    """
     _line_inverse(lines, lines[0].n, lines[0].field)
-    bound = I.artinian_bound()
+    I.artinian_bound()
     result = 1
     for ell in lines:
         m = 1
         power = ell
         while not I.contains(power):
             m += 1
-            if m > bound:
-                raise RuntimeError("pure power index exceeded the Artinian bound")
             power = power * ell
         result = max(result, m)
     return result
@@ -735,9 +738,7 @@ def check_reduction_two(I: GradedIdeal, seed) -> ReductionReport:
         for _ in range(3):
             combo = MultiPoly.zero(I.n, I.field)
             for g in gens:
-                c = rng.randint(-10, 10)
-                if c:
-                    combo = combo + g.scale(c)
+                combo = combo + g.scale(rng.randint(-10, 10))
             combos.append(combo)
         if any(c.is_zero() for c in combos):
             continue

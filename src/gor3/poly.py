@@ -133,8 +133,6 @@ class _SparseForm:
 
     def scale(self, scalar):
         c = self.field.of(scalar)
-        if self.field.is_zero(c):
-            return self.zero(self.n, self.field)
         field = self.field
         return type(self)(self.n,
                           {e: field.mul(v, c) for e, v in self.terms.items()},

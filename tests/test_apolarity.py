@@ -59,6 +59,15 @@ def test_contract_drops_negative_exponents():
     assert contract(P("x^2"), F).is_zero()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_contract_cancels_to_the_zero_form(field):
+    # (x - y) o (X + Y) = 1 - 1: the two products meet on one exponent
+    F = InverseForm(3, {(1, 0, 0): field.one, (0, 1, 0): field.one}, field)
+    out = contract(parse_poly("x - y", VARS, field), F)
+    assert out == InverseForm.zero(3, field)
+    assert out.terms == {}
+
+
 def test_contract_is_module_action():
     """(f*g) acting on F equals f acting on (g acting on F)."""
     rng = random.Random(21)

@@ -258,6 +258,15 @@ def test_variable_powers_take_no_reduction(field, monkeypatch):
         assert (I.n, I.field, I.generators) == (3, field, expected[m])
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(7)], ids=str)
+def test_pure_power_index_reaches_the_artinian_bound(field):
+    # x^m lies in (y, z, x^4) first at m = 4, the bound; so does (x + y)^m
+    I = GradedIdeal(3, [P(g, field) for g in ("y", "z", "x^4")], field)
+    assert I.artinian_bound() == 4
+    assert pure_power_index(I, variable_lines(3, field)) == 4
+    assert pure_power_index(I, [P(g, field) for g in ("x + y", "y", "z")]) == 4
+
+
 def test_pure_power_index_rejects_dependent_lines(ex_2_5):
     with pytest.raises(ValueError):
         pure_power_index(ex_2_5, [P("x"), P("y"), P("x + y")])

@@ -100,8 +100,8 @@ def test_squared_tower(field):
     report = I.socle_report()
     assert report.socle_dims == {7: 1, 9: 3}
     assert kernel_route_socle_dims(I) == report.socle_dims
-    # the top degree sits right below a full piece, a degree the rank
-    # never has to be taken for
+    # the top degree sits right below a full piece, so the maps out of it
+    # have no rows and their rank is 0
     assert I.graded_piece(report.socle_degree + 1).is_full
 
 

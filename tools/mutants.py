@@ -11,8 +11,9 @@ J*I or J*I^2, the fraction-free back-substitution that rref_int and
 maximal_minors share, the Betti ranks of d_2 and d_n read off the minimal
 generators and the socle, minimal generators that stop at the socle
 degree of a certified Gorenstein colon or Ann(F), the field test that
-sends GF(p) rows to rref_mod, and the pure powers directrix_form reads off
-the exponents of F.  Each entry of MUTANTS breaks one of them with one
+sends GF(p) rows to rref_mod, the pure powers directrix_form reads off
+the exponents of F, and the socle degree below the full piece at the
+bound, which socle_report counts with no branch of its own.  Each entry of MUTANTS breaks one of them with one
 exact source edit and names the tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
@@ -140,7 +141,8 @@ MUTANTS = [
      KERNEL, "(p - a) << o", "a << o",
      ["tests/test_packed_rows.py::test_packed_pass_equals_the_list_pass"]),
     ("rank d_n leaves out the socle",
-     BETTI, "last = chain_dim(n, j) - socle.get(j - n, 0)", "last = chain_dim(n, j)",
+     BETTI, "ranks.append(chain_dim(n, j) - socle.get(j - n, 0))",
+     "ranks.append(chain_dim(n, j))",
      ["tests/test_betti.py::test_koszul_complete_intersection",
       "tests/test_betti_oracle.py::test_betti_table_equals_the_koszul_route"]),
     ("rank d_2 leaves out the minimal generators",
@@ -168,6 +170,10 @@ MUTANTS = [
      APOLARITY, "if any(beta[i] >= m for beta in F.terms):",
      "if any(beta[i] > m for beta in F.terms):",
      ["tests/test_apolarity.py::test_directrix_form_rejects_a_pure_power_outside"]),
+    ("socle_report leaves out the degree below the full piece at the bound",
+     IDEALS, "for t in range(bound):", "for t in range(bound - 1):",
+     ["tests/test_socle_dims.py::test_squared_tower",
+      "tests/test_socle_dims.py::test_socle_dims_equal_the_kernel_route"]),
 ]
 
 
