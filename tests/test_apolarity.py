@@ -65,7 +65,6 @@ def test_contract_cancels_to_the_zero_form(field):
     F = InverseForm(3, {(1, 0, 0): field.one, (0, 1, 0): field.one}, field)
     out = contract(parse_poly("x - y", VARS, field), F)
     assert out == InverseForm.zero(3, field)
-    assert out.terms == {}
 
 
 def test_contract_is_module_action():

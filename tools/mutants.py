@@ -13,8 +13,9 @@ generators and the socle, minimal generators that stop at the socle
 degree of a certified Gorenstein colon or Ann(F), the field test that
 sends GF(p) rows to rref_mod, the pure powers directrix_form reads off
 the exponents of F, and the socle degree below the full piece at the
-bound, which socle_report counts with no branch of its own.  Each entry of MUTANTS breaks one of them with one
-exact source edit and names the tests that must then fail.
+bound, which socle_report counts with no branch of its own.  Each entry
+of MUTANTS breaks one of them with one exact source edit and names the
+tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
 against the copy, and counts the mutant killed only when pytest reports
