@@ -7,10 +7,14 @@ and rref_int over QQ, whose _back_substitute also gives linalg its maximal
 minors, and rank_profile_mod and rref_mod over GF(p).
 rank_profile_mod names the rows a reduction keeps and reduces nothing above
 a pivot; rref_mod back-substitutes the echelon form it kept, so a rank, a
-profile and an RREF mod p all come from one pass.  Both forward passes are
-lazy.  In _bareiss a row holds minors at its own level, the pivot of the
-step that last updated it, and is divided by that level's pivot when it is
-next updated; a row with a zero in the pivot column is left as it is, and a
+profile and an RREF mod p all come from one pass.  Over QQ the pass is
+left to right unless the caller proved pivot columns mod p: then it pivots
+inside them, on the smallest entry of each pivot row, since every Bareiss
+entry is a minor of the rows and columns pivoted so far, and rref_int
+checks that the result is the RREF.  Both forward passes are lazy.  In
+_bareiss a row holds minors at its own level, the pivot of the step that
+last updated it, and is divided by that level's pivot when it is next
+updated; a row with a zero in the pivot column is left as it is, and a
 pivot row is brought up to date when it is chosen.  In rank_profile_mod
 a row is one Python int with a slot per column (Kronecker substitution);
 a slot is reduced mod p only when it is read, and a row is updated at a
@@ -24,7 +28,7 @@ layer and not as ``linalg`` functions.
 from math import gcd
 
 
-def _bareiss(work):
+def _bareiss(work, columns=None):
     """Fraction-free forward elimination (Bareiss 1968) on the list work,
     whose rows are replaced, never mutated.
 
@@ -33,34 +37,57 @@ def _bareiss(work):
     its level's pivot when it is next updated: (a * x - b * y) // level is
     exact, the standard update of the row rescaled to the current step.  A
     row with a zero in the pivot column is left as it is, and a pivot row
-    is brought up to date, once, when it is chosen.  No gcd is taken.  Rows
-    0..rank-1 of work end in the echelon form of the standard elimination
-    and the rows below them zero.  Returns (pivots, sign): the pivot
-    columns and the parity of the row swaps.
+    is brought up to date, once, when it is chosen.  No gcd is taken.
+
+    Without columns the pivots are taken left to right: the pivot of each
+    column is its first nonzero row at or below the current step, swapped
+    up.  columns lists pivot columns whose block in work is nonsingular,
+    one per row (those of the mod-p profile in linalg.rref_rows).  Then row
+    k is the pivot row of step k, with no swap, since the Schur complement
+    of a nonsingular block has no zero row, and its pivot is its entry of
+    least absolute value in a column of columns not yet used.  After k
+    steps every entry is a (k+1) x (k+1) minor of the rows and columns
+    pivoted so far, so small pivots keep the minors that follow small.
+
+    Rows 0..rank-1 of work end in echelon form, each zero at the pivot
+    columns before its own, and the rows below them zero.  Returns
+    (pivots, sign): the pivot columns in the order taken and the parity of
+    the row swaps.
     """
     nr = len(work)
     nc = len(work[0]) if nr else 0
     level = [1] * nr
     pivots = []
+    unused = list(columns or ())
     sign = 1
     prev = 1
-    piv = 0
-    for col in range(nc):
-        sel = -1
-        for i in range(piv, nr):
-            if work[i][col]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != piv:
-            work[piv], work[sel] = work[sel], work[piv]
-            level[piv], level[sel] = level[sel], level[piv]
-            sign = -sign
+    col = -1
+    for piv in range(nr):
+        if columns is None:
+            sel = -1
+            while sel < 0:
+                col += 1
+                if col == nc:
+                    return pivots, sign
+                for i in range(piv, nr):
+                    if work[i][col]:
+                        sel = i
+                        break
+            if sel != piv:
+                work[piv], work[sel] = work[sel], work[piv]
+                level[piv], level[sel] = level[sel], level[piv]
+                sign = -sign
         prow = work[piv]
         if level[piv] != prev:
             lv = level[piv]
             prow = work[piv] = [prev * x // lv for x in prow]
+        if columns is not None:
+            least = 0
+            for c in unused:
+                v = abs(prow[c])
+                if v and (not least or v < least):
+                    least, col = v, c
+            unused.remove(col)
         a = prow[col]
         for i in range(piv + 1, nr):
             row = work[i]
@@ -71,20 +98,17 @@ def _bareiss(work):
                 level[i] = a
         prev = a
         pivots.append(col)
-        piv += 1
-        if piv == nr:
-            break
     return pivots, sign
 
 
 def _back_substitute(work, pivots, free, d):
     """Fraction-free back-substitution (Nakos, Turner and Williams 1997) of
     the echelon rows work[:len(pivots)] that _bareiss leaves, pivots their
-    pivot columns.  Returns solved, solved[k] the list of d times RREF row
-    k at the columns free, worked out last row first.  d is the last pivot
-    or its negative, the determinant of the pivot block up to sign, so
-    every entry is integral by Cramer's rule and each division by a pivot
-    is exact.
+    pivot columns in the order it took them, which may be any order.
+    Returns solved, solved[k] the list of d times RREF row k at the columns
+    free, worked out last row first.  d is the last pivot or its negative, the
+    determinant of the pivot block up to sign, so every entry is integral
+    by Cramer's rule and each division by a pivot is exact.
     """
     rank = len(pivots)
     solved = [None] * rank
@@ -100,7 +124,7 @@ def _back_substitute(work, pivots, free, d):
     return solved
 
 
-def rref_int(rows):
+def rref_int(rows, pivots=None):
     """Integer reduced row echelon form.
 
     rows: list of lists of int (a matrix over QQ with denominators cleared;
@@ -114,23 +138,36 @@ def rref_int(rows):
     Bareiss forward elimination, then fraction-free back-substitution of the
     free columns against d = |last pivot| (_back_substitute): row k becomes
     d times the RREF row.
+
+    pivots, when given, are columns P, one per row, whose block A_P is
+    nonsingular: the pivot columns of these rows modulo a prime, which
+    linalg.rref_rows has.  _bareiss then pivots inside P on small entries,
+    and the result is A_P^-1 * rows, which is the RREF exactly when no row
+    is nonzero in a free column left of its pivot.  Otherwise the prime was
+    unlucky (its column profile is not the one over QQ) and the pass is
+    taken again, left to right, in the same call.
     """
-    work = list(rows)
-    pivots, _ = _bareiss(work)
-    if not pivots:
-        return [], []
-    nc = len(work[0])
-    free = [c for c in range(nc) if c not in pivots]
-    d = abs(work[len(pivots) - 1][pivots[-1]])
+    for columns in (pivots, None):
+        work = list(rows)
+        order, _ = _bareiss(work, columns)
+        if not order:
+            return [], []
+        nc = len(work[0])
+        free = [c for c in range(nc) if c not in order]
+        d = abs(work[len(order) - 1][order[-1]])
+        solved = sorted(zip(order, _back_substitute(work, order, free, d)))
+        # the i-th row by pivot column has col - i free columns left of it
+        if not any(any(vals[:col - i]) for i, (col, vals) in enumerate(solved)):
+            break
     out = []
-    for col, vals in zip(pivots, _back_substitute(work, pivots, free, d)):
+    for col, vals in solved:
         g = gcd(d, *vals)
         line = [0] * nc
         line[col] = d // g
         for f, v in zip(free, vals):
             line[f] = v // g
         out.append(line)
-    return pivots, out
+    return sorted(order), out
 
 
 def rref_mod(rows, p, basis):

@@ -25,9 +25,10 @@ one value.  rref_rows takes that pass once, or reads it whole from a
 caller that has it, for every matrix:
 a full profile is the identity, over GF(p) rref_mod back-substitutes the
 echelon form, and over QQ the profile decides which rows the exact kernel
-sees.  A rank alone never builds a reduced form: it is the
-length of that profile, or over QQ, when the profile falls short of full
-rank, the pivot count of the exact forward elimination.
+sees and, by its pivot columns, the columns that kernel pivots in.  A rank
+alone never builds a reduced form: it is the length of that profile, or
+over QQ, when the profile falls short of full rank, the pivot count of the
+exact forward elimination.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ def rref_rows(field, rows, nc, echelon=None):
     Otherwise over GF(p) rref_mod back-substitutes the echelon form into
     the RREF of the profile rows.  Over QQ only the profile rows are
     eliminated exactly and every other row is checked against the result;
-    if one lies outside (an unlucky prime), all rows are eliminated.
+    if one lies outside (an unlucky prime), all rows are eliminated.  The
+    profile rows are nonsingular on their pivot columns mod p, the keys of
+    the echelon form, so over QQ too: rref_int pivots inside those columns
+    on small entries, which keeps its minors small, and takes its pass
+    again left to right if the pivot columns over QQ are other ones.
     """
     profile, basis = echelon or row_profile(field, rows, nc)
     if len(profile) == nc:
@@ -124,7 +129,7 @@ def rref_rows(field, rows, nc, echelon=None):
     if field.characteristic:
         return rref_mod([rows[i] for i in profile], field.p, basis)
     chosen = set(profile)
-    pivots, red = rref_int([rows[i] for i in profile])
+    pivots, red = rref_int([rows[i] for i in profile], sorted(basis))
     _, free, nf = normal_form(pivots, red, nc)
     if any(any(_residual(r, nf, len(free)))
            for i, r in enumerate(rows) if i not in chosen):

@@ -70,7 +70,8 @@ def test_pieces_equal_the_exact_elimination(monkeypatch):
     calls = []
     rref_int = gor3.linalg.rref_int
     monkeypatch.setattr(gor3.linalg, "rref_int",
-                        lambda rows: calls.append(rows) or rref_int(rows))
+                        lambda rows, pivots=None:
+                        calls.append(rows) or rref_int(rows, pivots))
     rng = random.Random(7)
     proved = eliminated = 0     # pieces with at least dim R_t shifted rows
     for n, degrees, common in RANDOM_IDEALS:
@@ -101,7 +102,8 @@ def test_unlucky_prime_falls_back_to_the_exact_elimination(monkeypatch):
     calls = []
     rref_int = gor3.linalg.rref_int
     monkeypatch.setattr(gor3.linalg, "rref_int",
-                        lambda rows: calls.append(rows) or rref_int(rows))
+                        lambda rows, pivots=None:
+                        calls.append(rows) or rref_int(rows, pivots))
     assert I.graded_piece(1) == full_piece(2, 1, QQ)
     assert calls == [[[1, 0]], [[1, 0], [0, CERTIFICATE_PRIME]]]
     assert I.artinian_bound() == 1

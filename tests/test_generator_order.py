@@ -42,9 +42,9 @@ def exact_rows(monkeypatch):
     calls = []
     rref_int = gor3.linalg.rref_int
 
-    def counted(rows):
+    def counted(rows, pivots=None):
         calls.append([list(r) for r in rows])
-        return rref_int(rows)
+        return rref_int(rows, pivots)
 
     monkeypatch.setattr(gor3.linalg, "rref_int", counted)
     return calls

@@ -326,7 +326,8 @@ def test_unlucky_prime_still_gives_the_exact_piece(monkeypatch):
     calls = []
     rref_int = gor3.linalg.rref_int
     monkeypatch.setattr(gor3.linalg, "rref_int",
-                        lambda rows: calls.append(len(rows)) or rref_int(rows))
+                        lambda rows, pivots=None:
+                        calls.append(len(rows)) or rref_int(rows, pivots))
     x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
     # modulo P the second generator is the first and the fourth the third:
     # the rows kept mod P miss x^2*y, and all four rows are eliminated

@@ -6,10 +6,11 @@ from math import gcd, lcm
 
 import pytest
 
+import gor3.linalg
 from gor3._rowred_py import _bareiss, rank_profile_mod, rref_int, rref_mod
 from gor3.fields import GF, QQ
-from gor3.linalg import (ExactMatrix, kernel_rows, maximal_minors, normal_form, row_rank,
-                         rref_rows)
+from gor3.linalg import (CERTIFICATE_PRIME, ExactMatrix, kernel_rows, maximal_minors,
+                         normal_form, row_profile, row_rank, rref_rows)
 from oracles import Span, det_by_minors, fraction_rref, gcd_rref_int
 
 
@@ -412,6 +413,71 @@ def test_lazy_bareiss_paths():
                 for c, row in zip(out_pivots, out)] == expected
     assert seen == {"pivot", "updated"}
     assert shapes == {-1, 0, 1}
+
+
+def _profile_inputs():
+    """Every matrix of test_kernel_against_both_oracles and test_lazy_bareiss_paths."""
+    fixed, random_inputs, big = _kernel_inputs()
+    return (fixed + random_inputs + big + [rows for rows, _ in LAZY]
+            + list(_staircases(random.Random(8))))
+
+
+@pytest.mark.parametrize("prime", [2, 3, CERTIFICATE_PRIME])
+def test_pivots_inside_the_profile_give_the_same_rref(prime, monkeypatch):
+    """rref_int(rows, P) on the profile rows of row_profile over QQ, P their
+    pivot columns modulo the certificate prime, equals the left-to-right
+    rref_int of those rows, on matrices of every shape.  Modulo 2 and 3 the
+    column profile often differs from the one over QQ, and the call takes
+    the pass again left to right."""
+    monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", prime)
+    shapes = set()
+    unlucky = 0
+    for rows in _profile_inputs():
+        if not rows or not rows[0]:
+            continue
+        nr, nc = len(rows), len(rows[0])
+        shapes.add((nr > nc) - (nr < nc))
+        profile, basis = row_profile(QQ, rows, nc)
+        chosen = [rows[i] for i in profile]
+        expected = rref_int(chosen)
+        assert rref_int(chosen, sorted(basis)) == expected
+        unlucky += expected[0] != sorted(basis)
+    assert shapes == {-1, 0, 1}
+    assert unlucky > (0 if prime == CERTIFICATE_PRIME else 20)
+
+
+def test_pivots_inside_the_profile_take_the_least_entry():
+    """With columns P, _bareiss takes row k as the pivot row of step k with no
+    swap, and pivots on its entry of least absolute value among the columns
+    of P not yet used, although columns outside P hold smaller ones.  Entry c
+    of row k is then the minor of rows 0..k at the columns pivoted before it
+    and c (Bareiss 1968), which the oracle computes by expansion."""
+    rng = random.Random(53)
+    tried = outside = 0
+    while tried < 150:
+        nr = rng.randint(1, 5)
+        nc = nr + rng.randint(1, 3)
+        rows = [[rng.randint(-30, 30) for _ in range(nc)] for _ in range(nr)]
+        for r in rows:
+            r[rng.randrange(nc)] = rng.choice([1, -1])
+        profile, basis = row_profile(QQ, rows, nc)
+        if len(profile) < nr:
+            continue
+        tried += 1
+        columns = sorted(basis)
+        work = list(rows)
+        pivots, sign = _bareiss(work, columns)
+        assert sign == 1 and sorted(pivots) == columns
+        for k, col in enumerate(pivots):
+            minors = {c: det_by_minors([[row[j] for j in pivots[:k] + [c]]
+                                        for row in rows[:k + 1]])
+                      for c in range(nc) if c not in pivots[:k]}
+            assert {c: work[k][c] for c in minors} == minors
+            assert abs(minors[col]) == min(abs(minors[c]) for c in columns
+                                           if c not in pivots[:k] and minors[c])
+            outside += any(0 < abs(v) < abs(minors[col])
+                           for c, v in minors.items() if c not in columns)
+    assert outside > 20
 
 
 def _seeded_rrefs(field, rng):

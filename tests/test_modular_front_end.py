@@ -5,8 +5,8 @@ matrix first, modulo CERTIFICATE_PRIME over QQ and modulo p over GF(p),
 whatever its shape: full rank there proves the identity RREF with no
 kernel call.  Otherwise over GF(p) ``rref_mod`` back-substitutes the
 echelon form of the profile rows, and over QQ ``rref_int`` sees the profile
-rows only, every other row is checked against its result, and an unlucky
-prime falls back to all rows.  Every route must give the canonical RREF
+rows only, with their pivot columns mod p to pivot in, every other row is
+checked against its result, and an unlucky prime falls back to all rows.  Every route must give the canonical RREF
 that ``oracles.gcd_rref_int``, ``oracles.fraction_rref`` and
 ``oracles.field_rref`` compute, whichever prime the front end uses.
 """
@@ -19,6 +19,7 @@ import pytest
 
 import gor3.linalg
 from gor3._rowred_py import rref_int
+from gor3.cases import run_case
 from gor3.fields import GF, QQ
 from gor3.linalg import CERTIFICATE_PRIME as P
 from gor3.linalg import kernel_rows, row_profile, row_rank, rref_rows
@@ -38,9 +39,9 @@ def kernel_calls(monkeypatch):
     rank_profile_mod = gor3.linalg.rank_profile_mod
     rref_mod = gor3.linalg.rref_mod
 
-    def counted_int(rows):
+    def counted_int(rows, pivots=None):
         calls.append(("int", [list(r) for r in rows]))
-        return rref_int(rows)
+        return rref_int(rows, pivots)
 
     def counted_profile(rows, p, limit):
         calls.append(("mod", p))
@@ -134,6 +135,28 @@ def test_column_profile_mismatch(kernel_calls):
     del kernel_calls[:]
     assert _check([[P, 1], [2 * P, 2]]) == [0]
     assert _exact_calls(kernel_calls) == [[[P, 1]]]
+    # mod P the pivot columns are 1 and 2, over QQ 0 and 2: the pass that
+    # pivots inside 1 and 2 leaves P in column 0, left of the first pivot,
+    # and the same call takes it again left to right
+    del kernel_calls[:]
+    assert _check([[P, 1, 0], [0, 0, 1]]) == [0, 2]
+    assert _exact_calls(kernel_calls) == [[[P, 1, 0], [0, 0, 1]]]
+
+
+def test_socle_pieces_pivot_inside_their_profile(monkeypatch):
+    """The ten (5, 2) socle-degree pieces of a seed-23 model-properness
+    pass over QQ reach rref_int with the pivot columns of their profile
+    rows, one per row, and give the RREF of the left-to-right pass."""
+    calls = []
+    monkeypatch.setattr(gor3.linalg, "rref_int",
+                        lambda rows, pivots=None:
+                        calls.append((rows, pivots)) or rref_int(rows, pivots))
+    assert run_case("model-properness", QQ, 23).passed
+    pieces = [(rows, pivots) for rows, pivots in calls if len(rows) == 35]
+    assert len(pieces) == 10
+    for rows, pivots in pieces:
+        assert len(pivots) == 35
+        assert rref_int(rows, pivots) == rref_int(rows)
 
 
 def test_wide_matrices_take_the_front_end(kernel_calls):
@@ -266,7 +289,8 @@ def _answers_at_each_prime(monkeypatch, rows, nc):
         monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", p)
         seen = []
         monkeypatch.setattr(gor3.linalg, "rref_int",
-                            lambda r: seen.append(len(r)) or rref_int(r))
+                            lambda r, pivots=None:
+                            seen.append(len(r)) or rref_int(r, pivots))
         out[p] = (rref_rows(QQ, rows, nc), row_rank(QQ, rows, nc),
                   kernel_rows(QQ, rows, nc), len(rows) in seen)
     return out

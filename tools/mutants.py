@@ -13,7 +13,9 @@ generators and the socle, minimal generators that stop at the socle
 degree of a certified Gorenstein colon or Ann(F), the field test that
 sends GF(p) rows to rref_mod, the pure powers directrix_form reads off
 the exponents of F, and the socle degree below the full piece at the
-bound, which socle_report counts with no branch of its own.  Each entry
+bound, which socle_report counts with no branch of its own, and the QQ
+pivots taken inside the columns the mod-p profile proved, with the check
+that the result is the RREF.  Each entry
 of MUTANTS breaks one of them with one exact source edit and names the
 tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
@@ -175,6 +177,13 @@ MUTANTS = [
      IDEALS, "for t in range(bound):", "for t in range(bound - 1):",
      ["tests/test_socle_dims.py::test_squared_tower",
       "tests/test_socle_dims.py::test_socle_dims_equal_the_kernel_route"]),
+    ("rref_int keeps a pass inside the profile's columns that is not the RREF",
+     KERNEL, "        if not any(any(vals[:col - i])", "        if True or not any(any(vals[:col - i])",
+     ["tests/test_modular_front_end.py::test_column_profile_mismatch",
+      "tests/test_linalg.py::test_pivots_inside_the_profile_give_the_same_rref"]),
+    ("the QQ pivot search ranges over every column, not the profile's",
+     KERNEL, "unused = list(columns or ())", "unused = list(range(nc))",
+     ["tests/test_linalg.py::test_pivots_inside_the_profile_take_the_least_entry"]),
 ]
 
 
