@@ -10,19 +10,20 @@ a pivot; rref_mod back-substitutes the echelon form it kept, so a rank, a
 profile and an RREF mod p all come from one pass.  Over QQ the pass is
 left to right unless the caller proved pivot columns mod p: then it pivots
 inside them, on the smallest entry of each pivot row, since every Bareiss
-entry is a minor of the rows and columns pivoted so far, and rref_int
-checks that the result is the RREF.  Both forward passes are lazy.  In
-_bareiss a row holds minors at its own level, the pivot of the step that
-last updated it, and is divided by that level's pivot when it is next
-updated; a row with a zero in the pivot column is left as it is, and a
-pivot row is brought up to date when it is chosen.  In rank_profile_mod
-a row is one Python int with a slot per column (Kronecker substitution);
-a slot is reduced mod p only when it is read, and a row is updated at a
-pivot by one multiply-add of ints, with no per-entry loop and no
-remainder (delayed reduction, as in Dumas, Fousse and Salvy, J. Symb.
-Comput. 46, 2011).  The kernels live in a module of their own, apart
-from ``linalg``, so that the perfbench tracer times them as the kernel
-layer and not as ``linalg`` functions.
+entry is a minor of the rows and columns pivoted so far.  The kernels keep
+no prime policy: whether the result is the RREF, and what to do when the
+prime was unlucky, is decided by linalg.rref_rows.  Both forward passes
+are lazy.  In _bareiss a row holds minors at its own level, the pivot of
+the step that last updated it, and is divided by that level's pivot when
+it is next updated; a row with a zero in the pivot column is left as it
+is, and a pivot row is brought up to date when it is chosen.  In
+rank_profile_mod a row is one Python int with a slot per column
+(Kronecker substitution); a slot is reduced mod p only when it is read,
+and a row is updated at a pivot by one multiply-add of ints, with no
+per-entry loop and no remainder (delayed reduction, as in Dumas, Fousse
+and Salvy, J. Symb. Comput. 46, 2011).  The kernels live in a module of
+their own, apart from ``linalg``, so that the perfbench tracer times them
+as the kernel layer and not as ``linalg`` functions.
 """
 
 from math import gcd
@@ -42,12 +43,14 @@ def _bareiss(work, columns=None):
     Without columns the pivots are taken left to right: the pivot of each
     column is its first nonzero row at or below the current step, swapped
     up.  columns lists pivot columns whose block in work is nonsingular,
-    one per row (those of the mod-p profile in linalg.rref_rows).  Then row
-    k is the pivot row of step k, with no swap, since the Schur complement
-    of a nonsingular block has no zero row, and its pivot is its entry of
-    least absolute value in a column of columns not yet used.  After k
-    steps every entry is a (k+1) x (k+1) minor of the rows and columns
-    pivoted so far, so small pivots keep the minors that follow small.
+    one per row (those of the mod-p profile in linalg.rref_rows, which
+    checks the result, since they need not be the pivot columns over QQ).
+    Then row k is the pivot row of step k, with no swap, since the Schur
+    complement of a nonsingular block has no zero row, and its pivot is its
+    entry of least absolute value in a column of columns not yet used.
+    After k steps every entry is a (k+1) x (k+1) minor of the rows and
+    columns pivoted so far, so small pivots keep the minors that follow
+    small.
 
     Rows 0..rank-1 of work end in echelon form, each zero at the pivot
     columns before its own, and the rows below them zero.  Returns
@@ -142,25 +145,21 @@ def rref_int(rows, pivots=None):
     pivots, when given, are columns P, one per row, whose block A_P is
     nonsingular: the pivot columns of these rows modulo a prime, which
     linalg.rref_rows has.  _bareiss then pivots inside P on small entries,
-    and the result is A_P^-1 * rows, which is the RREF exactly when no row
-    is nonzero in a free column left of its pivot.  Otherwise the prime was
-    unlucky (its column profile is not the one over QQ) and the pass is
-    taken again, left to right, in the same call.
+    and out is A_P^-1 * rows, with content 1 and a positive pivot, sorted
+    by pivot column: the RREF when P is the column profile over QQ, and
+    otherwise nonzero in some free column left of a pivot, which
+    linalg.rref_rows checks.
     """
-    for columns in (pivots, None):
-        work = list(rows)
-        order, _ = _bareiss(work, columns)
-        if not order:
-            return [], []
-        nc = len(work[0])
-        free = [c for c in range(nc) if c not in order]
-        d = abs(work[len(order) - 1][order[-1]])
-        solved = sorted(zip(order, _back_substitute(work, order, free, d)))
-        # the i-th row by pivot column has col - i free columns left of it
-        if not any(any(vals[:col - i]) for i, (col, vals) in enumerate(solved)):
-            break
+    work = list(rows)
+    order, _ = _bareiss(work, pivots)
+    if not order:
+        return [], []
+    nc = len(work[0])
+    free = [c for c in range(nc) if c not in order]
+    d = abs(work[len(order) - 1][order[-1]])
     out = []
-    for col, vals in solved:
+    solved = _back_substitute(work, order, free, d)
+    for col, vals in sorted(zip(order, solved)):
         g = gcd(d, *vals)
         line = [0] * nc
         line[col] = d // g

@@ -25,10 +25,11 @@ one value.  rref_rows takes that pass once, or reads it whole from a
 caller that has it, for every matrix:
 a full profile is the identity, over GF(p) rref_mod back-substitutes the
 echelon form, and over QQ the profile decides which rows the exact kernel
-sees and, by its pivot columns, the columns that kernel pivots in.  A rank
-alone never builds a reduced form: it is the length of that profile, or
-over QQ, when the profile falls short of full rank, the pivot count of the
-exact forward elimination.
+sees and, by its pivot columns, the columns that kernel pivots in; one
+check in rref_rows proves that result or, on an unlucky prime, eliminates
+all rows left to right.  A rank alone never builds a reduced form: it is
+the length of that profile, or over QQ, when the profile falls short of
+full rank, the pivot count of the exact forward elimination.
 """
 
 from __future__ import annotations
@@ -116,12 +117,14 @@ def rref_rows(field, rows, nc, echelon=None):
     profile of nc rows proves the identity RREF with no kernel call.
     Otherwise over GF(p) rref_mod back-substitutes the echelon form into
     the RREF of the profile rows.  Over QQ only the profile rows are
-    eliminated exactly and every other row is checked against the result;
-    if one lies outside (an unlucky prime), all rows are eliminated.  The
-    profile rows are nonsingular on their pivot columns mod p, the keys of
-    the echelon form, so over QQ too: rref_int pivots inside those columns
-    on small entries, which keeps its minors small, and takes its pass
-    again left to right if the pivot columns over QQ are other ones.
+    eliminated exactly.  They are nonsingular on their pivot columns mod p,
+    the keys of the echelon form, so over QQ too: rref_int pivots inside
+    those columns on small entries, which keeps its minors small, and
+    returns A_P^-1 times the profile rows.  One check then proves the
+    result: no row is nonzero left of its pivot (else the column profile
+    over QQ is another one) and every other row has a zero residual (else
+    a row lies outside their span).  If it fails, the prime was unlucky
+    and all rows are eliminated left to right, the one fallback.
     """
     profile, basis = echelon or row_profile(field, rows, nc)
     if len(profile) == nc:
@@ -131,8 +134,9 @@ def rref_rows(field, rows, nc, echelon=None):
     chosen = set(profile)
     pivots, red = rref_int([rows[i] for i in profile], sorted(basis))
     _, free, nf = normal_form(pivots, red, nc)
-    if any(any(_residual(r, nf, len(free)))
-           for i, r in enumerate(rows) if i not in chosen):
+    if (any(any(row[:c]) for c, row in zip(pivots, red))
+            or any(any(_residual(r, nf, len(free)))
+                   for i, r in enumerate(rows) if i not in chosen)):
         return rref_int(rows)
     return pivots, red
 

@@ -1,5 +1,6 @@
 import pytest
 
+import gor3.linalg
 from gor3 import GradedIdeal, parse_poly
 from gor3.cases import (
     ex_2_5_ideal,
@@ -57,3 +58,21 @@ def five_gen_dp2():
 @pytest.fixture(scope="session")
 def cubes():
     return GradedIdeal.from_strings(["x^3", "y^3", "z^3"])
+
+
+@pytest.fixture
+def rref_int_calls(monkeypatch):
+    """The calls of rref_int, the exact QQ kernel behind gor3.linalg, in
+    order, as (rows, pivots): a copy of the rows and the pivot columns it
+    was given (None for the left-to-right pass).  Every argument is
+    forwarded to the kernel as it came."""
+    calls = []
+    rref_int = gor3.linalg.rref_int
+
+    def recorded(rows, *args, **kwargs):
+        pivots = args[0] if args else kwargs.get("pivots")
+        calls.append(([list(r) for r in rows], pivots))
+        return rref_int(rows, *args, **kwargs)
+
+    monkeypatch.setattr(gor3.linalg, "rref_int", recorded)
+    return calls

@@ -66,12 +66,7 @@ def _top_degree(I):
         return I.n * (I.max_generator_degree - 1) + 1
 
 
-def test_pieces_equal_the_exact_elimination(monkeypatch):
-    calls = []
-    rref_int = gor3.linalg.rref_int
-    monkeypatch.setattr(gor3.linalg, "rref_int",
-                        lambda rows, pivots=None:
-                        calls.append(rows) or rref_int(rows, pivots))
+def test_pieces_equal_the_exact_elimination(rref_int_calls):
     rng = random.Random(7)
     proved = eliminated = 0     # pieces with at least dim R_t shifted rows
     for n, degrees, common in RANDOM_IDEALS:
@@ -79,33 +74,29 @@ def test_pieces_equal_the_exact_elimination(monkeypatch):
         # on a copy, so that every piece of I below is built in its own step
         top = _top_degree(GradedIdeal(n, I.generators, QQ))
         for t in range(top + 2):
-            before = len(calls)
+            before = len(rref_int_calls)
             piece = I.graded_piece(t)
             assert piece == _exact_piece(I, t), (n, degrees, common, t)
             rows = sum(monomial_count(n, t - d) for d, _ in I._gen_data if d <= t)
             if rows >= monomial_count(n, t) and not (t and I._pieces[t - 1].is_full):
                 if piece.is_full:
-                    proved += len(calls) == before
+                    proved += len(rref_int_calls) == before
                 else:
-                    eliminated += len(calls) > before
+                    eliminated += len(rref_int_calls) > before
     # some pieces were proved full mod p with no exact elimination, and some
     # with enough rows were not full and were eliminated exactly
     assert proved and eliminated
 
 
-def test_unlucky_prime_falls_back_to_the_exact_elimination(monkeypatch):
+def test_unlucky_prime_falls_back_to_the_exact_elimination(rref_int_calls):
     x = MultiPoly.variable(0, 2)
     y = MultiPoly.variable(1, 2)
     I = GradedIdeal(2, [x, y.scale(CERTIFICATE_PRIME)])
     # singular modulo the certificate prime, full over QQ: the profile row x
     # is eliminated, P*y fails the check, and then both rows are eliminated
-    calls = []
-    rref_int = gor3.linalg.rref_int
-    monkeypatch.setattr(gor3.linalg, "rref_int",
-                        lambda rows, pivots=None:
-                        calls.append(rows) or rref_int(rows, pivots))
     assert I.graded_piece(1) == full_piece(2, 1, QQ)
-    assert calls == [[[1, 0]], [[1, 0], [0, CERTIFICATE_PRIME]]]
+    assert ([rows for rows, _ in rref_int_calls]
+            == [[[1, 0]], [[1, 0], [0, CERTIFICATE_PRIME]]])
     assert I.artinian_bound() == 1
 
 

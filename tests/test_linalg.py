@@ -422,28 +422,67 @@ def _profile_inputs():
             + list(_staircases(random.Random(8))))
 
 
-@pytest.mark.parametrize("prime", [2, 3, CERTIFICATE_PRIME])
-def test_pivots_inside_the_profile_give_the_same_rref(prime, monkeypatch):
-    """rref_int(rows, P) on the profile rows of row_profile over QQ, P their
-    pivot columns modulo the certificate prime, equals the left-to-right
-    rref_int of those rows, on matrices of every shape.  Modulo 2 and 3 the
-    column profile often differs from the one over QQ, and the call takes
-    the pass again left to right."""
-    monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", prime)
-    shapes = set()
-    unlucky = 0
+def _profiles():
+    """(rows, chosen, columns, unlucky) for every matrix rows of
+    _profile_inputs with a row and a column: chosen its profile rows from
+    row_profile over QQ, columns their pivot columns modulo the certificate
+    prime, and unlucky whether those are not their pivot columns over QQ."""
     for rows in _profile_inputs():
         if not rows or not rows[0]:
             continue
-        nr, nc = len(rows), len(rows[0])
-        shapes.add((nr > nc) - (nr < nc))
+        nc = len(rows[0])
         profile, basis = row_profile(QQ, rows, nc)
         chosen = [rows[i] for i in profile]
-        expected = rref_int(chosen)
-        assert rref_int(chosen, sorted(basis)) == expected
-        unlucky += expected[0] != sorted(basis)
+        yield rows, chosen, sorted(basis), rref_int(chosen)[0] != sorted(basis)
+
+
+@pytest.mark.parametrize("prime", [2, 3, CERTIFICATE_PRIME])
+def test_pivots_inside_the_profile_give_the_same_rref(prime, monkeypatch):
+    """rref_rows over QQ, which hands rref_int the profile rows and their
+    pivot columns modulo the certificate prime, equals the left-to-right
+    rref_int of all rows, on matrices of every shape.  Modulo 2 and 3 the
+    column profile often differs from the one over QQ, and rref_rows
+    eliminates all rows again."""
+    monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", prime)
+    shapes = set()
+    unlucky = 0
+    for rows, _, _, mismatch in _profiles():
+        nr, nc = len(rows), len(rows[0])
+        shapes.add((nr > nc) - (nr < nc))
+        assert rref_rows(QQ, rows, nc) == rref_int(rows)
+        unlucky += mismatch
     assert shapes == {-1, 0, 1}
     assert unlucky > (0 if prime == CERTIFICATE_PRIME else 20)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_pivots_outside_the_column_profile_give_the_row_space(prime, monkeypatch):
+    """rref_int(rows, P), P pivot columns of rows modulo prime that are not
+    their pivot columns over QQ, returns primitive rows, one per column of
+    P in order, each with a positive entry at its own column of P and zero
+    at the others.  They span the row space of rref_int(rows): each has a
+    zero residual against its normal_form.  Some row is nonzero left of its
+    pivot, which is what rref_rows checks; otherwise they would be a second
+    RREF of the same row space."""
+    monkeypatch.setattr(gor3.linalg, "CERTIFICATE_PRIME", prime)
+    unlucky = 0
+    for _, chosen, columns, mismatch in _profiles():
+        if not mismatch:
+            assert rref_int(chosen, columns) == rref_int(chosen)
+            continue
+        unlucky += 1
+        nc = len(chosen[0])
+        pivots, out = rref_int(chosen, columns)
+        assert pivots == columns and len(out) == len(chosen)
+        for c, row in zip(pivots, out):
+            assert row[c] > 0 and gcd(*row) == 1
+            assert not any(row[p] for p in pivots if p != c)
+        assert any(any(row[:c]) for c, row in zip(pivots, out))
+        _, free, nf = normal_form(*rref_int(chosen), nc)
+        for row in out:
+            assert not any(sum(v * nf[x][j] for x, v in enumerate(row) if v)
+                           for j in range(len(free)))
+    assert unlucky > 20
 
 
 def test_pivots_inside_the_profile_take_the_least_entry():

@@ -5,8 +5,10 @@ matrix first, modulo CERTIFICATE_PRIME over QQ and modulo p over GF(p),
 whatever its shape: full rank there proves the identity RREF with no
 kernel call.  Otherwise over GF(p) ``rref_mod`` back-substitutes the
 echelon form of the profile rows, and over QQ ``rref_int`` sees the profile
-rows only, with their pivot columns mod p to pivot in, every other row is
-checked against its result, and an unlucky prime falls back to all rows.  Every route must give the canonical RREF
+rows only, with their pivot columns mod p to pivot in.  ``rref_rows`` then
+checks that no result row is nonzero left of its pivot and that every
+other row lies in their span; an unlucky prime fails the check and all
+rows are eliminated left to right.  Every route must give the canonical RREF
 that ``oracles.gcd_rref_int``, ``oracles.fraction_rref`` and
 ``oracles.field_rref`` compute, whichever prime the front end uses.
 """
@@ -130,29 +132,27 @@ def test_column_profile_mismatch(kernel_calls):
     del kernel_calls[:]
     assert _check([[P, 1], [2 * P, 3]]) == [0, 1]
     assert _exact_calls(kernel_calls) == [[[P, 1]], [[P, 1], [2 * P, 3]]]
-    # the same first row with a dependent second row: the profile row is
-    # right although its pivot column mod P is not
+    # the same first row with a dependent second row: the second row lies in
+    # the span of the profile row, but the pass that pivots in column 1
+    # leaves P left of its pivot, so rref_rows eliminates all rows
     del kernel_calls[:]
     assert _check([[P, 1], [2 * P, 2]]) == [0]
-    assert _exact_calls(kernel_calls) == [[[P, 1]]]
-    # mod P the pivot columns are 1 and 2, over QQ 0 and 2: the pass that
-    # pivots inside 1 and 2 leaves P in column 0, left of the first pivot,
-    # and the same call takes it again left to right
+    assert _exact_calls(kernel_calls) == [[[P, 1]], [[P, 1], [2 * P, 2]]]
+    # mod P the pivot columns are 1 and 2, over QQ 0 and 2: the profile is
+    # every row, and the pass that pivots inside 1 and 2 leaves P in column
+    # 0, left of the first pivot; rref_rows then takes the left-to-right
+    # pass on all rows, the same rows here
     del kernel_calls[:]
     assert _check([[P, 1, 0], [0, 0, 1]]) == [0, 2]
-    assert _exact_calls(kernel_calls) == [[[P, 1, 0], [0, 0, 1]]]
+    assert _exact_calls(kernel_calls) == [[[P, 1, 0], [0, 0, 1]]] * 2
 
 
-def test_socle_pieces_pivot_inside_their_profile(monkeypatch):
+def test_socle_pieces_pivot_inside_their_profile(rref_int_calls):
     """The ten (5, 2) socle-degree pieces of a seed-23 model-properness
     pass over QQ reach rref_int with the pivot columns of their profile
     rows, one per row, and give the RREF of the left-to-right pass."""
-    calls = []
-    monkeypatch.setattr(gor3.linalg, "rref_int",
-                        lambda rows, pivots=None:
-                        calls.append((rows, pivots)) or rref_int(rows, pivots))
     assert run_case("model-properness", QQ, 23).passed
-    pieces = [(rows, pivots) for rows, pivots in calls if len(rows) == 35]
+    pieces = [(rows, pivots) for rows, pivots in rref_int_calls if len(rows) == 35]
     assert len(pieces) == 10
     for rows, pivots in pieces:
         assert len(pivots) == 35

@@ -14,10 +14,11 @@ degree of a certified Gorenstein colon or Ann(F), the field test that
 sends GF(p) rows to rref_mod, the pure powers directrix_form reads off
 the exponents of F, and the socle degree below the full piece at the
 bound, which socle_report counts with no branch of its own, and the QQ
-pivots taken inside the columns the mod-p profile proved, with the check
-that the result is the RREF.  Each entry
-of MUTANTS breaks one of them with one exact source edit and names the
-tests that must then fail.
+pivots taken inside the columns the mod-p profile proved, with the one
+check in rref_rows (no row nonzero left of its pivot, no other row
+outside the span) that proves the result the RREF of all rows.  Each
+entry of MUTANTS breaks one of them with one exact source edit and names
+the tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
 the edit there (the working tree is never touched), runs the listed tests
 against the copy, and counts the mutant killed only when pytest reports
@@ -75,8 +76,8 @@ MUTANTS = [
      "if len(row_profile(self.field, cat, h)[0]) < h - 1:",
      ["tests/test_duality_certificate.py"]),
     ("the QQ front end skips the residual check of the other rows",
-     LINALG, "    if any(any(_residual(r, nf, len(free)))",
-     "    if False and any(any(_residual(r, nf, len(free)))",
+     LINALG, "or any(any(_residual(r, nf, len(free)))",
+     "or False and any(any(_residual(r, nf, len(free)))",
      ["tests/test_modular_front_end.py"]),
     ("the QQ fallback returns the profile rows' RREF, not rref_int(rows)",
      LINALG, "        return rref_int(rows)\n", "        return pivots, red\n",
@@ -177,8 +178,9 @@ MUTANTS = [
      IDEALS, "for t in range(bound):", "for t in range(bound - 1):",
      ["tests/test_socle_dims.py::test_squared_tower",
       "tests/test_socle_dims.py::test_socle_dims_equal_the_kernel_route"]),
-    ("rref_int keeps a pass inside the profile's columns that is not the RREF",
-     KERNEL, "        if not any(any(vals[:col - i])", "        if True or not any(any(vals[:col - i])",
+    ("rref_rows keeps a pass inside the profile's columns that is not the RREF",
+     LINALG, "if (any(any(row[:c]) for c, row in zip(pivots, red))",
+     "if (False and any(any(row[:c]) for c, row in zip(pivots, red))",
      ["tests/test_modular_front_end.py::test_column_profile_mismatch",
       "tests/test_linalg.py::test_pivots_inside_the_profile_give_the_same_rref"]),
     ("the QQ pivot search ranges over every column, not the profile's",
