@@ -3,13 +3,16 @@
 The dual module carries the contraction action: x^a sends y^[b] to y^[b-a],
 with the term dropped whenever an exponent goes negative.  Coefficients are
 multiplied through as given (no binomial factors), so everything here is
-characteristic-free.  Annihilators of dual forms are read off
-pieces.annihilator_pieces, the catalecticant kernels that colons of pure
-powers use too.  A dual form stores its terms like a polynomial (the
-sparse-form base of poly) but has no ring operations: R acts on it only by
-contraction.  A Gorenstein ideal is Ann(F) for its Macaulay inverse F, so
-directrix_form reads which pure powers x_i^m it holds off the exponents of
-F, with no membership test.
+characteristic-free.  The annihilator of a dual form is built from it by
+GradedIdeal.from_dual, as colons of pure powers are: certified Gorenstein
+by construction, its Hilbert values from the catalecticant kernels through
+half its degree, any other piece a kernel built when first read
+(pieces.annihilator_pieces).  The ideal keeps F, and macaulay_inverse
+returns the F any certified ideal keeps.  A dual form stores its terms like
+a polynomial (the sparse-form base of poly) but has no ring operations: R
+acts on it only by contraction.  A Gorenstein ideal is Ann(F) for its
+Macaulay inverse F, so directrix_form reads which pure powers x_i^m it
+holds off the exponents of F, with no membership test.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from .fields import QQ
 from .ideals import GradedIdeal
 from .monomials import mono_sub
-from .pieces import annihilator_pieces, dual_vector, integer_terms, vector_to_poly
+from .pieces import dual_coefficients, dual_vector, integer_terms, vector_to_poly
 from .poly import MultiPoly, _SparseForm
 
 
@@ -56,37 +59,42 @@ def contract(f: MultiPoly, F: InverseForm) -> InverseForm:
 def annihilator(F: InverseForm) -> GradedIdeal:
     """The ideal of forms contracting F to zero.
 
-    Its pieces are catalecticant kernels through deg(F) and all of R from
-    deg(F) + 1 on (pieces.annihilator_pieces), so every minimal generator
-    has degree at most deg F unless F is a divided power of one linear form
-    (GradedIdeal.minimal_generators).
+    GradedIdeal.from_dual builds it certified, with the catalecticant
+    kernels through deg(F) / 2 and the Hilbert values they give; every
+    other piece below deg(F) + 1 is a kernel too, built when first read
+    (pieces.annihilator_pieces), and all of R from deg(F) + 1 on.  So its
+    minimal generators stop at deg(F) + 2 - d0, d0 the least degree of a
+    generator, in two or more variables (GradedIdeal.minimal_generators).
     """
     if F.is_zero():
         raise ValueError("annihilator of the zero dual form")
-    pieces = annihilator_pieces(F.n, F.degree(), integer_terms(F), F.field)
-    return GradedIdeal.from_pieces(F.n, pieces, F.field)
+    return GradedIdeal.from_dual(F.n, *dual_coefficients(F.n, integer_terms(F)), F.field)
 
 
 def macaulay_inverse(I: GradedIdeal) -> InverseForm:
     """The degree-s dual generator annihilated by I (s = socle degree).
 
     Unique up to a scalar for Gorenstein input; normalized so the first
-    nonzero coefficient in the canonical dual order is 1.
+    nonzero coefficient in the canonical dual order is 1.  An I proved to
+    be Ann(F) keeps F (GradedIdeal.certified_dual), which socle_report
+    proves when it can, so no piece is read.
     """
     report = I.socle_report()
     s = report.socle_degree
     n, field = I.n, I.field
-    # F is annihilated by I exactly when every x^alpha * g of degree s
-    # contracts it to zero, i.e. when its coefficient vector is orthogonal to
-    # the piece I_s: one free column of that piece, the vector the Gorenstein
-    # certificate (GradedIdeal._certify) reads
-    piece = I.graded_piece(s)
-    kernel_dim = piece.ambient_dim - piece.dim
-    if kernel_dim != 1:
-        raise NotGorensteinError(
-            f"dual socle generator is not unique (kernel dimension "
-            f"{kernel_dim} in degree {s})")
-    vec = [field.of(v) for v in dual_vector(piece)]
+    F = I.certified_dual
+    if F is None:
+        # F is annihilated by I exactly when every x^alpha * g of degree s
+        # contracts it to zero, i.e. when its coefficient vector is
+        # orthogonal to the piece I_s: one free column of that piece
+        piece = I.graded_piece(s)
+        kernel_dim = piece.ambient_dim - piece.dim
+        if kernel_dim != 1:
+            raise NotGorensteinError(
+                f"dual socle generator is not unique (kernel dimension "
+                f"{kernel_dim} in degree {s})")
+        F = dual_vector(piece)
+    vec = [field.of(v) for v in F]
     lead = next(v for v in vec if not field.is_zero(v))
     inv = field.inv(lead)
     vec = [field.mul(inv, v) for v in vec]

@@ -11,17 +11,22 @@ row rank profiles mod p.  A Gorenstein ideal is certified to be Ann(F), by
 Macaulay duality, from the one exact piece in its socle degree (_certify):
 by the walk at a value 1 when H(1) >= 2, with no piece below it and no
 profile above it, by minimal_generators on the exact values of a complete
-colon or Ann(F), with no degree-one multiples of I_s, and by socle_report on
-those of any other complete ideal, with no multiplication map.  The walk
-reduces each row forward once: the echelon form its profile pass keeps
-finishes a GF(p) piece by back-substitution (_upper_hilbert).
+colon, with no piece above its last generator degree, and by socle_report
+on those of any other complete ideal, with no multiplication map.  Ann(F)
+made from F (from_dual: annihilators, colons of pure powers) is certified
+by construction.  A certified ideal keeps F (certified_dual), which
+macaulay_inverse returns and pure_power_index reads.  The walk reduces each
+row forward once: the echelon form its profile pass keeps finishes a GF(p)
+piece by back-substitution (_upper_hilbert).
 
 GradedPiece and the builders of its rows (shifted generators, catalecticants,
 the pieces of Ann(F)) live in pieces; this module keeps the pieces an ideal
 has built (_pieces, _power_pieces) and what it knows short of them (_Walk),
-and asks them questions.  Minimal generators are read off them once per
-ideal; an ideal made from its pieces (colons, Ann(F)) reads them on first use,
-through its socle degree when the certificate holds there.
+and asks them questions.  Minimal generators and the socle report are read
+off them once per ideal; an ideal made from its pieces (colons) or from F
+(Ann(F)) reads its generators on first use, through s + 2 - d0 when the
+certificate holds.  Ann(F) eliminates Cat_t(F) for t <= s/2 when it is
+made, for every Hilbert value, and any other piece when it is first read.
 Powers of I, J * I and J * I^2 follow one product rule (_rows_times):
 (I * B)_t = sum of g * B_{t - deg g} over the generators g, which is I's
 own piece I_t when every B_{t - deg g} is full; else its rows g * b come
@@ -39,9 +44,9 @@ from .fields import QQ
 from .linalg import kernel_rref, normal_form, row_profile, row_rank, rref_rows
 from .monomials import monomial_count, monomials_of_degree, product_table
 from .parsing import parse_poly
-from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_vector,
-                     fresh_generators, full_piece, integer_span, integer_terms,
-                     shifted_vectors)
+from .pieces import (GradedPiece, annihilator_pieces, catalecticant, dual_coefficients,
+                     dual_vector, fresh_generators, full_piece, integer_span,
+                     integer_terms, shifted_vectors)
 from .poly import MultiPoly, _term_product
 
 
@@ -81,14 +86,16 @@ def _generator_data(gens, field):
 class _Walk:
     """What an ideal knows of H short of its pieces: rows, t -> (rows,
     row_profile) the walk left for graded_piece, none at or above the bound;
-    values, H(0..bound-1) once exact; bound; tried, (values, answer) of _certify."""
-    __slots__ = ("rows", "values", "bound", "tried")
+    values, H(0..bound-1) once exact; bound; tried, (values, answer) of
+    _certify; dual, the coefficient vector of F once I = Ann(F) is proved."""
+    __slots__ = ("rows", "values", "bound", "tried", "dual")
 
     def __init__(self):
         self.rows = {}
         self.values = None
         self.bound = None
         self.tried = (None, False)
+        self.dual = None
 
 
 class GradedIdeal:
@@ -109,8 +116,8 @@ class GradedIdeal:
                 raise ValueError(f"generator {g} is not homogeneous")
             gens.append(g)
         self._gens = gens
-        # minimal_generators, once derived
-        self._minimal = None
+        # minimal_generators and socle_report, once derived
+        self._minimal = self._socle = None
         # the last degree from_pieces read, when no piece it read was full
         self.truncated_at = None
         self._pieces = {}
@@ -121,8 +128,8 @@ class GradedIdeal:
 
     @property
     def generators(self):
-        """The generators as given, or for a from_pieces ideal its minimal
-        generators, derived on first read."""
+        """The generators as given, or for a from_pieces or from_dual ideal
+        its minimal generators, derived on first read."""
         return self.minimal_generators() if self._gens is None else self._gens
 
     @property
@@ -159,10 +166,42 @@ class GradedIdeal:
         return ideal
 
     @classmethod
+    def from_dual(cls, n, s, F, field):
+        """Ann(F) for the nonzero dual form F of degree s, given as its
+        coefficient vector (pieces.dual_coefficients), certified by
+        construction: I = Ann(F) is Gorenstein with socle {s: 1} and bound
+        s + 1 (Macaulay duality; Iarrobino-Kanev, LNM 1721), as _certify
+        would prove it, and keeps F.
+
+        Cat_{s-t}(F) is the transpose of Cat_t(F) over any field, so the
+        kernels of Cat_t(F) for t <= s/2, built and kept here, give every
+        Hilbert value: H(t) = H(s - t) = rank Cat_t(F).  Every other piece
+        below the bound is the kernel of its catalecticant too, built by
+        graded_piece when first read (pieces.annihilator_pieces).  The
+        minimal generators are derived from the pieces on first read, as for
+        from_pieces.
+        """
+        ideal = cls(n, [], field)
+        ideal._gens = ideal._gen_data_list = None
+        values = [0] * (s + 1)
+        for t, piece in enumerate(annihilator_pieces(n, s, F, field, range(s // 2 + 1))):
+            ideal._pieces[t] = piece
+            values[t] = values[s - t] = piece.ambient_dim - piece.dim
+        walk = ideal._walk
+        walk.values, walk.bound, walk.tried, walk.dual = values, s + 1, (values, True), F
+        return ideal
+
+    @classmethod
     def from_strings(cls, texts, var_names=("x", "y", "z"), field=QQ):
         names = list(var_names)
         gens = [parse_poly(s, names, field) for s in texts]
         return cls(len(names), gens, field)
+
+    @property
+    def certified_dual(self):
+        """The coefficient vector of F over the monomials of degree s once
+        I = Ann(F) is proved (_certify, from_dual), else None."""
+        return self._walk.dual
 
     @property
     def max_generator_degree(self):
@@ -177,6 +216,10 @@ class GradedIdeal:
             if bound is not None and t >= bound:
                 # R_1 * R_{t-1} = R_t from the Artinian bound on
                 piece = full_piece(self.n, t, self.field)
+            elif self._gens is None and self._walk.dual is not None:
+                # no generators of its own, and I = Ann(F) below the bound
+                piece, = annihilator_pieces(self.n, bound - 1, self._walk.dual,
+                                            self.field, (t,))
             else:
                 rows, echelon = self._walk.rows.pop(t, (None, None))
                 if rows is None:
@@ -228,7 +271,8 @@ class GradedIdeal:
         and Cat_{s-t} are transposes, so ranks equal to upper[t] for every
         t <= s/2 prove every Hilbert value and I_t = Ann(F)_t for t <= s:
         with I_{s+1} full, R/I is Gorenstein with socle {s: 1}.  _Walk keeps
-        the values then, and the last answer with its values for a repeat call.
+        the values and F then, and the last answer with its values for a
+        repeat call.  from_dual records the answer as holding.
         """
         if self._walk.tried[0] == upper:
             return self._walk.tried[1]
@@ -245,7 +289,7 @@ class GradedIdeal:
             cat = catalecticant(self.n, s, F, t)
             if len(row_profile(self.field, cat, h)[0]) != h:
                 return False
-        self._walk.values, self._walk.tried = upper, (upper, True)
+        self._walk.values, self._walk.tried, self._walk.dual = upper, (upper, True), F
         return True
 
     def artinian_bound(self) -> int:
@@ -330,15 +374,23 @@ class GradedIdeal:
     def minimal_generators(self):
         """The minimal generators, read off the graded pieces once: the rows
         of each piece outside R_1 times the piece below, through the top
-        generator degree (for a from_pieces ideal, truncated_at or its bound).
+        generator degree (for a from_pieces or from_dual ideal, truncated_at
+        or its bound).
 
-        A complete from_pieces ideal stops one degree below its bound, at its
-        socle degree s, when H(1) >= 2 and _certify proves I = Ann(F) on the
-        Hilbert values: then R_1 * I_s = R_{s+1} (proved in artinian_bound),
-        so the piece at the bound holds no generator and the degree-one
-        multiples of I_s are never formed.  socle_report recalls that try.
-        Ann(X^[s]) has H(1) = 1 and a generator x^{s+1} at its bound; a
-        colon that is not Gorenstein may have generators there too."""
+        A complete ideal made from its pieces or from F stops below its
+        bound s + 1 when _certify proves I = Ann(F) on the Hilbert values
+        (from_dual holds it from the start; socle_report recalls the try):
+        - in n >= 2 variables at s + 2 - d0, d0 the initial degree.  The
+          minimal resolution of a Gorenstein R/I is self-dual, so
+          beta_{1,a} = beta_{n-1,s+n-a}, and the last syzygies start at
+          least n - 2 degrees above d0, in degree d0 + n - 2 or later
+          (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3): so a <= s + 2 - d0;
+        - at s when H(1) >= 2, where that is tighter (d0 = 1): then
+          R_1 * I_s = R_{s+1} (proved in artinian_bound).
+        No piece above the stop is read, and no degree-one multiple of the
+        piece at the stop is formed.  Ann(X^[s]) has H(1) = 1 and d0 = 1, and
+        a generator x^{s+1} at its bound; a colon that is not Gorenstein
+        may have generators there too."""
         if self._minimal is None:
             if self._gens is not None:
                 top = self.max_generator_degree
@@ -347,9 +399,14 @@ class GradedIdeal:
             else:
                 top = self._walk.bound
                 # the unit ideal, top 0, has no piece of degree 1 to read
-                if (top and self.hilbert_function(1) >= 2
-                        and self._certify(self.hilbert_series_table(top - 1))):
-                    top -= 1    # R_1 * I_s = R_{s+1}: no generator at the bound
+                if top and self._certify(self.hilbert_series_table(top - 1)):
+                    s, n = top - 1, self.n
+                    if self.hilbert_function(1) >= 2:
+                        top = s     # R_1 * I_s = R_{s+1}: no generator at the bound
+                    if n >= 2:
+                        d0 = next(t for t in range(s + 2)
+                                  if self.hilbert_function(t) < monomial_count(n, t))
+                        top = min(top, s + 2 - d0)
             self._minimal = [g for t in range(top + 1) for g in fresh_generators(
                 self.graded_piece(t), self.graded_piece(t - 1) if t else None)]
         return self._minimal
@@ -399,14 +456,16 @@ class GradedIdeal:
 
         The base alone picks the route.  Pure powers (x_1^{m_1}, ...,
         x_n^{m_n}) are Ann(X^[m-1]) in Macaulay duality, so their colon is
-        Ann(f o X^[m-1]) (annihilator_pieces): the term of f at alpha sends
-        X^[m-1] to X^[m-1-alpha], and drops out unless alpha <= m - 1 in
-        every coordinate.  Every other base goes through the kernel of
-        multiplication by f into R/I, one elimination per degree.  Both give
-        the canonical RREF of each piece and so the same generators.
+        Ann(f o X^[m-1]), built from that dual form by from_dual: the term
+        of f at alpha sends X^[m-1] to X^[m-1-alpha], and drops out unless
+        alpha <= m - 1 in every coordinate.  Every other base goes through
+        the kernel of multiplication by f into R/I, one elimination per
+        degree, and from_pieces.  Both give the canonical RREF of each piece
+        and so the same generators.
 
         t_max only truncates: no piece above it is read, and from_pieces
-        labels the result truncated unless a piece through t_max is full.
+        labels the result truncated unless a piece through t_max is full;
+        on pure powers the pieces are those of Ann(F), one kernel each.
         Only without t_max is I walked; for non-Artinian I it is required.
         """
         if f.n != self.n or f.field != self.field:
@@ -417,20 +476,24 @@ class GradedIdeal:
             raise ValueError("colon by a non-homogeneous form")
         n, field, e = self.n, self.field, f.homogeneous_degree()
         m = self._pure_power_exponents()
+        # from_pieces reads no piece above the first full one
         if m is None:
             if t_max is None:
                 self.artinian_bound()   # a non-Artinian I raises here
-            # from_pieces reads no piece above the first full one
             pieces = (self._colon_piece(t, f, e) for t in itertools.count())
         else:
             terms = {tuple(k - 1 - a for k, a in zip(m, alpha)): c
                      for alpha, c in integer_terms(f).items()
                      if all(a < k for a, k in zip(alpha, m))}
-            if terms:
-                pieces = annihilator_pieces(n, sum(m) - n - e, terms, field)
-            else:
+            if not terms:
                 # f lies in the pure powers
                 pieces = [full_piece(n, 0, field)]
+            else:
+                s, F = dual_coefficients(n, terms)
+                if t_max is None:
+                    return GradedIdeal.from_dual(n, s, F, field)
+                kernels = annihilator_pieces(n, s, F, field, range(s + 1))
+                pieces = itertools.chain(kernels, [full_piece(n, s + 1, field)])
         if t_max is not None:
             pieces = itertools.islice(pieces, max(t_max + 1, 0))
         return GradedIdeal.from_pieces(n, pieces, field)
@@ -457,36 +520,35 @@ class GradedIdeal:
 
     def socle_report(self) -> "SocleReport":
         """Socle dimensions of R/I: in degree t, H(t) minus the rank of
-        x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n.
+        x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n, derived once per ideal.
 
-        When I = Ann(F), certified by the walk or here on the exact Hilbert
-        values (_certify recalls a try on the same values), the socle is
-        {s: 1}, s = deg F, and no map is built.
+        When I = Ann(F), certified by the walk, by from_dual or here on the
+        exact Hilbert values (_certify recalls a try on the same values), the
+        socle is {s: 1}, s = deg F, and no map is built.
         """
+        if self._socle is not None:
+            return self._socle
         bound = self.artinian_bound()
         if bound == 0:
             raise ValueError("the unit ideal has no socle (R/I = 0)")
         s = bound - 1
-        if self._certify(self.hilbert_series_table(s)):
-            return SocleReport(socle_dims={s: 1}, socle_degree=s,
-                               is_gorenstein=True, artinian_bound=bound)
         dims = {}
-        for t in range(bound):
-            sdim = self.hilbert_function(t)
-            # the matrices of x_1..x_n stacked, one column per standard
-            # monomial: an injective map has an RREF with no free column;
-            # into the full piece at the bound they have no rows at all
-            stacked = [row for m in self.multiplication_maps(t) for row in zip(*m)]
-            sdim -= row_rank(self.field, stacked, sdim)
-            if sdim:
-                dims[t] = sdim
-        total = sum(dims.values())
-        return SocleReport(
-            socle_dims=dims,
-            socle_degree=max(dims),
-            is_gorenstein=(total == 1),
-            artinian_bound=bound,
-        )
+        if self._certify(self.hilbert_series_table(s)):
+            dims[s] = 1
+        else:
+            for t in range(bound):
+                sdim = self.hilbert_function(t)
+                # the matrices of x_1..x_n stacked, one column per standard
+                # monomial: an injective map has an RREF with no free column;
+                # into the full piece at the bound they have no rows at all
+                stacked = [row for m in self.multiplication_maps(t) for row in zip(*m)]
+                sdim -= row_rank(self.field, stacked, sdim)
+                if sdim:
+                    dims[t] = sdim
+        self._socle = SocleReport(socle_dims=dims, socle_degree=max(dims),
+                                  is_gorenstein=sum(dims.values()) == 1,
+                                  artinian_bound=bound)
+        return self._socle
 
     # ------------------------------------------------------------------
     # virtual datum
@@ -667,19 +729,35 @@ def rewrite_in_linear_forms(f: MultiPoly, lines) -> MultiPoly:
 def pure_power_index(I: GradedIdeal, lines) -> int:
     """Least m with every l_i^m in I.
 
-    Each loop ends by the Artinian bound: every piece from the bound on is
-    full, so l_i^bound lies in I.  artinian_bound is called first for its
-    NotArtinianError.
+    An I proved to be Ann(F) (_certify, from_dual) reads it off F: l^m lies
+    in I_m = Ann(F)_m exactly when l^m o F = 0, and contraction is a module
+    action, so l^m o F is F contracted by l m times, each time with the
+    catalecticant of degree one, with no piece of degree m.  For a variable
+    x_i, m is 1 + the largest exponent of x_i in F.  Without F each loop
+    tests membership degree by degree, and ends by the Artinian bound: every
+    piece from the bound on is full, so l_i^bound lies in I.  artinian_bound
+    is called first for its NotArtinianError.
     """
     _line_inverse(lines, lines[0].n, lines[0].field)
-    I.artinian_bound()
+    bound = I.artinian_bound()
+    F = I.certified_dual
     result = 1
     for ell in lines:
         m = 1
-        power = ell
-        while not I.contains(power):
-            m += 1
-            power = power * ell
+        if F is None:
+            power = ell
+            while not I.contains(power):
+                m += 1
+                power = power * ell
+        else:
+            c, G = I.field.integer_row(ell.to_vector(1))[0], F
+            # l^m o F = l o (l^{m-1} o F), of degree s - m; l^{s+1} o F = 0
+            while m < bound:
+                G = [sum(a * b for a, b in zip(c, row))
+                     for row in catalecticant(I.n, bound - m, G, 1)]
+                if all(map(I.field.is_zero, G)):
+                    break
+                m += 1
         result = max(result, m)
     return result
 

@@ -11,8 +11,13 @@ GradedPiece.contains_vector/contains_poly and vector_to_poly.
 
 Macaulay duality lives here: catalecticant builds the rows of Cat_t(F),
 whose ranks the Gorenstein certificate of ideals reads, and whose kernels
-annihilator_pieces yields as the pieces of Ann(F) for colons of pure powers
-and apolarity.annihilator, each in one elimination (linalg.kernel_rref).
+annihilator_pieces yields as the pieces of Ann(F) in the degrees asked, each
+in one elimination (linalg.kernel_rref): GradedIdeal.from_dual asks for
+t <= s/2 when it makes Ann(F), for colons of pure powers and
+apolarity.annihilator, graded_piece for any other degree when it is first
+read, and a colon of pure powers cut at t_max for each degree through the
+cut.  The degree-one catalecticant also contracts F by a linear form,
+which is how pure_power_index reads its index off F.
 criteria.linres_matrix builds one more catalecticant from shifted
 generator rows: Cat_e'(f o X^[m-1]), its rows kept where every exponent
 is below m and in reversed order.  fresh_generators, the minimal generators of a piece
@@ -150,19 +155,26 @@ def catalecticant(n, s, F, t):
     return [[F[j] for j in row] for row in product_table(n, s - t, t)]
 
 
-def annihilator_pieces(n, s, terms, field):
-    """The pieces Ann(F)_t, t = 0, 1, ..., s + 1, of the nonzero dual form F
-    of degree s with the integer term map terms (integer_terms): the kernel
-    of Cat_t(F) for t <= s, each the canonical RREF that linalg.kernel_rref
-    reads off one elimination of Cat_t(F), then all of R_{s+1}."""
+def dual_coefficients(n, terms):
+    """(s, F) for the nonzero dual form with the integer term map terms
+    (integer_terms): its degree s and its coefficient vector F over the
+    monomials of degree s, the layout catalecticant reads."""
+    s = sum(next(iter(terms)))
     idx = monomial_index(n, s)
     F = [0] * len(idx)
     for beta, c in terms.items():
         F[idx[beta]] = c
-    for t in range(s + 1):
-        cat = catalecticant(n, s, F, t)
-        yield GradedPiece(n, t, field, *kernel_rref(field, cat, monomial_count(n, t)))
-    yield full_piece(n, s + 1, field)
+    return s, F
+
+
+def annihilator_pieces(n, s, F, field, degrees):
+    """The pieces Ann(F)_t, t <= s in degrees, of the nonzero dual form F of
+    degree s given as its coefficient vector (dual_coefficients): the
+    kernel of Cat_t(F), each the canonical RREF that linalg.kernel_rref
+    reads off one elimination of Cat_t(F)."""
+    for t in degrees:
+        yield GradedPiece(n, t, field, *kernel_rref(field, catalecticant(n, s, F, t),
+                                                    monomial_count(n, t)))
 
 
 def degree_one_multiples(piece: GradedPiece):

@@ -369,8 +369,9 @@ def test_no_certified_answer_depends_on_the_prime(prime, monkeypatch):
     see ranks drop and some catalecticant ranks fall short: those fall back,
     and every answer stays the one at the default prime.  The colon and the
     annihilator below are Ann(F) for F = 2X^[2] + 3Y^[2] + 5Z^[2], whose
-    Cat_1 = diag(2, 3, 5) has rank 2 mod 2, 3 and 5: socle_report's
-    certificate falls short on them, and the maps give the same answer."""
+    Cat_1 = diag(2, 3, 5) has rank 2 mod 2, 3 and 5.  GradedIdeal.from_dual
+    builds them certified by Macaulay duality, with exact kernels and no
+    rank mod p, so they no longer fall back, and the answers are equal."""
     ideals = [I for _, I in _gorenstein_candidates(QQ)] + [
         GradedIdeal.from_strings(texts) for texts in NOT_GORENSTEIN]
     built = [
@@ -390,7 +391,7 @@ def test_no_certified_answer_depends_on_the_prime(prime, monkeypatch):
         missed += answer[2]["is_gorenstein"] and not was_certified
     assert missed >= 1
     for build, (answer, _) in zip(built, built_expected):
-        assert _report_answers(build()) == (answer, False)
+        assert _report_answers(build()) == (answer, True)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)

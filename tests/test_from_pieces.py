@@ -1,13 +1,16 @@
 """Ideals built from their graded pieces keep those pieces.
 
-``colon`` and ``annihilator`` return through ``GradedIdeal.from_pieces``,
-which seeds the piece cache with the pieces it read and, once a full piece
-was read, the Artinian bound.  Every seeded piece must be the piece of the
-ideal the returned generators generate, so the generators are checked
-against the pieces here.  The generators are derived from the seeded
-pieces on first read; they must be the list that deriving them on
-construction gave, and the questions that never read them must derive
-nothing.
+``colon`` returns through ``GradedIdeal.from_pieces``, which seeds the piece
+cache with the pieces it read and, once a full piece was read, the Artinian
+bound.  A complete colon of pure powers and ``annihilator`` return through
+``GradedIdeal.from_dual``, which seeds the pieces of Ann(F) through s/2 and
+the bound s + 1, and builds every other piece below the bound when it is
+first read, so its cache has gaps until then.  Every kept piece must be the
+piece of the ideal the returned generators generate, so the generators are
+checked against the pieces here.  The generators are derived from the
+pieces on first read; they must be the list that deriving them from every
+piece through the bound gives, and the questions that never read them must
+derive nothing.
 """
 
 import random
@@ -43,12 +46,18 @@ def _random_dual(n, s, field, rng):
 def _assert_seeded_pieces_match_generators(J):
     ref = GradedIdeal(J.n, J.generators, J.field)
     assert J._pieces, "no piece was seeded"
-    assert sorted(J._pieces) == list(range(len(J._pieces)))
     for t, piece in J._pieces.items():
         assert piece == ref.graded_piece(t)
     if J.truncated_at is None:
-        assert J._walk.bound == max(J._pieces)
+        # from_pieces seeds every piece through the full one at the bound;
+        # from_dual seeds none at the bound, and the pieces it builds when
+        # read lie below it
+        assert max(J._pieces) <= J._walk.bound
         assert J._walk.bound == ref.artinian_bound()
+        for t in range(J._walk.bound + 1):
+            assert J.graded_piece(t) == ref.graded_piece(t)
+    else:
+        assert sorted(J._pieces) == list(range(J.truncated_at + 1))
 
 
 def _colons(field):
@@ -92,6 +101,7 @@ def test_annihilator_pieces_match_generators(field):
     duals += [_random_dual(n, s, field, rng) for n, s in [(2, 4), (3, 3), (3, 5), (4, 2)]]
     for F in duals:
         J = annihilator(F)
+        assert sorted(J._pieces) == list(range(F.degree() // 2 + 1))
         _assert_seeded_pieces_match_generators(J)
         assert J._walk.bound == F.degree() + 1
 
@@ -130,8 +140,8 @@ def test_kernel_route_reads_no_piece_above_the_first_full(monkeypatch):
 
 def _eager_generators(seeded):
     """The generators from_pieces built on construction from the pieces it
-    seeded: the fresh rows of each piece over the one below, up to and
-    including the first full piece."""
+    seeded, given every piece from degree 0 on: the fresh rows of each
+    piece over the one below, up to and including the first full piece."""
     gens, below = [], None
     for piece in seeded:
         gens.extend(fresh_generators(piece, below))
@@ -143,8 +153,9 @@ def _eager_generators(seeded):
 
 def _assert_lazy_generators_match_eager(J):
     assert J._gens is None, "generators derived on construction"
-    seeded = [J._pieces[t] for t in sorted(J._pieces)]
-    eager = _eager_generators(seeded)
+    # from_dual builds the pieces above s/2 only when read: read them all
+    top = J._walk.bound if J.truncated_at is None else J.truncated_at
+    eager = _eager_generators([J.graded_piece(t) for t in range(top + 1)])
     assert J.generators == eager
     assert [str(g) for g in J.generators] == [str(g) for g in eager]
     assert J._gen_data == GradedIdeal(J.n, eager, J.field)._gen_data

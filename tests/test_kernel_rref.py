@@ -60,7 +60,7 @@ def test_random_matrices(field):
 
 def _dual_vector(F):
     """The integer coefficient vector of a dual form over the monomials of
-    its degree, as annihilator_pieces lays it out."""
+    its degree, as GradedIdeal.from_dual lays it out."""
     s = F.degree()
     idx = monomial_index(F.n, s)
     vec = [0] * len(idx)
@@ -94,6 +94,13 @@ def test_annihilator_makes_one_elimination_per_degree(field, monkeypatch):
         monkeypatch.setattr(module, "rref_rows", counted)
     for label, build in registry_colons(field):
         F = macaulay_inverse(build())
+        s = F.degree()
         calls.clear()
-        annihilator(F)
-        assert len(calls) == F.degree() + 1, label
+        # Cat_t(F) for t <= s/2 at construction, which give every H(t)
+        J = annihilator(F)
+        assert len(calls) == s // 2 + 1, label
+        # then one elimination per piece when first read, none at the bound
+        for t in range(s + 2):
+            J.graded_piece(t)
+            J.graded_piece(t)
+        assert len(calls) == s + 1, label

@@ -1,8 +1,9 @@
-"""Minimal generators stop at the socle degree of a certified Gorenstein ideal.
+"""Minimal generators stop early in a certified Gorenstein ideal.
 
-A complete colon or Ann(F) with H(1) >= 2 that the Macaulay dual
-certificate proves Gorenstein has R_1 * I_s = R_{s+1}, so
-``GradedIdeal.minimal_generators`` reads no piece at its bound.  The
+A complete colon or Ann(F) in n >= 2 variables that the Macaulay dual
+certificate proves Gorenstein has no minimal generator above s + 2 - d0,
+d0 its initial degree, and with H(1) >= 2 it has R_1 * I_s = R_{s+1}, so
+``GradedIdeal.minimal_generators`` reads no piece above the tighter stop.  The
 generators must be those of ``oracles.minimal_generators_through_the_bound``,
 the loop through the bound, in the same order and printed the same, over QQ
 and over GF(p) for a large and two small primes.  Ann(X^[3]) and
@@ -89,10 +90,10 @@ def test_generators_at_the_bound_are_kept(field):
 
 def test_no_multiple_of_the_socle_piece_is_formed(monkeypatch):
     """(x^3, y^3, z^3) : (x^2 + y^2 + z^2) is Ann(F) with socle degree 4 and
-    H(1) = 3, whose seven generators are cubics: they form the degree-one
-    multiples of I_3, not those of I_4, which the loop through the bound
-    forms; socle_report then recalls the certificate and builds no
-    catalecticant."""
+    initial degree 3, whose seven generators are cubics: they stop at
+    s + 2 - d0 = 3, over I_2 = 0, so no degree-one multiple is formed, where
+    the loop through the bound forms those of I_3 and I_4; socle_report then
+    recalls the certificate and builds no catalecticant."""
     formed = []
     multiples = gor3.pieces.degree_one_multiples
 
@@ -107,7 +108,7 @@ def test_no_multiple_of_the_socle_piece_is_formed(monkeypatch):
 
     J = build()
     assert J.minimal_generator_profile() == {3: 7}
-    assert formed == [3]
+    assert formed == []
 
     def refused(*args):
         raise AssertionError("the certificate was tried again")

@@ -4,7 +4,8 @@ socle_report counts the socle of R/I in degree t as H(t) minus the rank of
 x_1..x_n : (R/I)_t -> (R/I)_{t+1}^n.  The route rebuilt here is independent
 of it: the kernel of g -> (x_1 g, ..., x_n g) mod I_{t+1} on all of R_t,
 read from kernel_rows, is {g : m g in I}, and its dimension less dim I_t
-is the socle dimension.
+is the socle dimension.  An ideal derives its report once, so betti_table
+and a case's own socle_report of the same ideal share one set of maps.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from gor3 import GradedIdeal, MultiPoly
-from gor3.cases import monomial_tower_squared
+from gor3.cases import monomial_tower_squared, run_case
 from gor3.fields import GF, QQ
 from gor3.linalg import kernel_rows
 from gor3.monomials import monomial_count, monomial_index, monomials_of_degree
@@ -111,3 +112,27 @@ def test_power_models(seed):
     report = I.socle_report()
     assert report.socle_dims == kernel_route_socle_dims(I)
     assert report.is_gorenstein
+
+
+# multiplication maps into a nonzero piece per run of the case, one per
+# degree t with t + 1 below the bound: betti_table and the case's own
+# socle_report share one report (the map into the bound has no rows)
+MAPS = {"monomial-tower-d3": 3, "monomial-tower-d4": 5,
+        "monomial-tower-d3-squared": 9, "five-gen-monomial-dp2": 6}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("case_id", sorted(MAPS))
+def test_one_socle_report_per_ideal(case_id, field, monkeypatch):
+    calls = []
+    original = GradedIdeal.multiplication_maps
+
+    def counted(self, t):
+        maps = original(self, t)
+        if any(image for m in maps for image in m):
+            calls.append(t)
+        return maps
+
+    monkeypatch.setattr(GradedIdeal, "multiplication_maps", counted)
+    assert run_case(case_id, field, 1).passed
+    assert calls == list(range(MAPS[case_id]))

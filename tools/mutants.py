@@ -9,14 +9,16 @@ generator order over QQ, from_pieces' truncation rule, the five-quadrics
 certificate, the product rule that reads I's own piece for a power,
 J*I or J*I^2, the fraction-free back-substitution that rref_int and
 maximal_minors share, the Betti ranks of d_2 and d_n read off the minimal
-generators and the socle, minimal generators that stop at the socle
-degree of a certified Gorenstein colon or Ann(F), the field test that
-sends GF(p) rows to rref_mod, the pure powers directrix_form reads off
-the exponents of F, and the socle degree below the full piece at the
-bound, which socle_report counts with no branch of its own, and the QQ
-pivots taken inside the columns the mod-p profile proved, with the one
-check in rref_rows (no row nonzero left of its pivot, no other row
-outside the span) that proves the result the RREF of all rows.  Each
+generators and the socle, minimal generators that stop at s + 2 - d0 or
+at the socle degree of a certified Gorenstein colon or Ann(F), the Hilbert
+values from_dual mirrors above s/2 and its bound, the index
+pure_power_index reads off F, the field test that sends GF(p) rows to
+rref_mod, the pure powers directrix_form reads off the exponents of F,
+and the socle degree below the full piece at the bound, which
+socle_report counts with no branch of its own, and the QQ pivots taken
+inside the columns the mod-p profile proved, with the one check in
+rref_rows (no row nonzero left of its pivot, no other row outside the
+span) that proves the result the RREF of all rows.  Each
 entry of MUTANTS breaks one of them with one exact source edit and names
 the tests that must then fail.
 For each mutant the script copies src/ to a temporary directory, applies
@@ -160,12 +162,29 @@ MUTANTS = [
      ["tests/test_linalg.py::test_kernel_against_both_oracles",
       "tests/test_linalg.py::test_maximal_minors_equal_the_column_deleted_determinants"]),
     ("minimal generators stop at the socle degree though H(1) = 1",
-     IDEALS, "if (top and self.hilbert_function(1) >= 2\n", "if (top\n",
+     IDEALS, "if self.hilbert_function(1) >= 2:\n", "if True:\n",
      ["tests/test_socle_degree_generators.py"]),
-    ("minimal generators stop at the socle degree of an uncertified ideal",
-     IDEALS, "and self._certify(self.hilbert_series_table(top - 1))):",
-     "):",
+    ("minimal generators stop early in an uncertified ideal",
+     IDEALS, "if top and self._certify(self.hilbert_series_table(top - 1)):",
+     "if top:",
      ["tests/test_socle_degree_generators.py"]),
+    ("minimal generators of a certified ideal stop at s + 1 - d0",
+     IDEALS, "top = min(top, s + 2 - d0)", "top = min(top, s + 1 - d0)",
+     ["tests/test_socle_degree_generators.py::"
+      "test_generators_equal_the_loop_through_the_bound",
+      "tests/test_from_dual.py::test_generators_under_the_stop"]),
+    ("from_dual leaves the Hilbert values above s/2 unmirrored",
+     IDEALS, "values[t] = values[s - t] = piece.ambient_dim - piece.dim",
+     "values[t] = piece.ambient_dim - piece.dim",
+     ["tests/test_from_dual.py::"
+      "test_mirrored_hilbert_values_equal_the_kernel_dimensions"]),
+    ("from_dual gives Ann(F) the bound s",
+     IDEALS, "walk.values, walk.bound, walk.tried, walk.dual = values, s + 1,",
+     "walk.values, walk.bound, walk.tried, walk.dual = values, s,",
+     ["tests/test_from_dual.py::test_lazy_pieces_equal_the_eager_kernels"]),
+    ("pure_power_index reads the index off F one too low",
+     IDEALS, "while m < bound:", "while m < bound - 1:",
+     ["tests/test_from_dual.py::test_pure_power_index_read_off_F_equals_membership"]),
     ("rref_rows takes a QQ matrix for a GF(p) one",
      LINALG, "    if field.characteristic:\n        return rref_mod(",
      "    if not field.characteristic:\n        return rref_mod(",
