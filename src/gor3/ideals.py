@@ -740,6 +740,8 @@ def pure_power_index(I: GradedIdeal, lines) -> int:
     """
     _line_inverse(lines, lines[0].n, lines[0].field)
     bound = I.artinian_bound()
+    if lines[0].n != I.n or lines[0].field != I.field:
+        raise ValueError("membership of a form in a different ring")
     F = I.certified_dual
     result = 1
     for ell in lines:

@@ -153,6 +153,18 @@ def test_pure_power_index_read_off_F_equals_membership(field):
     assert kept >= 20
 
 
+def test_lines_in_another_ring_are_rejected_on_both_routes():
+    """Lines over another field or in another number of variables are
+    refused whether the index is read off F or found by membership."""
+    kept = annihilator(_random_duals(3, 4, QQ)[0])
+    loop = GradedIdeal.from_strings(["x^2", "y^2", "z^2", "x*y"])   # no F
+    for I in (kept, loop):
+        for lines in (variable_lines(3, GF(7)), variable_lines(4, QQ)):
+            with pytest.raises(ValueError, match="different ring"):
+                pure_power_index(I, lines)
+    assert kept.certified_dual is not None and loop.certified_dual is None
+
+
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_variables_index_is_one_past_the_largest_exponent(field):
     for label, build in registry_colons(field):
